@@ -27,7 +27,7 @@
 #                        threshold; shared runners are noisy)
 #
 # History files are arrays of run objects
-#   [{"date":"YYYY-MM-DD","label":"<commit>","benchmarks":[{...},...]}]
+#   [{"date":"YYYY-MM-DD","label":"<commit> nproc=<cpus>","benchmarks":[{...},...]}]
 # with one flat benchmark object per `go test -bench` line, so
 # downstream tooling can diff runs without a Go dependency. Files from
 # before the run-history format (a bare array of benchmark objects)
@@ -105,7 +105,9 @@ append_run() {
     out=$1
     new=$2
     date=$(date +%Y-%m-%d)
-    label=$(git rev-parse --short HEAD 2>/dev/null || echo "worktree")
+    # The label names the tree (a "-dirty" suffix marks uncommitted
+    # changes) and the CPU count the numbers were measured with.
+    label="$(git describe --always --dirty 2>/dev/null || echo "worktree") nproc=$(nproc)"
     prev=$(mktemp)
     if [ -f "$out" ] && grep -q '"benchmarks"' "$out"; then
         # Drop the final "]" of the runs array; keep everything else.

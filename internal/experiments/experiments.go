@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -288,6 +289,9 @@ func beltWorkload(d *designs.Dashboard, until int64) []sim.Stimulus {
 	for t := int64(950_000); t < until; t += 800_000 {
 		st = append(st, sim.Stimulus{Time: t, Signal: d.BeltOn})
 	}
+	// runProductVM groups the stream into instants, so it must be in
+	// time order (the order sim.Run replays it in).
+	sort.SliceStable(st, func(i, j int) bool { return st[i].Time < st[j].Time })
 	return st
 }
 

@@ -211,9 +211,7 @@ func runGuarded(net *cfsm.Network, stimuli []sim.Stimulus, horizon int64,
 			panicMsg = fmt.Sprint(p)
 		}
 	}()
-	// sim.Run sorts the slice in place; keep the caller's copy pristine
-	// so the second mode replays the identical timeline.
-	res, err = sim.Run(net, append([]sim.Stimulus(nil), stimuli...), horizon, opt)
+	res, err = sim.Run(net, stimuli, horizon, opt)
 	return res, err, ""
 }
 

@@ -144,7 +144,10 @@ func DefaultConfig() Config {
 // buffers are dense arrays indexed by the slots of the machine's
 // cfsm.Layout; begin/post/finish allocate nothing.
 type Task struct {
-	M        *cfsm.CFSM
+	M *cfsm.CFSM
+	// Priority is the task's static priority, set by NewSystem from
+	// Config.Priority. NewSystem reads it once to fix the task's
+	// dispatch rank; changing it afterwards does not reorder dispatch.
 	Priority int
 
 	// Lay resolves this machine's signals and state variables to the
@@ -186,6 +189,9 @@ type Task struct {
 
 	// chainNext is the chain successor, resolved by NewSystem.
 	chainNext *Task
+	// rank is the task's bit in its System's ready set, fixed by
+	// NewSystem; -1 for hardware tasks.
+	rank int
 
 	// Stats
 	Executions int64

@@ -3,6 +3,8 @@ package rtos
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"polis/internal/cfsm"
 )
@@ -102,7 +104,11 @@ type System struct {
 	// simulations cancel promptly; Advance then returns ctx.Err().
 	Ctx context.Context
 
-	Now   int64
+	Now int64
+	// Trace records every event in order. It is appended to on each
+	// delivery; a caller that knows a lower bound on the event count
+	// (sim reserves one slot per environment stimulus) may preallocate
+	// its capacity before the first EmitEnv.
 	Trace []TraceEvent
 
 	current   running
@@ -124,7 +130,18 @@ type System struct {
 	nextPoll   int64
 	hasPolling bool
 
-	rr       int // round-robin cursor
+	// ready is the ready set: one bit per software task, at the task's
+	// dispatch rank, set exactly when the task is Enabled. byRank lists
+	// the software tasks in rank order. Under RoundRobin the rank is
+	// network order; under StaticPriority it is priority descending,
+	// network order breaking ties, so the first set bit is the task the
+	// policy picks. syncReady keeps the bits current at the only three
+	// points a task's enabled/running state changes (post, begin,
+	// finish), which makes dispatch a find-first-set instead of a scan.
+	ready  []uint64
+	byRank []*Task
+	rr     int // round-robin cursor: the rank the next search starts at
+
 	ctxTicks int // iterations since the last Ctx poll
 
 	// Stats
@@ -157,6 +174,7 @@ func NewSystem(n *cfsm.Network, cfg Config,
 		if cfg.HW[m] {
 			t := NewBehavioralTask(m, func() int64 { return cfg.HWDelay })
 			t.mutant = cfg.Mutant
+			t.rank = -1
 			s.hwOf[m] = t
 			s.hwTasks = append(s.hwTasks, t)
 			continue
@@ -185,8 +203,57 @@ func NewSystem(n *cfsm.Network, cfg Config,
 		}
 	}
 	s.buildRoutes()
+	s.rankTasks()
 	s.nextPoll = cfg.PollPeriod
 	return s, nil
+}
+
+// rankTasks fixes every software task's dispatch rank and sizes the
+// ready set. Under StaticPriority a stable sort by descending priority
+// keeps network order among equal priorities, which is the tie-break
+// the policy defines.
+func (s *System) rankTasks() {
+	s.byRank = append([]*Task(nil), s.Tasks...)
+	if s.Cfg.Policy == StaticPriority {
+		sort.SliceStable(s.byRank, func(i, j int) bool { return s.byRank[i].Priority > s.byRank[j].Priority })
+	}
+	s.ready = make([]uint64, (len(s.byRank)+63)/64)
+	for i, t := range s.byRank {
+		t.rank = i
+		s.syncReady(t)
+	}
+}
+
+// syncReady mirrors t.Enabled() into the ready set. Hardware tasks
+// (rank -1) never enter it.
+func (s *System) syncReady(t *Task) {
+	if t.rank < 0 {
+		return
+	}
+	w, bit := t.rank>>6, uint64(1)<<(uint(t.rank)&63)
+	if t.Enabled() {
+		s.ready[w] |= bit
+	} else {
+		s.ready[w] &^= bit
+	}
+}
+
+// nextReady returns the lowest rank >= from in the ready set, or -1.
+func (s *System) nextReady(from int) int {
+	w := from >> 6
+	if w >= len(s.ready) {
+		return -1
+	}
+	word := s.ready[w] &^ (uint64(1)<<(uint(from)&63) - 1)
+	for {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+		if w++; w == len(s.ready) {
+			return -1
+		}
+		word = s.ready[w]
+	}
 }
 
 // buildRoutes precomputes the delivery plan of every network signal.
@@ -361,6 +428,7 @@ func taskError(t *Task, err error) error {
 // finishTask.
 func (s *System) beginTask(t *Task) (int64, error) {
 	snap := t.begin()
+	s.syncReady(t)
 	if s.Probe != nil {
 		s.Probe.TaskBegan(t, snap.Snapshot(), s.Now)
 	}
@@ -377,6 +445,7 @@ func (s *System) finishTask(t *Task, cycles int64) {
 		r = t.out.Reaction(t.Lay)
 	}
 	t.finish(t.out.Fired, t.out.NextState)
+	s.syncReady(t)
 	if s.Probe != nil {
 		s.Probe.TaskFinished(t, r, cycles, s.Now)
 	}
@@ -390,6 +459,7 @@ func (s *System) postToTask(t *Task, slot int, sig *cfsm.Signal, val int64, inIS
 	}
 	s.probePosted(t, sig, val, env)
 	t.post(slot, val)
+	s.syncReady(t)
 	if inISR && !t.running {
 		// Execute the critical task inside the ISR, ahead of
 		// everything, unless it is already running.
@@ -452,34 +522,25 @@ func (s *System) startHW() error {
 	return nil
 }
 
-// pickTask selects the next enabled software task under the policy.
+// pickTask selects the next enabled software task under the policy:
+// the first ready rank at or after the round-robin cursor (wrapping
+// round), or the first ready rank overall under static priority.
 func (s *System) pickTask() *Task {
-	n := len(s.Tasks)
-	if n == 0 {
+	if s.Cfg.Policy == StaticPriority {
+		if i := s.nextReady(0); i >= 0 {
+			return s.byRank[i]
+		}
 		return nil
 	}
-	switch s.Cfg.Policy {
-	case RoundRobin:
-		for i := 0; i < n; i++ {
-			t := s.Tasks[(s.rr+i)%n]
-			if t.Enabled() {
-				s.rr = (s.rr + i + 1) % n
-				return t
-			}
-		}
-	case StaticPriority:
-		var best *Task
-		for _, t := range s.Tasks {
-			if !t.Enabled() {
-				continue
-			}
-			if best == nil || t.Priority > best.Priority {
-				best = t
-			}
-		}
-		return best
+	i := s.nextReady(s.rr)
+	if i < 0 {
+		i = s.nextReady(0)
 	}
-	return nil
+	if i < 0 {
+		return nil
+	}
+	s.rr = (i + 1) % len(s.byRank)
+	return s.byRank[i]
 }
 
 // resume pops the most recently preempted execution.
@@ -639,8 +700,8 @@ func (s *System) workPending() bool {
 	if len(s.stack) > 0 {
 		return true
 	}
-	for _, t := range s.Tasks {
-		if t.Enabled() {
+	for _, w := range s.ready {
+		if w != 0 {
 			return true
 		}
 	}

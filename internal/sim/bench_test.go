@@ -71,7 +71,10 @@ func reactions(res *sim.Result) int64 {
 // 10³-module networks: the dense engine serial, the dense engine with
 // GALS partition parallelism, and the frozen pre-change reference
 // engine as the baseline. Whole runs are timed — task build included —
-// so the numbers reflect what a caller of sim.Run observes; the
+// so the numbers reflect what a caller of sim.Run observes. The loop
+// case splits sim.Run at its layer boundary: it times only
+// rtos.NewSystem and the EmitEnv/Advance event loop of the serial
+// engine, with synthesis done once outside the timer; the
 // build-excluded speedup gate is TestSimThroughputSpeedup.
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, n := range []int{100, 1000} {
@@ -90,7 +93,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n%d/engine", n), func(b *testing.B) {
 			run(b, func() int64 {
-				res, err := sim.Run(bc.net, append([]sim.Stimulus(nil), bc.stimuli...), bc.horizon,
+				res, err := sim.Run(bc.net, bc.stimuli, bc.horizon,
 					sim.Options{Cfg: rtos.DefaultConfig()})
 				if err != nil {
 					b.Fatal(err)
@@ -100,13 +103,55 @@ func BenchmarkSimThroughput(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n%d/engine-parallel", n), func(b *testing.B) {
 			run(b, func() int64 {
-				res, err := sim.Run(bc.net, append([]sim.Stimulus(nil), bc.stimuli...), bc.horizon,
+				res, err := sim.Run(bc.net, bc.stimuli, bc.horizon,
 					sim.Options{Cfg: rtos.DefaultConfig(), Partition: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				return reactions(res)
 			})
+		})
+		b.Run(fmt.Sprintf("n%d/loop", n), func(b *testing.B) {
+			opt := sim.Options{Cfg: rtos.DefaultConfig()}
+			costs, err := sim.BehavioralCosts(bc.net, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Tasks carry run state, so each system gets fresh task
+			// records around the precomputed costs.
+			mk := func(m *cfsm.CFSM) (*rtos.Task, error) {
+				c := costs[m]
+				return rtos.NewBehavioralTask(m, func() int64 { return c }), nil
+			}
+			loop := func() int64 {
+				sys, err := rtos.NewSystem(bc.net, opt.Cfg, mk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Trace = make([]rtos.TraceEvent, 0, len(bc.stimuli))
+				for _, st := range bc.stimuli {
+					if err := sys.Advance(st.Time); err != nil {
+						b.Fatal(err)
+					}
+					if err := sys.EmitEnv(st.Signal, st.Value); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := sys.Advance(bc.horizon); err != nil {
+					b.Fatal(err)
+				}
+				return reactions(&sim.Result{System: sys})
+			}
+			// The loop must do the work sim.Run does.
+			res, err := sim.Run(bc.net, bc.stimuli, bc.horizon, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got, want := loop(), reactions(res); got != want {
+				b.Fatalf("loop ran %d reactions, sim.Run %d", got, want)
+			}
+			b.ResetTimer()
+			run(b, loop)
 		})
 		b.Run(fmt.Sprintf("n%d/refsim", n), func(b *testing.B) {
 			run(b, func() int64 {
@@ -174,7 +219,7 @@ func specBenchCase(pairs, rounds int) (*benchCase, *profile.Profile) {
 	}
 	bc := &benchCase{net: n, stimuli: stim, horizon: tnow + 50_000}
 	col := profile.NewCollector()
-	if _, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), bc.horizon,
+	if _, err := sim.Run(n, stim, bc.horizon,
 		sim.Options{Cfg: rtos.DefaultConfig(), Probe: col}); err != nil {
 		panic(err)
 	}
@@ -194,7 +239,7 @@ func BenchmarkSimSpecialization(b *testing.B) {
 		var totalReact, totalBusy int64
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(bc.net, append([]sim.Stimulus(nil), bc.stimuli...), bc.horizon,
+			res, err := sim.Run(bc.net, bc.stimuli, bc.horizon,
 				sim.Options{Cfg: rtos.DefaultConfig(), Mode: sim.VMExact, Specialize: spec})
 			if err != nil {
 				b.Fatal(err)
@@ -270,7 +315,7 @@ func TestSimThroughputSpeedup(t *testing.T) {
 		return loop, n
 	}
 	// Warm both paths once.
-	engine(append([]sim.Stimulus(nil), bc.stimuli...))
+	engine(bc.stimuli)
 	reference(append([]sim.Stimulus(nil), bc.stimuli...))
 	// Scheduler noise on a shared runner only ever inflates a timing,
 	// so the minimum over trials is the closest observation of each

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
+	"polis/internal/netfuzz"
 	"polis/internal/rtos"
 	"polis/internal/sim"
 	"polis/internal/vm"
@@ -188,12 +189,12 @@ func TestPartitionParallelMatchesSerial(t *testing.T) {
 	}
 	for _, mode := range []sim.Mode{sim.Behavioral, sim.VMExact} {
 		opt := sim.Options{Cfg: rtos.DefaultConfig(), Mode: mode, Partition: true, Workers: 1}
-		serial, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 100_000, opt)
+		serial, err := sim.Run(n, stim, 100_000, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Workers = 8
-		par, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 100_000, opt)
+		par, err := sim.Run(n, stim, 100_000, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestPartitionMatchesPerIslandRuns(t *testing.T) {
 		{Time: 5000, Signal: in2, Value: 9},
 	}
 	opt := sim.Options{Cfg: rtos.DefaultConfig(), Partition: true, Workers: 4}
-	res, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 50_000, opt)
+	res, err := sim.Run(n, stim, 50_000, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +263,14 @@ func TestPartitionMatchesPerIslandRuns(t *testing.T) {
 // agree event-for-event, whatever the island structure.
 func TestPartitionRandomizedIdentity(t *testing.T) {
 	for seed := int64(300); seed < 330; seed++ {
-		sc, err := genScenario(seed)
+		sc, err := netfuzz.GenScenario(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := sim.Options{Cfg: sc.cfg, Partition: true, Workers: 1}
-		serial, serr := sim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon, opt)
+		opt := sim.Options{Cfg: sc.Cfg, Partition: true, Workers: 1}
+		serial, serr := sim.Run(sc.Net, sc.Stimuli, sc.Horizon, opt)
 		opt.Workers = 8
-		par, perr := sim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon, opt)
+		par, perr := sim.Run(sc.Net, sc.Stimuli, sc.Horizon, opt)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("seed %d: serial err %v, parallel err %v", seed, serr, perr)
 		}
@@ -309,17 +310,17 @@ func (p *countingProbe) TaskFinished(t *rtos.Task, r cfsm.Reaction, cycles int64
 // engine against the task counters, and that observing a run does not
 // change its outcome.
 func TestProbeAccountingMatchesStats(t *testing.T) {
-	sc, err := genScenario(7)
+	sc, err := netfuzz.GenScenario(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := sim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon, sim.Options{Cfg: sc.cfg})
+	bare, err := sim.Run(sc.Net, sc.Stimuli, sc.Horizon, sim.Options{Cfg: sc.Cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := &countingProbe{}
-	probed, err := sim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon,
-		sim.Options{Cfg: sc.cfg, Probe: probe})
+	probed, err := sim.Run(sc.Net, sc.Stimuli, sc.Horizon,
+		sim.Options{Cfg: sc.Cfg, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}

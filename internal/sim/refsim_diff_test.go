@@ -2,12 +2,9 @@ package sim_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"polis/internal/cfsm"
-	"polis/internal/randcfsm"
-	"polis/internal/rtos"
+	"polis/internal/netfuzz"
 	"polis/internal/sim"
 	"polis/internal/sim/internal/refsim"
 )
@@ -15,123 +12,9 @@ import (
 // These tests pin the throughput-oriented engine (dense buffers,
 // batched emission queue) to the frozen pre-change engine in
 // internal/refsim: for randomized networks, RTOS configurations and
-// stimulus timelines — including same-cycle bursts that stress the
-// batch queue — the two must produce identical traces, cycle counts,
-// accounting and final states, event for event.
-
-// scenario is one randomized differential case.
-type scenario struct {
-	net     *cfsm.Network
-	cfg     rtos.Config
-	stimuli []sim.Stimulus
-	horizon int64
-}
-
-// genScenario derives a deterministic scenario from a seed, covering
-// the same knob space as the netfuzz harness: topologies, scheduling
-// policies, preemption, a hardware partition, task chains, polling,
-// InISR delivery and buffer-semantics mutants (a mutant must be wrong
-// identically in both engines).
-func genScenario(seed int64) (*scenario, error) {
-	r := rand.New(rand.NewSource(seed))
-	topos := []randcfsm.Topology{
-		randcfsm.TopoIndependent, randcfsm.TopoChain,
-		randcfsm.TopoChain, randcfsm.TopoDAG,
-	}
-	net, _, err := randcfsm.NewTopologyNetwork(r, 2+r.Intn(4), randcfsm.DefaultConfig(), topos[r.Intn(len(topos))])
-	if err != nil {
-		return nil, err
-	}
-	rc := rtos.DefaultConfig()
-	if r.Intn(2) == 0 {
-		rc.Policy = rtos.StaticPriority
-		for _, m := range net.Machines {
-			rc.Priority[m] = r.Intn(len(net.Machines))
-		}
-		if r.Intn(3) == 0 {
-			rc.Preemptive = true
-		}
-	}
-	hwIdx := -1
-	if r.Intn(3) == 0 && len(net.Machines) > 1 {
-		hwIdx = r.Intn(len(net.Machines))
-		rc.HW[net.Machines[hwIdx]] = true
-	}
-	if r.Intn(3) == 0 {
-		var sw []*cfsm.CFSM
-		for i, m := range net.Machines {
-			if i != hwIdx {
-				sw = append(sw, m)
-			}
-		}
-		if len(sw) >= 2 {
-			rc.Chains = [][]*cfsm.CFSM{{sw[0], sw[1]}}
-		}
-	}
-	if r.Intn(2) == 0 {
-		for _, s := range net.Signals {
-			if len(net.Readers(s)) == 0 {
-				continue
-			}
-			fromEnv := len(net.Writers(s)) == 0
-			fromHW := false
-			if hwIdx >= 0 {
-				for _, w := range net.Writers(s) {
-					if w == net.Machines[hwIdx] {
-						fromHW = true
-					}
-				}
-			}
-			if (fromEnv || fromHW) && r.Intn(2) == 0 {
-				rc.Deliver[s] = rtos.Polling
-			}
-		}
-	}
-	for _, s := range net.PrimaryInputs() {
-		if rc.Deliver[s] == rtos.Polling {
-			continue
-		}
-		if r.Intn(4) == 0 {
-			rc.InISR[s] = true
-		}
-	}
-	mutants := []rtos.Mutant{
-		rtos.MutantNone, rtos.MutantNone, rtos.MutantNone,
-		rtos.MutantLostUndercount, rtos.MutantStaleOverwrite, rtos.MutantConsumeUnfired,
-	}
-	rc.Mutant = mutants[r.Intn(len(mutants))]
-
-	prim := net.PrimaryInputs()
-	vr := randcfsm.DefaultConfig().ValueRange
-	count := 4 + r.Intn(16)
-	// Alternate dense and sparse spacing so some stimuli land on a busy
-	// system (contention, freeze-window posts) and some on a quiescent
-	// one.
-	gap := int64(40 + r.Intn(400))
-	if r.Intn(2) == 0 {
-		gap = int64(20_000 + r.Intn(60_000))
-	}
-	var st []sim.Stimulus
-	tnow := gap
-	for i := 0; i < count; i++ {
-		s := prim[r.Intn(len(prim))]
-		var v int64
-		if !s.Pure {
-			v = r.Int63n(vr)
-		}
-		st = append(st, sim.Stimulus{Time: tnow, Signal: s, Value: v})
-		// Same-cycle and next-cycle duplicates stress the batched
-		// delivery path with back-to-back one-place-buffer overwrites.
-		if r.Intn(3) == 0 {
-			st = append(st, sim.Stimulus{Time: tnow, Signal: s, Value: v + 1})
-		}
-		if r.Intn(4) == 0 {
-			st = append(st, sim.Stimulus{Time: tnow + 1, Signal: s, Value: v + 2})
-		}
-		tnow += gap
-	}
-	return &scenario{net: net, cfg: rc, stimuli: st, horizon: tnow + 30_000}, nil
-}
+// stimulus timelines (netfuzz.GenScenario) — including same-cycle
+// bursts that stress the batch queue — the two must produce identical
+// traces, cycle counts, accounting and final states, event for event.
 
 // compareRuns requires bit-identical observable outcomes from the two
 // engines.
@@ -188,18 +71,19 @@ func compareRuns(t *testing.T, label string, got *sim.Result, want *refsim.Resul
 
 func runDiff(t *testing.T, seed int64, mode sim.Mode, check bool) {
 	t.Helper()
-	sc, err := genScenario(seed)
+	sc, err := netfuzz.GenScenario(seed)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	opt := sim.Options{Cfg: sc.cfg, Mode: mode}
+	opt := sim.Options{Cfg: sc.Cfg, Mode: mode}
 	if check {
 		opt.Check = sim.CheckOptions{VMAgainstReference: true, CycleBounds: true}
 	}
 	label := fmt.Sprintf("seed %d mode %d", seed, mode)
-	// Both engines sort the stimulus slice in place; give each a copy.
-	got, gerr := sim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon, opt)
-	want, werr := refsim.Run(sc.net, append([]sim.Stimulus(nil), sc.stimuli...), sc.horizon, opt)
+	// The reference engine sorts the stimulus slice in place; give it a
+	// copy.
+	got, gerr := sim.Run(sc.Net, sc.Stimuli, sc.Horizon, opt)
+	want, werr := refsim.Run(sc.Net, append([]sim.Stimulus(nil), sc.Stimuli...), sc.Horizon, opt)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%s: engine error %v, reference error %v", label, gerr, werr)
 	}

@@ -344,8 +344,37 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 	return task, code, data, nil
 }
 
+// behavioralEstimate synthesizes a machine's s-graph as opt directs
+// and estimates it; MaxCycles is what a Behavioral run charges per
+// reaction.
+func behavioralEstimate(m *cfsm.CFSM, opt Options, params *estimate.Params) (estimate.Result, error) {
+	r, err := cfsm.BuildReactive(m)
+	if err != nil {
+		return estimate.Result{}, err
+	}
+	g, err := sgraph.Build(r, opt.Ordering)
+	if err != nil {
+		return estimate.Result{}, err
+	}
+	if opt.Reduce {
+		g.Reduce(sgraph.ReduceOptions{})
+	}
+	estOpts := estimate.Options{Codegen: opt.Codegen}
+	if opt.Specialize != nil {
+		if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
+			if _, err := g.SpecializeChecked(sp); err != nil {
+				return estimate.Result{}, err
+			}
+			estOpts.ScenarioProfile = sp
+		}
+	}
+	return estimate.EstimateSGraph(g, params, estOpts), nil
+}
+
 // Run simulates the network until the given cycle, injecting the
-// stimuli at their times.
+// stimuli at their times; stimuli at equal times keep their slice
+// order, and those after until are ignored. Run never modifies the
+// stimuli slice: unsorted input is sorted in a copy.
 func Run(n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	return RunContext(context.Background(), n, stimuli, until, opt)
 }
@@ -381,27 +410,10 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 			res.DataBytes += data
 			return t, nil
 		default:
-			r, err := cfsm.BuildReactive(m)
+			est, err := behavioralEstimate(m, opt, params)
 			if err != nil {
 				return nil, err
 			}
-			g, err := sgraph.Build(r, opt.Ordering)
-			if err != nil {
-				return nil, err
-			}
-			if opt.Reduce {
-				g.Reduce(sgraph.ReduceOptions{})
-			}
-			estOpts := estimate.Options{Codegen: opt.Codegen}
-			if opt.Specialize != nil {
-				if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
-					if _, err := g.SpecializeChecked(sp); err != nil {
-						return nil, err
-					}
-					estOpts.ScenarioProfile = sp
-				}
-			}
-			est := estimate.EstimateSGraph(g, params, estOpts)
 			res.CodeBytes += est.CodeBytes
 			res.DataBytes += est.DataBytes
 			return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil
@@ -413,11 +425,16 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 	}
 	sys.Probe = opt.Probe
 	sys.Ctx = ctx
-	sort.SliceStable(stimuli, func(i, j int) bool { return stimuli[i].Time < stimuli[j].Time })
+	byTime := func(i, j int) bool { return stimuli[i].Time < stimuli[j].Time }
+	if !sort.SliceIsSorted(stimuli, byTime) {
+		stimuli = append([]Stimulus(nil), stimuli...)
+		sort.SliceStable(stimuli, byTime)
+	}
+	stimuli = stimuli[:sort.Search(len(stimuli), func(i int) bool { return stimuli[i].Time > until })]
+	// Each stimulus adds exactly one environment event to the trace, so
+	// its count is a lower bound on the trace length.
+	sys.Trace = make([]rtos.TraceEvent, 0, len(stimuli))
 	for _, st := range stimuli {
-		if st.Time > until {
-			break
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -205,3 +205,48 @@ func TestWriteTraceCSV(t *testing.T) {
 		t.Errorf("csv rows %d < trace events %d", lines, len(res.Trace))
 	}
 }
+
+// TestRunLeavesStimuliUntouched: Run replays an unsorted stimulus slice
+// in time order (ties in slice order) without reordering the caller's
+// slice, in single and partitioned runs, and ignores stimuli after
+// until.
+func TestRunLeavesStimuliUntouched(t *testing.T) {
+	n, sample, out := scalerNet()
+	stim := []Stimulus{
+		{Time: 9000, Signal: sample, Value: 4},
+		{Time: 1000, Signal: sample, Value: 1},
+		{Time: 90_000, Signal: sample, Value: 9}, // after until
+		{Time: 5000, Signal: sample, Value: 3},
+		{Time: 1000, Signal: sample, Value: 2},
+	}
+	orig := append([]Stimulus(nil), stim...)
+	sorted := []Stimulus{orig[1], orig[4], orig[3], orig[0]}
+	for _, part := range []bool{false, true} {
+		opt := defaultOpts(Behavioral)
+		opt.Partition = part
+		got, err := Run(n, stim, 50_000, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stim {
+			if stim[i] != orig[i] {
+				t.Fatalf("partition=%v: stimuli[%d] = %+v after Run, was %+v", part, i, stim[i], orig[i])
+			}
+		}
+		want, err := Run(n, sorted, 50_000, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Trace) != len(want.Trace) {
+			t.Fatalf("partition=%v: %d trace events, %d from sorted input", part, len(got.Trace), len(want.Trace))
+		}
+		for i := range got.Trace {
+			if got.Trace[i] != want.Trace[i] {
+				t.Fatalf("partition=%v: trace[%d] = %+v, %+v from sorted input", part, i, got.Trace[i], want.Trace[i])
+			}
+		}
+		if vals := outValues(got, out); len(vals) != 3 {
+			t.Errorf("partition=%v: out values %v, want the 3 reactions up to until", part, vals)
+		}
+	}
+}

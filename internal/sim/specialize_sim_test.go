@@ -32,12 +32,12 @@ func TestMergeTracesManyIslands(t *testing.T) {
 		}
 	}
 	opt := sim.Options{Cfg: rtos.DefaultConfig(), Partition: true, Workers: 1}
-	serial, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 90_000, opt)
+	serial, err := sim.Run(n, stim, 90_000, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 16
-	par, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 90_000, opt)
+	par, err := sim.Run(n, stim, 90_000, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestPartitionEnvOnlyStimulus(t *testing.T) {
 		{Time: 400, Signal: in2},
 		{Time: 777, Signal: orphan, Value: 9},
 	}
-	serial, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 50_000,
+	serial, err := sim.Run(n, stim, 50_000,
 		sim.Options{Cfg: rtos.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 50_000,
+	part, err := sim.Run(n, stim, 50_000,
 		sim.Options{Cfg: rtos.DefaultConfig(), Partition: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestSpecializeCaptureDifferential(t *testing.T) {
 	})
 
 	col := profile.NewCollector()
-	_, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 300_000,
+	_, err := sim.Run(n, stim, 300_000,
 		sim.Options{Cfg: rtos.DefaultConfig(), Probe: col})
 	if err != nil {
 		t.Fatal(err)
@@ -190,12 +190,12 @@ func TestSpecializeCaptureDifferential(t *testing.T) {
 		}
 		return vals
 	}
-	plain, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 300_000,
+	plain, err := sim.Run(n, stim, 300_000,
 		sim.Options{Cfg: rtos.DefaultConfig(), Mode: sim.VMExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := sim.Run(n, append([]sim.Stimulus(nil), stim...), 300_000,
+	spec, err := sim.Run(n, stim, 300_000,
 		sim.Options{
 			Cfg: rtos.DefaultConfig(), Mode: sim.VMExact, Specialize: prof,
 			Check: sim.CheckOptions{VMAgainstReference: true, CycleBounds: true},

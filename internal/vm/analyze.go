@@ -52,13 +52,21 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		case HALT:
 			mn, mx = base, base
 		case JMP:
-			m1, m2, err := visit(prog.Labels[in.Label])
+			t, err := prog.target(pc, in.Label)
+			if err != nil {
+				return 0, 0, err
+			}
+			m1, m2, err := visit(t)
 			if err != nil {
 				return 0, 0, err
 			}
 			mn, mx = base+m1, base+m2
 		case BR, BRZ, BRNZ:
-			tMin, tMax, err := visit(prog.Labels[in.Label])
+			t, err := prog.target(pc, in.Label)
+			if err != nil {
+				return 0, 0, err
+			}
+			tMin, tMax, err := visit(t)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -73,7 +81,11 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		case JTAB:
 			first := true
 			for idx, l := range in.Table {
-				m1, m2, err := visit(prog.Labels[l])
+				t, err := prog.target(pc, l)
+				if err != nil {
+					return 0, 0, err
+				}
+				m1, m2, err := visit(t)
 				if err != nil {
 					return 0, 0, err
 				}

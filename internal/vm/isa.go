@@ -158,35 +158,72 @@ func (p *Program) Alloc(name string) int {
 	return a
 }
 
-// Resolve verifies every referenced label exists.
-func (p *Program) Resolve() error {
-	check := func(l string) error {
-		if l == "" {
-			return fmt.Errorf("vm: empty label")
-		}
-		if _, ok := p.Labels[l]; !ok {
-			return fmt.Errorf("vm: undefined label %q", l)
-		}
-		return nil
+// LabelError reports a branch, jump or jump-table entry whose target
+// label the program does not define.
+type LabelError struct {
+	Instr int    // index of the referencing instruction
+	Label string // the missing label ("" for an empty one)
+}
+
+func (e *LabelError) Error() string {
+	if e.Label == "" {
+		return fmt.Sprintf("vm: instr %d: empty label", e.Instr)
 	}
-	for i, in := range p.Instrs {
+	return fmt.Sprintf("vm: instr %d: undefined label %q", e.Instr, e.Label)
+}
+
+// targets holds a program's jump destinations resolved to instruction
+// indices. For a BR, BRZ, BRNZ or JMP at i, jump[i] is its target; for
+// a JTAB at i, table[jump[i]+k] is the target of its entry k.
+type targets struct {
+	jump  []int
+	table []int
+}
+
+// target resolves label l referenced by instruction i.
+func (p *Program) target(i int, l string) (int, error) {
+	pc, ok := p.Labels[l]
+	if !ok || l == "" {
+		return 0, &LabelError{Instr: i, Label: l}
+	}
+	return pc, nil
+}
+
+// resolveTargets resolves every label reference once, so execution
+// and analysis index slices instead of looking labels up.
+func (p *Program) resolveTargets() (targets, error) {
+	t := targets{jump: make([]int, len(p.Instrs))}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		switch in.Op {
 		case BR, BRZ, BRNZ, JMP:
-			if err := check(in.Label); err != nil {
-				return fmt.Errorf("instr %d: %w", i, err)
+			pc, err := p.target(i, in.Label)
+			if err != nil {
+				return targets{}, err
 			}
+			t.jump[i] = pc
 		case JTAB:
 			if len(in.Table) == 0 {
-				return fmt.Errorf("instr %d: empty jump table", i)
+				return targets{}, fmt.Errorf("vm: instr %d: empty jump table", i)
 			}
+			t.jump[i] = len(t.table)
 			for _, l := range in.Table {
-				if err := check(l); err != nil {
-					return fmt.Errorf("instr %d: %w", i, err)
+				pc, err := p.target(i, l)
+				if err != nil {
+					return targets{}, err
 				}
+				t.table = append(t.table, pc)
 			}
 		}
 	}
-	return nil
+	return t, nil
+}
+
+// Resolve verifies every referenced label exists; a missing one is
+// reported as a *LabelError.
+func (p *Program) Resolve() error {
+	_, err := p.resolveTargets()
+	return err
 }
 
 // Listing renders a human-readable assembly listing.

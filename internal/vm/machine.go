@@ -48,6 +48,14 @@ type Machine struct {
 	Cycles int64
 	// MaxSteps guards against runaway programs (default 1<<20).
 	MaxSteps int
+
+	// prog, entry and entryPC cache the program last run, its resolved
+	// jump targets and its entry point, so repeated reactions of one
+	// routine resolve labels only once.
+	prog    *Program
+	tgt     targets
+	entry   string
+	entryPC int
 }
 
 // NewMachine creates a machine with the given data memory size.
@@ -65,16 +73,30 @@ func NewMachine(prof *Profile, words int, host Host) *Machine {
 
 // Run executes prog from the instruction at the given label (or index
 // 0 if label is empty) until HALT, returning the cycles consumed by
-// this run.
+// this run. A program with an undefined label fails with a
+// *LabelError before executing anything. Labels are resolved on the
+// first run of a program on this machine and reused while it keeps its
+// length; a program edited in place must be run on a fresh Machine.
 func (m *Machine) Run(prog *Program, label string) (int64, error) {
-	pc := 0
-	if label != "" {
-		idx, ok := prog.Labels[label]
-		if !ok {
-			return 0, fmt.Errorf("vm: unknown entry label %q", label)
+	if prog != m.prog || len(prog.Instrs) != len(m.tgt.jump) {
+		tgt, err := prog.resolveTargets()
+		if err != nil {
+			return 0, err
 		}
-		pc = idx
+		m.prog, m.tgt, m.entry, m.entryPC = prog, tgt, "", 0
 	}
+	if label != m.entry {
+		idx := 0
+		if label != "" {
+			var ok bool
+			if idx, ok = prog.Labels[label]; !ok {
+				return 0, fmt.Errorf("vm: unknown entry label %q", label)
+			}
+		}
+		m.entry, m.entryPC = label, idx
+	}
+	pc := m.entryPC
+	jump, table := m.tgt.jump, m.tgt.table
 	start := m.Cycles
 	steps := 0
 	for {
@@ -125,33 +147,33 @@ func (m *Machine) Run(prog *Program, label string) (int64, error) {
 		case BR:
 			if in.Cond.Holds(m.Regs[in.Rs], m.Regs[in.Rt]) {
 				m.Cycles += int64(m.Prof.TakenExtra)
-				pc = prog.Labels[in.Label]
+				pc = jump[pc]
 			} else {
 				pc++
 			}
 		case BRZ:
 			if m.Regs[in.Rs] == 0 {
 				m.Cycles += int64(m.Prof.TakenExtra)
-				pc = prog.Labels[in.Label]
+				pc = jump[pc]
 			} else {
 				pc++
 			}
 		case BRNZ:
 			if m.Regs[in.Rs] != 0 {
 				m.Cycles += int64(m.Prof.TakenExtra)
-				pc = prog.Labels[in.Label]
+				pc = jump[pc]
 			} else {
 				pc++
 			}
 		case JMP:
-			pc = prog.Labels[in.Label]
+			pc = jump[pc]
 		case JTAB:
 			idx := m.Regs[in.Rs]
 			if idx < 0 || int(idx) >= len(in.Table) {
 				return 0, fmt.Errorf("vm: jump table index %d out of range (%d entries)", idx, len(in.Table))
 			}
 			m.Cycles += int64(m.Prof.JTabEntryCyc) * idx
-			pc = prog.Labels[in.Table[idx]]
+			pc = table[jump[pc]+int(idx)]
 		case SVC:
 			switch in.Num {
 			case SvcPresent:

@@ -169,7 +169,10 @@ func (p *Profile) Layout(prog *Program) []int {
 			in := &prog.Instrs[i]
 			switch in.Op {
 			case BR, BRZ, BRNZ, JMP:
-				t := prog.Labels[in.Label]
+				t, ok := prog.Labels[in.Label]
+				if !ok {
+					continue // undefined target: keep the long form
+				}
 				disp := off[t] - off[i+1]
 				ns := p.InstrSize(in, disp)
 				if ns != sizes[i] {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -287,6 +288,45 @@ func TestResolveCatchesUndefined(t *testing.T) {
 	}
 }
 
+// TestDanglingLabel: a branch to an undefined label used to read the
+// label map's zero value and jump to instruction 0. Run and
+// AnalyzeCycles must instead fail with a *LabelError, and Run must do
+// so before executing anything.
+func TestDanglingLabel(t *testing.T) {
+	progs := map[string]func(p *Program){
+		"jmp": func(p *Program) { p.Emit(Instr{Op: JMP, Label: "nowhere"}) },
+		"brz": func(p *Program) { p.Emit(Instr{Op: BRZ, Rs: 1, Label: "nowhere"}) },
+		"jtab": func(p *Program) {
+			p.Emit(Instr{Op: JTAB, Rs: 1, Table: []string{"end", "nowhere"}})
+		},
+	}
+	for name, branch := range progs {
+		p := NewProgram(name)
+		p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 7})
+		branch(p)
+		if err := p.Mark("end"); err != nil {
+			t.Fatal(err)
+		}
+		p.Emit(Instr{Op: HALT})
+		h := &recHost{}
+		m := NewMachine(HC11(), 0, h)
+		_, err := m.Run(p, "")
+		var le *LabelError
+		if !errors.As(err, &le) || le.Label != "nowhere" || le.Instr != 1 {
+			t.Errorf("%s: Run error %v, want a LabelError for instr 1", name, err)
+		}
+		if m.Cycles != 0 || len(h.emitted) != 0 {
+			t.Errorf("%s: Run executed %d cycles and %d emissions before failing", name, m.Cycles, len(h.emitted))
+		}
+		if _, err := AnalyzeCycles(HC11(), p, ""); !errors.As(err, &le) {
+			t.Errorf("%s: AnalyzeCycles error %v, want a LabelError", name, err)
+		}
+		if err := p.Resolve(); !errors.As(err, &le) {
+			t.Errorf("%s: Resolve error %v, want a LabelError", name, err)
+		}
+	}
+}
+
 func TestAllocDedup(t *testing.T) {
 	p := NewProgram("a")
 	a1 := p.Alloc("x")
@@ -317,5 +357,49 @@ func TestStepLimit(t *testing.T) {
 	m.MaxSteps = 100
 	if _, err := m.Run(p, ""); err == nil {
 		t.Error("step limit must trigger")
+	}
+}
+
+// TestRunSwitchesProgramsAndEntries: one machine alternating between
+// programs and entry labels resolves each afresh, never reusing the
+// previous program's targets or entry point.
+func TestRunSwitchesProgramsAndEntries(t *testing.T) {
+	build := func(name string, a, b int64) *Program {
+		p := NewProgram(name)
+		p.Emit(Instr{Op: LDI, Rd: 0, Imm: 0})
+		p.Emit(Instr{Op: JMP, Label: "out"})
+		if err := p.Mark("a"); err != nil {
+			t.Fatal(err)
+		}
+		p.Emit(Instr{Op: LDI, Rd: 0, Imm: a})
+		p.Emit(Instr{Op: JMP, Label: "out"})
+		if err := p.Mark("b"); err != nil {
+			t.Fatal(err)
+		}
+		p.Emit(Instr{Op: LDI, Rd: 0, Imm: b})
+		if err := p.Mark("out"); err != nil {
+			t.Fatal(err)
+		}
+		p.Emit(Instr{Op: HALT})
+		return p
+	}
+	p1, p2 := build("p1", 1, 2), build("p2", 3, 4)
+	m := NewMachine(R3K(), 0, nil)
+	for _, c := range []struct {
+		p     *Program
+		label string
+		want  int64
+	}{
+		{p1, "a", 1}, {p1, "b", 2}, {p1, "", 0}, {p2, "b", 4}, {p2, "a", 3}, {p1, "a", 1},
+	} {
+		if _, err := m.Run(c.p, c.label); err != nil {
+			t.Fatal(err)
+		}
+		if m.Regs[0] != c.want {
+			t.Errorf("%s from %q: r0 = %d, want %d", c.p.Name, c.label, m.Regs[0], c.want)
+		}
+	}
+	if _, err := m.Run(p1, "missing"); err == nil {
+		t.Error("unknown entry label must be reported")
 	}
 }
