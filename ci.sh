@@ -13,8 +13,8 @@
 # second pass, /stats, SIGTERM drain), a multi-process sharded
 # synthesis smoke (two shard-worker processes sharing one disk cache
 # as the shuffle layer, warm second pass, output byte-identical to the
-# unsharded run), and a single-iteration benchmark smoke so the
-# harness can't bit-rot.
+# unsharded run), an sgestimate smoke over both designs and targets,
+# and a single-iteration benchmark smoke so the harness can't bit-rot.
 set -eux
 
 go vet ./...
@@ -107,6 +107,21 @@ grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 3 | mem 0 | disk 0 | ded
 grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 0 | mem 0 | disk 3 | dedup 0' "$tmp/warm"
 "$tmp/polisc" -shards 2 -shard-procs -cache "$tmp/cache" "$tmp/net.strl" >"$tmp/sharded"
 diff "$tmp/plain" "$tmp/sharded"
+trap - EXIT
+rm -rf "$tmp"
+
+# sgestimate smoke: each design on each target exits 0 and prints its
+# two header lines plus one row per module (9 dashboard, 6 shock).
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/sgestimate" ./cmd/sgestimate
+for design in dashboard:9 shock:6; do
+    for target in hc11 r3k; do
+        "$tmp/sgestimate" -design "${design%:*}" -target "$target" >"$tmp/out"
+        grep -q "target $target\$" "$tmp/out"
+        test "$(wc -l <"$tmp/out")" -eq $((${design#*:} + 2))
+    done
+done
 trap - EXIT
 rm -rf "$tmp"
 

@@ -13,12 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"polis/internal/cfsm"
-	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
 	"polis/internal/experiments"
-	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
@@ -45,34 +41,11 @@ func main() {
 		}
 		fmt.Print(experiments.FormatTable1(prof, rows))
 	case "shock":
-		s := designs.NewShockAbsorber()
-		params, err := estimate.Calibrate(prof)
+		rows, err := experiments.EstimationRows(prof, designs.NewShockAbsorber().Modules())
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("Cost/performance estimation, shock absorber, target %s\n", prof.Name)
-		fmt.Printf("%-16s %9s %9s %9s %9s\n", "CFSM", "est size", "act size", "est max", "act max")
-		for _, m := range s.Modules() {
-			r, err := cfsm.BuildReactive(m)
-			if err != nil {
-				fatal(err)
-			}
-			g, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-			if err != nil {
-				fatal(err)
-			}
-			p, err := codegen.Assemble(g, codegen.NewSignalMap(m), codegen.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			est := estimate.EstimateSGraph(g, params, estimate.Options{})
-			act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%-16s %9d %9d %9d %9d\n",
-				m.Name, est.CodeBytes, prof.CodeSize(p), est.MaxCycles, act.Max)
-		}
+		fmt.Print(experiments.FormatEstimates(prof, "shock absorber", rows))
 	default:
 		fatal(fmt.Errorf("unknown design %q", *design))
 	}

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
@@ -27,10 +28,20 @@ type CollapseRow struct {
 
 // AblationCollapse measures TEST-node collapsing on the dashboard.
 func AblationCollapse(prof *vm.Profile) ([]CollapseRow, error) {
-	d := designs.NewDashboard()
-	var rows []CollapseRow
-	for _, m := range d.Modules() {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
+	modules := designs.NewDashboard().Modules()
+	opt := pipeline.Options{Target: prof}
+	plain, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CollapseRow, len(modules))
+	for i, m := range modules {
+		sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt, nil)
+		if err != nil {
+			return nil, err
+		}
+		merged := sg.SGraph.CollapseTests(32)
+		p, err := codegen.Assemble(sg.SGraph, codegen.NewSignalMap(m), opt.Codegen)
 		if err != nil {
 			return nil, err
 		}
@@ -38,33 +49,14 @@ func AblationCollapse(prof *vm.Profile) ([]CollapseRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := CollapseRow{
-			Module:      m.Name,
-			PlainBytes:  int64(prof.CodeSize(p)),
-			PlainMaxCyc: act.Max,
+		rows[i] = CollapseRow{
+			Module:       m.Name,
+			PlainBytes:   int64(plain[i].CodeSize),
+			CollapsedB:   int64(prof.CodeSize(p)),
+			PlainMaxCyc:  plain[i].Measured.Max,
+			CollapsedCyc: act.Max,
+			NodesMerged:  merged,
 		}
-		// Rebuild and collapse.
-		r, err := cfsm.BuildReactive(m)
-		if err != nil {
-			return nil, err
-		}
-		g2, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-		if err != nil {
-			return nil, err
-		}
-		row.NodesMerged = g2.CollapseTests(32)
-		p2, err := codegen.Assemble(g2, codegen.NewSignalMap(m), codegen.Options{})
-		if err != nil {
-			return nil, err
-		}
-		act2, err := vm.AnalyzeCycles(prof, p2, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, err
-		}
-		row.CollapsedB = int64(prof.CodeSize(p2))
-		row.CollapsedCyc = act2.Max
-		rows = append(rows, row)
-		_ = g
 	}
 	return rows, nil
 }
@@ -160,31 +152,29 @@ type CopyRow struct {
 // the paper lists as the pending ROM/RAM/CPU improvement (Section V-B)
 // over the shock-absorber modules.
 func AblationCopies(prof *vm.Profile) ([]CopyRow, error) {
-	s := designs.NewShockAbsorber()
-	var rows []CopyRow
-	for _, m := range s.Modules() {
-		row := CopyRow{Module: m.Name}
-		for _, opt := range []bool{false, true} {
-			_, p, err := synthesize(m, sgraph.OrderSiftAfterSupport,
-				codegen.Options{OptimizeCopies: opt})
-			if err != nil {
-				return nil, err
-			}
-			act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-			if err != nil {
-				return nil, err
-			}
-			if opt {
-				row.OptROM = int64(prof.CodeSize(p))
-				row.OptRAM = int64(prof.DataSize(p))
-				row.OptWCET = act.Max
-			} else {
-				row.FullROM = int64(prof.CodeSize(p))
-				row.FullRAM = int64(prof.DataSize(p))
-				row.FullWCET = act.Max
-			}
+	modules := designs.NewShockAbsorber().Modules()
+	opt := pipeline.Options{Target: prof}
+	full, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Codegen.OptimizeCopies = true
+	opted, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CopyRow, len(modules))
+	for i, f := range full {
+		o := opted[i]
+		rows[i] = CopyRow{
+			Module:   f.Module,
+			FullROM:  int64(f.CodeSize),
+			FullRAM:  int64(prof.DataSize(f.Program)),
+			OptROM:   int64(o.CodeSize),
+			OptRAM:   int64(prof.DataSize(o.Program)),
+			FullWCET: f.Measured.Max,
+			OptWCET:  o.Measured.Max,
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -212,26 +202,24 @@ type FalsePathRow struct {
 // AblationFalsePaths measures the effect of event-incompatibility
 // pruning (Section III-C) on the estimator's worst-case bound.
 func AblationFalsePaths(prof *vm.Profile) ([]FalsePathRow, error) {
-	d := designs.NewDashboard()
-	params, err := estimate.Calibrate(prof)
+	modules := designs.NewDashboard().Modules()
+	opt := pipeline.Options{Target: prof}
+	plain, err := synthesize(modules, opt)
 	if err != nil {
 		return nil, err
 	}
-	var rows []FalsePathRow
-	for _, m := range d.Modules() {
-		r, err := cfsm.BuildReactive(m)
-		if err != nil {
-			return nil, err
+	opt.UseFalsePaths = true
+	pruned, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FalsePathRow, len(modules))
+	for i, a := range plain {
+		rows[i] = FalsePathRow{
+			Module:    a.Module,
+			PlainMax:  a.Estimate.MaxCycles,
+			PrunedMax: pruned[i].Estimate.MaxCycles,
 		}
-		g, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-		if err != nil {
-			return nil, err
-		}
-		plain := estimate.EstimateSGraph(g, params, estimate.Options{})
-		pruned := estimate.EstimateSGraph(g, params, estimate.Options{UseFalsePaths: true})
-		rows = append(rows, FalsePathRow{
-			Module: m.Name, PlainMax: plain.MaxCycles, PrunedMax: pruned.MaxCycles,
-		})
 	}
 	return rows, nil
 }
@@ -273,57 +261,36 @@ type ReduceRow struct {
 // at50/at150 predicates), where don't-care elimination removes TESTs
 // the BDD construction cannot see are unreachable.
 func AblationReduce(prof *vm.Profile) ([]ReduceRow, error) {
-	params, err := estimate.Calibrate(prof)
-	if err != nil {
-		return nil, err
-	}
 	var modules []*cfsm.CFSM
 	modules = append(modules, designs.NewDashboard().Modules()...)
 	modules = append(modules, designs.NewShockAbsorber().Modules()...)
-	var rows []ReduceRow
-	for _, m := range modules {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
-		if err != nil {
-			return nil, err
+	opt := pipeline.Options{Target: prof}
+	plain, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Reduce = true
+	reduced, err := synthesize(modules, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ReduceRow, len(modules))
+	for i, p := range plain {
+		r := reduced[i]
+		rows[i] = ReduceRow{
+			Module:       p.Module,
+			PlainVerts:   p.Stats.Vertices,
+			ReducedVerts: r.Stats.Vertices,
+			PlainBytes:   int64(p.CodeSize),
+			ReducedBytes: int64(r.CodeSize),
+			PlainMaxCyc:  p.Measured.Max,
+			ReducedCyc:   r.Measured.Max,
+			EstPlainROM:  p.Estimate.CodeBytes,
+			EstReducedR:  r.Estimate.CodeBytes,
+			EstPlainMax:  p.Estimate.MaxCycles,
+			EstReducedM:  r.Estimate.MaxCycles,
+			Stats:        r.Reduce,
 		}
-		act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, err
-		}
-		plainEst := estimate.EstimateSGraph(g, params, estimate.Options{})
-		row := ReduceRow{
-			Module:      m.Name,
-			PlainVerts:  g.ComputeStats().Vertices,
-			PlainBytes:  int64(prof.CodeSize(p)),
-			PlainMaxCyc: act.Max,
-			EstPlainROM: plainEst.CodeBytes,
-			EstPlainMax: plainEst.MaxCycles,
-		}
-		// Rebuild and reduce.
-		r, err := cfsm.BuildReactive(m)
-		if err != nil {
-			return nil, err
-		}
-		g2, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-		if err != nil {
-			return nil, err
-		}
-		row.Stats = g2.Reduce(sgraph.ReduceOptions{})
-		p2, err := codegen.Assemble(g2, codegen.NewSignalMap(m), codegen.Options{})
-		if err != nil {
-			return nil, err
-		}
-		act2, err := vm.AnalyzeCycles(prof, p2, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, err
-		}
-		redEst := estimate.EstimateSGraph(g2, params, estimate.Options{})
-		row.ReducedVerts = g2.ComputeStats().Vertices
-		row.ReducedBytes = int64(prof.CodeSize(p2))
-		row.ReducedCyc = act2.Max
-		row.EstReducedR = redEst.CodeBytes
-		row.EstReducedM = redEst.MaxCycles
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

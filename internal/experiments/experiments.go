@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,30 +20,28 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
 	"polis/internal/logic"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
 
-// synthesize runs the full per-CFSM flow and returns the s-graph and
-// assembled program.
-func synthesize(m *cfsm.CFSM, ord sgraph.Ordering, opts codegen.Options) (*sgraph.SGraph, *vm.Program, error) {
-	r, err := cfsm.BuildReactive(m)
+// synthesize runs the pipeline's full per-CFSM flow over the modules,
+// one at a time and in order.
+func synthesize(modules []*cfsm.CFSM, opt pipeline.Options) ([]*pipeline.Artifact, error) {
+	return pipeline.RunModules(modules, opt, pipeline.Config{Jobs: 1})
+}
+
+// program synthesizes a machine's s-graph through the pipeline and
+// assembles it, for the experiments that need only the object code.
+func program(m *cfsm.CFSM, opt pipeline.Options) (*vm.Program, error) {
+	sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	g, err := sgraph.Build(r, ord)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := codegen.Assemble(g, codegen.NewSignalMap(m), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, p, nil
+	return codegen.Assemble(sg.SGraph, codegen.NewSignalMap(m), opt.Codegen)
 }
 
 // ---------------------------------------------------------------- T1
@@ -64,34 +63,31 @@ type Table1Row struct {
 // Table1 runs the cost/performance estimation experiment over the
 // dashboard modules on the given target.
 func Table1(prof *vm.Profile) ([]Table1Row, error) {
-	d := designs.NewDashboard()
-	params, err := estimate.Calibrate(prof)
+	return EstimationRows(prof, designs.NewDashboard().Modules())
+}
+
+// EstimationRows builds one Table I row per module: the estimator's
+// code size and cycle bounds next to the measured object code, all
+// from the pipeline's default flow on the given target.
+func EstimationRows(prof *vm.Profile, modules []*cfsm.CFSM) ([]Table1Row, error) {
+	arts, err := synthesize(modules, pipeline.Options{Target: prof})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Table1Row
-	for _, m := range d.Modules() {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		est := estimate.EstimateSGraph(g, params, estimate.Options{})
-		act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		actSize := int64(prof.CodeSize(p))
-		rows = append(rows, Table1Row{
-			Module:     m.Name,
+	rows := make([]Table1Row, len(arts))
+	for i, a := range arts {
+		est, actSize := a.Estimate, int64(a.CodeSize)
+		rows[i] = Table1Row{
+			Module:     a.Module,
 			EstSize:    est.CodeBytes,
 			ActSize:    actSize,
 			SizeErrPct: pctErr(est.CodeBytes, actSize),
 			EstMaxCyc:  est.MaxCycles,
-			ActMaxCyc:  act.Max,
-			CycErrPct:  pctErr(est.MaxCycles, act.Max),
+			ActMaxCyc:  a.Measured.Max,
+			CycErrPct:  pctErr(est.MaxCycles, a.Measured.Max),
 			EstMinCyc:  est.MinCycles,
-			ActMinCyc:  act.Min,
-		})
+			ActMinCyc:  a.Measured.Min,
+		}
 	}
 	return rows, nil
 }
@@ -117,6 +113,19 @@ func FormatTable1(prof *vm.Profile, rows []Table1Row) string {
 	return b.String()
 }
 
+// FormatEstimates renders estimation rows in sgestimate's compact
+// layout, without the error columns.
+func FormatEstimates(prof *vm.Profile, design string, rows []Table1Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Cost/performance estimation, %s, target %s\n", design, prof.Name)
+	fmt.Fprintf(&b, "%-16s %9s %9s %9s %9s\n", "CFSM", "est size", "act size", "est max", "act max")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-16s %9d %9d %9d %9d\n",
+			r.Module, r.EstSize, r.ActSize, r.EstMaxCyc, r.ActMaxCyc)
+	}
+	return b.String()
+}
+
 // ---------------------------------------------------------------- T2
 
 // Table2Row reports the code size of one CFSM under the four
@@ -138,7 +147,7 @@ func Table2(prof *vm.Profile) ([]Table2Row, error) {
 		for _, ord := range []sgraph.Ordering{
 			sgraph.OrderNaive, sgraph.OrderSiftInputsFirst, sgraph.OrderSiftAfterSupport,
 		} {
-			_, p, err := synthesize(m, ord, codegen.Options{})
+			p, err := program(m, pipeline.Options{Target: prof, Ordering: ord})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, ord, err)
 			}
@@ -231,12 +240,12 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, p, err := synthesize(prod, sgraph.OrderSiftAfterSupport, codegen.Options{})
+	p, err := program(prod, pipeline.Options{Target: prof})
 	if err != nil {
 		return nil, err
 	}
 	synthV3 := time.Since(start)
-	cycles, err := runProductVM(prod, g, p, prof, stimuli)
+	cycles, err := runProductVM(prod, p, prof, stimuli)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +272,7 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 		return nil, err
 	}
 	synthOpt := time.Since(start)
-	cyclesOpt, err := runProductVM(prod, g, cp, prof, stimuli)
+	cyclesOpt, err := runProductVM(prod, cp, prof, stimuli)
 	if err != nil {
 		return nil, err
 	}
@@ -298,8 +307,7 @@ func beltWorkload(d *designs.Dashboard, until int64) []sim.Stimulus {
 // runProductVM executes the single product machine on the VM over the
 // stimulus stream: one synchronous reaction per instant at which any
 // input event is present (the product consumes the whole snapshot).
-func runProductVM(prod *cfsm.CFSM, g *sgraph.SGraph, p *vm.Program,
-	prof *vm.Profile, stimuli []sim.Stimulus) (int64, error) {
+func runProductVM(prod *cfsm.CFSM, p *vm.Program, prof *vm.Profile, stimuli []sim.Stimulus) (int64, error) {
 	host := &productHost{byID: map[int]*cfsm.Signal{}}
 	sigs := codegen.NewSignalMap(prod)
 	for s, id := range sigs {
@@ -327,7 +335,6 @@ func runProductVM(prod *cfsm.CFSM, g *sgraph.SGraph, p *vm.Program,
 		}
 		total += cycles
 	}
-	_ = g
 	return total, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"polis/internal/designs"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
@@ -49,16 +50,16 @@ func ShockAbsorberExperiment(prof *vm.Profile) (*ShockReport, error) {
 	}
 
 	size := func(copyOpt bool) (int64, int64, error) {
+		opt := pipeline.Options{Target: prof}
+		opt.Codegen.OptimizeCopies = copyOpt
+		arts, err := synthesize(s.Modules(), opt)
+		if err != nil {
+			return 0, 0, err
+		}
 		var rom, ram int64
-		for _, m := range s.Modules() {
-			opts := sim.Options{Profile: prof, Ordering: sgraph.OrderSiftAfterSupport}
-			opts.Codegen.OptimizeCopies = copyOpt
-			_, code, data, err := sim.BuildVMTask(m, opts)
-			if err != nil {
-				return 0, 0, fmt.Errorf("%s: %w", m.Name, err)
-			}
-			rom += code
-			ram += data
+		for _, a := range arts {
+			rom += int64(a.CodeSize)
+			ram += int64(prof.DataSize(a.Program))
 		}
 		return rom, ram, nil
 	}

@@ -68,9 +68,20 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.Target == nil {
-		o.Target = vm.HC11()
+		o.Target = defaultTarget
 	}
 }
+
+// defaultTarget is the one HC11 profile a nil target resolves to for
+// the life of the process. estimate.CalibrateCached memoizes by
+// profile pointer, so a fresh vm.HC11() per call would re-calibrate
+// every time and retain one more memo entry per call.
+var defaultTarget = vm.HC11()
+
+// DefaultTarget returns the shared HC11 profile that nil targets
+// resolve to throughout the flow (pipeline, polis, polisd, sim). It
+// must not be modified.
+func DefaultTarget() *vm.Profile { return defaultTarget }
 
 // Config tunes one pipeline run.
 type Config struct {
@@ -171,6 +182,86 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 	if tr == nil {
 		tr = nopTrace{}
 	}
+	sg, err := SynthesizeGraph(ctx, m, opt, tr)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g := sg.SGraph
+
+	t := time.Now()
+	prog, err := codegen.Assemble(g, codegen.NewSignalMap(m), opt.Codegen)
+	if err != nil {
+		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
+		return nil, err
+	}
+	cSrc := codegen.EmitC(g, opt.Codegen)
+	meas, err := vm.AnalyzeCycles(opt.Target, prog, codegen.EntryLabel(m))
+	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
+	if err != nil {
+		return nil, err
+	}
+
+	t = time.Now()
+	params, err := estimate.CalibrateCached(opt.Target)
+	if err != nil {
+		return nil, err
+	}
+	est := estimate.EstimateSGraph(g, params, estimate.Options{
+		Codegen:         opt.Codegen,
+		UseFalsePaths:   opt.UseFalsePaths,
+		ScenarioProfile: sg.Spec,
+	})
+	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageEstimate, Duration: time.Since(t)})
+
+	return &Artifact{
+		Module:      m.Name,
+		NumTests:    len(m.Tests),
+		NumActions:  len(m.Actions),
+		NumTrans:    len(m.Trans),
+		C:           cSrc,
+		Listing:     prog.Listing(),
+		Estimate:    est,
+		Measured:    meas,
+		CodeSize:    opt.Target.CodeSize(prog),
+		Stats:       g.ComputeStats(),
+		Reduced:     opt.Reduce,
+		Reduce:      sg.Reduce,
+		Specialized: sg.Spec != nil,
+		Specialize:  sg.Specialize,
+		CFSM:        m,
+		SGraph:      g,
+		Program:     prog,
+	}, nil
+}
+
+// Graph is the s-graph half of the per-CFSM flow: the graph that code
+// generation and estimation consume, with the statistics of the
+// optional stages that shaped it.
+type Graph struct {
+	SGraph *sgraph.SGraph
+	// Reduce holds the reduction statistics (zero when opt.Reduce is
+	// off).
+	Reduce sgraph.ReduceStats
+	// Specialize holds the specialization statistics, and Spec the
+	// profile applied; Spec is nil when the stage did not run.
+	Specialize sgraph.SpecializeStats
+	Spec       *sgraph.SpecializeProfile
+}
+
+// SynthesizeGraph runs the flow up to the s-graph boundary: reactive
+// function, sifting, s-graph construction, then the optional reduce
+// (gated by CheckWellFormed) and specialize stages, emitting the same
+// trace events as SynthesizeModule does for them. Callers that need
+// only the object code (the simulator, the ordering experiments)
+// assemble the returned graph themselves and skip the C, listing and
+// estimate work. A nil Trace disables tracing.
+func SynthesizeGraph(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*Graph, error) {
+	if tr == nil {
+		tr = nopTrace{}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -224,13 +315,13 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 		SiftSwapsSkipped: mgr.SwapsSkipped, SiftLBPrunes: mgr.LBPrunes,
 		CacheHits: mgr.Hits, CacheMisses: mgr.Misses,
 		CacheResets: mgr.CacheResets, CacheEvictions: mgr.Evictions})
+	sg := &Graph{SGraph: g}
 
-	var reduceStats sgraph.ReduceStats
 	if opt.Reduce {
 		t = time.Now()
-		reduceStats = g.Reduce(opt.ReduceOpt)
+		sg.Reduce = g.Reduce(opt.ReduceOpt)
 		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageReduce, Duration: time.Since(t)})
-		tr.Event(Event{Kind: EvReduce, Module: m.Name, Reduce: reduceStats})
+		tr.Event(Event{Kind: EvReduce, Module: m.Name, Reduce: sg.Reduce})
 		if err := g.CheckWellFormed(); err != nil {
 			return nil, fmt.Errorf("pipeline: reduced s-graph: %w", err)
 		}
@@ -239,70 +330,19 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 		return nil, err
 	}
 
-	var specStats sgraph.SpecializeStats
-	var specProf *sgraph.SpecializeProfile
-	specialized := false
 	if opt.Profile != nil {
 		if sp := opt.Profile.Module(m.Name).Spec(); sp != nil {
 			t = time.Now()
-			specStats, err = g.SpecializeChecked(sp)
+			sg.Specialize, err = g.SpecializeChecked(sp)
 			tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageSpecialize, Duration: time.Since(t)})
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: specialize: %w", err)
 			}
-			tr.Event(Event{Kind: EvSpecialize, Module: m.Name, Specialize: specStats})
-			specialized = true
-			specProf = sp
+			tr.Event(Event{Kind: EvSpecialize, Module: m.Name, Specialize: sg.Specialize})
+			sg.Spec = sp
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	t = time.Now()
-	prog, err := codegen.Assemble(g, codegen.NewSignalMap(m), opt.Codegen)
-	if err != nil {
-		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
-		return nil, err
-	}
-	cSrc := codegen.EmitC(g, opt.Codegen)
-	meas, err := vm.AnalyzeCycles(opt.Target, prog, codegen.EntryLabel(m))
-	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
-	if err != nil {
-		return nil, err
-	}
-
-	t = time.Now()
-	params, err := estimate.CalibrateCached(opt.Target)
-	if err != nil {
-		return nil, err
-	}
-	est := estimate.EstimateSGraph(g, params, estimate.Options{
-		Codegen:         opt.Codegen,
-		UseFalsePaths:   opt.UseFalsePaths,
-		ScenarioProfile: specProf,
-	})
-	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageEstimate, Duration: time.Since(t)})
-
-	return &Artifact{
-		Module:      m.Name,
-		NumTests:    len(m.Tests),
-		NumActions:  len(m.Actions),
-		NumTrans:    len(m.Trans),
-		C:           cSrc,
-		Listing:     prog.Listing(),
-		Estimate:    est,
-		Measured:    meas,
-		CodeSize:    opt.Target.CodeSize(prog),
-		Stats:       g.ComputeStats(),
-		Reduced:     opt.Reduce,
-		Reduce:      reduceStats,
-		Specialized: specialized,
-		Specialize:  specStats,
-		CFSM:        m,
-		SGraph:      g,
-		Program:     prog,
-	}, nil
+	return sg, nil
 }
 
 // Run synthesizes every machine of the network through the concurrent

@@ -388,3 +388,30 @@ func TestArtifactReportZeroCodeSize(t *testing.T) {
 		t.Errorf("report leaks a division by zero:\n%s", rep)
 	}
 }
+
+// TestDefaultTargetCalibratesOnce is the regression for the
+// calibration-memo leak: estimate.CalibrateCached memoizes by profile
+// pointer, so a nil Target that resolved to a fresh vm.HC11() on every
+// call re-ran the calibration and retained one more memo entry per
+// call. A defaulted call must cost no more than one with an explicit,
+// already-calibrated target.
+func TestDefaultTargetCalibratesOnce(t *testing.T) {
+	m := testNetwork(t, 3, 1).Machines[0]
+	var explicit Options
+	explicit.fill()
+	synth := func(opt Options) func() {
+		return func() {
+			if _, err := SynthesizeModule(m, opt, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	synth(Options{})()
+	synth(explicit)()
+	withTarget := testing.AllocsPerRun(20, synth(explicit))
+	defaulted := testing.AllocsPerRun(20, synth(Options{}))
+	if defaulted > withTarget*1.1 {
+		t.Errorf("SynthesizeModule with a nil Target: %.0f allocs/op, %.0f with an explicit one (re-calibrating per call?)",
+			defaulted, withTarget)
+	}
+}

@@ -114,7 +114,7 @@ type WireOptions struct {
 // stream per target name (estimate.CalibrateCached and the pipeline
 // cache both key on the profile by identity/name).
 var (
-	profHC11 = vm.HC11()
+	profHC11 = pipeline.DefaultTarget()
 	profR3K  = vm.R3K()
 )
 

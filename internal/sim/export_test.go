@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
+
 	"polis/internal/cfsm"
 	"polis/internal/estimate"
-	"polis/internal/vm"
+	"polis/internal/pipeline"
 )
 
 // BehavioralCosts synthesizes and estimates every machine of n once, as
@@ -11,18 +13,20 @@ import (
 // that run charges each of them.
 func BehavioralCosts(n *cfsm.Network, opt Options) (map[*cfsm.CFSM]int64, error) {
 	if opt.Profile == nil {
-		opt.Profile = vm.HC11()
+		opt.Profile = pipeline.DefaultTarget()
 	}
-	params, err := estimate.Calibrate(opt.Profile)
+	params, err := estimate.CalibrateCached(opt.Profile)
 	if err != nil {
 		return nil, err
 	}
 	costs := make(map[*cfsm.CFSM]int64, len(n.Machines))
 	for _, m := range n.Machines {
-		est, err := behavioralEstimate(m, opt, params)
+		sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt.synthesis(), nil)
 		if err != nil {
 			return nil, err
 		}
+		est := estimate.EstimateSGraph(sg.SGraph, params,
+			estimate.Options{Codegen: opt.Codegen, ScenarioProfile: sg.Spec})
 		costs[m] = est.MaxCycles
 	}
 	return costs, nil

@@ -7,6 +7,10 @@
 // — including seldom-executed paths and the scheduling policy, as
 // Section III-C1 describes for dynamic performance calculation.
 //
+// Tasks are synthesized through the pipeline's s-graph half
+// (pipeline.SynthesizeGraph), so a simulated task runs the same graph
+// and object code that pipeline.SynthesizeModule reports on.
+//
 // The execution core is throughput-oriented: reactions run over dense
 // slot-indexed buffers resolved once at task-build time and allocate
 // nothing in steady state. The previous map-based, event-at-a-time
@@ -26,6 +30,7 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/estimate"
+	"polis/internal/pipeline"
 	"polis/internal/profile"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
@@ -274,27 +279,27 @@ func (t *vmTask) checkCycles(cycles int64) error {
 	return nil
 }
 
-// BuildVMTask assembles a machine and returns its RTOS task plus its
-// memory footprint on the profile.
+// synthesis maps the simulation options onto the pipeline options
+// every task is synthesized under.
+func (o Options) synthesis() pipeline.Options {
+	return pipeline.Options{
+		Ordering: o.Ordering,
+		Target:   o.Profile,
+		Codegen:  o.Codegen,
+		Reduce:   o.Reduce,
+		Profile:  o.Specialize,
+	}
+}
+
+// BuildVMTask synthesizes a machine's s-graph through the pipeline,
+// assembles it, and returns its RTOS task plus its memory footprint on
+// the profile.
 func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
-	r, err := cfsm.BuildReactive(m)
+	sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt.synthesis(), nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	g, err := sgraph.Build(r, opt.Ordering)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if opt.Reduce {
-		g.Reduce(sgraph.ReduceOptions{})
-	}
-	if opt.Specialize != nil {
-		if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
-			if _, err := g.SpecializeChecked(sp); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-	}
+	g := sg.SGraph
 	sigs := codegen.NewSignalMap(m)
 	prog, err := codegen.Assemble(g, sigs, opt.Codegen)
 	if err != nil {
@@ -330,7 +335,7 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		params, err := estimate.Calibrate(opt.Profile)
+		params, err := estimate.CalibrateCached(opt.Profile)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -342,33 +347,6 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 	code := int64(opt.Profile.CodeSize(prog))
 	data := int64(opt.Profile.DataSize(prog))
 	return task, code, data, nil
-}
-
-// behavioralEstimate synthesizes a machine's s-graph as opt directs
-// and estimates it; MaxCycles is what a Behavioral run charges per
-// reaction.
-func behavioralEstimate(m *cfsm.CFSM, opt Options, params *estimate.Params) (estimate.Result, error) {
-	r, err := cfsm.BuildReactive(m)
-	if err != nil {
-		return estimate.Result{}, err
-	}
-	g, err := sgraph.Build(r, opt.Ordering)
-	if err != nil {
-		return estimate.Result{}, err
-	}
-	if opt.Reduce {
-		g.Reduce(sgraph.ReduceOptions{})
-	}
-	estOpts := estimate.Options{Codegen: opt.Codegen}
-	if opt.Specialize != nil {
-		if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
-			if _, err := g.SpecializeChecked(sp); err != nil {
-				return estimate.Result{}, err
-			}
-			estOpts.ScenarioProfile = sp
-		}
-	}
-	return estimate.EstimateSGraph(g, params, estOpts), nil
 }
 
 // Run simulates the network until the given cycle, injecting the
@@ -384,7 +362,7 @@ func Run(n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result
 // long simulation stops promptly with the context's error.
 func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	if opt.Profile == nil {
-		opt.Profile = vm.HC11()
+		opt.Profile = pipeline.DefaultTarget()
 	}
 	if opt.Partition {
 		return runPartitioned(ctx, n, stimuli, until, opt)
@@ -395,10 +373,6 @@ func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until 
 // runSingle simulates a network on one RTOS instance.
 func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	res := &Result{}
-	params, err := estimate.Calibrate(opt.Profile)
-	if err != nil {
-		return nil, err
-	}
 	mk := func(m *cfsm.CFSM) (*rtos.Task, error) {
 		switch opt.Mode {
 		case VMExact:
@@ -410,10 +384,16 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 			res.DataBytes += data
 			return t, nil
 		default:
-			est, err := behavioralEstimate(m, opt, params)
+			sg, err := pipeline.SynthesizeGraph(ctx, m, opt.synthesis(), nil)
 			if err != nil {
 				return nil, err
 			}
+			params, err := estimate.CalibrateCached(opt.Profile)
+			if err != nil {
+				return nil, err
+			}
+			est := estimate.EstimateSGraph(sg.SGraph, params,
+				estimate.Options{Codegen: opt.Codegen, ScenarioProfile: sg.Spec})
 			res.CodeBytes += est.CodeBytes
 			res.DataBytes += est.DataBytes
 			return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil

@@ -2,11 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"polis/internal/cfsm"
+	"polis/internal/codegen"
+	"polis/internal/designs"
 	"polis/internal/expr"
+	"polis/internal/pipeline"
+	"polis/internal/profile"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
@@ -143,15 +148,97 @@ func TestOverloadLosesEvents(t *testing.T) {
 	}
 }
 
+// TestVMModeReportsFootprint pins the simulator to the synthesis
+// pipeline under every option that shapes a task: for each ordering,
+// reduction, copy optimisation and a specialization profile captured
+// by a behavioural run of the dashboard, a VMExact run's footprint is
+// the sum of the pipeline artifacts' code and data bytes, a Behavioral
+// run's is the sum of their estimates, and a Behavioral run charges
+// each machine its artifact's worst-case estimate. Every option must change the footprint or a charge, so a
+// simulator that dropped one would be caught.
 func TestVMModeReportsFootprint(t *testing.T) {
-	n, sample, _ := scalerNet()
-	stim := PeriodicStimuli(sample, 1000, 10000, 20000, nil)
-	res, err := Run(n, stim, 50000, defaultOpts(VMExact))
-	if err != nil {
+	d := designs.NewDashboard()
+	n := d.Net
+	var stim []Stimulus
+	stim = append(stim, PeriodicStimuli(d.Tick, 100, 1000, 60000, nil)...)
+	stim = append(stim, PeriodicStimuli(d.FuelSample, 300, 2000, 60000, func(i int) int64 {
+		return int64(60 + i%3)
+	})...)
+	stim = append(stim, PeriodicStimuli(d.WheelPulse, 500, 1500, 60000, func(i int) int64 {
+		return int64(40 + i%5)
+	})...)
+	stim = append(stim, Stimulus{Time: 50, Signal: d.KeyOn}, Stimulus{Time: 7000, Signal: d.BeltOn})
+	col := profile.NewCollector()
+	if _, err := Run(n, stim, 80000, Options{Cfg: rtos.DefaultConfig(), Probe: col}); err != nil {
 		t.Fatal(err)
 	}
-	if res.CodeBytes <= 0 || res.DataBytes <= 0 {
-		t.Errorf("footprint not reported: %+v", res)
+	captured := col.Profile()
+
+	type outcome struct {
+		code, data int64
+		costs      string
+	}
+	var base outcome
+	for i, c := range []struct {
+		name string
+		opt  pipeline.Options
+	}{
+		{"sift-support", pipeline.Options{Ordering: sgraph.OrderSiftAfterSupport}},
+		{"sift-inputs-first", pipeline.Options{Ordering: sgraph.OrderSiftInputsFirst}},
+		{"naive", pipeline.Options{Ordering: sgraph.OrderNaive}},
+		{"reduce", pipeline.Options{Reduce: true}},
+		{"copies", pipeline.Options{Codegen: codegen.Options{OptimizeCopies: true}}},
+		{"specialize", pipeline.Options{Profile: captured}},
+	} {
+		arts, err := pipeline.Run(n, c.opt, pipeline.Config{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{
+			Cfg: rtos.DefaultConfig(), Mode: VMExact,
+			Ordering: c.opt.Ordering, Codegen: c.opt.Codegen,
+			Reduce: c.opt.Reduce, Specialize: c.opt.Profile,
+		}
+		res, err := Run(n, stim[:1], 1000, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs, err := BehavioralCosts(n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Mode = Behavioral
+		bres, err := Run(n, stim[:1], 1000, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := pipeline.DefaultTarget()
+		var got outcome
+		var estCode, estData int64
+		for _, a := range arts {
+			got.code += int64(a.CodeSize)
+			got.data += int64(target.DataSize(a.Program))
+			estCode += a.Estimate.CodeBytes
+			estData += a.Estimate.DataBytes
+			got.costs += fmt.Sprintf(" %d", a.Estimate.MaxCycles)
+			if costs[a.CFSM] != a.Estimate.MaxCycles {
+				t.Errorf("%s/%s: behavioural cost %d, pipeline estimate %d",
+					c.name, a.Module, costs[a.CFSM], a.Estimate.MaxCycles)
+			}
+		}
+		if res.CodeBytes != got.code || res.DataBytes != got.data {
+			t.Errorf("%s: VMExact footprint %d/%d B, pipeline artifacts %d/%d B",
+				c.name, res.CodeBytes, res.DataBytes, got.code, got.data)
+		}
+		if bres.CodeBytes != estCode || bres.DataBytes != estData {
+			t.Errorf("%s: Behavioral footprint %d/%d B, pipeline estimates %d/%d B",
+				c.name, bres.CodeBytes, bres.DataBytes, estCode, estData)
+		}
+		if i == 0 {
+			base = got
+		} else if got == base {
+			t.Errorf("%s: same footprint and charges as %+v; the case exercises nothing", c.name, base)
+		}
 	}
 }
 

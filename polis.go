@@ -68,7 +68,7 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.Target == nil {
-		o.Target = vm.HC11()
+		o.Target = pipeline.DefaultTarget()
 	}
 }
 
@@ -172,7 +172,7 @@ func GenerateRTOS(n *cfsm.Network, cfg rtos.Config, target *vm.Profile) (string,
 		return "", rtos.SizeReport{}, err
 	}
 	if target == nil {
-		target = vm.HC11()
+		target = pipeline.DefaultTarget()
 	}
 	sigID := make(map[*cfsm.Signal]int, len(n.Signals))
 	for i, s := range n.Signals {
@@ -187,7 +187,7 @@ func GenerateRTOS(n *cfsm.Network, cfg rtos.Config, target *vm.Profile) (string,
 // dividing by zero.
 func (a *Artifacts) Report(target *vm.Profile) string {
 	if target == nil {
-		target = vm.HC11()
+		target = pipeline.DefaultTarget()
 	}
 	st := a.SGraph.ComputeStats()
 	errPct := "n/a"

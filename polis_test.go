@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polis/internal/designs"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
@@ -110,5 +111,16 @@ end module
 `
 	if _, err := SynthesizeSource(bad, Options{}); err == nil {
 		t.Error("instantaneous loop must propagate")
+	}
+}
+
+// TestDefaultTargetShared pins that a nil target resolves to the one
+// process-lifetime profile the pipeline calibrates once, not to a
+// fresh vm.HC11() (see pipeline.TestDefaultTargetCalibratesOnce).
+func TestDefaultTargetShared(t *testing.T) {
+	a, b := Options{}.Pipeline(), Options{}.Pipeline()
+	if a.Target == nil || a.Target != b.Target || a.Target != pipeline.DefaultTarget() {
+		t.Errorf("nil targets resolved to %p and %p, want the shared %p",
+			a.Target, b.Target, pipeline.DefaultTarget())
 	}
 }
