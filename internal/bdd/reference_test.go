@@ -183,6 +183,7 @@ func TestSiftMatchesReference(t *testing.T) {
 	if testing.Short() {
 		trials = 12
 	}
+	var orders []orderRecord
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(7100 + trial)
 		build := func() (*Manager, SiftOptions) {
@@ -225,6 +226,7 @@ func TestSiftMatchesReference(t *testing.T) {
 		m2, opts2 := build()
 		m1.Sift(opts1)
 		referenceSift(m2, opts2)
+		orders = append(orders, orderRecord{seed, orderString(m1)})
 		if got, want := m1.Order(), m2.Order(); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: incremental sifter order %v, reference order %v", seed, got, want)
 		}
@@ -238,4 +240,5 @@ func TestSiftMatchesReference(t *testing.T) {
 			t.Errorf("seed %d: reference sifter broke invariants: %v", seed, err)
 		}
 	}
+	checkOrders(t, "sift", orders)
 }

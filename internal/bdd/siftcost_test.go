@@ -123,6 +123,7 @@ func TestSiftLowerBoundPrunes(t *testing.T) {
 	if m1.LBPrunes == 0 {
 		t.Error("lower-bound pruning never fired across two passes")
 	}
+	checkOrders(t, "prune", []orderRecord{{0, orderString(m1)}})
 	m2 := build()
 	referenceSift(m2, SiftOptions{Passes: 2})
 	if !reflect.DeepEqual(m1.Order(), m2.Order()) {

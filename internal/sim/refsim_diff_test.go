@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"polis/internal/cfsm"
 	"polis/internal/netfuzz"
 	"polis/internal/sim"
 	"polis/internal/sim/internal/refsim"
@@ -115,4 +116,35 @@ func TestEngineMatchesReferenceVMChecked(t *testing.T) {
 	for seed := int64(200); seed <= 215; seed++ {
 		runDiff(t, seed, sim.VMExact, true)
 	}
+}
+
+// refsimRecord runs one golden scenario on the reference engine.
+func refsimRecord(t *testing.T, s goldenSet, seed int64) engineRecord {
+	t.Helper()
+	sc, err := netfuzz.GenScenario(seed)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	opt := sim.Options{Cfg: sc.Cfg, Mode: s.mode}
+	if s.check {
+		opt.Check = sim.CheckOptions{VMAgainstReference: true, CycleBounds: true}
+	}
+	rec := engineRecord{Set: s.name, Seed: seed}
+	res, err := refsim.Run(sc.Net, append([]sim.Stimulus(nil), sc.Stimuli...), sc.Horizon, opt)
+	if err != nil {
+		rec.Err = err.Error()
+		return rec
+	}
+	sys := res.System
+	rec.Cycles, rec.CodeBytes, rec.DataBytes = res.Cycles, res.CodeBytes, res.DataBytes
+	rec.ScheduleCalls, rec.Interrupts, rec.Polls = sys.ScheduleCalls, sys.Interrupts, sys.Polls
+	rec.BusyCycles, rec.PollDropped = sys.BusyCycles, sys.PollDropped
+	rec.TraceLen, rec.TraceHash = len(res.Trace), traceHash(res.Trace)
+	ms := make([]*cfsm.CFSM, len(sys.Tasks))
+	for i, task := range sys.Tasks {
+		ms[i] = task.M
+		rec.Tasks = append(rec.Tasks, taskCounts{task.M.Name, task.Executions, task.Fired, task.Lost})
+	}
+	rec.StatesHash = statesHash(ms, func(i int, sv *cfsm.StateVar) int64 { return sys.Tasks[i].State(sv) })
+	return rec
 }
