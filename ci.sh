@@ -13,8 +13,10 @@
 # second pass, /stats, SIGTERM drain), a multi-process sharded
 # synthesis smoke (two shard-worker processes sharing one disk cache
 # as the shuffle layer, warm second pass, output byte-identical to the
-# unsharded run), an sgestimate smoke over both designs and targets,
-# and a single-iteration benchmark smoke so the harness can't bit-rot.
+# unsharded run), an sgestimate smoke over both designs and targets, a
+# cfsmsim smoke over both designs and timing modes with a profile
+# round trip, and a single-iteration benchmark smoke so the harness
+# can't bit-rot.
 set -eux
 
 go vet ./...
@@ -122,6 +124,24 @@ for design in dashboard:9 shock:6; do
         test "$(wc -l <"$tmp/out")" -eq $((${design#*:} + 2))
     done
 done
+trap - EXIT
+rm -rf "$tmp"
+
+# cfsmsim smoke: each design in each timing mode exits 0 and prints its
+# task statistics, one row per module (9 dashboard, 6 shock); a
+# captured dashboard profile feeds a specialized rerun.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/cfsmsim" ./cmd/cfsmsim
+for design in dashboard:9 shock:6; do
+    for mode in vm behavioral; do
+        "$tmp/cfsmsim" -design "${design%:*}" -mode "$mode" >"$tmp/out"
+        grep -q '^task statistics:$' "$tmp/out"
+        test "$(sed -n '/^task statistics:$/,$p' "$tmp/out" | grep -c ' executions ')" -eq "${design#*:}"
+    done
+done
+"$tmp/cfsmsim" -design dashboard -profile-out "$tmp/prof.json" >/dev/null
+"$tmp/cfsmsim" -design dashboard -profile "$tmp/prof.json" -specialize >/dev/null
 trap - EXIT
 rm -rf "$tmp"
 

@@ -1,240 +1,461 @@
 package bdd
 
-// Differential gate for the complement-edge rewrite: the live kernel
-// is driven in lock-step with internal/refbdd — a verbatim snapshot of
-// the pre-change kernel (two physical terminals, materialised NOT) —
-// through identical randomized operation scripts, machine-style
-// characteristic-function builds, and sifting. The two kernels must
-// agree on every function's truth table, on the classical node count
-// Size reports, on String renderings, and on every final sift order.
+// Differential gate for the kernel: randomized operation scripts and
+// machine-style characteristic-function builds drive the kernel while
+// every tracked function also carries its truth table, computed
+// independently on bitsets. Each result must agree with its table on
+// Eval over every assignment, on the classical node count Size
+// reports (recounted from the table under the manager's current
+// order), and on its String rendering. Final sift orders have no
+// independent oracle, so they are pinned per trial in
+// testdata/differential_golden.json. Regenerate deliberately with
+// `go test ./internal/bdd -run 'Differential|Sift' -update`.
 
 import (
+	"encoding/json"
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	refbdd "polis/internal/bdd/internal/refbdd"
 )
 
-// diffPair drives the live and reference kernels in lock-step: index i
-// of live and ref always denotes the same Boolean function.
-type diffPair struct {
-	m    *Manager
-	rm   *refbdd.Manager
-	vs   []Var
-	rvs  []refbdd.Var
-	live []Node
-	ref  []refbdd.Node
+var updateGolden = flag.Bool("update", false, "rewrite testdata/differential_golden.json")
+
+// table is a truth-table bitset over a manager's variables: bit a is
+// the function's value under the assignment giving Var v the value of
+// bit v of a. The scripts below use at most 10 variables, so a table
+// is at most 1,024 bits.
+type table []uint64
+
+func (t table) get(a int) bool { return t[a>>6]&(1<<(a&63)) != 0 }
+
+// fn pairs a kernel handle with the truth table it must denote.
+type fn struct {
+	n Node
+	t table
 }
 
-func newDiffPair(nvars int) *diffPair {
-	p := &diffPair{m: New(), rm: refbdd.New()}
+// oracle drives one manager over nvars variables and recomputes every
+// operation on truth tables.
+type oracle struct {
+	m       *Manager
+	nvars   int // variable i is Var(i)
+	tracked []fn
+}
+
+func newOracle(nvars int) *oracle {
+	o := &oracle{m: New(), nvars: nvars}
+	o.push(o.pair(False, func(int) bool { return false }))
+	o.push(o.pair(True, func(int) bool { return true }))
 	for i := 0; i < nvars; i++ {
-		name := string(rune('a' + i))
-		p.vs = append(p.vs, p.m.NewVar(name))
-		p.rvs = append(p.rvs, p.rm.NewVar(name))
+		v := o.m.NewVar(string(rune('a' + i)))
+		o.push(o.pair(o.m.VarNode(v), func(a int) bool { return a&(1<<i) != 0 }))
 	}
-	p.push(False, refbdd.False)
-	p.push(True, refbdd.True)
-	for i := range p.vs {
-		p.push(p.m.VarNode(p.vs[i]), p.rm.VarNode(p.rvs[i]))
-	}
-	return p
+	return o
 }
 
-// push registers a matched pair, protecting both sides so GC and
-// sifting inside either kernel never invalidate a tracked handle.
-func (p *diffPair) push(f Node, rf refbdd.Node) int {
-	p.m.Protect(f)
-	p.rm.Protect(rf)
-	p.live = append(p.live, f)
-	p.ref = append(p.ref, rf)
-	return len(p.live) - 1
+// push tracks f, protecting its handle so collections and sifting
+// never invalidate it.
+func (o *oracle) push(f fn) {
+	o.m.Protect(f.n)
+	o.tracked = append(o.tracked, f)
 }
 
-// check compares pair i across the kernels: identical truth table over
-// every assignment, identical classical Size, identical rendering.
-func (p *diffPair) check(t *testing.T, i int, where string) {
+// pair pairs n with the table holding value(a) at every assignment a.
+func (o *oracle) pair(n Node, value func(a int) bool) fn {
+	t := make(table, (1<<o.nvars+63)/64)
+	for a := 0; a < 1<<o.nvars; a++ {
+		if value(a) {
+			t[a>>6] |= 1 << (a & 63)
+		}
+	}
+	return fn{n, t}
+}
+
+func (o *oracle) not(f fn) fn {
+	return o.pair(o.m.Not(f.n), func(a int) bool { return !f.t.get(a) })
+}
+
+func (o *oracle) and(f, g fn) fn {
+	return o.pair(o.m.And(f.n, g.n), func(a int) bool { return f.t.get(a) && g.t.get(a) })
+}
+
+func (o *oracle) or(f, g fn) fn {
+	return o.pair(o.m.Or(f.n, g.n), func(a int) bool { return f.t.get(a) || g.t.get(a) })
+}
+
+func (o *oracle) xor(f, g fn) fn {
+	return o.pair(o.m.Xor(f.n, g.n), func(a int) bool { return f.t.get(a) != g.t.get(a) })
+}
+
+func (o *oracle) xnor(f, g fn) fn {
+	return o.pair(o.m.Xnor(f.n, g.n), func(a int) bool { return f.t.get(a) == g.t.get(a) })
+}
+
+func (o *oracle) ite(f, g, h fn) fn {
+	return o.pair(o.m.Ite(f.n, g.n, h.n), func(a int) bool {
+		if f.t.get(a) {
+			return g.t.get(a)
+		}
+		return h.t.get(a)
+	})
+}
+
+// levelTable rearranges t by the manager's current order: bit n-1-l of
+// an index is the value of the variable at level l, so the
+// subfunctions reachable below level l are exactly the contiguous
+// blocks of 2^(n-l) entries, and a block's lower and upper halves are
+// its else and then cofactors.
+func (o *oracle) levelTable(t table) []byte {
+	order := o.m.Order()
+	out := make([]byte, 1<<o.nvars)
+	for a := range out {
+		j := 0
+		for l, v := range order {
+			if a&(1<<int(v)) != 0 {
+				j |= 1 << (o.nvars - 1 - l)
+			}
+		}
+		if t.get(a) {
+			out[j] = 1
+		}
+	}
+	return out
+}
+
+// classicalSize counts the nodes of the complement-free ROBDD of t:
+// at each level, the distinct reachable subfunctions that essentially
+// depend on that level's variable.
+func (o *oracle) classicalSize(t table) int {
+	lt := o.levelTable(t)
+	size := 0
+	for l := 0; l < o.nvars; l++ {
+		w := len(lt) >> l
+		seen := make(map[string]bool)
+		for s := 0; s < len(lt); s += w {
+			blk := lt[s : s+w]
+			if string(blk[:w/2]) != string(blk[w/2:]) {
+				seen[string(blk)] = true
+			}
+		}
+		size += len(seen)
+	}
+	return size
+}
+
+// render produces the nested ite(var,then,else) text String emits.
+func (o *oracle) render(t table) string {
+	lt := o.levelTable(t)
+	order := o.m.Order()
+	var b strings.Builder
+	var rec func(blk []byte, l int)
+	rec = func(blk []byte, l int) {
+		for len(blk) > 1 && string(blk[:len(blk)/2]) == string(blk[len(blk)/2:]) {
+			blk, l = blk[:len(blk)/2], l+1
+		}
+		if len(blk) == 1 {
+			b.WriteByte('0' + blk[0])
+			return
+		}
+		b.WriteString("ite(" + o.m.VarName(order[l]) + ",")
+		rec(blk[len(blk)/2:], l+1)
+		b.WriteString(",")
+		rec(blk[:len(blk)/2], l+1)
+		b.WriteString(")")
+	}
+	rec(lt, 0)
+	return b.String()
+}
+
+// check compares f with its truth table on every assignment, on the
+// classical size and on the rendering.
+func (o *oracle) check(t *testing.T, f fn, where string) {
 	t.Helper()
-	f, rf := p.live[i], p.ref[i]
-	for a := 0; a < 1<<len(p.vs); a++ {
-		got := p.m.Eval(f, func(v Var) bool { return a&(1<<int(v)) != 0 })
-		want := p.rm.Eval(rf, func(v refbdd.Var) bool { return a&(1<<int(v)) != 0 })
-		if got != want {
-			t.Fatalf("%s: pair %d disagrees at assignment %b: live %v, reference %v",
-				where, i, a, got, want)
+	for a := 0; a < 1<<o.nvars; a++ {
+		got := o.m.Eval(f.n, func(v Var) bool { return a&(1<<int(v)) != 0 })
+		if want := f.t.get(a); got != want {
+			t.Fatalf("%s: Eval at assignment %b = %v, truth table %v", where, a, got, want)
 		}
 	}
-	if got, want := p.m.Size(f), p.rm.Size(rf); got != want {
-		t.Fatalf("%s: pair %d classical size: live %d, reference %d", where, i, got, want)
+	if got, want := o.m.Size(f.n), o.classicalSize(f.t); got != want {
+		t.Fatalf("%s: classical Size %d, recount from the truth table %d", where, got, want)
 	}
-	if got, want := p.m.String(f), p.rm.String(rf); got != want {
-		t.Fatalf("%s: pair %d rendering:\nlive      %s\nreference %s", where, i, got, want)
+	if got, want := o.m.String(f.n), o.render(f.t); got != want {
+		t.Fatalf("%s: rendering\n got      %s\n expected %s", where, got, want)
 	}
 }
 
-// orders returns both kernels' variable orders as plain ints.
-func (p *diffPair) orders() (a, b []int) {
-	for _, v := range p.m.Order() {
-		a = append(a, int(v))
-	}
-	for _, v := range p.rm.Order() {
-		b = append(b, int(v))
-	}
-	return
+// orderRecord pins the final variable order of one trial.
+type orderRecord struct {
+	Seed  int64  `json:"seed"`
+	Order string `json:"order"` // variable names, top to bottom
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+func orderString(m *Manager) string {
+	var names []string
+	for _, v := range m.Order() {
+		names = append(names, m.VarName(v))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return strings.Join(names, " ")
+}
+
+// checkOrders compares the per-trial final orders a gate produced with
+// the recorded ones (a -short run checks a prefix of the trials), or
+// records them under -update.
+func checkOrders(t *testing.T, gate string, got []orderRecord) {
+	t.Helper()
+	path := filepath.Join("testdata", "differential_golden.json")
+	golden := map[string][]orderRecord{}
+	blob, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(blob, &golden)
+	}
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update records every trial; run without -short")
+		}
+		golden[gate] = got
+		blob, err := json.MarshalIndent(golden, "", " ")
+		if err == nil {
+			err = os.WriteFile(path, append(blob, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	want := golden[gate]
+	if len(got) > len(want) || (!testing.Short() && len(got) != len(want)) {
+		t.Fatalf("%s: golden has %d orders, run produced %d (run with -update)", gate, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s seed %d: final order %q, recorded %q (seed %d)",
+				gate, got[i].Seed, got[i].Order, want[i].Order, want[i].Seed)
 		}
 	}
-	return true
 }
 
 // TestDifferentialVsReference runs randomized operation scripts —
-// every public connective, quantification, cofactoring, GC, and
-// sifting — against the pre-change kernel snapshot.
+// every public connective, quantification, cofactoring, GC and sifting
+// — against truth-table oracles. A -short run plays shorter scripts,
+// whose final orders are recorded separately.
 func TestDifferentialVsReference(t *testing.T) {
-	trials, steps := 40, 70
-	if testing.Short() {
-		trials, steps = 8, 40
+	if *updateGolden || !testing.Short() {
+		checkOrders(t, "ops", opsScripts(t, 40, 70))
 	}
+	if *updateGolden || testing.Short() {
+		checkOrders(t, "ops-short", opsScripts(t, 8, 40))
+	}
+}
+
+// opsScripts plays one script per trial and returns the final orders.
+func opsScripts(t *testing.T, trials, steps int) []orderRecord {
+	var orders []orderRecord
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(9200 + trial)
 		r := rand.New(rand.NewSource(seed))
-		p := newDiffPair(6 + r.Intn(4))
-		pick := func() int { return r.Intn(len(p.live)) }
+		o := newOracle(6 + r.Intn(4))
+		pick := func() fn { return o.tracked[r.Intn(len(o.tracked))] }
 		for step := 0; step < steps; step++ {
-			i, j, k := pick(), pick(), pick()
-			var idx int
+			f, g, h := pick(), pick(), pick()
+			var res fn
 			switch op := r.Intn(10); op {
 			case 0:
-				idx = p.push(p.m.Not(p.live[i]), p.rm.Not(p.ref[i]))
+				res = o.not(f)
 			case 1:
-				idx = p.push(p.m.And(p.live[i], p.live[j]), p.rm.And(p.ref[i], p.ref[j]))
+				res = o.and(f, g)
 			case 2:
-				idx = p.push(p.m.Or(p.live[i], p.live[j]), p.rm.Or(p.ref[i], p.ref[j]))
+				res = o.or(f, g)
 			case 3:
-				idx = p.push(p.m.Xor(p.live[i], p.live[j]), p.rm.Xor(p.ref[i], p.ref[j]))
+				res = o.xor(f, g)
 			case 4:
-				idx = p.push(p.m.Xnor(p.live[i], p.live[j]), p.rm.Xnor(p.ref[i], p.ref[j]))
+				res = o.xnor(f, g)
 			case 5:
-				idx = p.push(p.m.Ite(p.live[i], p.live[j], p.live[k]),
-					p.rm.Ite(p.ref[i], p.ref[j], p.ref[k]))
-			case 6:
-				idx = p.push(p.m.Implies(p.live[i], p.live[j]), p.rm.Implies(p.ref[i], p.ref[j]))
-			case 7:
-				v := r.Intn(len(p.vs))
-				val := r.Intn(2) == 1
-				idx = p.push(p.m.Cofactor(p.live[i], p.vs[v], val),
-					p.rm.Cofactor(p.ref[i], p.rvs[v], val))
-			case 8:
-				n := 1 + r.Intn(3)
-				vs := make([]Var, n)
-				rvs := make([]refbdd.Var, n)
-				for q := 0; q < n; q++ {
-					w := r.Intn(len(p.vs))
-					vs[q], rvs[q] = p.vs[w], p.rvs[w]
+				res = o.ite(f, g, h)
+				// Standard triples give the four complement variants of
+				// a call one cache entry; the variants replay it.
+				for _, v := range []fn{
+					o.ite(o.not(f), h, g),
+					o.ite(f, o.not(g), o.not(h)),
+					o.ite(o.not(f), o.not(h), o.not(g)),
+				} {
+					o.check(t, v, "ite complement variant")
 				}
-				idx = p.push(p.m.Exists(p.live[i], vs...), p.rm.Exists(p.ref[i], rvs...))
+			case 6:
+				res = o.pair(o.m.Implies(f.n, g.n), func(a int) bool { return !f.t.get(a) || g.t.get(a) })
+			case 7:
+				v := r.Intn(o.nvars)
+				val := r.Intn(2) == 1
+				res = o.pair(o.m.Cofactor(f.n, Var(v), val), func(a int) bool {
+					if val {
+						return f.t.get(a | 1<<v)
+					}
+					return f.t.get(a &^ (1 << v))
+				})
+			case 8:
+				vs := make([]Var, 1+r.Intn(3))
+				mask := 0
+				for q := range vs {
+					w := r.Intn(o.nvars)
+					vs[q], mask = Var(w), mask|1<<w
+				}
+				// Some assignment to the quantified variables holds:
+				// enumerate the submasks of mask.
+				res = o.pair(o.m.Exists(f.n, vs...), func(a int) bool {
+					for sub := mask; ; sub = (sub - 1) & mask {
+						if f.t.get(a&^mask | sub) {
+							return true
+						}
+						if sub == 0 {
+							return false
+						}
+					}
+				})
 			default:
-				if got, want := p.m.Intersects(p.live[i], p.live[j]),
-					p.rm.Intersects(p.ref[i], p.ref[j]); got != want {
-					t.Fatalf("seed %d step %d: Intersects(%d,%d): live %v, reference %v",
-						seed, step, i, j, got, want)
+				want := false
+				for a := 0; a < 1<<o.nvars; a++ {
+					want = want || f.t.get(a) && g.t.get(a)
+				}
+				if got := o.m.Intersects(f.n, g.n); got != want {
+					t.Fatalf("seed %d step %d: Intersects %v, truth tables %v", seed, step, got, want)
 				}
 				continue
 			}
-			p.check(t, idx, "op result")
+			o.push(res)
+			o.check(t, res, "op result")
 			if step%17 == 11 {
-				p.m.GC()
-				p.rm.GC()
+				o.m.GC()
 			}
 		}
-		if err := p.m.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: live kernel invariants: %v", seed, err)
+		if err := o.m.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: invariants: %v", seed, err)
 		}
-		if err := p.rm.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: reference kernel invariants: %v", seed, err)
+		// Every tracked function must survive sifting unchanged, and
+		// its size and rendering follow the new order.
+		o.m.Sift(SiftOptions{Passes: 1 + r.Intn(2)})
+		orders = append(orders, orderRecord{seed, orderString(o.m)})
+		for _, f := range o.tracked {
+			o.check(t, f, "post-sift")
 		}
-		// Sift both and require identical final orders; all tracked
-		// pairs must still denote the same functions afterwards.
-		p.m.Sift(SiftOptions{Passes: 1 + r.Intn(2)})
-		p.rm.Sift(refbdd.SiftOptions{Passes: p.m.SiftPasses})
-		if a, b := p.orders(); !sameInts(a, b) {
-			t.Fatalf("seed %d: sift orders diverge: live %v, reference %v", seed, a, b)
-		}
-		for i := range p.live {
-			p.check(t, i, "post-sift")
+		if err := o.m.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: post-sift invariants: %v", seed, err)
 		}
 	}
+	return orders
 }
 
 // TestDifferentialCharFn builds machine-style characteristic functions
 // — chi = AND_i xnor(o_i, f_i(state, inputs)), the shape the synthesis
-// flow feeds the kernel — in both kernels, then sifts with chi as the
-// cost root, mirroring how POLIS optimises the characteristic function
-// alone. Orders, classical sizes, and truth tables must agree.
+// flow feeds the kernel — then sifts with chi as the cost root,
+// mirroring how POLIS optimises the characteristic function alone.
 func TestDifferentialCharFn(t *testing.T) {
 	trials := 25
 	if testing.Short() {
 		trials = 5
 	}
+	var orders []orderRecord
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(4400 + trial)
 		r := rand.New(rand.NewSource(seed))
 		nin := 4 + r.Intn(3)  // state+input bits
 		nout := 2 + r.Intn(3) // output bits
-		p := newDiffPair(nin + nout)
-		inIdx := make([]int, nin) // pair indices of the input literals
-		for i := 0; i < nin; i++ {
-			inIdx[i] = 2 + i // after False, True
-		}
-		chi, rchi := True, refbdd.True
-		for o := 0; o < nout; o++ {
-			// Random function over the input literals, built the same
-			// way on both sides.
-			w := inIdx[r.Intn(nin)]
-			f, rf := p.live[w], p.ref[w]
+		o := newOracle(nin + nout)
+		lit := func(i int) fn { return o.tracked[2+i] } // after False, True
+		chi := o.tracked[1]
+		for out := 0; out < nout; out++ {
+			// Random function over the input literals.
+			f := lit(r.Intn(nin))
 			for d := 0; d < 3+r.Intn(4); d++ {
-				w = inIdx[r.Intn(nin)]
-				g, rg := p.live[w], p.ref[w]
+				g := lit(r.Intn(nin))
 				switch r.Intn(3) {
 				case 0:
-					f, rf = p.m.And(f, g), p.rm.And(rf, rg)
+					f = o.and(f, g)
 				case 1:
-					f, rf = p.m.Or(f, g), p.rm.Or(rf, rg)
+					f = o.or(f, g)
 				default:
-					f, rf = p.m.Xor(f, g), p.rm.Xor(rf, rg)
+					f = o.xor(f, g)
 				}
 				if r.Intn(3) == 0 {
-					f, rf = p.m.Not(f), p.rm.Not(rf)
+					f = o.not(f)
 				}
 			}
-			ov, rov := p.vs[nin+o], p.rvs[nin+o]
-			chi = p.m.And(chi, p.m.Xnor(p.m.VarNode(ov), f))
-			rchi = p.rm.And(rchi, p.rm.Xnor(p.rm.VarNode(rov), rf))
+			chi = o.and(chi, o.xnor(lit(nin+out), f))
 		}
-		idx := p.push(chi, rchi)
-		p.check(t, idx, "characteristic function")
+		o.push(chi)
+		o.check(t, chi, "characteristic function")
 		// The characteristic function pairs every output literal with
 		// its complement — exactly where complement-edge sharing pays.
 		// SharedSize must never exceed the classical count.
-		if ss, cs := p.m.SharedSize(chi), p.m.Size(chi); ss > cs {
+		if ss, cs := o.m.SharedSize(chi.n), o.m.Size(chi.n); ss > cs {
 			t.Fatalf("seed %d: SharedSize %d exceeds classical Size %d", seed, ss, cs)
 		}
-		p.m.Sift(SiftOptions{Roots: []Node{chi}})
-		p.rm.Sift(refbdd.SiftOptions{Roots: []refbdd.Node{rchi}})
-		if a, b := p.orders(); !sameInts(a, b) {
-			t.Fatalf("seed %d: char-fn sift orders diverge: live %v, reference %v", seed, a, b)
-		}
-		if got, want := p.m.Size(chi), p.rm.Size(rchi); got != want {
-			t.Fatalf("seed %d: post-sift classical size: live %d, reference %d", seed, got, want)
-		}
-		p.check(t, idx, "post-sift characteristic function")
+		o.m.Sift(SiftOptions{Roots: []Node{chi.n}})
+		orders = append(orders, orderRecord{seed, orderString(o.m)})
+		o.check(t, chi, "post-sift characteristic function")
 	}
+	checkOrders(t, "charfn", orders)
+}
+
+// TestSiftMatchesReference builds randomized managers — grouped
+// variables, several protected functions, optional cost-root subsets
+// and precedence relations, mirroring how the synthesis flow drives
+// Sift — and requires the incremental sifter to reproduce the final
+// orders recorded from the pre-incremental sifter (full Size
+// re-traversal after every swap, no interaction-matrix fast path, no
+// lower-bound pruning), because the s-graphs and code the synthesis
+// flow derives from the order are pinned byte for byte.
+func TestSiftMatchesReference(t *testing.T) {
+	trials := 60
+	if testing.Short() {
+		trials = 12
+	}
+	var orders []orderRecord
+	for trial := 0; trial < trials; trial++ {
+		seed := int64(7100 + trial)
+		r := rand.New(rand.NewSource(seed))
+		m := New()
+		vs := newVars(m, 8+r.Intn(6))
+		// Bind a few adjacent pairs into groups, as the
+		// multi-valued encoding does.
+		for i := 0; i+1 < len(vs) && i < 4; i += 2 {
+			if r.Intn(2) == 0 {
+				if err := m.Group(vs[i], vs[i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var funcs []Node
+		for i := 0; i < 2+r.Intn(3); i++ {
+			f := randomFunc(m, vs[:4+r.Intn(len(vs)-4)], r)
+			m.Protect(f)
+			funcs = append(funcs, f)
+		}
+		opts := SiftOptions{Passes: 1 + r.Intn(2)}
+		// Half the trials measure a strict subset of the
+		// protected functions, as the synthesis flow does with
+		// the characteristic function.
+		if r.Intn(2) == 0 && len(funcs) > 1 {
+			opts.Roots = funcs[:1+r.Intn(len(funcs)-1)]
+		}
+		// A third of the trials add a random precedence relation
+		// on group ids (kept acyclic by ordering on id).
+		if r.Intn(3) == 0 {
+			banned := r.Intn(3) + 1
+			opts.Precede = func(a, b int32) bool {
+				return a < b && int(b-a) <= banned
+			}
+		}
+		m.Sift(opts)
+		orders = append(orders, orderRecord{seed, orderString(m)})
+		if err := m.CheckInvariants(); err != nil {
+			t.Errorf("seed %d: sifting broke invariants: %v", seed, err)
+		}
+	}
+	checkOrders(t, "sift", orders)
 }

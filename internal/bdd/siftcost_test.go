@@ -104,35 +104,25 @@ func TestSiftFastPathDisjointSupports(t *testing.T) {
 }
 
 // TestSiftLowerBoundPrunes checks that lower-bound pruning fires on a
-// diagram with a strongly preferred order and that pruning changes
-// neither the final order nor the cost-root size versus the
-// reference sifter.
+// diagram with a strongly preferred order and that pruning leaves the
+// final order the pre-incremental sifter recorded.
 func TestSiftLowerBoundPrunes(t *testing.T) {
-	build := func() *Manager {
-		m := New()
-		vs := newVars(m, 14)
-		f := False
-		for j := 0; j < 7; j++ {
-			f = m.Or(f, m.And(m.VarNode(vs[j]), m.VarNode(vs[j+7])))
-		}
-		m.Protect(f)
-		return m
+	m := New()
+	vs := newVars(m, 14)
+	f := False
+	for j := 0; j < 7; j++ {
+		f = m.Or(f, m.And(m.VarNode(vs[j]), m.VarNode(vs[j+7])))
 	}
-	m1 := build()
-	m1.Sift(SiftOptions{Passes: 2})
-	if m1.LBPrunes == 0 {
+	m.Protect(f)
+	m.Sift(SiftOptions{Passes: 2})
+	if m.LBPrunes == 0 {
 		t.Error("lower-bound pruning never fired across two passes")
 	}
-	checkOrders(t, "prune", []orderRecord{{0, orderString(m1)}})
-	m2 := build()
-	referenceSift(m2, SiftOptions{Passes: 2})
-	if !reflect.DeepEqual(m1.Order(), m2.Order()) {
-		t.Errorf("pruned sifter order %v, reference order %v", m1.Order(), m2.Order())
-	}
-	if m1.CostEvals == 0 {
+	checkOrders(t, "prune", []orderRecord{{0, orderString(m)}})
+	if m.CostEvals == 0 {
 		t.Error("CostEvals never advanced")
 	}
-	if err := m1.CheckInvariants(); err != nil {
+	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,8 +12,11 @@ import (
 // is an allocation-free equivalent: signal and state-variable slots are
 // resolved to integer indices once, at Layout construction, and every
 // reaction then runs over flat arrays that the caller reuses. The two
-// implementations are kept in lock-step by the differential tests in
-// internal/sim (refsim) and internal/crosstest.
+// implementations are kept in lock-step by the simulator's golden
+// tests, whose behavioral outcomes were recorded from an engine that
+// ran React, and by the netfuzz harness, which compares behavioral
+// runs with VMExact runs cross-checked against React
+// (sim.CheckOptions.VMAgainstReference).
 
 // Layout resolves one machine's signals, state variables, tests and
 // actions to dense slot indices. Build it once per runtime task with

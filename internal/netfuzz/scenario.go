@@ -21,10 +21,9 @@ type Scenario struct {
 // GenScenario derives a deterministic scenario from a seed, covering
 // the same knob space as the fuzz harness: topologies, scheduling
 // policies, preemption, a hardware partition, task chains, polling,
-// InISR delivery and buffer-semantics mutants. The simulator's
-// differential tests against its frozen reference engine and the RTOS
-// ready-set invariant test share these scenarios; the stimuli are not
-// sorted by time.
+// InISR delivery and buffer-semantics mutants. The simulator's golden
+// engine tests and the RTOS ready-set invariant test share these
+// scenarios; the stimuli are not sorted by time.
 func GenScenario(seed int64) (*Scenario, error) {
 	r := rand.New(rand.NewSource(seed))
 	topos := []randcfsm.Topology{

@@ -252,6 +252,21 @@ func TestServerTypedRejections(t *testing.T) {
 		if code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("status %d, want 413", code)
 		}
+		// The batch limit applies before the machines are decoded, and
+		// the body is capped before it is buffered whole.
+		for name, body := range map[string]string{
+			"malformed machines": `{"network":{"name":"n","machines":[{},{},{}]}}`,
+			"oversized body":     `{"network":{"name":"` + strings.Repeat("x", 2*maxMachineBytes+1) + `"}}`,
+		} {
+			hr, err := http.Post(hs.URL+"/synthesize", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Body.Close()
+			if hr.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: status %d, want 413", name, hr.StatusCode)
+			}
+		}
 	})
 }
 

@@ -331,6 +331,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxMachineBytes is the request-body budget per machine of MaxBatch.
+// Wire machines of the sizes the service handles run to about 1.7 KB,
+// so the cap only stops bodies that no admissible batch reaches, before
+// they are buffered whole.
+const maxMachineBytes = 64 << 10
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -354,9 +360,20 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer s.reqWG.Done()
 
 	var req SynthRequest
+	r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxBatch)*maxMachineBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.badReq.Add(1)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if req.Network != nil && len(req.Network.Machines) > s.cfg.MaxBatch {
+		s.badReq.Add(1)
+		httpError(w, http.StatusRequestEntityTooLarge, "%d machines exceeds batch limit %d", len(req.Network.Machines), s.cfg.MaxBatch)
 		return
 	}
 	net, err := DecodeNetwork(req.Network)
@@ -368,11 +385,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if len(net.Machines) == 0 {
 		s.badReq.Add(1)
 		httpError(w, http.StatusBadRequest, "network has no machines")
-		return
-	}
-	if len(net.Machines) > s.cfg.MaxBatch {
-		s.badReq.Add(1)
-		httpError(w, http.StatusRequestEntityTooLarge, "%d machines exceeds batch limit %d", len(net.Machines), s.cfg.MaxBatch)
 		return
 	}
 	opt, err := req.Options.Options()

@@ -172,11 +172,10 @@ func scenarioTasks(t *testing.T, opt sim.Options) func(m *cfsm.CFSM) (*rtos.Task
 	}
 }
 
-// TestReadySetAcrossScenarios replays the simulator's differential
-// scenarios (the same seeds and modes as its tests against the frozen
-// reference engine: round-robin and static priority, preemption,
-// hardware tasks, ISR-context tasks, chains, polling and every
-// Mutant) step by step, checking the ready-set invariant after every
+// TestReadySetAcrossScenarios replays the simulator's golden scenarios
+// (the same seeds and modes: round-robin and static priority,
+// preemption, hardware tasks, ISR-context tasks, chains, polling and
+// every Mutant) step by step, checking the ready-set invariant after every
 // EmitEnv and Advance. Each replay must also reproduce sim.Run's
 // outcome, so it checks the run the simulator really performs.
 func TestReadySetAcrossScenarios(t *testing.T) {

@@ -15,9 +15,10 @@
 // The runtime model is throughput-oriented: task buffers are dense
 // arrays indexed by slots the cfsm.Layout resolves once at task
 // construction, and a steady-state reaction allocates nothing. The
-// reference semantics (map-based, event-at-a-time) is frozen in
-// internal/sim/internal/refsim and the differential tests there pin
-// this implementation to it.
+// simulator's golden tests (internal/sim/testdata/engine_golden.json)
+// pin it trace-for-trace to the outcomes of the map-based,
+// event-at-a-time engine it replaced, and the netfuzz harness checks
+// every delivery and execution against an independent buffer model.
 package rtos
 
 import (

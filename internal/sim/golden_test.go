@@ -4,17 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"polis/internal/cfsm"
 	"polis/internal/netfuzz"
 	"polis/internal/rtos"
 	"polis/internal/sim"
@@ -25,9 +21,11 @@ import (
 // stimulus timelines, including same-cycle bursts that stress the
 // batched delivery queue) to testdata/engine_golden.json, one record
 // per scenario. The records were produced by the map-based,
-// event-at-a-time engine this one replaced, and this engine reproduced
-// every one of them. Regenerate deliberately with
-// `go test ./internal/sim -run Golden -update`.
+// event-at-a-time reference engine this one replaced, and this engine
+// reproduced every one of them. The cfsm.React cross-check
+// (CheckOptions.VMAgainstReference) and the netfuzz buffer model stay
+// as independent oracles. Regenerate deliberately with
+// `go test ./internal/sim -run EngineMatchesReference -update`.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.json")
 
@@ -76,25 +74,6 @@ type engineRecord struct {
 	StatesHash    string       `json:"states_sha256"`
 }
 
-func traceHash(trace []rtos.TraceEvent) string {
-	h := sha256.New()
-	for _, ev := range trace {
-		fmt.Fprintf(h, "%d %s %d %s\n", ev.Time, ev.Signal.Name, ev.Value, ev.From)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// statesHash digests the final state of every task, in task order.
-func statesHash(ms []*cfsm.CFSM, state func(i int, sv *cfsm.StateVar) int64) string {
-	h := sha256.New()
-	for i, m := range ms {
-		for _, sv := range m.States {
-			fmt.Fprintf(h, "%s.%s=%d\n", m.Name, sv.Name, state(i, sv))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // runScenario runs one scenario of set s, with the scenario's mutant
 // replaced when mutant is non-nil, and returns its record.
 func runScenario(t *testing.T, s goldenSet, seed int64, mutant *rtos.Mutant) engineRecord {
@@ -120,13 +99,19 @@ func runScenario(t *testing.T, s goldenSet, seed int64, mutant *rtos.Mutant) eng
 	rec.Cycles, rec.CodeBytes, rec.DataBytes = res.Cycles, res.CodeBytes, res.DataBytes
 	rec.ScheduleCalls, rec.Interrupts, rec.Polls = sys.ScheduleCalls, sys.Interrupts, sys.Polls
 	rec.BusyCycles, rec.PollDropped = sys.BusyCycles, sys.PollDropped
-	rec.TraceLen, rec.TraceHash = len(res.Trace), traceHash(res.Trace)
-	ms := make([]*cfsm.CFSM, len(sys.Tasks))
-	for i, task := range sys.Tasks {
-		ms[i] = task.M
-		rec.Tasks = append(rec.Tasks, taskCounts{task.M.Name, task.Executions, task.Fired, task.Lost})
+	h := sha256.New()
+	for _, ev := range res.Trace {
+		fmt.Fprintf(h, "%d %s %d %s\n", ev.Time, ev.Signal.Name, ev.Value, ev.From)
 	}
-	rec.StatesHash = statesHash(ms, func(i int, sv *cfsm.StateVar) int64 { return sys.Tasks[i].State(sv) })
+	rec.TraceLen, rec.TraceHash = len(res.Trace), hex.EncodeToString(h.Sum(nil))
+	h.Reset()
+	for _, task := range sys.Tasks {
+		rec.Tasks = append(rec.Tasks, taskCounts{task.M.Name, task.Executions, task.Fired, task.Lost})
+		for _, sv := range task.M.States {
+			fmt.Fprintf(h, "%s.%s=%d\n", task.M.Name, sv.Name, task.State(sv))
+		}
+	}
+	rec.StatesHash = hex.EncodeToString(h.Sum(nil))
 	return rec
 }
 
@@ -146,16 +131,13 @@ const goldenPath = "testdata/engine_golden.json"
 
 func loadGolden(t *testing.T) []engineRecord {
 	t.Helper()
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		if *updateGolden && errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		t.Fatalf("%v (run with -update to record)", err)
-	}
 	var recs []engineRecord
-	if err := json.Unmarshal(blob, &recs); err != nil {
-		t.Fatal(err)
+	blob, err := os.ReadFile(goldenPath)
+	if err == nil {
+		err = json.Unmarshal(blob, &recs)
+	}
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
 	}
 	return recs
 }
@@ -171,65 +153,46 @@ func recordsOf(recs []engineRecord, s goldenSet) []engineRecord {
 	return out
 }
 
-// writeGolden replaces the records of set s and rewrites the file, one
-// record per line.
-func writeGolden(t *testing.T, s goldenSet, got []engineRecord) {
-	t.Helper()
-	recs := loadGolden(t)
+// writeGolden records every set, one record per line.
+func writeGolden(t *testing.T) {
 	var lines []string
-	for _, set := range goldenSets {
-		setRecs := recordsOf(recs, set)
-		if set == s {
-			setRecs = got
-		}
-		for _, r := range setRecs {
-			blob, err := json.Marshal(r)
+	for _, s := range goldenSets {
+		for seed := s.from; seed <= s.to; seed++ {
+			blob, err := json.Marshal(runScenario(t, s, seed, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
 			lines = append(lines, string(blob))
 		}
 	}
-	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	out := "[\n" + strings.Join(lines, ",\n") + "\n]\n"
 	if err := os.WriteFile(goldenPath, []byte(out), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("rewrote %s: %d %s records", goldenPath, len(got), s.name)
 }
 
 // checkGolden runs every scenario of s and compares it with its record.
 func checkGolden(t *testing.T, s goldenSet) {
-	var got []engineRecord
-	for seed := s.from; seed <= s.to; seed++ {
-		got = append(got, runScenario(t, s, seed, nil))
-	}
 	if *updateGolden {
-		var ref []engineRecord
-		for seed := s.from; seed <= s.to; seed++ {
-			ref = append(ref, refsimRecord(t, s, seed))
-		}
-		writeGolden(t, s, ref)
+		writeGolden(t)
 		return
 	}
 	want := recordsOf(loadGolden(t), s)
-	if len(want) != len(got) {
-		t.Fatalf("%s: golden has %d records, run produced %d (run with -update)", s.name, len(want), len(got))
+	if len(want) != int(s.to-s.from+1) {
+		t.Fatalf("%s: golden has %d records, want %d (run with -update)", s.name, len(want), s.to-s.from+1)
 	}
-	for i := range got {
-		if d := diffRecords(got[i], want[i]); d != nil {
-			t.Errorf("%s seed %d: %s", s.name, got[i].Seed, strings.Join(d, "; "))
+	for _, w := range want {
+		if d := diffRecords(runScenario(t, s, w.Seed, nil), w); d != nil {
+			t.Errorf("%s seed %d: %s", s.name, w.Seed, strings.Join(d, "; "))
 		}
 	}
 }
 
-func TestEngineGoldenBehavioral(t *testing.T) { checkGolden(t, behavioralSet) }
+func TestEngineMatchesReferenceBehavioral(t *testing.T) { checkGolden(t, behavioralSet) }
 
-func TestEngineGoldenVM(t *testing.T) { checkGolden(t, vmSet) }
+func TestEngineMatchesReferenceVM(t *testing.T) { checkGolden(t, vmSet) }
 
-func TestEngineGoldenVMChecked(t *testing.T) { checkGolden(t, vmCheckedSet) }
+func TestEngineMatchesReferenceVMChecked(t *testing.T) { checkGolden(t, vmCheckedSet) }
 
 // TestGoldenCatchesMutants proves the golden gate detects semantic
 // bugs: re-running the recorded scenarios whose configuration has the
@@ -237,8 +200,10 @@ func TestEngineGoldenVMChecked(t *testing.T) { checkGolden(t, vmCheckedSet) }
 // must change at least one record.
 func TestGoldenCatchesMutants(t *testing.T) {
 	recs := loadGolden(t)
-	for _, mutant := range []rtos.Mutant{
-		rtos.MutantLostUndercount, rtos.MutantStaleOverwrite, rtos.MutantConsumeUnfired,
+	for name, mutant := range map[string]rtos.Mutant{
+		"lost-undercount": rtos.MutantLostUndercount,
+		"stale-overwrite": rtos.MutantStaleOverwrite,
+		"consume-unfired": rtos.MutantConsumeUnfired,
 	} {
 		caught := false
 		for _, s := range goldenSets {
@@ -251,7 +216,7 @@ func TestGoldenCatchesMutants(t *testing.T) {
 					continue
 				}
 				if d := diffRecords(runScenario(t, s, want.Seed, &mutant), want); d != nil {
-					t.Logf("mutant %d caught by %s seed %d: %s", mutant, s.name, want.Seed, d[0])
+					t.Logf("mutant %s caught by %s seed %d: %s", name, s.name, want.Seed, d[0])
 					caught = true
 					break
 				}
@@ -261,7 +226,7 @@ func TestGoldenCatchesMutants(t *testing.T) {
 			}
 		}
 		if !caught {
-			t.Errorf("mutant %d: no recorded scenario changed", mutant)
+			t.Errorf("mutant %s: no recorded scenario changed", name)
 		}
 	}
 }

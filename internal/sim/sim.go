@@ -13,9 +13,10 @@
 //
 // The execution core is throughput-oriented: reactions run over dense
 // slot-indexed buffers resolved once at task-build time and allocate
-// nothing in steady state. The previous map-based, event-at-a-time
-// engine is frozen verbatim in internal/refsim, and differential tests
-// pin this engine to it trace-for-trace.
+// nothing in steady state. Golden tests pin this engine to the traces,
+// cycle counts, accounting and final states the previous map-based,
+// event-at-a-time engine produced on 176 randomized scenarios
+// (testdata/engine_golden.json).
 package sim
 
 import (
@@ -150,7 +151,7 @@ type vmTask struct {
 	// emissions); inSlot maps it to the machine's input slot, -1 for
 	// pure outputs. stateAddr maps each state slot to the memory
 	// address of its "st_" symbol; a missing symbol resolves to
-	// address 0, preserving the reference engine's behaviour of
+	// address 0, preserving the previous engine's behaviour of
 	// reading/writing Mem[0] for untracked variables.
 	sigOf     []*cfsm.Signal
 	inSlot    []int
