@@ -109,24 +109,24 @@ type SynthResponse struct {
 
 // Stats is the body of GET /stats.
 type Stats struct {
-	UptimeS     float64             `json:"uptime_s"`
-	Draining    bool                `json:"draining"`
-	Requests    int64               `json:"requests"`
-	OK          int64               `json:"ok"`
-	BadRequest  int64               `json:"bad_request"`
-	Rejected429 int64               `json:"rejected_429"`
-	Rejected503 int64               `json:"rejected_503"`
-	Deadline504 int64               `json:"deadline_504"`
+	UptimeS     float64 `json:"uptime_s"`
+	Draining    bool    `json:"draining"`
+	Requests    int64   `json:"requests"`
+	OK          int64   `json:"ok"`
+	BadRequest  int64   `json:"bad_request"`
+	Rejected429 int64   `json:"rejected_429"`
+	Rejected503 int64   `json:"rejected_503"`
+	Deadline504 int64   `json:"deadline_504"`
 	// ClientGone counts streaming requests whose client hung up
 	// mid-stream: the server cancels the request's outstanding module
 	// work and stops writing instead of synthesizing for nobody.
-	ClientGone int64 `json:"client_gone"`
-	Modules     map[string]int64    `json:"modules"` // by cache outcome
-	ModuleErrs  int64               `json:"module_errors"`
-	Pending     int64               `json:"pending"` // admitted in-flight modules
-	QueueDepth  int                 `json:"queue_cap"`
-	Workers     int                 `json:"workers"`
-	Cache       pipeline.CacheStats `json:"cache"`
+	ClientGone int64               `json:"client_gone"`
+	Modules    map[string]int64    `json:"modules"` // by cache outcome
+	ModuleErrs int64               `json:"module_errors"`
+	Pending    int64               `json:"pending"` // admitted in-flight modules
+	QueueDepth int                 `json:"queue_cap"`
+	Workers    int                 `json:"workers"`
+	Cache      pipeline.CacheStats `json:"cache"`
 	// BDDStages is the per-stage BDD kernel footprint across every
 	// module synthesized so far: worst live/peak node counts and
 	// per-stage op-cache hit rates (reactive build, sifting, s-graph).
