@@ -200,12 +200,12 @@ func TestEngineMatchesReferenceVMChecked(t *testing.T) { checkGolden(t, vmChecke
 // must change at least one record.
 func TestGoldenCatchesMutants(t *testing.T) {
 	recs := loadGolden(t)
+mutants:
 	for name, mutant := range map[string]rtos.Mutant{
 		"lost-undercount": rtos.MutantLostUndercount,
 		"stale-overwrite": rtos.MutantStaleOverwrite,
 		"consume-unfired": rtos.MutantConsumeUnfired,
 	} {
-		caught := false
 		for _, s := range goldenSets {
 			for _, want := range recordsOf(recs, s) {
 				sc, err := netfuzz.GenScenario(want.Seed)
@@ -217,16 +217,10 @@ func TestGoldenCatchesMutants(t *testing.T) {
 				}
 				if d := diffRecords(runScenario(t, s, want.Seed, &mutant), want); d != nil {
 					t.Logf("mutant %s caught by %s seed %d: %s", name, s.name, want.Seed, d[0])
-					caught = true
-					break
+					continue mutants
 				}
 			}
-			if caught {
-				break
-			}
 		}
-		if !caught {
-			t.Errorf("mutant %s: no recorded scenario changed", name)
-		}
+		t.Errorf("mutant %s: no recorded scenario changed", name)
 	}
 }
