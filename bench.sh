@@ -2,7 +2,7 @@
 # Benchmark harness for the BDD kernel / synthesis pipeline and the
 # co-simulation engine. Each suite keeps its own dated history file:
 #
-#   suite "bdd"   ->  BENCH_bdd.json   (synthesis + BDD kernel)
+#   suite "bdd"   ->  BENCH_bdd.json   (synthesis, BDD kernel, cache key)
 #   suite "sim"   ->  BENCH_sim.json   (co-simulation throughput)
 #   suite "synth" ->  BENCH_synth.json (sharded synthesis at scale)
 #
@@ -44,6 +44,7 @@ run_benches() {
         go test -run '^$' -bench 'BenchmarkTable2Orderings|BenchmarkSynthesizeNetwork|BenchmarkAblationReduce|BenchmarkCharFn' \
             -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} .
         go test -run '^$' -bench . -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/bdd/
+        go test -run '^$' -bench 'BenchmarkFingerprint' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
     sim)
         go test -run '^$' -bench 'BenchmarkSimThroughput|BenchmarkSimSpecialization' \

@@ -364,7 +364,8 @@ func BenchmarkAblationChaining(b *testing.B) {
 // BenchmarkSynthesizeNetwork measures whole-network synthesis through
 // internal/pipeline over a 16-CFSM random network: serial-vs-parallel
 // worker scaling, then a warm-cache rerun that should cost a small
-// fraction of a cold compile.
+// fraction of a cold compile, and a warm-disk rerun that a fresh
+// process on a populated cache directory pays.
 func BenchmarkSynthesizeNetwork(b *testing.B) {
 	cfg := randcfsm.Config{
 		MaxInputs:      5,
@@ -400,6 +401,29 @@ func BenchmarkSynthesizeNetwork(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if _, err := SynthesizeNetwork(net, Options{}, pipeline.Config{Jobs: 4, Cache: cache}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm-disk", func(b *testing.B) {
+		// Populate a directory outside the timed region; each iteration
+		// opens a fresh Cache on it, so every module is a disk hit
+		// (fingerprint, file read and entry decode).
+		dir := b.TempDir()
+		cache, err := pipeline.NewCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := SynthesizeNetwork(net, Options{}, pipeline.Config{Jobs: 4, Cache: cache}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cache, err := pipeline.NewCache(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := SynthesizeNetwork(net, Options{}, pipeline.Config{Jobs: 4, Cache: cache}); err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@
 # CI gate: vet, build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
 # ownership checks enabled under the bdddebug build tag, a bounded
+# native fuzz run of the disk-cache entry decoder, a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
 # with and without the s-graph reduction engine, with same-cycle
@@ -24,6 +25,7 @@ go build ./...
 go test ./...
 go test -race ./...
 go test -tags bdddebug ./internal/bdd/
+go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
 NETFUZZ_STORM_RUNS=200 go test -race -run TestFuzzCampaignStorm ./internal/netfuzz/

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
-	"polis/internal/estimate"
-	"polis/internal/sgraph"
-	"polis/internal/vm"
+	"polis/internal/expr"
 )
 
 // Fingerprint returns the content-addressed cache key of one module
@@ -24,63 +22,158 @@ import (
 // generated artifacts. Two modules with the same fingerprint produce
 // byte-identical artifacts, so a fingerprint match is a cache hit.
 //
+// The key is a SHA-256 over one binary stream built by walking the
+// machine by shape: every list is count-prefixed and every string
+// length-prefixed, so no two different machines share a stream.
+// Tests and actions are written as kind plus fields, expressions over
+// their closed shapes, transitions and exclusivity groups as test and
+// action IDs. Nothing is memoized per *cfsm.CFSM: machines are
+// mutable, and randcfsm.Mutate edits one in place.
+//
 // The target profile is identified by its Name; callers that mutate a
 // built-in profile must rename it or bypass the cache.
 func Fingerprint(m *cfsm.CFSM, opt Options) string {
+	sum := sha256.Sum256(appendFingerprint(make([]byte, 0, 1024), m, opt))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// appendFingerprint appends the stream Fingerprint hashes.
+func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	opt.fill()
-	h := sha256.New()
-	fmt.Fprintf(h, "v1\nmodule %s\n", m.Name)
-	for _, s := range m.Inputs {
-		fmt.Fprintf(h, "in %s pure=%v\n", s.Name, s.Pure)
-	}
-	for _, s := range m.Outputs {
-		fmt.Fprintf(h, "out %s pure=%v\n", s.Name, s.Pure)
-	}
+	b = binary.AppendUvarint(b, fingerprintVersion)
+	b = appendString(b, m.Name)
+	b = appendSignals(b, m.Inputs)
+	b = appendSignals(b, m.Outputs)
+	b = binary.AppendUvarint(b, uint64(len(m.States)))
 	for _, sv := range m.States {
-		fmt.Fprintf(h, "state %s dom=%d init=%d\n", sv.Name, sv.Domain, sv.Init)
+		b = appendString(b, sv.Name)
+		b = binary.AppendVarint(b, int64(sv.Domain))
+		b = binary.AppendVarint(b, sv.Init)
 	}
+	b = binary.AppendUvarint(b, uint64(len(m.Tests)))
 	for _, t := range m.Tests {
-		fmt.Fprintf(h, "test %s arity=%d\n", t.Name(), t.Arity())
+		b = binary.AppendUvarint(b, uint64(t.Kind))
+		switch t.Kind {
+		case cfsm.TestPresence:
+			b = appendString(b, t.Signal.Name)
+		case cfsm.TestPredicate:
+			b = appendExpr(b, t.Pred)
+		default:
+			b = appendString(b, t.Sel.Name)
+			b = binary.AppendVarint(b, int64(t.Sel.Domain))
+		}
 	}
+	b = binary.AppendUvarint(b, uint64(len(m.Actions)))
 	for _, a := range m.Actions {
-		fmt.Fprintf(h, "action %s\n", a.Name())
+		b = binary.AppendUvarint(b, uint64(a.Kind))
+		if a.Kind == cfsm.ActEmit {
+			b = appendString(b, a.Signal.Name)
+			b = appendExpr(b, a.Value)
+		} else {
+			b = appendString(b, a.Var.Name)
+			b = appendExpr(b, a.Expr)
+		}
 	}
+	b = binary.AppendUvarint(b, uint64(len(m.Trans)))
 	for _, tr := range m.Trans {
-		fmt.Fprintf(h, "trans")
+		b = binary.AppendUvarint(b, uint64(len(tr.Guard)))
 		for _, c := range tr.Guard {
-			fmt.Fprintf(h, " t%d=%d", m.TestID(c.Test), c.Val)
+			b = binary.AppendUvarint(b, uint64(m.TestID(c.Test)))
+			b = binary.AppendVarint(b, int64(c.Val))
 		}
-		fmt.Fprintf(h, " ->")
+		b = binary.AppendUvarint(b, uint64(len(tr.Actions)))
 		for _, a := range tr.Actions {
-			fmt.Fprintf(h, " a%d", m.ActionID(a))
+			b = binary.AppendUvarint(b, uint64(m.ActionID(a)))
 		}
-		fmt.Fprintf(h, "\n")
 	}
+	b = binary.AppendUvarint(b, uint64(len(m.Exclusive)))
 	for _, grp := range m.Exclusive {
-		fmt.Fprintf(h, "excl")
+		b = binary.AppendUvarint(b, uint64(len(grp)))
 		for _, t := range grp {
-			fmt.Fprintf(h, " t%d", m.TestID(t))
+			b = binary.AppendUvarint(b, uint64(m.TestID(t)))
 		}
-		fmt.Fprintf(h, "\n")
 	}
-	fmt.Fprintf(h, "opt ord=%s target=%s copies=%v ifthr=%d falsepaths=%v\n",
-		opt.Ordering, opt.Target.Name,
-		opt.Codegen.OptimizeCopies, opt.Codegen.IfThreshold,
-		opt.UseFalsePaths)
+	b = binary.AppendVarint(b, int64(opt.Ordering))
+	b = appendString(b, opt.Target.Name)
+	b = appendBool(b, opt.Codegen.OptimizeCopies)
+	b = binary.AppendVarint(b, int64(opt.Codegen.IfThreshold))
+	b = appendBool(b, opt.UseFalsePaths)
+	b = appendBool(b, opt.Reduce)
 	if opt.Reduce {
-		fmt.Fprintf(h, "reduce iter=%d noshare=%v nodc=%v nostraighten=%v maxctx=%d\n",
-			opt.ReduceOpt.MaxIter, opt.ReduceOpt.NoShare, opt.ReduceOpt.NoDontCare,
-			opt.ReduceOpt.NoStraighten, opt.ReduceOpt.MaxContextNodes)
+		r := opt.ReduceOpt
+		b = binary.AppendVarint(b, int64(r.MaxIter))
+		b = appendBool(b, r.NoShare)
+		b = appendBool(b, r.NoDontCare)
+		b = appendBool(b, r.NoStraighten)
+		b = binary.AppendVarint(b, int64(r.MaxContextNodes))
 	}
-	if opt.Profile != nil {
-		// Specialization reshapes the generated code, so the profile
-		// evidence for this module is part of the cache key. Modules
-		// the profile has nothing on stay on their unspecialized key.
-		if mp := opt.Profile.Module(m.Name); mp != nil && len(mp.Outcomes) > 0 {
-			fmt.Fprintf(h, "specialize %s\n", mp.Fingerprint())
-		}
+	// Specialization reshapes the generated code, so the profile
+	// evidence for this module is part of the cache key. Modules the
+	// profile has nothing on stay on their unspecialized key.
+	mp := opt.Profile.Module(m.Name) // nil-safe
+	specialize := mp != nil && len(mp.Outcomes) > 0
+	b = appendBool(b, specialize)
+	if specialize {
+		b = appendString(b, mp.Fingerprint())
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return b
+}
+
+// fingerprintVersion leads the fingerprint stream; bump it whenever
+// the stream's layout changes, so old keys can never collide with new
+// ones.
+const fingerprintVersion = 2
+
+// Expression shape tags of the fingerprint stream. exprOther covers an
+// Expr outside the four closed shapes through its rendered C, so the
+// key stays total.
+const (
+	exprNil = iota
+	exprConst
+	exprRef
+	exprBin
+	exprUn
+	exprOther
+)
+
+func appendExpr(b []byte, e expr.Expr) []byte {
+	switch x := e.(type) {
+	case nil:
+		return append(b, exprNil)
+	case expr.Const:
+		return binary.AppendVarint(append(b, exprConst), int64(x))
+	case expr.Ref:
+		return appendString(append(b, exprRef), string(x))
+	case *expr.Bin:
+		b = binary.AppendUvarint(append(b, exprBin), uint64(x.Op))
+		return appendExpr(appendExpr(b, x.L), x.R)
+	case *expr.Un:
+		b = binary.AppendUvarint(append(b, exprUn), uint64(x.Op))
+		return appendExpr(b, x.X)
+	}
+	return appendString(append(b, exprOther), e.C())
+}
+
+func appendSignals(b []byte, sigs []*cfsm.Signal) []byte {
+	b = binary.AppendUvarint(b, uint64(len(sigs)))
+	for _, s := range sigs {
+		b = appendString(b, s.Name)
+		b = appendBool(b, s.Pure)
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // Cache is the content-addressed artifact cache: an always-on
@@ -91,10 +184,11 @@ func Fingerprint(m *cfsm.CFSM, opt Options) string {
 // Artifacts served from memory carry their live SGraph/Program/CFSM
 // handles; artifacts restored from disk carry only the serialisable
 // payload (C, listing, estimates, measurements, s-graph statistics)
-// and have nil live handles. A truncated, corrupted or unreadable
-// disk entry is treated as a miss — the module is recompiled and the
-// bad entry overwritten by the following Put — and counted in
-// Stats().CorruptMisses.
+// and have nil live handles. Each disk entry is one length-prefixed
+// binary file per fingerprint (see entryFields). A truncated,
+// corrupted or unreadable disk entry is treated as a miss — the
+// module is recompiled and the bad entry overwritten by the following
+// Put — and counted in Stats().CorruptMisses.
 //
 // The cache also carries the singleflight registry used by the
 // pipeline (and by polisd across requests): at most one synthesis per
@@ -125,7 +219,7 @@ type flight struct {
 
 // NewCache creates a cache. With dir == "" the cache is in-memory
 // only; otherwise dir is created (if needed) and used as the on-disk
-// layer, one JSON file per fingerprint.
+// layer, one binary entry file per fingerprint.
 func NewCache(dir string) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -192,31 +286,154 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// diskEntry is the serialised form of an Artifact. Live handles
-// (SGraph, Program, CFSM) are intentionally absent: they are cheap to
-// rebuild when needed and expensive to serialise faithfully.
-type diskEntry struct {
-	Schema      int
-	Module      string
-	NumTests    int
-	NumActions  int
-	NumTrans    int
-	C           string
-	Listing     string
-	Estimate    estimate.Result
-	Measured    vm.PathCycles
-	CodeSize    int
-	Stats       sgraph.Stats
-	Reduced     bool
-	Reduce      sgraph.ReduceStats
-	Specialized bool
-	Specialize  sgraph.SpecializeStats
-}
+// diskSchema versions the on-disk entry layout; it is the last byte
+// of diskMagic, so an entry of any other schema is a miss.
+const diskSchema = 4
 
-const diskSchema = 3
+var diskMagic = [4]byte{'P', 'O', 'L', diskSchema}
 
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+".bin")
+}
+
+// entryVisitor is one direction of the disk-entry codec: entryFields
+// walks an Artifact's serialisable fields through it, so the encoder
+// and the decoder share one field order and cannot disagree on the
+// layout.
+type entryVisitor interface {
+	intField(p *int)
+	int64Field(p *int64)
+	boolField(p *bool)
+	stringField(p *string)
+}
+
+// entryFields visits the serialisable payload of a in the disk-entry
+// order: Module, every integer field, the two bools, then C and
+// Listing. Live handles (SGraph, Program, CFSM) are intentionally
+// absent: they are cheap to rebuild when needed and expensive to
+// serialise faithfully.
+func entryFields(v entryVisitor, a *Artifact) {
+	v.stringField(&a.Module)
+	for _, p := range [...]*int{&a.NumTests, &a.NumActions, &a.NumTrans} {
+		v.intField(p)
+	}
+	e := &a.Estimate
+	for _, p := range [...]*int64{&e.CodeBytes, &e.DataBytes, &e.MinCycles, &e.MaxCycles,
+		&e.ExpectedCycles, &a.Measured.Min, &a.Measured.Max} {
+		v.int64Field(p)
+	}
+	v.intField(&a.CodeSize)
+	st := &a.Stats
+	for _, p := range [...]*int{&st.Vertices, &st.Tests, &st.Assigns, &st.Edges, &st.Depth} {
+		v.intField(p)
+	}
+	v.int64Field(&st.Paths)
+	r := &a.Reduce
+	for _, p := range [...]*int{&r.VerticesBefore, &r.VerticesAfter, &r.TestsBefore,
+		&r.TestsAfter, &r.AssignsBefore, &r.AssignsAfter, &r.Shares, &r.TestsEliminated,
+		&r.EdgesRedirected, &r.AssignsDropped, &r.Iterations} {
+		v.intField(p)
+	}
+	v.int64Field(&a.Specialize.Samples)
+	v.intField(&a.Specialize.Tests)
+	v.intField(&a.Specialize.Reordered)
+	v.boolField(&a.Reduced)
+	v.boolField(&a.Specialized)
+	v.stringField(&a.C)
+	v.stringField(&a.Listing)
+}
+
+// entryWriter appends the disk entry: integers as zig-zag varints,
+// bools as one 0/1 byte, strings as a uvarint length and raw bytes.
+type entryWriter struct{ b []byte }
+
+func (w *entryWriter) intField(p *int)       { w.b = binary.AppendVarint(w.b, int64(*p)) }
+func (w *entryWriter) int64Field(p *int64)   { w.b = binary.AppendVarint(w.b, *p) }
+func (w *entryWriter) boolField(p *bool)     { w.b = appendBool(w.b, *p) }
+func (w *entryWriter) stringField(p *string) { w.b = appendString(w.b, *p) }
+
+// encodeEntry serialises the payload of a behind diskMagic.
+func encodeEntry(a *Artifact) []byte {
+	w := entryWriter{b: make([]byte, 0, len(diskMagic)+len(a.Module)+len(a.C)+len(a.Listing)+128)}
+	w.b = append(w.b, diskMagic[:]...)
+	entryFields(&w, a)
+	return w.b
+}
+
+// entryReader decodes what entryWriter wrote. It is strict, so every
+// input has at most one accepted encoding: a truncated or overlong
+// varint, a non-minimal varint, a string longer than the remaining
+// bytes or a bool byte other than 0/1 marks the entry bad, and every
+// later field reads as zero.
+type entryReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *entryReader) uvarint() uint64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *entryReader) int64Field(p *int64) {
+	u := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	*p = v
+}
+
+func (r *entryReader) intField(p *int) {
+	var v int64
+	r.int64Field(&v)
+	if int64(int(v)) != v {
+		r.bad = true
+	}
+	*p = int(v)
+}
+
+func (r *entryReader) boolField(p *bool) {
+	if r.bad || len(r.b) == 0 || r.b[0] > 1 {
+		r.bad = true
+		return
+	}
+	*p = r.b[0] == 1
+	r.b = r.b[1:]
+}
+
+func (r *entryReader) stringField(p *string) {
+	n := r.uvarint()
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return
+	}
+	*p = string(r.b[:n])
+	r.b = r.b[n:]
+}
+
+// decodeEntry parses a disk entry. It returns ok == false for bad
+// magic or schema, any malformed field, trailing bytes or an empty
+// Module; it never panics.
+func decodeEntry(data []byte) (a *Artifact, ok bool) {
+	if len(data) < len(diskMagic) || [4]byte(data[:4]) != diskMagic {
+		return nil, false
+	}
+	r := entryReader{b: data[len(diskMagic):]}
+	a = new(Artifact)
+	entryFields(&r, a)
+	if r.bad || len(r.b) != 0 || a.Module == "" {
+		return nil, false
+	}
+	return a, true
 }
 
 // Get looks the key up, memory first, then disk. fromDisk reports
@@ -240,29 +457,13 @@ func (c *Cache) Get(key string) (a *Artifact, fromDisk, ok bool) {
 		c.misses.Add(1)
 		return nil, false, false
 	}
-	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Schema != diskSchema || e.Module == "" {
+	a, ok = decodeEntry(data)
+	if !ok {
 		// Truncated, corrupted or stale entry: a miss, never an error.
 		// The recompile's Put overwrites the bad file.
 		c.corrupt.Add(1)
 		c.misses.Add(1)
 		return nil, false, false
-	}
-	a = &Artifact{
-		Module:      e.Module,
-		NumTests:    e.NumTests,
-		NumActions:  e.NumActions,
-		NumTrans:    e.NumTrans,
-		C:           e.C,
-		Listing:     e.Listing,
-		Estimate:    e.Estimate,
-		Measured:    e.Measured,
-		CodeSize:    e.CodeSize,
-		Stats:       e.Stats,
-		Reduced:     e.Reduced,
-		Reduce:      e.Reduce,
-		Specialized: e.Specialized,
-		Specialize:  e.Specialize,
 	}
 	t = time.Now()
 	c.mu.Lock()
@@ -275,9 +476,9 @@ func (c *Cache) Get(key string) (a *Artifact, fromDisk, ok bool) {
 
 // Put stores the artifact in memory and, when a directory is
 // configured, on disk. Disk writes are best-effort: an I/O failure
-// degrades the cache, it never fails the synthesis. The JSON
-// serialisation and the file write happen outside the lock, so slow
-// disks never serialize the workers.
+// degrades the cache, it never fails the synthesis. The entry
+// encoding and the file write happen outside the lock, so slow disks
+// never serialize the workers.
 func (c *Cache) Put(key string, a *Artifact) {
 	t := time.Now()
 	c.mu.Lock()
@@ -287,26 +488,7 @@ func (c *Cache) Put(key string, a *Artifact) {
 	if c.dir == "" {
 		return
 	}
-	data, err := json.Marshal(diskEntry{
-		Schema:      diskSchema,
-		Module:      a.Module,
-		NumTests:    a.NumTests,
-		NumActions:  a.NumActions,
-		NumTrans:    a.NumTrans,
-		C:           a.C,
-		Listing:     a.Listing,
-		Estimate:    a.Estimate,
-		Measured:    a.Measured,
-		CodeSize:    a.CodeSize,
-		Stats:       a.Stats,
-		Reduced:     a.Reduced,
-		Reduce:      a.Reduce,
-		Specialized: a.Specialized,
-		Specialize:  a.Specialize,
-	})
-	if err != nil {
-		return
-	}
+	data := encodeEntry(a)
 	// Publish through a uniquely-named temp file in the cache dir.
 	// A fixed per-key temp path would let two same-key writers
 	// (goroutines, or two processes sharing the directory as a

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +10,7 @@ import (
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
+	"polis/internal/expr"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
@@ -49,7 +49,8 @@ func TestCacheMemHit(t *testing.T) {
 }
 
 // TestFingerprintSensitivity: the key must change whenever any
-// artifact-influencing option changes, and must be stable otherwise.
+// artifact-influencing option or machine detail changes, and must be
+// stable otherwise.
 func TestFingerprintSensitivity(t *testing.T) {
 	m := goodMachine("fp")
 	base := Fingerprint(m, Options{})
@@ -59,22 +60,122 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if base != Fingerprint(m, Options{Target: vm.HC11()}) {
 		t.Error("explicit default target should not change the fingerprint")
 	}
-	variants := map[string]Options{
-		"ordering":    {Ordering: sgraph.OrderNaive},
-		"target":      {Target: vm.R3K()},
-		"copies":      {Codegen: codegen.Options{OptimizeCopies: true}},
-		"ifthreshold": {Codegen: codegen.Options{IfThreshold: 4}},
-		"falsepaths":  {UseFalsePaths: true},
+	if base != Fingerprint(m, Options{ReduceOpt: sgraph.ReduceOptions{NoShare: true}}) {
+		t.Error("reduce options should not change the key while Reduce is off")
 	}
-	for name, opt := range variants {
-		if Fingerprint(m, opt) == base {
-			t.Errorf("changing %s does not change the fingerprint", name)
+	reduce := func(ro sgraph.ReduceOptions) Options { return Options{Reduce: true, ReduceOpt: ro} }
+	// Every variant must differ from the base and from every other.
+	keys := map[string]string{base: "base"}
+	distinct := func(name, key string) {
+		t.Helper()
+		if other, dup := keys[key]; dup {
+			t.Errorf("%s shares its fingerprint with %s", name, other)
 		}
+		keys[key] = name
 	}
-	if Fingerprint(goodMachine("fp2"), Options{}) == base {
-		t.Error("different module name does not change the fingerprint")
+	for name, opt := range map[string]Options{
+		"ordering":        {Ordering: sgraph.OrderNaive},
+		"target":          {Target: vm.R3K()},
+		"copies":          {Codegen: codegen.Options{OptimizeCopies: true}},
+		"ifthreshold":     {Codegen: codegen.Options{IfThreshold: 4}},
+		"falsepaths":      {UseFalsePaths: true},
+		"reduce":          reduce(sgraph.ReduceOptions{}),
+		"maxiter":         reduce(sgraph.ReduceOptions{MaxIter: 3}),
+		"noshare":         reduce(sgraph.ReduceOptions{NoShare: true}),
+		"nodontcare":      reduce(sgraph.ReduceOptions{NoDontCare: true}),
+		"nostraighten":    reduce(sgraph.ReduceOptions{NoStraighten: true}),
+		"maxcontextnodes": reduce(sgraph.ReduceOptions{MaxContextNodes: 100}),
+	} {
+		distinct(name, Fingerprint(m, opt))
+	}
+	distinct("module name", Fingerprint(goodMachine("fp2"), Options{}))
+
+	for name, shape := range map[string]fpShape{
+		"shape":       {},
+		"pure":        {impure: true},
+		"init":        {init: 1},
+		"domain":      {domain: 4},
+		"exclusive":   {exclusive: true},
+		"action":      {swapActions: true},
+		"association": {rightAssoc: true},
+		"boundary":    {names: [2]string{"a", "bc"}},
+		// Wire requests may carry any bytes in a name; without length
+		// prefixes these two would spell the same stream, the 0x02
+		// inside one name reading as the Ref tag of the next.
+		"ref boundary 1": {refs: [2]string{"x\x02y", "w"}},
+		"ref boundary 2": {refs: [2]string{"x", "y\x02w"}},
+	} {
+		distinct(name, Fingerprint(fpMachine(shape), Options{}))
 	}
 }
+
+// fpShape picks one variation of fpMachine; each field changes one
+// key-relevant detail of the zero shape.
+type fpShape struct {
+	impure      bool      // input "ab" carries a value
+	init        int64     // initial value of state "st"
+	domain      int       // domain of "st" beyond 3
+	exclusive   bool      // the two presence tests form an exclusivity group
+	swapActions bool      // the transition assigns before it emits
+	rightAssoc  bool      // emit x+(y+z) rather than (x+y)+z
+	names       [2]string // input names, when not "ab","c"
+	refs        [2]string // names of x and y in the emitted sum
+}
+
+func fpMachine(s fpShape) *cfsm.CFSM {
+	c := cfsm.New("fp")
+	n1, n2 := "ab", "c"
+	if s.names != [2]string{} {
+		n1, n2 = s.names[0], s.names[1]
+	}
+	in1 := c.AddInput(n1, !s.impure)
+	in2 := c.AddInput(n2, true)
+	out := c.AddOutput("o", false)
+	st := c.AddState("st", 3+s.domain, s.init)
+	x, y, z := expr.V("x"), expr.V("y"), expr.V("z")
+	if s.refs != [2]string{} {
+		x, y = expr.V(s.refs[0]), expr.V(s.refs[1])
+	}
+	sum := expr.Add(expr.Add(x, y), z)
+	if s.rightAssoc {
+		sum = expr.Add(x, expr.Add(y, z))
+	}
+	p1, p2 := c.Present(in1), c.Present(in2)
+	acts := []*cfsm.Action{c.EmitV(out, sum), c.Assign(st, expr.C(1))}
+	if s.swapActions {
+		acts[0], acts[1] = acts[1], acts[0]
+	}
+	c.AddTransition([]cfsm.Cond{cfsm.On(p1, 1)}, acts...)
+	c.AddTransition([]cfsm.Cond{cfsm.On(p1, 0), cfsm.On(p2, 1)}, c.Emit(out))
+	if s.exclusive {
+		c.Exclusive = append(c.Exclusive, []*cfsm.Test{p1, p2})
+	}
+	return c
+}
+
+// TestFingerprintAllocs pins the key's cost: the stream is built in a
+// stack buffer and only the hex key is allocated, so a formatting
+// path creeping back in fails here.
+func TestFingerprintAllocs(t *testing.T) {
+	for _, m := range testNetwork(t, 3, 8).Machines {
+		if n := testing.AllocsPerRun(50, func() { Fingerprint(m, Options{Reduce: true}) }); n > 2 {
+			t.Errorf("module %s: Fingerprint makes %.0f allocations, want <= 2", m.Name, n)
+		}
+	}
+}
+
+// BenchmarkFingerprint measures the cache key of one random module,
+// cycling over a 16-module network.
+func BenchmarkFingerprint(b *testing.B) {
+	machines := testNetwork(b, 42, 16).Machines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = Fingerprint(machines[i%len(machines)], Options{Reduce: true})
+	}
+}
+
+var fpSink string
 
 // TestDiskCacheRoundTrip: a fresh process (fresh in-memory layer) is
 // served from disk, with the serialisable payload intact.
@@ -208,7 +309,7 @@ func TestDiskCacheTruncatedMidWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate mid-way: valid JSON prefix, no closing brace.
+	// Truncate mid-way: a valid prefix cut inside the entry.
 	if err := os.Truncate(path, int64(len(data)/2)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +374,7 @@ func TestCachePublishRace(t *testing.T) {
 		// The only valid on-disk states are the exact serialisations Put
 		// produces for the candidates; byte equality keeps the reader's
 		// validation loop fast enough to sample mid-write states.
-		goods[i], err = json.Marshal(diskEntry{Schema: diskSchema, Module: "race", C: arts[i].C})
-		if err != nil {
-			t.Fatal(err)
-		}
+		goods[i] = encodeEntry(arts[i])
 	}
 	valid := func(data []byte) bool {
 		for _, g := range goods {
@@ -289,7 +387,7 @@ func TestCachePublishRace(t *testing.T) {
 
 	// The reader races the writers: with an atomic publish it can only
 	// ever observe no file or a complete artifact.
-	published := filepath.Join(dir, key+".json")
+	published := filepath.Join(dir, key+".bin")
 	stop := make(chan struct{})
 	torn := make(chan int, 1)
 	var rwg sync.WaitGroup

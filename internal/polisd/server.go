@@ -232,11 +232,11 @@ func (s *Server) finishFlight(j job, a *pipeline.Artifact, out pipeline.Outcome,
 	close(j.fl.done)
 }
 
-// synthesizeModule serves one module: warm-cache fast path, then the
-// server-level singleflight (join an in-flight identical synthesis
-// without occupying a worker), then the admission-gated worker queue.
-func (s *Server) synthesizeModule(ctx context.Context, m *cfsm.CFSM, opt pipeline.Options) (*pipeline.Artifact, pipeline.Outcome, error) {
-	key := pipeline.Fingerprint(m, opt)
+// synthesizeModule serves one module under its fingerprint key:
+// warm-cache fast path, then the server-level singleflight (join an
+// in-flight identical synthesis without occupying a worker), then the
+// admission-gated worker queue.
+func (s *Server) synthesizeModule(ctx context.Context, key string, m *cfsm.CFSM, opt pipeline.Options) (*pipeline.Artifact, pipeline.Outcome, error) {
 	for {
 		if a, fromDisk, ok := s.cache.Get(key); ok {
 			s.col.Event(pipeline.Event{Kind: pipeline.EvCacheHit, Module: m.Name, FromDisk: fromDisk})
@@ -420,10 +420,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	for _, m := range net.Machines {
 		go func(m *cfsm.CFSM) {
 			mt0 := time.Now()
-			a, out, err := s.synthesizeModule(ctx, m, opt)
+			key := pipeline.Fingerprint(m, opt)
+			a, out, err := s.synthesizeModule(ctx, key, m, opt)
 			res := ModuleResult{
 				Module:      m.Name,
-				Fingerprint: pipeline.Fingerprint(m, opt),
+				Fingerprint: key,
 				Cache:       out.String(),
 				Ms:          float64(time.Since(mt0).Microseconds()) / 1000,
 			}
