@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI gate: vet, build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
-# ownership checks enabled under the bdddebug build tag, a bounded
+# ownership and use-after-Release checks enabled under the bdddebug
+# build tag (over the kernel and the two packages that release
+# managers), a bounded
 # native fuzz run of the disk-cache entry decoder, a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
@@ -24,7 +26,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
-go test -tags bdddebug ./internal/bdd/
+go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/
 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/

@@ -43,9 +43,10 @@
 //
 // The kernel follows mature BDD packages (CUDD): per-variable unique
 // tables are flat open-addressing hash tables storing regular node
-// handles (see uniqueTable), and all operations share one fixed-size,
-// direct-mapped, lossy operation cache whose entries carry a
-// generation stamp (see cacheEntry). Before a cache lookup, ITE
+// handles, with deletion by backward shift so no tombstone ever
+// lengthens a probe chain (see uniqueTable), and all operations share
+// one fixed-size, direct-mapped, lossy operation cache whose entries
+// carry a generation stamp (see cacheEntry). Before a cache lookup, ITE
 // normalises its operands to a standard triple (first argument and
 // then-branch regular, complement carried out of the call) and the
 // commuting applies sort theirs, so all equivalent calls share one
@@ -58,9 +59,24 @@
 //
 // Garbage collection marks from the protected roots with an iterative
 // stack (no recursion-depth limit), sweeps the arena, and rebuilds the
-// unique tables tombstone-free and right-sized. Sifting triggers the
-// same collection automatically when swap-orphaned nodes double the
-// live arena (see siftPass).
+// unique tables right-sized. Sifting triggers the same collection
+// automatically when swap-orphaned nodes double the live arena (see
+// siftPass).
+//
+// # Manager lifecycle
+//
+// New draws on a package-level sync.Pool of released managers, and
+// Release returns one to it: the next New reuses its arena, table slot
+// arrays, op cache and scratch, resetting them so the manager behaves
+// exactly like a fresh one (same handles, same table and cache growth,
+// every statistic zero). Only an owner whose handles all die with the
+// manager may release it. In this module that is the pipeline, which
+// releases each module's reactive-function manager once the s-graph is
+// built and the BDD statistics are read, and the s-graph reducer,
+// which releases its care-set space on return. Every other manager is
+// simply dropped and collected by Go's GC. Releasing twice panics;
+// under the bdddebug tag a released manager is never reused and every
+// checked entry point panics on it.
 //
 // # Concurrency
 //
@@ -83,6 +99,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 )
 
 // Node is a handle to a BDD function within a Manager: an arena index
@@ -139,6 +156,8 @@ type Manager struct {
 	visitGen    uint32
 	swapScratch []Node  // swapLevels' affected-node list
 	varCount    []int32 // per-variable live counts during GC
+	blockBuf    []block // blocks' result, reused by every caller
+	slots       slotPool
 
 	// sift holds the incremental reordering-cost state: per-variable
 	// reachable-node counters maintained by swapLevels itself, the
@@ -149,7 +168,8 @@ type Manager struct {
 	liveAfterGC int // live nodes after the most recent collection
 	autoGCMin   int // arena size below which sifting skips auto-GC
 
-	owner int64 // owning goroutine id; only set under the bdddebug tag
+	owner    int64 // owning goroutine id; only set under the bdddebug tag
+	released bool  // Release has run; the manager awaits reuse
 
 	// Stats
 	GCs    int
@@ -190,28 +210,103 @@ type Manager struct {
 	CostEvals int
 }
 
-// New creates an empty manager with no variables.
+// managers holds released Managers for New to reuse.
+var managers sync.Pool
+
+// New creates an empty manager with no variables. It may hand back the
+// storage of a manager an earlier caller released (see Release); a
+// reused manager behaves exactly like a fresh one.
 func New() *Manager {
-	m := &Manager{
-		cache:      make([]cacheEntry, cacheMinSize),
-		cacheShift: uint8(64 - bits.Len(uint(cacheMinSize-1))),
-		cacheGen:   1,
-		roots:      make(map[Node]int),
+	m, _ := managers.Get().(*Manager)
+	if m == nil {
+		m = new(Manager)
 	}
-	if ownerChecks {
-		m.owner = goid()
-	}
-	// The single terminal occupies arena slot 0.
-	m.nodes = append(m.nodes, node{v: -1})
-	m.liveAfterGC = 1
-	m.autoGCMin = 4096
+	m.reset()
 	return m
 }
 
+// Release hands the manager's storage back for reuse by a later New.
+// Every handle into it, and the manager itself, must be dead by then:
+// the caller may not touch either afterwards. Releasing is optional —
+// an unreleased manager is collected by Go's GC as usual — and pays
+// off for short-lived managers built one after another, as the
+// pipeline builds one per module. Releasing twice panics. Under the
+// bdddebug build tag released managers are never reused, and any
+// later call of an entry point panics.
+func (m *Manager) Release() {
+	if m.released {
+		panic("bdd: Manager released twice")
+	}
+	m.released = true
+	if !ownerChecks {
+		managers.Put(m)
+	}
+}
+
+// reset empties the manager into the state New promises: no
+// variables, only the terminal in the arena, every statistic zero and
+// the op cache back at cacheMinSize. It keeps the backing arrays of
+// the arena, the tables (through the slot pool), the op cache and the
+// traversal scratch. The cache and visit generations keep counting,
+// so no stamp left in a reused array can match a new one.
+func (m *Manager) reset() {
+	for v := range m.unique {
+		m.slots.put(m.unique[v].slots)
+	}
+	clear(m.names)
+	clear(m.roots)
+	if m.roots == nil {
+		m.roots = make(map[Node]int)
+	}
+	cache := m.cache[:0]
+	if cap(cache) < cacheMinSize {
+		cache = make([]cacheEntry, cacheMinSize)
+	}
+	st := &m.sift
+	*m = Manager{
+		// The single terminal occupies arena slot 0.
+		nodes:       append(m.nodes[:0], node{v: -1}),
+		unique:      m.unique[:0],
+		free:        m.free[:0],
+		perm:        m.perm[:0],
+		invperm:     m.invperm[:0],
+		names:       m.names[:0],
+		group:       m.group[:0],
+		cache:       cache[:cacheMinSize],
+		cacheShift:  uint8(64 - bits.Len(uint(cacheMinSize-1))),
+		cacheGen:    m.cacheGen,
+		roots:       m.roots,
+		markStack:   m.markStack[:0],
+		visited:     m.visited,
+		visitGen:    m.visitGen,
+		swapScratch: m.swapScratch[:0],
+		varCount:    m.varCount[:0],
+		blockBuf:    m.blockBuf[:0],
+		slots:       m.slots,
+		sift: siftState{
+			ref:      st.ref[:0],
+			keys:     st.keys[:0],
+			interact: st.interact[:0],
+			stack:    st.stack[:0],
+		},
+		liveAfterGC: 1,
+		autoGCMin:   4096,
+	}
+	m.bumpCacheGen()
+	m.CacheResets = 0 // a generation wraparound is no reset of the new life
+	if ownerChecks {
+		m.owner = goid()
+	}
+}
+
 // checkOwner panics when the calling goroutine is not the Manager's
-// owner. It compiles to nothing unless the bdddebug build tag is set.
+// owner, or when the manager has been released. It compiles to nothing
+// unless the bdddebug build tag is set.
 func (m *Manager) checkOwner() {
 	if ownerChecks {
+		if m.released {
+			panic("bdd: Manager used after Release")
+		}
 		if g := goid(); g != m.owner {
 			panic(fmt.Sprintf("bdd: Manager owned by goroutine %d used from goroutine %d; a Manager is single-goroutine (see package doc)", m.owner, g))
 		}
@@ -305,10 +400,11 @@ func (m *Manager) mk(v Var, lo, hi Node) Node {
 	c := hi & 1
 	lo ^= c
 	hi ^= c
-	if n := m.unique[v].lookup(m.nodes, lo, hi); n != 0 {
+	t := &m.unique[v]
+	n, slot := t.find(m.nodes, lo, hi)
+	if n != 0 {
 		return n ^ c
 	}
-	var n Node
 	if len(m.free) > 0 {
 		n = m.free[len(m.free)-1]
 		m.free = m.free[:len(m.free)-1]
@@ -320,7 +416,7 @@ func (m *Manager) mk(v Var, lo, hi Node) Node {
 	if live := len(m.nodes) - len(m.free); live > m.PeakNodes {
 		m.PeakNodes = live
 	}
-	m.unique[v].insert(m.nodes, lo, hi, n)
+	t.insertAt(m.nodes, &m.slots, lo, hi, slot, n)
 	return n ^ c
 }
 
@@ -356,8 +452,8 @@ func (m *Manager) Unprotect(n Node) {
 
 // GC reclaims nodes not reachable from protected roots. The operation
 // cache is invalidated (by generation bump, not reallocation) and the
-// unique tables are rebuilt tombstone-free and right-sized. Handles of
-// collected nodes become invalid.
+// unique tables are rebuilt right-sized. Handles of collected nodes
+// become invalid.
 func (m *Manager) GC() {
 	m.checkOwner()
 	m.gc(nil)
@@ -390,7 +486,7 @@ func (m *Manager) gc(extra []Node) {
 		}
 	}
 	for v := range m.unique {
-		m.unique[v].reset(int(cnt[v]))
+		m.unique[v].reset(&m.slots, int(cnt[v]))
 	}
 	live := 1
 	for i := 1; i < len(m.nodes); i++ {
@@ -401,7 +497,7 @@ func (m *Manager) gc(extra []Node) {
 		}
 		if nd.mark {
 			nd.mark = false
-			m.unique[nd.v].insert(m.nodes, nd.lo, nd.hi, Node(i)<<1)
+			m.unique[nd.v].insert(m.nodes, &m.slots, nd.lo, nd.hi, Node(i)<<1)
 			live++
 			continue
 		}
@@ -647,8 +743,11 @@ func (m *Manager) CheckInvariants() error {
 		t := &m.unique[v]
 		live := 0
 		for _, s := range t.slots {
-			if s == emptySlot || s == tombSlot {
+			if s == emptySlot {
 				continue
+			}
+			if s < 0 || int(s>>1) >= len(m.nodes) {
+				return fmt.Errorf("unique[%d] holds %d, which is no arena handle (a tombstone?)", v, s)
 			}
 			if s&1 != 0 {
 				return fmt.Errorf("unique[%d] holds complemented handle %d", v, s)
@@ -668,9 +767,9 @@ func (m *Manager) CheckInvariants() error {
 		if live != int(t.count) {
 			return fmt.Errorf("unique[%d]: count %d but %d live slots", v, t.count, live)
 		}
-		if len(t.slots) > 0 && (int(t.count)+int(t.tombs))*4 > len(t.slots)*3 {
-			return fmt.Errorf("unique[%d]: load factor above 3/4 (%d live + %d tombs in %d slots)",
-				v, t.count, t.tombs, len(t.slots))
+		if int(t.count)*4 > len(t.slots)*3 {
+			return fmt.Errorf("unique[%d]: load factor above 3/4 (%d live in %d slots)",
+				v, t.count, len(t.slots))
 		}
 	}
 	// Order permutation consistency.

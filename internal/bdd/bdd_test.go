@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // evalAll exhaustively evaluates f over all assignments of nvars
@@ -546,7 +547,12 @@ func BenchmarkIteDeep(b *testing.B) {
 	}
 }
 
+// BenchmarkSift builds and sifts a badly interleaved function; ns/op
+// covers both, ns/swap times the Sift calls alone over the adjacent
+// swaps they performed.
 func BenchmarkSift(b *testing.B) {
+	var sift time.Duration
+	swaps := 0
 	for i := 0; i < b.N; i++ {
 		m := New()
 		vs := newVars(m, 12)
@@ -556,8 +562,13 @@ func BenchmarkSift(b *testing.B) {
 			f = m.Or(f, m.And(m.VarNode(vs[j]), m.VarNode(vs[j+6])))
 		}
 		m.Protect(f)
+		t := time.Now()
 		m.Sift(SiftOptions{})
+		sift += time.Since(t)
+		swaps += m.Swaps
+		m.Release()
 	}
+	b.ReportMetric(float64(sift.Nanoseconds())/float64(swaps), "ns/swap")
 }
 
 func TestDot(t *testing.T) {

@@ -85,13 +85,13 @@ func (m *Manager) cacheStore(op int32, f, g, h, res Node) {
 
 // bumpCacheGen invalidates every cache entry in O(1) by advancing the
 // generation stamp. On the (practically unreachable) uint32 wraparound
-// the table is cleared in place so stale generations cannot alias.
+// the whole backing array — spare capacity included, which a later
+// growth reslices — is cleared in place so stale generations cannot
+// alias.
 func (m *Manager) bumpCacheGen() {
 	m.cacheGen++
 	if m.cacheGen == 0 {
-		for i := range m.cache {
-			m.cache[i] = cacheEntry{}
-		}
+		clear(m.cache[:cap(m.cache)])
 		m.cacheGen = 1
 		m.CacheResets++
 	}
@@ -101,7 +101,9 @@ func (m *Manager) bumpCacheGen() {
 // up to cacheMaxSize. It is called only from public operation entry
 // points — never from swapLevels or GC — so a full sift pass performs
 // zero cache reallocations (see the CacheResets stat and its
-// regression test).
+// regression test). A reused manager reslices the spare capacity an
+// earlier life left behind; the generation bump invalidates whatever
+// that capacity still holds, exactly as a fresh array would be empty.
 func (m *Manager) maybeGrowCache() {
 	if len(m.cache) >= cacheMaxSize || len(m.nodes) <= len(m.cache)*2 {
 		return
@@ -110,8 +112,12 @@ func (m *Manager) maybeGrowCache() {
 	for size*2 < len(m.nodes) && size < cacheMaxSize {
 		size *= 2
 	}
-	m.cache = make([]cacheEntry, size)
+	if size <= cap(m.cache) {
+		m.cache = m.cache[:size]
+	} else {
+		m.cache = make([]cacheEntry, size)
+	}
 	m.cacheShift = uint8(64 - bits.Len(uint(size-1)))
-	m.cacheGen = 1
+	m.bumpCacheGen()
 	m.CacheResets++
 }

@@ -173,9 +173,9 @@ func indexOf(vs []Var, v Var) int {
 
 // TestUniqueTableChurn drives the open-addressing tables through heavy
 // delete/reinsert traffic (repeated GC cycles over changing live sets)
-// and checks the invariants after every collection — tombstone
-// accounting, probe-chain reachability and table shrinking all get
-// exercised.
+// and checks the invariants after every collection — live-entry
+// counts, the absence of tombstones, probe-chain reachability and
+// table shrinking all get exercised.
 func TestUniqueTableChurn(t *testing.T) {
 	m := New()
 	vs := newVars(m, 8)

@@ -82,3 +82,35 @@ func TestOwnerCheckCoversMutatingHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestUseAfterReleasePanics verifies that, under the bdddebug tag, a
+// released manager is never handed out again and every checked entry
+// point panics on it, so a stale pointer held past Release is caught
+// at its first use instead of corrupting the manager's next life.
+func TestUseAfterReleasePanics(t *testing.T) {
+	m := New()
+	v := m.NewVar("a")
+	a := m.VarNode(v)
+	m.Release()
+	if New() == m {
+		t.Fatal("New handed out a released manager under bdddebug")
+	}
+	calls := map[string]func(){
+		"NewVar":  func() { m.NewVar("b") },
+		"VarNode": func() { m.VarNode(v) },
+		"And":     func() { m.And(a, a) },
+		"Protect": func() { m.Protect(a) },
+		"GC":      func() { m.GC() },
+		"Sift":    func() { m.Sift(SiftOptions{}) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic under bdddebug", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -43,7 +43,7 @@ func (m *Manager) swapLevels(x int) int {
 	tu := &m.unique[u]
 	affected := m.swapScratch[:0]
 	for _, n := range tu.slots {
-		if n == emptySlot || n == tombSlot {
+		if n == emptySlot {
 			continue
 		}
 		nd := &m.nodes[n>>1]
@@ -78,14 +78,17 @@ func (m *Manager) swapLevels(x int) int {
 		n0 := m.mk(u, f00, f10)
 		n1 := m.mk(u, f01, f11)
 		// Relabel n in place as a v-node. A collision with an
-		// existing v-node is impossible for reduced diagrams.
-		if old := m.unique[v].lookup(m.nodes, n0, n1); old != 0 && old != n {
+		// existing v-node is impossible for reduced diagrams; the
+		// probe that proves it also finds the slot n moves into.
+		tv := &m.unique[v]
+		old, slot := tv.find(m.nodes, n0, n1)
+		if old != 0 {
 			panic(fmt.Sprintf("bdd: swap collision at level %d (node %d vs %d)", x, old, n))
 		}
 		m.nodes[n>>1].v = v
 		m.nodes[n>>1].lo = n0
 		m.nodes[n>>1].hi = n1
-		m.unique[v].insert(m.nodes, n0, n1, n)
+		tv.insertAt(m.nodes, &m.slots, n0, n1, slot, n)
 		// Cost bookkeeping, per polarity: the cost counters track
 		// classical (node, polarity) pairs, so each cost-reachable
 		// polarity of n moves its own count from u to v and re-points
@@ -151,8 +154,10 @@ type block struct {
 	size  int // number of levels
 }
 
+// blocks returns the current reordering blocks, top to bottom. The
+// slice is the manager's scratch: valid until the next blocks call.
 func (m *Manager) blocks() []block {
-	var out []block
+	out := m.blockBuf[:0]
 	n := len(m.invperm)
 	for lvl := 0; lvl < n; {
 		g := m.group[m.invperm[lvl]]
@@ -163,6 +168,7 @@ func (m *Manager) blocks() []block {
 		out = append(out, block{gid: g, start: lvl, size: sz})
 		lvl += sz
 	}
+	m.blockBuf = out
 	return out
 }
 

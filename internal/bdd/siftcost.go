@@ -1,6 +1,9 @@
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Incremental sifting cost. The classical sifter re-measured
 // Size(roots...) — a full DAG traversal — after every adjacent swap,
@@ -118,9 +121,11 @@ func (m *Manager) costRefAdd(n Node) {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		// mk may have grown the arena past the rebuilt counter array;
-		// fresh slots start unreferenced.
-		for int(w) >= len(st.ref) {
-			st.ref = append(st.ref, 0)
+		// one grow covers every handle of the current arena, and fresh
+		// slots start unreferenced.
+		if n := len(st.ref); int(w) >= n {
+			st.ref = slices.Grow(st.ref, 2*len(m.nodes)-n)[:2*len(m.nodes)]
+			clear(st.ref[n:])
 		}
 		st.ref[w]++
 		if st.ref[w] == 1 {

@@ -303,6 +303,7 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 	}
 	sp := mvar.NewSpace()
 	m := sp.M
+	defer m.Release()
 	mvOf := make(map[*cfsm.Test]*mvar.MV, len(tests))
 	for _, t := range tests {
 		mvOf[t] = sp.NewMV(t.Name(), t.Arity(), mvar.Input)
