@@ -43,6 +43,8 @@ run_benches() {
     bdd)
         go test -run '^$' -bench 'BenchmarkTable2Orderings|BenchmarkSynthesizeNetwork|BenchmarkAblationReduce|BenchmarkCharFn' \
             -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} .
+        # Every kernel benchmark, BenchmarkSiftModules (ns/swap over a
+        # fixed random network's reactive functions) included.
         go test -run '^$' -bench . -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/bdd/
         go test -run '^$' -bench 'BenchmarkFingerprint' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
