@@ -13,8 +13,11 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"polis/internal/expr"
 )
@@ -226,56 +229,117 @@ func (p *Program) Resolve() error {
 	return err
 }
 
-// Listing renders a human-readable assembly listing.
+// Listing renders a human-readable assembly listing. Every artifact
+// carries one, so it is built with append and strconv rather than fmt.
 func (p *Program) Listing() string {
-	byIndex := make(map[int][]string)
+	type mark struct {
+		at   int
+		name string
+	}
+	marks := make([]mark, 0, len(p.Labels))
 	for l, i := range p.Labels {
-		byIndex[i] = append(byIndex[i], l)
+		marks = append(marks, mark{i, l})
 	}
-	for _, ls := range byIndex {
-		sort.Strings(ls)
-	}
-	var b []byte
-	appendf := func(format string, args ...interface{}) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	appendf("; routine %s (%d words of data)\n", p.Name, p.Words)
-	for i, in := range p.Instrs {
-		for _, l := range byIndex[i] {
-			appendf("%s:\n", l)
+	slices.SortFunc(marks, func(a, b mark) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), strings.Compare(a.name, b.name))
+	})
+	b := make([]byte, 0, 32*(len(p.Instrs)+len(marks)+1))
+	labelsAt := func(i int) {
+		for ; len(marks) > 0 && marks[0].at <= i; marks = marks[1:] {
+			if marks[0].at == i { // a label set out of range is not listed
+				b = append(b, marks[0].name...)
+				b = append(b, ":\n"...)
+			}
 		}
-		appendf("  %-5s", in.Op)
+	}
+	reg := func(r int) { b = strconv.AppendInt(append(b, 'r'), int64(r), 10) }
+	b = append(b, "; routine "...)
+	b = append(b, p.Name...)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(p.Words), 10)
+	b = append(b, " words of data)\n"...)
+	for i, in := range p.Instrs {
+		labelsAt(i)
+		b = append(b, "  "...)
+		op := in.Op.String()
+		b = append(b, op...)
+		for k := len(op); k < 5; k++ {
+			b = append(b, ' ')
+		}
 		switch in.Op {
 		case LDI:
-			appendf(" r%d, #%d", in.Rd, in.Imm)
+			b = append(b, ' ')
+			reg(in.Rd)
+			b = append(b, ", #"...)
+			b = strconv.AppendInt(b, in.Imm, 10)
 		case LD:
-			appendf(" r%d, [%d]", in.Rd, in.Addr)
+			b = append(b, ' ')
+			reg(in.Rd)
+			b = append(b, ", ["...)
+			b = strconv.AppendInt(b, int64(in.Addr), 10)
+			b = append(b, ']')
 		case ST:
-			appendf(" [%d], r%d", in.Addr, in.Rs)
+			b = append(b, " ["...)
+			b = strconv.AppendInt(b, int64(in.Addr), 10)
+			b = append(b, "], "...)
+			reg(in.Rs)
 		case MOV:
-			appendf(" r%d, r%d", in.Rd, in.Rs)
+			b = append(b, ' ')
+			reg(in.Rd)
+			b = append(b, ", "...)
+			reg(in.Rs)
 		case ALU:
-			appendf("."+in.AOp.Name()+" r%d, r%d", in.Rd, in.Rs)
+			b = append(b, '.')
+			b = append(b, in.AOp.Name()...)
+			b = append(b, ' ')
+			reg(in.Rd)
+			b = append(b, ", "...)
+			reg(in.Rs)
 		case NEG, NOT:
-			appendf(" r%d", in.Rd)
+			b = append(b, ' ')
+			reg(in.Rd)
 		case BR:
-			appendf(".%s r%d, r%d, %s", in.Cond, in.Rs, in.Rt, in.Label)
+			b = append(b, '.')
+			b = append(b, in.Cond.String()...)
+			b = append(b, ' ')
+			reg(in.Rs)
+			b = append(b, ", "...)
+			reg(in.Rt)
+			b = append(b, ", "...)
+			b = append(b, in.Label...)
 		case BRZ, BRNZ:
-			appendf(" r%d, %s", in.Rs, in.Label)
+			b = append(b, ' ')
+			reg(in.Rs)
+			b = append(b, ", "...)
+			b = append(b, in.Label...)
 		case JMP:
-			appendf(" %s", in.Label)
+			b = append(b, ' ')
+			b = append(b, in.Label...)
 		case JTAB:
-			appendf(" r%d, %v", in.Rs, in.Table)
+			b = append(b, ' ')
+			reg(in.Rs)
+			b = append(b, ", ["...)
+			for k, l := range in.Table {
+				if k > 0 {
+					b = append(b, ' ')
+				}
+				b = append(b, l...)
+			}
+			b = append(b, ']')
 		case SVC:
-			appendf(" #%d, sig=%d, r%d", in.Num, in.Imm, in.Rs)
+			b = append(b, " #"...)
+			b = strconv.AppendInt(b, int64(in.Num), 10)
+			b = append(b, ", sig="...)
+			b = strconv.AppendInt(b, in.Imm, 10)
+			b = append(b, ", "...)
+			reg(in.Rs)
 		}
 		if in.Comment != "" {
-			appendf("  ; %s", in.Comment)
+			b = append(b, "  ; "...)
+			b = append(b, in.Comment...)
 		}
 		b = append(b, '\n')
 	}
-	for _, l := range byIndex[len(p.Instrs)] {
-		appendf("%s:\n", l)
-	}
+	labelsAt(len(p.Instrs))
 	return string(b)
 }

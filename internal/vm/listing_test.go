@@ -1,0 +1,97 @@
+package vm
+
+import (
+	"strings"
+	"testing"
+
+	"polis/internal/expr"
+)
+
+// listingProgram exercises every opcode and every operand shape of the
+// listing format: negative immediates, each branch condition, an empty
+// and a populated jump table, co-located labels (listed in name
+// order), a label past the last instruction, and comments.
+func listingProgram() *Program {
+	p := NewProgram("golden")
+	p.Alloc("x")
+	p.Alloc("y")
+	mark := func(l string) {
+		if err := p.Mark(l); err != nil {
+			panic(err)
+		}
+	}
+	mark("entry")
+	mark("b_start")
+	p.Emit(Instr{Op: NOP})
+	p.Emit(Instr{Op: LDI, Rd: 1, Imm: -42, Comment: "v3 init"})
+	p.Emit(Instr{Op: LDI, Rd: 12, Imm: 9223372036854775807})
+	p.Emit(Instr{Op: LD, Rd: 2, Addr: 1})
+	p.Emit(Instr{Op: ST, Addr: 0, Rs: 2})
+	p.Emit(Instr{Op: MOV, Rd: 3, Rs: 1})
+	p.Emit(Instr{Op: ALU, AOp: expr.OpAdd, Rd: 1, Rs: 2})
+	p.Emit(Instr{Op: ALU, AOp: expr.OpMod, Rd: 4, Rs: 5, Comment: "100% taken"})
+	p.Emit(Instr{Op: NEG, Rd: 1})
+	p.Emit(Instr{Op: NOT, Rd: 7})
+	mark("loop")
+	for c := CondEQ; c <= CondGE; c++ {
+		p.Emit(Instr{Op: BR, Cond: c, Rs: 1, Rt: 2, Label: "loop"})
+	}
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "entry"})
+	p.Emit(Instr{Op: BRNZ, Rs: 11, Label: "out"})
+	p.Emit(Instr{Op: JMP, Label: "out", Comment: "v7 -> end"})
+	p.Emit(Instr{Op: JTAB, Rs: 3, Table: []string{"loop", "entry", "out"}})
+	p.Emit(Instr{Op: JTAB, Rs: 4})
+	p.Emit(Instr{Op: SVC, Num: SvcPresent, Imm: 2, Rs: 0})
+	p.Emit(Instr{Op: SVC, Num: SvcEmitV, Imm: -1, Rs: 6, Comment: "emit %v"})
+	mark("z_mid")
+	mark("a_mid")
+	mark("m_mid")
+	p.Emit(Instr{Op: HALT})
+	mark("out")
+	mark("end")
+	return p
+}
+
+// TestListingGolden pins the listing format byte for byte. Every line
+// of generated object code in the artifact cache and in the recorded
+// golden outputs goes through this format.
+func TestListingGolden(t *testing.T) {
+	want := strings.Join([]string{
+		"; routine golden (2 words of data)",
+		"b_start:",
+		"entry:",
+		"  nop  ",
+		"  ldi   r1, #-42  ; v3 init",
+		"  ldi   r12, #9223372036854775807",
+		"  ld    r2, [1]",
+		"  st    [0], r2",
+		"  mov   r3, r1",
+		"  alu  .ADD r1, r2",
+		"  alu  .MOD r4, r5  ; 100% taken",
+		"  neg   r1",
+		"  not   r7",
+		"loop:",
+		"  br   .eq r1, r2, loop",
+		"  br   .ne r1, r2, loop",
+		"  br   .lt r1, r2, loop",
+		"  br   .le r1, r2, loop",
+		"  br   .gt r1, r2, loop",
+		"  br   .ge r1, r2, loop",
+		"  brz   r0, entry",
+		"  brnz  r11, out",
+		"  jmp   out  ; v7 -> end",
+		"  jtab  r3, [loop entry out]",
+		"  jtab  r4, []",
+		"  svc   #0, sig=2, r0",
+		"  svc   #3, sig=-1, r6  ; emit %v",
+		"a_mid:",
+		"m_mid:",
+		"z_mid:",
+		"  halt ",
+		"end:",
+		"out:",
+	}, "\n") + "\n"
+	if got := listingProgram().Listing(); got != want {
+		t.Errorf("listing changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
