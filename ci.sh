@@ -2,8 +2,10 @@
 # CI gate: vet, build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
 # ownership and use-after-Release checks enabled under the bdddebug
-# build tag (over the kernel and the two packages that release
-# managers), a bounded
+# build tag (over the kernel, the two packages that release managers
+# and the two that sift reactive functions, where the per-swap sift-cost
+# audit also checks that the unique tables hold only live nodes), a
+# bounded
 # native fuzz run of the disk-cache entry decoder, a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
@@ -26,7 +28,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
-go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/
+go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/

@@ -59,8 +59,14 @@
 //
 // Garbage collection marks from the protected roots with an iterative
 // stack (no recursion-depth limit), sweeps the arena, and rebuilds the
-// unique tables right-sized. Sifting triggers the same collection
-// automatically when swap-orphaned nodes double the live arena (see
+// unique tables right-sized. Outside sifting it is the only way nodes
+// are reclaimed. Inside a sift pass, when every protected root is one
+// of the roots being sifted for, the swaps reclaim nodes themselves:
+// the pass's reference counts (see siftcost.go) show the moment a node
+// dies, and it leaves its unique table and returns its arena slot to
+// the free list at once, so the tables hold only live nodes for the
+// whole pass. Otherwise swap orphans stay in the tables, and sifting
+// collects automatically when they double the live arena (see
 // siftPass).
 //
 // # Manager lifecycle

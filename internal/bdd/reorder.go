@@ -286,8 +286,12 @@ func (m *Manager) enforcePrecedence(precede func(a, b int32) bool) {
 func (m *Manager) siftPass(opts SiftOptions) {
 	m.SiftPasses++
 	// Pass-start collection: drop the orphans earlier swaps left in
-	// the tables, so table population equals reachable size and the
-	// slot scans in swapLevels stay proportional to live nodes.
+	// the tables (precedence enforcement runs untracked, and a pass
+	// with frees off keeps its orphans), so table population equals
+	// reachable size and the slot scans in swapLevels stay
+	// proportional to live nodes. With frees on (see siftcost.go) the
+	// swaps of this pass then keep it that way by freeing each node
+	// the moment it dies.
 	m.gc(m.sift.roots)
 	m.rebuildSiftCost()
 	m.sift.on = true
@@ -316,12 +320,14 @@ func (m *Manager) siftPass(opts SiftOptions) {
 	})
 	for _, gid := range order {
 		m.siftBlock(gid, opts)
-		// Automatic collection: adjacent swaps orphan re-expressed
-		// nodes, and dead nodes both waste memory and slow the swap
-		// scans. Collect when the dead ratio is high — the arena has
-		// doubled since the last GC — marking the cost roots as extra
-		// roots so unprotected cost functions survive. The collection
-		// recycles arena slots, so the cost counters are rebuilt.
+		// Automatic collection: with frees off, adjacent swaps leave
+		// re-expressed nodes in the tables as orphans, and dead nodes
+		// both waste memory and slow the swap scans. Collect when the
+		// dead ratio is high — the arena has doubled since the last
+		// GC — marking the cost roots as extra roots so unprotected
+		// cost functions survive. With frees on the arena holds only
+		// live nodes and this rarely fires. The collection recycles
+		// arena slots, so the cost counters are rebuilt.
 		if live := m.NumNodes(); live > m.autoGCMin && live > 2*m.liveAfterGC {
 			m.gc(m.sift.roots)
 			m.rebuildSiftCost()

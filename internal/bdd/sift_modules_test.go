@@ -14,14 +14,15 @@ import (
 // characteristic function, sift it with each output after its
 // support, release the manager for the next module. ns/op and B/op
 // cover the whole loop; ns/swap times the sifts alone over their
-// adjacent swaps.
+// adjacent swaps; peak-nodes sums the modules' peak arena sizes, a
+// deterministic figure that falls when swaps free dead nodes.
 func BenchmarkSiftModules(b *testing.B) {
 	net, _, err := randcfsm.NewNetwork(rand.New(rand.NewSource(7)), 24, randcfsm.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sift time.Duration
-	swaps := 0
+	swaps, peak := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,8 +35,10 @@ func BenchmarkSiftModules(b *testing.B) {
 			r.SiftOutputsAfterSupport()
 			sift += time.Since(t)
 			swaps += r.Space.M.Swaps
+			peak += r.Space.M.PeakNodes
 			r.Space.M.Release()
 		}
 	}
 	b.ReportMetric(float64(sift.Nanoseconds())/float64(swaps), "ns/swap")
+	b.ReportMetric(float64(peak)/float64(b.N), "peak-nodes")
 }

@@ -25,14 +25,27 @@ import (
 // from cost-reachable parents plus the times h occurs in the root
 // list, so ref[h] > 0 exactly when that subfunction is reachable from
 // the cost roots. This matters
-// because adjacent swaps orphan re-expressed children: the orphans
-// stay in the unique tables until the next collection, and a cost
-// that merely summed table populations would count them and diverge
+// because adjacent swaps orphan re-expressed children, and a cost that
+// merely summed table populations would count the orphans and diverge
 // from the Size(roots...) the classical sifter minimised. Tracking
 // reachability keeps the incremental cost byte-identical to the old
 // cost at every step (the bdddebug build asserts this after every
 // swap), so final orderings — and everything synthesized from them —
 // are unchanged.
+//
+// The same counts reclaim the orphans, as CUDD does during
+// reordering. When every protected root is itself a cost root, every
+// live node is cost-reachable (the pass-start collection keeps only
+// what the protected and cost roots reach), so a physical node whose
+// two polarities both drop to ref 0 is garbage: costRefDel deletes it
+// from its unique table and frees its arena slot on the spot, and the
+// tables hold only live nodes for the whole pass. rebuildSiftCost
+// decides this once per rebuild and records it in frees. With any
+// protected root outside the cost roots the guard stays off: such a
+// root may be reachable from the cost roots now and stop being so
+// after a swap, and freeing it would invalidate a handle the caller
+// still holds. Orphans then stay in their unique tables until the
+// next collection.
 //
 // An adjacent swap only changes which nodes are cost-reachable at the
 // two swapped levels: every grandchild cofactor is re-referenced by
@@ -43,6 +56,7 @@ import (
 // sound (see reorder.go).
 type siftState struct {
 	on    bool    // cost tracking active (inside a sift pass)
+	frees bool    // dead nodes are freed at once (every protected root is a cost root)
 	roots []Node  // resolved cost roots, fixed for one Sift call
 	ref   []int32 // per-node edge count from the cost-reachable region
 	keys  []int32 // per-Var count of cost-reachable nodes
@@ -103,6 +117,21 @@ func (m *Manager) rebuildSiftCost() {
 	for _, r := range st.roots {
 		m.costRefAdd(r)
 	}
+	st.frees = m.protectedAreCostRoots()
+}
+
+// protectedAreCostRoots reports whether every protected root occurs in
+// the cost root list. The root-list reference then keeps each one
+// counted through every swap, and together with the collection that
+// precedes every rebuild it makes cost-reachability and liveness the
+// same thing, which is what lets costRefDel free a node at death.
+func (m *Manager) protectedAreCostRoots() bool {
+	for r := range m.roots {
+		if !r.IsConst() && !slices.Contains(m.sift.roots, r) {
+			return false
+		}
+	}
+	return true
 }
 
 // costRefAdd records one new reference into the cost-reachable region:
@@ -146,9 +175,10 @@ func (m *Manager) costRefAdd(n Node) {
 
 // costRefDel removes one reference; a node leaving the region
 // (1 → 0) stops being counted and withdraws its references from its
-// children. The node itself stays in its unique table as an orphan
-// until the next collection — cost tracking is deliberately
-// independent of table population.
+// children. When frees is on and the node's other polarity is already
+// unreferenced, the physical node is dead: it leaves its unique table
+// and its arena slot goes on the free list for mk to reuse. Otherwise
+// it stays in its table as an orphan until the next collection.
 func (m *Manager) costRefDel(n Node) {
 	if n.IsConst() {
 		return
@@ -169,6 +199,11 @@ func (m *Manager) costRefDel(n Node) {
 			}
 			if hi := nd.hi ^ c; !hi.IsConst() {
 				stack = append(stack, hi)
+			}
+			if st.frees && st.ref[w^1] == 0 {
+				m.unique[nd.v].delete(m.nodes, nd.lo, nd.hi)
+				nd.dead = true
+				m.free = append(m.free, w&^1)
 			}
 		}
 	}
@@ -328,6 +363,31 @@ func (m *Manager) verifySiftCost(where string) {
 	for i := range st.ref {
 		if st.ref[i] != want[Node(i)] {
 			panic(fmt.Sprintf("bdd: %s: ref[%d] = %d, want %d", where, i, st.ref[i], want[Node(i)]))
+		}
+	}
+	if !st.frees {
+		return
+	}
+	// Free-at-death audit: the tables hold only live nodes — every
+	// entry has a cost-referenced polarity — and no freed slot is
+	// still filed in a table.
+	for v := range m.unique {
+		for _, s := range m.unique[v].slots {
+			if s == emptySlot {
+				continue
+			}
+			if m.nodes[s>>1].dead {
+				panic(fmt.Sprintf("bdd: %s: unique[%s] holds freed node %d", where, m.names[v], s>>1))
+			}
+			if int(s|1) >= len(st.ref) || st.ref[s] == 0 && st.ref[s|1] == 0 {
+				panic(fmt.Sprintf("bdd: %s: unique[%s] holds node %d with no live polarity", where, m.names[v], s>>1))
+			}
+		}
+	}
+	for _, f := range m.free {
+		nd := &m.nodes[f>>1]
+		if !nd.dead {
+			panic(fmt.Sprintf("bdd: %s: free list holds live node %d", where, f>>1))
 		}
 	}
 }

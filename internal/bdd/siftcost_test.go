@@ -126,3 +126,114 @@ func TestSiftLowerBoundPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSwapFreesAtDeath drives swapLevels with cost tracking on and
+// every protected root a cost root, so nodes are freed the moment they
+// die. After every swap the unique tables must hold exactly the
+// physical nodes with a cost-referenced polarity, every arena slot
+// off the free list must be one of them, and the kernel invariants
+// must hold.
+func TestSwapFreesAtDeath(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
+		r := rand.New(rand.NewSource(int64(9400 + trial)))
+		m := New()
+		vs := newVars(m, 10)
+		var roots []Node
+		for i := 0; i < 3; i++ {
+			f := randomFunc(m, vs, r)
+			m.Protect(f)
+			roots = append(roots, f)
+		}
+		truth := truthTables(m, roots, len(vs))
+		m.sift.roots = roots
+		m.gc(m.sift.roots)
+		m.rebuildSiftCost()
+		if !m.sift.frees {
+			t.Fatalf("trial %d: frees off with every protected root a cost root", trial)
+		}
+		m.sift.on = true
+		freed := 0
+		for sweep := 0; sweep < 3; sweep++ {
+			for x := 0; x+1 < m.NumVars(); x++ {
+				free := len(m.free)
+				m.swapLevels(x)
+				if len(m.free) > free {
+					freed += len(m.free) - free
+				}
+				pop := 0
+				for v := range m.unique {
+					pop += int(m.unique[v].count)
+				}
+				live := 0
+				for i := 1; i < len(m.nodes); i++ {
+					if h := 2 * i; h+1 < len(m.sift.ref) && (m.sift.ref[h] > 0 || m.sift.ref[h+1] > 0) {
+						live++
+					}
+				}
+				if pop != live || pop != m.NumNodes()-1 {
+					t.Fatalf("trial %d sweep %d level %d: %d table entries, %d live nodes, %d arena nodes",
+						trial, sweep, x, pop, live, m.NumNodes()-1)
+				}
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("trial %d sweep %d level %d: %v", trial, sweep, x, err)
+				}
+			}
+		}
+		m.sift.on = false
+		m.sift.roots = nil
+		if trial == 0 && freed == 0 {
+			t.Fatal("no node was freed at death; the scenario is degenerate")
+		}
+		if !reflect.DeepEqual(truthTables(m, roots, len(vs)), truth) {
+			t.Fatalf("trial %d: swaps changed a protected function", trial)
+		}
+	}
+}
+
+// TestSiftGuardOffKeepsProtectedRoots sifts for a cost root list that
+// leaves a protected root out. Freeing at death must stay off, so the
+// protected function survives live and with its truth table intact,
+// both when no cost root reaches it and when it is a subfunction of
+// the cost root that a swap can stop sharing (f = a ∧ g: moving a
+// below g's variables re-expresses f without g's root node).
+func TestSiftGuardOffKeepsProtectedRoots(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		reachable := trial%2 == 0
+		r := rand.New(rand.NewSource(int64(9500 + trial)))
+		m := New()
+		vs := newVars(m, 8)
+		g := randomFunc(m, vs[1:], r)
+		f := m.And(m.VarNode(vs[0]), g)
+		p := g
+		if !reachable {
+			p = randomFunc(m, vs, r)
+		}
+		m.Protect(p)
+		truth := truthTables(m, []Node{p}, len(vs))
+		m.Sift(SiftOptions{Roots: []Node{f}, Passes: 2})
+		if m.sift.frees {
+			t.Fatalf("trial %d: frees on with a protected root outside the cost roots", trial)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if m.nodes[p>>1].dead {
+			t.Fatalf("trial %d (reachable %v): protected root %d was freed", trial, reachable, p)
+		}
+		if !reflect.DeepEqual(truthTables(m, []Node{p}, len(vs)), truth) {
+			t.Fatalf("trial %d (reachable %v): sifting changed a protected function", trial, reachable)
+		}
+	}
+}
+
+// truthTables evaluates each function on every assignment of the
+// first n variables.
+func truthTables(m *Manager, fs []Node, n int) [][]bool {
+	out := make([][]bool, len(fs))
+	for i, f := range fs {
+		for a := 0; a < 1<<n; a++ {
+			out[i] = append(out[i], m.Eval(f, func(v Var) bool { return a&(1<<uint(v)) != 0 }))
+		}
+	}
+	return out
+}

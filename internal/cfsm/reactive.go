@@ -17,17 +17,27 @@ import (
 // where f_j(x) is the disjunction of the guards of the transitions
 // containing action j. Each test is one (possibly multi-valued) Input
 // variable; each action is one Boolean Output variable.
+//
+// Sifting consumes ActFuncs and Care: both Sift methods unprotect
+// them and reset them to nil and False, so the reordering carries the
+// characteristic function alone and the BDD kernel can free every
+// node that dies during a swap (see bdd's siftcost.go). After sifting
+// only Chi is valid; take Supports first if the firing functions are
+// still needed.
 type Reactive struct {
 	C        *CFSM
 	Space    *mvar.Space
 	TestVars []*mvar.MV // parallel to C.Tests
 	ActVars  []*mvar.MV // parallel to C.Actions
 	Chi      bdd.Node
-	// ActFuncs[j] = f_j(x), the firing condition of action j.
+	// ActFuncs[j] = f_j(x), the firing condition of action j. Nil
+	// after sifting.
 	ActFuncs []bdd.Node
 	// Care is the conjunction of mutual-exclusion constraints from
-	// C.Exclusive; snapshots outside Care cannot occur. It is used
-	// by false-path analysis in estimation.
+	// C.Exclusive; snapshots outside Care cannot occur. Nothing in
+	// the synthesis flow reads it (false-path estimation and the
+	// s-graph reducer take C.Exclusive directly); it is kept for
+	// callers that want the constraint as a BDD. False after sifting.
 	Care bdd.Node
 }
 
@@ -105,15 +115,37 @@ func (r *Reactive) Supports() map[*mvar.MV][]*mvar.MV {
 // SiftOutputsAfterSupport optimises the variable order by dynamic
 // sifting under the paper's default constraint (each output after its
 // own support). This is the configuration the paper reports best
-// results with (Table II, second row).
+// results with (Table II, second row). It consumes ActFuncs and Care
+// (see Reactive).
 func (r *Reactive) SiftOutputsAfterSupport() {
-	r.Space.SiftOutputsAfterSupport(r.Supports(), r.Chi)
+	if r.ActFuncs == nil {
+		// Supports would come back empty and the sift unconstrained.
+		panic("cfsm: SiftOutputsAfterSupport on a Reactive that was already sifted")
+	}
+	sup := r.Supports()
+	r.dropNonChiRoots()
+	r.Space.SiftOutputsAfterSupport(sup, r.Chi)
 }
 
 // SiftOutputsAfterAllInputs optimises with the stronger restriction
-// that all outputs appear after all inputs (Table II, first row).
+// that all outputs appear after all inputs (Table II, first row). It
+// consumes ActFuncs and Care (see Reactive).
 func (r *Reactive) SiftOutputsAfterAllInputs() {
+	r.dropNonChiRoots()
 	r.Space.SiftOutputsAfterAllInputs(r.Chi)
+}
+
+// dropNonChiRoots unprotects the firing functions and the care set,
+// leaving Chi the only protected root, so sifting neither reorders
+// them nor keeps their nodes alive.
+func (r *Reactive) dropNonChiRoots() {
+	m := r.Space.M
+	for _, f := range r.ActFuncs {
+		m.Unprotect(f)
+	}
+	m.Unprotect(r.Care)
+	r.ActFuncs = nil
+	r.Care = bdd.False
 }
 
 // EvalChi evaluates the characteristic function on explicit test
