@@ -51,6 +51,10 @@ run_benches() {
     sim)
         go test -run '^$' -bench 'BenchmarkSimThroughput|BenchmarkSimSpecialization' \
             -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/sim/
+        # The VM layer alone: ns and cycles per reaction over the
+        # paper's designs.
+        go test -run '^$' -bench 'BenchmarkMachineRun' \
+            -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/vm/
         ;;
     synth)
         # The 1000-module cases take tens of seconds per iteration on

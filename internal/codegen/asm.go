@@ -433,26 +433,30 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 	return nil
 }
 
-// emitAction lowers an ASSIGN vertex.
+// EmitAction lowers an ASSIGN vertex. Its one effect instruction (the
+// emission trap or the state store) carries the Fires mark, through
+// which the machine reports whether the vertex ran. The expression code
+// before it has no branch, so the mark executes exactly when the
+// vertex does.
 func (a *Builder) EmitAction(act *cfsm.Action) error {
 	switch act.Kind {
 	case cfsm.ActEmit:
 		if act.Value == nil {
-			a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmit, Imm: int64(a.sigs[act.Signal]),
+			a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmit, Imm: int64(a.sigs[act.Signal]), Fires: true,
 				Comment: act.Name()})
 			return nil
 		}
 		if err := a.CompileExpr(act.Value); err != nil {
 			return err
 		}
-		a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmitV, Imm: int64(a.sigs[act.Signal]), Rs: RegVal,
+		a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmitV, Imm: int64(a.sigs[act.Signal]), Rs: RegVal, Fires: true,
 			Comment: act.Name()})
 		return nil
 	case cfsm.ActAssign:
 		if err := a.CompileExpr(act.Expr); err != nil {
 			return err
 		}
-		a.p.Emit(vm.Instr{Op: vm.ST, Addr: a.stateAddr[act.Var], Rs: RegVal, Comment: act.Name()})
+		a.p.Emit(vm.Instr{Op: vm.ST, Addr: a.stateAddr[act.Var], Rs: RegVal, Fires: true, Comment: act.Name()})
 		return nil
 	}
 	return fmt.Errorf("codegen: unknown action kind")

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -573,5 +574,76 @@ func TestAdvanceBackwardsRejected(t *testing.T) {
 	_ = sys.Advance(1000)
 	if err := sys.Advance(500); err == nil {
 		t.Error("time going backwards must be rejected")
+	}
+}
+
+// traceCapProbe counts the trace reallocations it sees: the trace's
+// capacity changes only when it is reallocated. In the chain network at
+// most two events are recorded between two observations, so a full
+// trace that grows by more than two slots is seen at every growth.
+type traceCapProbe struct {
+	sys         *System
+	last, grows int
+}
+
+func (p *traceCapProbe) see() {
+	if c := cap(p.sys.Trace); c != p.last {
+		p.grows++
+		p.last = c
+	}
+}
+
+func (p *traceCapProbe) TaskPosted(*Task, *cfsm.Signal, int64, int64, bool) { p.see() }
+func (p *traceCapProbe) TaskBegan(*Task, cfsm.Snapshot, int64)              { p.see() }
+func (p *traceCapProbe) TaskFinished(*Task, cfsm.Reaction, int64, int64)    { p.see() }
+
+// TestTraceGrowsByDoubling drives a system far past its trace
+// reservation: every event must survive in order (against a run whose
+// reservation never fills), and the trace must be reallocated at most
+// ceil(log2(final/initial)) times.
+func TestTraceGrowsByDoubling(t *testing.T) {
+	const rounds, reserve = 10_000, 1000
+	run := func(capacity int) (*System, int) {
+		n, in, _, _, _ := chainNet()
+		sys, err := NewSystem(n, DefaultConfig(), mkBehavioral(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Trace = make([]TraceEvent, 0, capacity)
+		probe := &traceCapProbe{sys: sys, last: capacity}
+		sys.Probe = probe
+		for i := 0; i <= rounds; i++ {
+			if err := sys.Advance(int64(i) * 1000); err != nil {
+				t.Fatal(err)
+			}
+			probe.see()
+			if i == rounds {
+				break
+			}
+			if err := sys.EmitEnv(in, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			probe.see()
+		}
+		return sys, probe.grows
+	}
+	want, grows := run(3 * rounds)
+	if grows != 0 || len(want.Trace) != 3*rounds {
+		t.Fatalf("reference run: %d events, %d growths; want %d events, none", len(want.Trace), grows, 3*rounds)
+	}
+	got, grows := run(reserve)
+	if len(got.Trace) != len(want.Trace) {
+		t.Fatalf("%d events, want %d", len(got.Trace), len(want.Trace))
+	}
+	for i, w := range want.Trace {
+		g := got.Trace[i]
+		if g.Time != w.Time || g.Signal.Name != w.Signal.Name || g.Value != w.Value || g.From != w.From {
+			t.Fatalf("event %d = %+v, want %+v", i, g, w)
+		}
+	}
+	bound := bits.Len(uint((len(got.Trace) - 1) / reserve)) // ceil(log2(final/initial))
+	if grows == 0 || grows > bound {
+		t.Errorf("trace reallocated %d times growing %d -> %d events, want 1..%d",
+			grows, reserve, len(got.Trace), bound)
 	}
 }

@@ -300,14 +300,31 @@ func (s *System) TaskFor(m *cfsm.CFSM) *Task { return s.taskOf[m] }
 // partition. The returned error is a reaction failure of an
 // ISR-context or hardware task (with the task name attached).
 func (s *System) EmitEnv(sig *cfsm.Signal, val int64) error {
-	s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: sig, Value: val, From: "env"})
+	s.record(sig, val, "env")
 	return s.routeFromHardware(sig, val, true)
 }
 
 // ResetTrace discards the recorded trace, keeping its capacity, so a
 // long-running or benchmarked system does not grow (or re-allocate)
-// the trace buffer without bound.
+// the trace buffer without bound. Refilling it up to that capacity
+// allocates nothing; past it, the trace doubles (see record).
 func (s *System) ResetTrace() { s.Trace = s.Trace[:0] }
+
+// minTraceCap is the capacity an unreserved trace starts at.
+const minTraceCap = 64
+
+// record appends an event at the current time to the trace. A full
+// trace doubles its capacity. append would grow a large slice by only
+// ~1.25x, copying a trace that outgrows its reservation about three
+// times per doubling.
+func (s *System) record(sig *cfsm.Signal, val int64, from string) {
+	if len(s.Trace) == cap(s.Trace) {
+		grown := make([]TraceEvent, len(s.Trace), max(2*cap(s.Trace), minTraceCap))
+		copy(grown, s.Trace)
+		s.Trace = grown
+	}
+	s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: sig, Value: val, From: from})
+}
 
 // routeFromHardware delivers an event produced outside the CPU: to
 // hardware readers directly, to software readers by interrupt or by
@@ -353,7 +370,7 @@ func (s *System) routeFromHardware(sig *cfsm.Signal, val int64, env bool) error 
 
 // emitFromSW delivers an event emitted by a software task.
 func (s *System) emitFromSW(from *Task, sig *cfsm.Signal, val int64) error {
-	s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: sig, Value: val, From: from.M.Name})
+	s.record(sig, val, from.M.Name)
 	rt := s.routes[sig]
 	if rt == nil {
 		return nil
@@ -397,7 +414,7 @@ func (s *System) drainQueue() error {
 	for !s.queue.empty() {
 		e := s.queue.pop()
 		if e.hw {
-			s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: e.sig, Value: e.val, From: e.from.M.Name})
+			s.record(e.sig, e.val, e.from.M.Name)
 			if err := s.routeFromHardware(e.sig, e.val, false); err != nil {
 				return err
 			}
@@ -685,7 +702,7 @@ func (s *System) Advance(to int64) error {
 					if e.hw {
 						continue
 					}
-					s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: sig, Value: val, From: "poll"})
+					s.record(sig, val, "poll")
 					if err := s.postToTask(e.t, e.slot, sig, val, false, false); err != nil {
 						return err
 					}

@@ -234,32 +234,6 @@ func (g *SGraph) Evaluate(snap cfsm.Snapshot) cfsm.Reaction {
 	return r
 }
 
-// EvaluateFired walks the s-graph under a dense snapshot and reports
-// whether any ASSIGN vertex would be visited — the event-consumption
-// bit of Section IV-D — without building the full reaction. Tests read
-// only the (pre-reaction) snapshot, so the walk can stop at the first
-// ASSIGN; it allocates nothing, which the co-simulation hot loop relies
-// on.
-func (g *SGraph) EvaluateFired(snap *cfsm.DenseSnapshot) bool {
-	v := g.Begin
-	for {
-		switch v.Kind {
-		case End:
-			return false
-		case Assign:
-			return true
-		case Test:
-			idx := 0
-			for _, t := range v.Tests {
-				idx = idx*t.Arity() + snap.EvalTest(t)
-			}
-			v = v.Children[idx]
-		default: // Begin
-			v = v.Next
-		}
-	}
-}
-
 // CheckWellFormed verifies Definition 1 invariants: a single BEGIN
 // source, a single END sink, TEST vertices with the right number of
 // children, acyclicity, and that all vertices are reachable.

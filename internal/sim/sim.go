@@ -13,10 +13,13 @@
 //
 // The execution core is throughput-oriented: reactions run over dense
 // slot-indexed buffers resolved once at task-build time and allocate
-// nothing in steady state. Golden tests pin this engine to the traces,
-// cycle counts, accounting and final states the previous map-based,
-// event-at-a-time engine produced on 176 randomized scenarios
-// (testdata/engine_golden.json).
+// nothing in steady state. A VMExact task's routine is assembled at
+// task build and decoded by its vm.Machine on the task's first
+// reaction; every reaction is then one pass over the decoded stream,
+// which also reports whether an ASSIGN fired. Golden tests pin this
+// engine to the traces, cycle counts, accounting and final states the
+// previous map-based, event-at-a-time engine produced on 176
+// randomized scenarios (testdata/engine_golden.json).
 package sim
 
 import (
@@ -215,9 +218,9 @@ func (t *vmTask) react(snap *cfsm.DenseSnapshot, out *cfsm.DenseReaction) error 
 		out.NextState = append(out.NextState, t.machine.Mem[addr])
 	}
 	// Whether any ASSIGN vertex executed decides event consumption
-	// (Section IV-D); the s-graph interpreter is the authority, since
-	// the object code has no out-of-band "fired" channel.
-	out.Fired = t.g.EvaluateFired(snap)
+	// (Section IV-D); the machine reports it from the Fires marks
+	// Assemble puts on each ASSIGN's effect instruction.
+	out.Fired = t.machine.Fired
 	if t.check.VMAgainstReference {
 		if err := checkReference(t.g.C, snap.Snapshot(), out.Reaction(t.lay)); err != nil {
 			return err

@@ -1,0 +1,165 @@
+package vm
+
+import (
+	"errors"
+	"testing"
+	"unsafe"
+
+	"polis/internal/expr"
+)
+
+// TestDecodeErrors runs hand-built malformed programs: each must fail
+// decode with a *DecodeError naming the bad instruction, before any
+// cycle is spent or any service called.
+func TestDecodeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  Instr
+	}{
+		{"opcode out of range", Instr{Op: numOpcodes}},
+		{"opcode max", Instr{Op: 255}},
+		{"destination register", Instr{Op: LDI, Rd: NumRegs + 1, Imm: 1}},
+		{"negative register", Instr{Op: MOV, Rd: 1, Rs: -1}},
+		{"load register", Instr{Op: LD, Rd: NumRegs, Addr: 0}},
+		{"store source register", Instr{Op: ST, Rs: 9, Addr: 0}},
+		{"branch register", Instr{Op: BR, Cond: CondLT, Rs: 1, Rt: 8, Label: "end"}},
+		{"branch condition", Instr{Op: BR, Cond: CondGE + 1, Rs: 1, Rt: 2, Label: "end"}},
+		{"jump table register", Instr{Op: JTAB, Rs: 10, Table: []string{"end"}}},
+		{"emitted value register", Instr{Op: SVC, Num: SvcEmitV, Rs: 8}},
+		{"ALU operator", Instr{Op: ALU, AOp: expr.Op(expr.NumOps()), Rd: 1, Rs: 2}},
+		{"negative ALU operator", Instr{Op: ALU, AOp: -1, Rd: 1, Rs: 2}},
+		{"unknown service", Instr{Op: SVC, Num: SvcEmitV + 1}},
+		{"negative service", Instr{Op: SVC, Num: -1}},
+		{"empty jump table", Instr{Op: JTAB, Rs: 1}},
+		{"fires on a load", Instr{Op: LD, Rd: 1, Fires: true}},
+		{"fires on a presence test", Instr{Op: SVC, Num: SvcPresent, Fires: true}},
+		{"fires on a jump", Instr{Op: JMP, Label: "end", Fires: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProgram("bad")
+			p.Alloc("x")
+			p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 0})
+			p.Emit(tc.bad)
+			if err := p.Mark("end"); err != nil {
+				t.Fatal(err)
+			}
+			p.Emit(Instr{Op: HALT})
+
+			var de *DecodeError
+			if err := p.Resolve(); !errors.As(err, &de) || de.Instr != 1 {
+				t.Errorf("Resolve error %v, want a DecodeError for instr 1", err)
+			}
+			h := newRecHost()
+			m := NewMachine(HC11(), p.Words, h)
+			if _, err := m.Run(p, ""); !errors.As(err, &de) || de.Instr != 1 || de.Reason == "" {
+				t.Errorf("Run error %v, want a DecodeError for instr 1", err)
+			}
+			if m.Cycles != 0 || len(h.emitted) != 0 {
+				t.Errorf("Run spent %d cycles and made %d emissions before failing", m.Cycles, len(h.emitted))
+			}
+		})
+	}
+}
+
+// TestUnusedOperandsAreNotDecoded keeps decode to the fields an opcode
+// uses: a register field an instruction ignores may hold anything.
+func TestUnusedOperandsAreNotDecoded(t *testing.T) {
+	p := NewProgram("loose")
+	p.Emit(Instr{Op: SVC, Num: SvcPresent, Rs: 99})
+	p.Emit(Instr{Op: JMP, Rd: 42, Rs: -3, Label: "end"})
+	if err := p.Mark("end"); err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(Instr{Op: HALT, Rd: 1000})
+	if _, err := NewMachine(R3K(), 0, nil).Run(p, ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunFired checks the fired flag: set by a marked store or
+// emission that executes, untouched by unmarked ones and by marked
+// instructions branched around, and reset by every run.
+func TestRunFired(t *testing.T) {
+	p := NewProgram("fired")
+	x := p.Alloc("x")
+	p.Emit(Instr{Op: ST, Addr: x, Rs: 1})        // unmarked effect
+	p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 0}) // unmarked effect
+	p.Emit(Instr{Op: BRZ, Rs: 2, Label: "end"})
+	p.Emit(Instr{Op: LDI, Rd: 3, Imm: 7})
+	p.Emit(Instr{Op: BRNZ, Rs: 3, Label: "emit"})
+	p.Emit(Instr{Op: ST, Addr: x, Rs: 3, Fires: true})
+	p.Emit(Instr{Op: JMP, Label: "end"})
+	if err := p.Mark("emit"); err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(Instr{Op: SVC, Num: SvcEmitV, Imm: 1, Rs: 3, Fires: true})
+	if err := p.Mark("end"); err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(Instr{Op: HALT})
+	m := NewMachine(HC11(), p.Words, nil)
+	for _, tc := range []struct {
+		r2    int64
+		fired bool
+	}{{1, true}, {0, false}, {5, true}, {0, false}} {
+		m.Regs[2] = tc.r2
+		if _, err := m.Run(p, ""); err != nil {
+			t.Fatal(err)
+		}
+		if m.Fired != tc.fired {
+			t.Errorf("r2=%d: Fired = %v, want %v", tc.r2, m.Fired, tc.fired)
+		}
+	}
+}
+
+// TestProfileSwapRedecodes charges a new profile's costs after Prof is
+// replaced between runs of one program.
+func TestProfileSwapRedecodes(t *testing.T) {
+	p := NewProgram("swap")
+	p.Emit(Instr{Op: ALU, AOp: expr.OpMul, Rd: 1, Rs: 2})
+	p.Emit(Instr{Op: HALT})
+	m := NewMachine(HC11(), 0, nil)
+	for _, prof := range []*Profile{HC11(), R3K(), HC11()} {
+		m.Prof = prof
+		got, err := m.Run(p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(prof.ALUCycles(expr.OpMul) + prof.Cyc[HALT]); got != want {
+			t.Errorf("%s: %d cycles, want %d", prof.Name, got, want)
+		}
+	}
+}
+
+// TestFaultKeepsCycles pins the cycle accounting of a run that faults:
+// the cycles up to and including the faulting instruction are added to
+// Cycles, as before the decoded stream.
+func TestFaultKeepsCycles(t *testing.T) {
+	prof := HC11()
+	p := NewProgram("fault")
+	p.Emit(Instr{Op: LDI, Rd: 1, Imm: 3})
+	p.Emit(Instr{Op: LD, Rd: 2, Addr: 5})
+	p.Emit(Instr{Op: HALT})
+	m := NewMachine(prof, 1, nil)
+	if _, err := m.Run(p, ""); err == nil {
+		t.Fatal("load past memory must fail")
+	}
+	if want := int64(prof.Cyc[LDI] + prof.Cyc[LD]); m.Cycles != want {
+		t.Errorf("Cycles = %d after the fault, want %d", m.Cycles, want)
+	}
+}
+
+// TestInstrSize guards the instruction's footprint: the Fires mark
+// shares a word with the opcode and condition, so it costs nothing per
+// instruction, and the decoded form stays at 32 bytes.
+func TestInstrSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instr{}); got > 120 {
+		t.Errorf("Instr is %d bytes, want at most 120", got)
+	}
+	if got := unsafe.Sizeof(dinstr{}); got != 32 {
+		t.Errorf("dinstr is %d bytes, want 32", got)
+	}
+}

@@ -23,7 +23,7 @@ import (
 )
 
 // OpCode enumerates the virtual instruction set.
-type OpCode int
+type OpCode uint8
 
 // Instruction opcodes.
 const (
@@ -54,7 +54,7 @@ var opcodeNames = [...]string{
 func (o OpCode) String() string { return opcodeNames[o] }
 
 // Cond is the comparison of a BR instruction.
-type Cond int
+type Cond uint8
 
 // Branch conditions.
 const (
@@ -98,11 +98,16 @@ const (
 
 // Instr is one virtual instruction. Fields are used according to Op.
 type Instr struct {
-	Op    OpCode
+	Op   OpCode
+	Cond Cond
+	// Fires marks the effect instruction of an ASSIGN vertex (its
+	// state ST, SVC Emit or SVC EmitV): Machine.Run reports whether a
+	// marked instruction executed. The mark has no cost, size or
+	// listing of its own; decode rejects it on any other instruction.
+	Fires bool
 	Rd    int
 	Rs    int
 	Rt    int
-	Cond  Cond
 	AOp   expr.Op
 	Imm   int64
 	Addr  int
@@ -175,12 +180,17 @@ func (e *LabelError) Error() string {
 	return fmt.Sprintf("vm: instr %d: undefined label %q", e.Instr, e.Label)
 }
 
-// targets holds a program's jump destinations resolved to instruction
-// indices. For a BR, BRZ, BRNZ or JMP at i, jump[i] is its target; for
-// a JTAB at i, table[jump[i]+k] is the target of its entry k.
-type targets struct {
-	jump  []int
-	table []int
+// DecodeError reports an instruction the machine cannot execute: an
+// opcode, register, ALU operator or service number out of range, an
+// empty jump table, or a Fires mark on an instruction that is not an
+// effect.
+type DecodeError struct {
+	Instr  int    // index of the malformed instruction
+	Reason string // what is wrong with it
+}
+
+func (e *DecodeError) Error() string {
+	return "vm: instr " + strconv.Itoa(e.Instr) + ": " + e.Reason
 }
 
 // target resolves label l referenced by instruction i.
@@ -192,41 +202,82 @@ func (p *Program) target(i int, l string) (int, error) {
 	return pc, nil
 }
 
-// resolveTargets resolves every label reference once, so execution
-// and analysis index slices instead of looking labels up.
-func (p *Program) resolveTargets() (targets, error) {
-	t := targets{jump: make([]int, len(p.Instrs))}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		switch in.Op {
-		case BR, BRZ, BRNZ, JMP:
-			pc, err := p.target(i, in.Label)
-			if err != nil {
-				return targets{}, err
+// check validates the fields instruction i uses: a *DecodeError for a
+// malformed one, a *LabelError for a missing branch target.
+func (p *Program) check(i int) error {
+	in := &p.Instrs[i]
+	bad := func(format string, a ...any) error {
+		return &DecodeError{Instr: i, Reason: fmt.Sprintf(format, a...)}
+	}
+	reg := func(rs ...int) error {
+		for _, r := range rs {
+			if r < 0 || r >= NumRegs {
+				return bad("register r%d out of range", r)
 			}
-			t.jump[i] = pc
-		case JTAB:
-			if len(in.Table) == 0 {
-				return targets{}, fmt.Errorf("vm: instr %d: empty jump table", i)
-			}
-			t.jump[i] = len(t.table)
-			for _, l := range in.Table {
-				pc, err := p.target(i, l)
-				if err != nil {
-					return targets{}, err
-				}
-				t.table = append(t.table, pc)
+		}
+		return nil
+	}
+	if in.Op >= numOpcodes {
+		return bad("opcode %d out of range", in.Op)
+	}
+	if in.Fires && in.Op != ST && !(in.Op == SVC && (in.Num == SvcEmit || in.Num == SvcEmitV)) {
+		return bad("fires mark on a %s, not an effect", in.Op)
+	}
+	var err error
+	switch in.Op {
+	case LDI, LD, NEG, NOT:
+		err = reg(in.Rd)
+	case ST, BRZ, BRNZ, JTAB:
+		err = reg(in.Rs)
+	case MOV:
+		err = reg(in.Rd, in.Rs)
+	case ALU:
+		if in.AOp < 0 || int(in.AOp) >= expr.NumOps() {
+			return bad("ALU operator %d out of range", in.AOp)
+		}
+		err = reg(in.Rd, in.Rs)
+	case BR:
+		if in.Cond > CondGE {
+			return bad("branch condition %d out of range", in.Cond)
+		}
+		err = reg(in.Rs, in.Rt)
+	case SVC:
+		if in.Num < SvcPresent || in.Num > SvcEmitV {
+			return bad("unknown service %d", in.Num)
+		}
+		if in.Num == SvcEmitV {
+			err = reg(in.Rs)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	switch in.Op {
+	case BR, BRZ, BRNZ, JMP:
+		_, err = p.target(i, in.Label)
+	case JTAB:
+		if len(in.Table) == 0 {
+			return bad("empty jump table")
+		}
+		for _, l := range in.Table {
+			if _, err = p.target(i, l); err != nil {
+				break
 			}
 		}
 	}
-	return t, nil
+	return err
 }
 
-// Resolve verifies every referenced label exists; a missing one is
-// reported as a *LabelError.
+// Resolve verifies that every instruction is well formed (a malformed
+// one is reported as a *DecodeError) and that every referenced label
+// exists (a missing one is reported as a *LabelError).
 func (p *Program) Resolve() error {
-	_, err := p.resolveTargets()
-	return err
+	for i := range p.Instrs {
+		if err := p.check(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Listing renders a human-readable assembly listing. Every artifact
