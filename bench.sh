@@ -46,7 +46,10 @@ run_benches() {
         # Every kernel benchmark, BenchmarkSiftModules (ns/swap over a
         # fixed random network's reactive functions) included.
         go test -run '^$' -bench . -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/bdd/
-        go test -run '^$' -bench 'BenchmarkFingerprint' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
+        # The cache key, and the stages after the s-graph one by one
+        # (BenchmarkBackend: reduce, assemble, emit-c, analyze-cycles,
+        # estimate).
+        go test -run '^$' -bench 'BenchmarkFingerprint|BenchmarkBackend' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
     sim)
         go test -run '^$' -bench 'BenchmarkSimThroughput|BenchmarkSimSpecialization' \

@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"polis/internal/cfsm"
 	"polis/internal/expr"
@@ -297,7 +299,7 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 		if err := a.CompileExpr(x.L); err != nil {
 			return err
 		}
-		tmp := a.p.Alloc(fmt.Sprintf("tmp%d", a.tmpDepth))
+		tmp := a.p.Alloc("tmp" + strconv.Itoa(a.tmpDepth))
 		a.tmpDepth++
 		if a.tmpDepth > a.maxTmp {
 			a.maxTmp = a.tmpDepth
@@ -315,16 +317,14 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 	return fmt.Errorf("codegen: unknown expression node %T", e)
 }
 
-func vlabel(v *sgraph.Vertex) string { return fmt.Sprintf("v%d", v.ID) }
+func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
 
 // body emits all reachable vertices in DFS order, falling through to
 // the next vertex where the layout allows and jumping otherwise.
 func (a *Builder) body(g *sgraph.SGraph) error {
 	order := g.Reachable() // DFS pre-order, Begin first
-	pos := make(map[*sgraph.Vertex]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
+	// Room for about five instructions per vertex, the usual count.
+	a.p.Instrs = slices.Grow(a.p.Instrs, 5*len(order))
 	for i, v := range order {
 		if err := a.p.Mark(vlabel(v)); err != nil {
 			return err

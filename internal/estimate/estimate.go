@@ -150,6 +150,29 @@ func edgeCost(p *Params, opts Options, v *sgraph.Vertex, k int) int64 {
 	return int64(pos) * p.TestMultiPerEdgeCyc
 }
 
+// layout is the generated code's statement order: the DFS preorder
+// of the reachable vertices, as the emitters lay them out, and each
+// vertex's position in it by vertex ID.
+type layout struct {
+	order []*sgraph.Vertex
+	pos   []int32
+}
+
+func newLayout(g *sgraph.SGraph) layout {
+	l := layout{order: g.Reachable(), pos: make([]int32, g.IDBound())}
+	for i, v := range l.order {
+		l.pos[v.ID] = int32(i)
+	}
+	return l
+}
+
+// fallsThrough reports whether w's statement directly follows v's, so
+// the edge from v to w needs no goto.
+func (l layout) fallsThrough(v, w *sgraph.Vertex) bool {
+	i := int(l.pos[v.ID]) + 1
+	return i < len(l.order) && l.order[i] == w
+}
+
 // EstimateSGraph computes the estimate by a single traversal of the
 // s-graph, as the paper's estimator does: code size is the sum of the
 // per-vertex size parameters, timing bounds come from shortest and
@@ -184,39 +207,34 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	}
 
 	// --- per-vertex size, and timing DP over the DAG ---
-	order := g.Reachable()
-	idx := make(map[*sgraph.Vertex]int, len(order))
-	for i, v := range order {
-		idx[v] = i
-	}
+	lay := newLayout(g)
 	var sz int64
 	// The emitter falls through to the DFS-next vertex; every other
 	// edge needs a goto: fold the goto bytes into code size and the
 	// goto time into the corresponding edge. Shortest/longest path
 	// over the DAG by memoised recursion (DFS pre-order is not a
 	// reverse-topological order when children are shared).
-	fallsThrough := func(i int, w *sgraph.Vertex) bool {
-		return i+1 < len(order) && order[i+1] == w
+	type bounds struct {
+		min, max int64
+		done     bool
 	}
-	type bounds struct{ min, max int64 }
-	memo := make(map[*sgraph.Vertex]bounds, len(order))
+	memo := make([]bounds, g.IDBound())
 	var visit func(v *sgraph.Vertex) bounds
 	visit = func(v *sgraph.Vertex) bounds {
-		if b, ok := memo[v]; ok {
+		if b := memo[v.ID]; b.done {
 			return b
 		}
-		i := idx[v]
 		vc, vs := vertexCost(p, opts, v)
 		sz += vs
-		var b bounds
+		b := bounds{done: true}
 		switch v.Kind {
 		case sgraph.End:
-			b = bounds{vc, vc}
+			b.min, b.max = vc, vc
 		case sgraph.Test:
 			first := true
 			for k, w := range v.Children {
 				e := edgeCost(p, opts, v, k)
-				if !fallsThrough(i, w) && k == v.FallIdx() {
+				if !lay.fallsThrough(v, w) && k == v.FallIdx() {
 					// FallIdx is the fall-through arm in the generated
 					// code; a displaced child needs a goto.
 					e += p.GotoCyc
@@ -226,7 +244,7 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 				cMin := vc + e + cb.min
 				cMax := vc + e + cb.max
 				if first {
-					b = bounds{cMin, cMax}
+					b.min, b.max = cMin, cMax
 					first = false
 					continue
 				}
@@ -239,14 +257,14 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 			}
 		default: // Begin, Assign
 			e := int64(0)
-			if !fallsThrough(i, v.Next) {
+			if !lay.fallsThrough(v, v.Next) {
 				e = p.GotoCyc
 				sz += p.GotoSz
 			}
 			cb := visit(v.Next)
-			b = bounds{vc + e + cb.min, vc + e + cb.max}
+			b.min, b.max = vc+e+cb.min, vc+e+cb.max
 		}
-		memo[v] = b
+		memo[v.ID] = b
 		return b
 	}
 	root := visit(g.Begin)
@@ -254,31 +272,31 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	res.MinCycles = entryCyc + root.min
 	res.MaxCycles = entryCyc + root.max
 	if opts.UseFalsePaths {
-		if mx, ok := maxWithFalsePaths(g, p, opts, entryCyc); ok && mx < res.MaxCycles {
+		if mx, ok := maxWithFalsePaths(g, p, opts, lay, entryCyc); ok && mx < res.MaxCycles {
 			res.MaxCycles = mx
 		}
 	}
 	if opts.ScenarioProfile != nil {
-		res.ExpectedCycles = expectedCycles(g, p, opts, order, fallsThrough, entryCyc)
+		res.ExpectedCycles = expectedCycles(g, p, opts, lay, entryCyc)
 	}
 
 	// --- RAM: persistent state + copies + value copies + spill temps ---
-	words := len(g.C.States) + copies + valueFetches + exprDepth(g)
+	words := len(g.C.States) + copies + valueFetches + exprDepth(lay.order)
 	res.DataBytes = int64(words * p.IntBytes)
 	return res
 }
 
 // exprDepth returns the maximum binary-operator nesting over all
-// expressions in the graph: the number of spill temporaries codegen
-// allocates.
-func exprDepth(g *sgraph.SGraph) int {
+// expressions of the reachable vertices: the number of spill
+// temporaries codegen allocates.
+func exprDepth(reach []*sgraph.Vertex) int {
 	max := 0
 	note := func(d int) {
 		if d > max {
 			max = d
 		}
 	}
-	for _, v := range g.Reachable() {
+	for _, v := range reach {
 		switch v.Kind {
 		case sgraph.Test:
 			for _, t := range v.Tests {

@@ -14,11 +14,10 @@ import (
 // a fall-through child — accumulated with the vector's observed
 // frequency. Vectors that do not cover every test on their path (the
 // profile came from a different synthesis of the module) are dropped
-// from the weighting rather than guessed at. The order/fallsThrough
-// pair must be the ones the size/bound DP used, so the goto placement
-// agrees between the figures.
-func expectedCycles(g *sgraph.SGraph, p *Params, opts Options,
-	order []*sgraph.Vertex, fallsThrough func(int, *sgraph.Vertex) bool, entryCyc int64) int64 {
+// from the weighting rather than guessed at. The layout must be the
+// one the size/bound DP used, so the goto placement agrees between the
+// figures.
+func expectedCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout, entryCyc int64) int64 {
 	prof := opts.ScenarioProfile
 	col := make(map[string]int, len(prof.TestNames))
 	for i, n := range prof.TestNames {
@@ -38,10 +37,6 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options,
 	idOf := make(map[string]int, len(g.C.Tests))
 	for i, t := range g.C.Tests {
 		idOf[t.Name()] = i
-	}
-	idx := make(map[*sgraph.Vertex]int, len(order))
-	for i, v := range order {
-		idx[v] = i
 	}
 
 	var weighted, total int64
@@ -71,7 +66,7 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options,
 		if !ok {
 			continue
 		}
-		cycles, covered := pathCycles(g, p, opts, order, idx, fallsThrough, outcome, idOf)
+		cycles, covered := pathCycles(g, p, opts, lay, outcome, idOf)
 		if !covered {
 			continue
 		}
@@ -87,9 +82,7 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options,
 // pathCycles walks one outcome vector from BEGIN to END and sums the
 // same cost terms the bound DP charges along that path. covered is
 // false when the walk hits a test the vector does not determine.
-func pathCycles(g *sgraph.SGraph, p *Params, opts Options,
-	order []*sgraph.Vertex, idx map[*sgraph.Vertex]int,
-	fallsThrough func(int, *sgraph.Vertex) bool,
+func pathCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout,
 	outcome []int, idOf map[string]int) (int64, bool) {
 	var cycles int64
 	v := g.Begin
@@ -100,7 +93,6 @@ func pathCycles(g *sgraph.SGraph, p *Params, opts Options,
 		}
 		vc, _ := vertexCost(p, opts, v)
 		cycles += vc
-		i := idx[v]
 		switch v.Kind {
 		case sgraph.End:
 			return cycles, true
@@ -115,12 +107,12 @@ func pathCycles(g *sgraph.SGraph, p *Params, opts Options,
 			}
 			w := v.Children[k]
 			cycles += edgeCost(p, opts, v, k)
-			if !fallsThrough(i, w) && k == v.FallIdx() {
+			if !lay.fallsThrough(v, w) && k == v.FallIdx() {
 				cycles += p.GotoCyc
 			}
 			v = w
 		default: // Begin, Assign
-			if !fallsThrough(i, v.Next) {
+			if !lay.fallsThrough(v, v.Next) {
 				cycles += p.GotoCyc
 			}
 			v = v.Next

@@ -13,7 +13,7 @@ import (
 // Section III-C). The search enumerates paths with memoisation on the
 // (vertex, asserted-exclusive-tests) pair; the exclusive-test sets of
 // practical CFSMs are small.
-func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, entryCyc int64) (int64, bool) {
+func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, lay layout, entryCyc int64) (int64, bool) {
 	if len(g.C.Exclusive) == 0 {
 		return 0, false
 	}
@@ -47,15 +47,6 @@ func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, entryCyc int64
 		return false
 	}
 
-	order := g.Reachable()
-	idx := make(map[*sgraph.Vertex]int, len(order))
-	for i, v := range order {
-		idx[v] = i
-	}
-	fallsThrough := func(i int, w *sgraph.Vertex) bool {
-		return i+1 < len(order) && order[i+1] == w
-	}
-
 	type key struct {
 		v        *sgraph.Vertex
 		asserted uint32
@@ -69,7 +60,6 @@ func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, entryCyc int64
 		if r, ok := memo[k]; ok {
 			return r
 		}
-		i := idx[v]
 		vc, _ := vertexCost(p, opts, v)
 		var r int64
 		switch v.Kind {
@@ -88,7 +78,7 @@ func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, entryCyc int64
 					}
 				}
 				e := edgeCost(p, opts, v, kk)
-				if !fallsThrough(i, w) && kk == v.FallIdx() {
+				if !lay.fallsThrough(v, w) && kk == v.FallIdx() {
 					e += p.GotoCyc
 				}
 				sub := walk(w, a2)
@@ -101,7 +91,7 @@ func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, entryCyc int64
 			}
 		default:
 			e := int64(0)
-			if !fallsThrough(i, v.Next) {
+			if !lay.fallsThrough(v, v.Next) {
 				e = p.GotoCyc
 			}
 			sub := walk(v.Next, asserted)

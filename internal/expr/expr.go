@@ -6,10 +6,7 @@
 // correct CFSM may perform (but must not use) a division by zero.
 package expr
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Op enumerates the operators of the expression language. Each binary
 // operator corresponds to one of the predefined software library
@@ -94,7 +91,7 @@ type Const int64
 func (c Const) Eval(Env) int64 { return int64(c) }
 
 // C implements Expr.
-func (c Const) C() string { return fmt.Sprintf("%d", int64(c)) }
+func (c Const) C() string { return strconv.FormatInt(int64(c), 10) }
 
 // Vars implements Expr.
 func (c Const) Vars(dst []string) []string { return dst }
@@ -206,15 +203,11 @@ func b2i(b bool) int64 {
 // C implements Expr.
 func (b *Bin) C() string {
 	switch b.Op {
-	case OpMin:
-		return fmt.Sprintf("MIN(%s, %s)", b.L.C(), b.R.C())
-	case OpMax:
-		return fmt.Sprintf("MAX(%s, %s)", b.L.C(), b.R.C())
-	case OpDiv, OpMod:
-		// Safe division library call.
-		return fmt.Sprintf("%s(%s, %s)", strings.ToUpper(b.Op.Name()), b.L.C(), b.R.C())
+	case OpMin, OpMax, OpDiv, OpMod:
+		// Library calls (the division ones are safe division).
+		return b.Op.Name() + "(" + b.L.C() + ", " + b.R.C() + ")"
 	}
-	return fmt.Sprintf("(%s %s %s)", b.L.C(), opSyms[b.Op], b.R.C())
+	return "(" + b.L.C() + " " + opSyms[b.Op] + " " + b.R.C() + ")"
 }
 
 // Vars implements Expr.

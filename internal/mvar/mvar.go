@@ -12,6 +12,7 @@ package mvar
 
 import (
 	"fmt"
+	"strconv"
 
 	"polis/internal/bdd"
 )
@@ -71,7 +72,7 @@ func (s *Space) NewMV(name string, size int, kind Kind) *MV {
 	v := &MV{Name: name, Size: size, Kind: kind, Index: len(s.Vars)}
 	nb := bitsFor(size)
 	for i := 0; i < nb; i++ {
-		b := s.M.NewVar(fmt.Sprintf("%s.%d", name, nb-1-i))
+		b := s.M.NewVar(name + "." + strconv.Itoa(nb-1-i))
 		v.Bits = append(v.Bits, b)
 		s.byBit[b] = v
 	}

@@ -2,7 +2,7 @@ package sgraph
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"polis/internal/bdd"
 	"polis/internal/cfsm"
@@ -129,97 +129,115 @@ func (g *SGraph) Reduce(opt ReduceOptions) ReduceStats {
 // testKey is the structural identity of a test, mirroring the cfsm
 // package's interning keys so equal tests allocated separately (as in
 // hand-built graphs) compare equal.
-func testKey(t *cfsm.Test) string {
+func testKey(t *cfsm.Test) string { return string(appendTestKey(nil, t)) }
+
+// appendTestKey appends testKey(t) to b.
+func appendTestKey(b []byte, t *cfsm.Test) []byte {
 	switch t.Kind {
 	case cfsm.TestPresence:
-		return "p:" + t.Signal.Name
+		return append(append(b, "p:"...), t.Signal.Name...)
 	case cfsm.TestPredicate:
-		return "e:" + t.Pred.C()
+		return append(append(b, "e:"...), t.Pred.C()...)
 	default:
-		return "s:" + t.Sel.Name
+		return append(append(b, "s:"...), t.Sel.Name...)
 	}
 }
 
 // actionKey is the structural identity of an action.
-func actionKey(a *cfsm.Action) string {
+func actionKey(a *cfsm.Action) string { return string(appendActionKey(nil, a)) }
+
+// appendActionKey appends actionKey(a) to b.
+func appendActionKey(b []byte, a *cfsm.Action) []byte {
 	if a.Kind == cfsm.ActEmit {
+		b = append(append(b, "e:"...), a.Signal.Name...)
 		if a.Value != nil {
-			return "e:" + a.Signal.Name + ":" + a.Value.C()
+			b = append(append(b, ':'), a.Value.C()...)
 		}
-		return "e:" + a.Signal.Name
+		return b
 	}
-	return "a:" + a.Var.Name + ":" + a.Expr.C()
+	b = append(append(b, "a:"...), a.Var.Name...)
+	return append(append(b, ':'), a.Expr.C()...)
 }
 
-// outEdges returns v's outgoing edges (shared helper for the
-// traversals below; duplicates are meaningful for TEST vertices).
-func outEdges(v *Vertex) []*Vertex {
-	switch v.Kind {
-	case Test:
-		return v.Children
-	case Begin, Assign:
-		return []*Vertex{v.Next}
-	}
-	return nil
-}
-
-// topoOrder returns the reachable vertices with every parent strictly
+// TopoOrder returns the reachable vertices with every parent strictly
 // before each of its children — a true topological order even for
 // shared DAGs, which the DFS preorder of Reachable is not (a shared
 // child may precede one of its parents there). Kahn's algorithm
 // seeded from BEGIN with a FIFO ready queue makes the order
 // deterministic: ties break on first discovery.
-func (g *SGraph) topoOrder() []*Vertex {
+func (g *SGraph) TopoOrder() []*Vertex {
 	reach := g.Reachable()
-	indeg := make(map[*Vertex]int, len(reach))
+	indeg := make([]int32, g.idBound)
 	for _, v := range reach {
-		for _, c := range outEdges(v) {
-			indeg[c]++
+		switch v.Kind {
+		case Test:
+			for _, c := range v.Children {
+				indeg[c.ID]++
+			}
+		case Begin, Assign:
+			indeg[v.Next.ID]++
 		}
 	}
-	order := make([]*Vertex, 0, len(reach))
-	queue := []*Vertex{g.Begin}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, c := range outEdges(v) {
-			if indeg[c]--; indeg[c] == 0 {
-				queue = append(queue, c)
+	// The order doubles as the FIFO queue: order[head:] is ready.
+	order := append(reach[:0], g.Begin)
+	ready := func(c *Vertex) {
+		if indeg[c.ID]--; indeg[c.ID] == 0 {
+			order = append(order, c)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		switch v := order[head]; v.Kind {
+		case Test:
+			for _, c := range v.Children {
+				ready(c)
 			}
+		case Begin, Assign:
+			ready(v.Next)
 		}
 	}
 	return order
 }
 
+// forwarding redirects vertices removed by a pass to their
+// replacements, indexed by vertex ID; nil entries are not forwarded.
+type forwarding []*Vertex
+
+// set forwards v to r, allocating the table on first use.
+func (f *forwarding) set(g *SGraph, v, r *Vertex) {
+	if *f == nil {
+		*f = make(forwarding, g.idBound)
+	}
+	(*f)[v.ID] = r
+}
+
 // resolve follows a forwarding chain to its representative, with path
 // compression.
-func resolve(forward map[*Vertex]*Vertex, v *Vertex) *Vertex {
-	r, ok := forward[v]
-	if !ok {
+func (f forwarding) resolve(v *Vertex) *Vertex {
+	r := f[v.ID]
+	if r == nil {
 		return v
 	}
-	r = resolve(forward, r)
-	forward[v] = r
+	r = f.resolve(r)
+	f[v.ID] = r
 	return r
 }
 
 // applyForward rewrites every reachable edge through the forwarding
-// map. Forward targets are always vertices of the pre-rewrite graph,
+// table. Forward targets are always vertices of the pre-rewrite graph,
 // so rewriting the pre-rewrite reachable set covers every edge that
 // can survive.
-func (g *SGraph) applyForward(forward map[*Vertex]*Vertex) {
-	if len(forward) == 0 {
+func (g *SGraph) applyForward(f forwarding) {
+	if f == nil {
 		return
 	}
 	for _, v := range g.Reachable() {
 		switch v.Kind {
 		case Test:
 			for i, c := range v.Children {
-				v.Children[i] = resolve(forward, c)
+				v.Children[i] = f.resolve(c)
 			}
 		case Begin, Assign:
-			v.Next = resolve(forward, v.Next)
+			v.Next = f.resolve(v.Next)
 		}
 	}
 }
@@ -241,35 +259,35 @@ func (g *SGraph) straightenAssigns(st *ReduceStats) int {
 	for i, sv := range g.C.States {
 		bit[sv] = 1 << i
 	}
-	order := g.topoOrder()
-	kill := make(map[*Vertex]uint64, len(order))
+	order := g.TopoOrder()
+	kill := make([]uint64, g.idBound)
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		switch v.Kind {
 		case End:
-			kill[v] = 0
+			kill[v.ID] = 0
 		case Test:
 			k := ^uint64(0)
 			for _, c := range v.Children {
-				k &= kill[c]
+				k &= kill[c.ID]
 			}
-			kill[v] = k
+			kill[v.ID] = k
 		case Begin:
-			kill[v] = kill[v.Next]
+			kill[v.ID] = kill[v.Next.ID]
 		case Assign:
-			k := kill[v.Next]
+			k := kill[v.Next.ID]
 			if v.Action.Kind == cfsm.ActAssign {
 				k |= bit[v.Action.Var]
 			}
-			kill[v] = k
+			kill[v.ID] = k
 		}
 	}
-	forward := make(map[*Vertex]*Vertex)
+	var forward forwarding
 	dropped := 0
 	for _, v := range order {
 		if v.Kind == Assign && v.Action.Kind == cfsm.ActAssign &&
-			kill[v.Next]&bit[v.Action.Var] != 0 {
-			forward[v] = v.Next
+			kill[v.Next.ID]&bit[v.Action.Var] != 0 {
+			forward.set(g, v, v.Next)
 			dropped++
 		}
 	}
@@ -308,7 +326,7 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 	for _, t := range tests {
 		mvOf[t] = sp.NewMV(t.Name(), t.Arity(), mvar.Input)
 	}
-	order := g.topoOrder()
+	order := g.TopoOrder()
 	for _, v := range order {
 		if v.Kind != Test {
 			continue
@@ -345,42 +363,43 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 
 	// Forward context propagation in topological order: every
 	// in-edge of a vertex is seen before the vertex itself.
-	ctx := make(map[*Vertex]bdd.Node, len(order))
+	ctx := make([]bdd.Node, g.idBound)
 	for _, v := range order {
-		ctx[v] = bdd.False
+		ctx[v.ID] = bdd.False
 	}
-	ctx[g.Begin] = care
+	ctx[g.Begin.ID] = care
 	for _, v := range order {
-		c := ctx[v]
+		c := ctx[v.ID]
 		switch v.Kind {
 		case Test:
 			for idx, child := range v.Children {
 				cc := m.And(c, outcomeCube(sp, mvOf, v.Tests, idx))
-				ctx[child] = m.Or(ctx[child], cc)
+				ctx[child.ID] = m.Or(ctx[child.ID], cc)
 			}
 		case Begin, Assign:
-			ctx[v.Next] = m.Or(ctx[v.Next], c)
+			ctx[v.Next.ID] = m.Or(ctx[v.Next.ID], c)
 		}
 		if m.NumNodes() > maxNodes {
 			return 0 // context blow-up: skip the pass this iteration
 		}
 	}
 
-	forward := make(map[*Vertex]*Vertex)
+	var forward forwarding
 	changed := 0
+	var feasible []int
 	for _, v := range order {
-		if v.Kind != Test || ctx[v] == bdd.False {
+		if v.Kind != Test || ctx[v.ID] == bdd.False {
 			continue // unreachable under the care set; dropped later
 		}
 		arity := len(v.Children)
-		feasible := make([]int, 0, arity)
+		feasible = feasible[:0]
 		for idx := 0; idx < arity; idx++ {
-			if m.Intersects(ctx[v], outcomeCube(sp, mvOf, v.Tests, idx)) {
+			if m.Intersects(ctx[v.ID], outcomeCube(sp, mvOf, v.Tests, idx)) {
 				feasible = append(feasible, idx)
 			}
 		}
 		if len(feasible) == 1 {
-			forward[v] = v.Children[feasible[0]]
+			forward.set(g, v, v.Children[feasible[0]])
 			st.TestsEliminated++
 			changed++
 			continue
@@ -404,8 +423,8 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 		// it unless it decodes a selector (FromChi keeps degenerate
 		// selector TESTs so the object code still reads the state
 		// value — respect that choice here).
-		if _, bypassed := forward[v]; !bypassed && uniformNonSelector(v) {
-			forward[v] = v.Children[0]
+		if uniformNonSelector(v) {
+			forward.set(g, v, v.Children[0])
 			st.TestsEliminated++
 			changed++
 		}
@@ -453,61 +472,66 @@ func outcomeCube(sp *mvar.Space, mvOf map[*cfsm.Test]*mvar.MV, tests []*cfsm.Tes
 // vertex's children are canonical when its own key is formed and
 // forwarding chains never exceed one hop.
 func (g *SGraph) shareSubgraphs(st *ReduceStats) int {
-	order := g.topoOrder()
-	id := make(map[*Vertex]int, len(order))
+	order := g.TopoOrder()
+	id := make([]int32, g.idBound)
 	for i, v := range order {
-		id[v] = i
+		id[v.ID] = int32(i)
 	}
-	rep := make(map[*Vertex]*Vertex)
+	rep := make([]*Vertex, g.idBound)
 	canon := make(map[string]*Vertex, len(order))
+	var key []byte
 	merged := 0
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		switch v.Kind {
 		case Test:
 			for j, c := range v.Children {
-				if r, ok := rep[c]; ok {
+				if r := rep[c.ID]; r != nil {
 					v.Children[j] = r
 				}
 			}
 		case Begin, Assign:
-			if r, ok := rep[v.Next]; ok {
+			if r := rep[v.Next.ID]; r != nil {
 				v.Next = r
 			}
 		}
 		if v.Kind == Begin {
 			continue
 		}
-		key := vertexKey(v, id)
-		if w, ok := canon[key]; ok && w != v {
-			rep[v] = w
-			merged++
-		} else if !ok {
-			canon[key] = v
+		key = appendVertexKey(key[:0], v, id)
+		if w, ok := canon[string(key)]; ok {
+			if w != v {
+				rep[v.ID] = w
+				merged++
+			}
+		} else {
+			canon[string(key)] = v
 		}
 	}
 	st.Shares += merged
 	return merged
 }
 
-// vertexKey renders the hash-consing identity of a vertex. Child
-// identity uses the topological index of the (canonicalised) child.
-func vertexKey(v *Vertex, id map[*Vertex]int) string {
-	var b strings.Builder
+// appendVertexKey appends the hash-consing identity of a vertex to b.
+// Child identity uses the topological index of the (canonicalised)
+// child.
+func appendVertexKey(b []byte, v *Vertex, id []int32) []byte {
 	switch v.Kind {
 	case End:
-		b.WriteString("E")
+		b = append(b, 'E')
 	case Assign:
-		fmt.Fprintf(&b, "A|%s|%d", actionKey(v.Action), id[v.Next])
+		b = appendActionKey(append(b, "A|"...), v.Action)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(id[v.Next.ID]), 10)
 	case Test:
-		b.WriteString("T")
+		b = append(b, 'T')
 		for _, t := range v.Tests {
-			b.WriteString("|")
-			b.WriteString(testKey(t))
+			b = appendTestKey(append(b, '|'), t)
 		}
 		for _, c := range v.Children {
-			fmt.Fprintf(&b, "|%d", id[c])
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(id[c.ID]), 10)
 		}
 	}
-	return b.String()
+	return b
 }

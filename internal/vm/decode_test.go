@@ -10,7 +10,8 @@ import (
 
 // TestDecodeErrors runs hand-built malformed programs: each must fail
 // decode with a *DecodeError naming the bad instruction, before any
-// cycle is spent or any service called.
+// cycle is spent or any service called, and static cycle analysis must
+// reject it with the same error rather than panic or cost it.
 func TestDecodeErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,6 +57,12 @@ func TestDecodeErrors(t *testing.T) {
 			}
 			if m.Cycles != 0 || len(h.emitted) != 0 {
 				t.Errorf("Run spent %d cycles and made %d emissions before failing", m.Cycles, len(h.emitted))
+			}
+			for _, prof := range []*Profile{HC11(), R3K()} {
+				de = nil
+				if _, err := AnalyzeCycles(prof, p, ""); !errors.As(err, &de) || de.Instr != 1 || de.Reason == "" {
+					t.Errorf("AnalyzeCycles(%s) error %v, want a DecodeError for instr 1", prof.Name, err)
+				}
 			}
 		})
 	}
