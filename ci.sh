@@ -28,6 +28,9 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
+# The deadline and flight tests of polisd, repeated: they must not
+# depend on how fast synthesis is.
+go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' ./internal/polisd/
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/

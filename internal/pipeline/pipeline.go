@@ -502,21 +502,32 @@ func (o Outcome) String() string {
 }
 
 // SynthesizeCached synthesizes one module through the cache with
-// singleflight dedup: concurrent callers (workers of one run, or of
-// different runs and service requests sharing this Cache) that miss
-// on the same fingerprint elect one leader to synthesize while the
-// rest wait for its artifact instead of duplicating the work. The
-// returned Outcome reports which layer served the call. A nil tr
-// disables tracing.
+// singleflight dedup (see Serve); the leader runs
+// SynthesizeModuleContext. A nil tr disables tracing.
 func (c *Cache) SynthesizeCached(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*Artifact, Outcome, error) {
+	opt.fill()
+	return c.Serve(ctx, Fingerprint(m, opt), m.Name, tr, func(ctx context.Context) (*Artifact, error) {
+		return SynthesizeModuleContext(ctx, m, opt, tr)
+	})
+}
+
+// Serve serves the artifact of key through the cache with singleflight
+// dedup: concurrent callers (workers of one run, or of different runs
+// and service requests sharing this Cache) that miss on the same key
+// elect one leader, and only the leader calls synth; the rest wait for
+// its artifact instead of duplicating the work. A leader that dies of
+// its own context's end says nothing about a joiner's request, so the
+// joiner retries and may lead in turn. module names the events sent to
+// tr; the returned Outcome reports which layer served the call. A nil
+// tr disables tracing.
+func (c *Cache) Serve(ctx context.Context, key, module string, tr Trace,
+	synth func(context.Context) (*Artifact, error)) (*Artifact, Outcome, error) {
 	if tr == nil {
 		tr = nopTrace{}
 	}
-	opt.fill()
-	key := Fingerprint(m, opt)
 	for {
 		if a, fromDisk, ok := c.Get(key); ok {
-			tr.Event(Event{Kind: EvCacheHit, Module: m.Name, FromDisk: fromDisk})
+			tr.Event(Event{Kind: EvCacheHit, Module: module, FromDisk: fromDisk})
 			if fromDisk {
 				return a, OutcomeDiskHit, nil
 			}
@@ -529,24 +540,21 @@ func (c *Cache) SynthesizeCached(ctx context.Context, m *cfsm.CFSM, opt Options,
 			// flight: serve that instead of synthesizing again.
 			if a, ok := c.peek(key); ok {
 				c.endFlight(key, f, a, nil)
-				tr.Event(Event{Kind: EvCacheHit, Module: m.Name})
+				tr.Event(Event{Kind: EvCacheHit, Module: module})
 				return a, OutcomeMemHit, nil
 			}
-			tr.Event(Event{Kind: EvCacheMiss, Module: m.Name})
-			a, err := SynthesizeModuleContext(ctx, m, opt, tr)
+			tr.Event(Event{Kind: EvCacheMiss, Module: module})
+			a, err := synth(ctx)
 			if err == nil {
 				c.Put(key, a)
 			}
 			c.endFlight(key, f, a, err)
 			return a, OutcomeMiss, err
 		}
-		tr.Event(Event{Kind: EvDedup, Module: m.Name})
+		tr.Event(Event{Kind: EvDedup, Module: module})
 		select {
 		case <-f.done:
 			if f.err != nil {
-				// A leader that died of its own cancellation says nothing
-				// about this caller's request: retry (possibly becoming
-				// the new leader).
 				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 					continue
 				}

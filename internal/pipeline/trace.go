@@ -293,78 +293,6 @@ func (c *Collector) Event(e Event) {
 	}
 }
 
-// Merge folds other's aggregates into c: additive counters are
-// summed, worst-case fields (stage maxima, BDD peaks) take the max,
-// errors are appended, and the newer cache snapshot wins. The shard
-// driver uses it to reduce per-shard Collectors into the single
-// report a one-collector run would have produced. other must be
-// quiescent (no concurrent Event calls) for the duration.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil || other == c {
-		return
-	}
-	// Lock order is caller-then-other; the quiescence contract rules
-	// out a concurrent Merge in the opposite direction.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	o := other
-	c.modules += o.modules
-	if o.workers > c.workers {
-		c.workers = o.workers
-	}
-	c.runs += o.runs
-	c.wall += o.wall
-	for s := Stage(0); s < numStages; s++ {
-		c.stageTotal[s] += o.stageTotal[s]
-		c.stageCount[s] += o.stageCount[s]
-		if o.stageMax[s] > c.stageMax[s] {
-			c.stageMax[s] = o.stageMax[s]
-		}
-		if o.stageBDDLive[s] > c.stageBDDLive[s] {
-			c.stageBDDLive[s] = o.stageBDDLive[s]
-		}
-		if o.stageBDDPeak[s] > c.stageBDDPeak[s] {
-			c.stageBDDPeak[s] = o.stageBDDPeak[s]
-		}
-		c.stageBDDHits[s] += o.stageBDDHits[s]
-		c.stageBDDMisses[s] += o.stageBDDMisses[s]
-	}
-	if o.peakNodes > c.peakNodes {
-		c.peakNodes = o.peakNodes
-		c.peakModule = o.peakModule
-	}
-	c.siftSwaps += o.siftSwaps
-	c.siftSkipped += o.siftSkipped
-	c.siftLBPrunes += o.siftLBPrunes
-	c.siftPasses += o.siftPasses
-	c.bddHits += o.bddHits
-	c.bddMisses += o.bddMisses
-	c.bddResets += o.bddResets
-	c.bddEvicts += o.bddEvicts
-	c.reduceModules += o.reduceModules
-	c.reduceBefore += o.reduceBefore
-	c.reduceAfter += o.reduceAfter
-	c.reduceTests += o.reduceTests
-	c.reduceShares += o.reduceShares
-	c.reduceAssigns += o.reduceAssigns
-	c.reduceRedirect += o.reduceRedirect
-	c.specModules += o.specModules
-	c.specSamples += o.specSamples
-	c.specTests += o.specTests
-	c.specReordered += o.specReordered
-	c.hits += o.hits
-	c.diskHits += o.diskHits
-	c.misses += o.misses
-	c.dedups += o.dedups
-	if o.cacheStats != nil {
-		c.cacheStats = o.cacheStats
-	}
-	c.lockWaitNs += o.lockWaitNs
-	c.errs = append(c.errs, o.errs...)
-}
-
 // CacheCounters returns the numbers of cache hits (total and from the
 // on-disk layer) and misses observed so far.
 func (c *Collector) CacheCounters() (hits, diskHits, misses int) {

@@ -134,40 +134,17 @@ type Stats struct {
 	Report    string                   `json:"report"` // Collector text report
 }
 
-// errQueueFull is returned by admission control; mapped to 429.
-var errQueueFull = errors.New("polisd: admission queue full")
-
-// flight is a server-level singleflight entry: the first request to
-// need a fingerprint becomes the leader and occupies one worker; the
-// rest wait on done without consuming queue slots or workers.
-type srvFlight struct {
-	done    chan struct{}
-	a       *pipeline.Artifact
-	outcome pipeline.Outcome
-	err     error
-}
-
-type job struct {
-	ctx context.Context
-	key string
-	m   *cfsm.CFSM
-	opt pipeline.Options
-	fl  *srvFlight
-}
-
 // Server is the synthesis service core. Create with New, mount
 // Handler on an http.Server, and call Shutdown to drain.
 type Server struct {
 	cfg   Config
 	cache *pipeline.Cache
 	col   *pipeline.Collector
-	queue chan job
-	stop  chan struct{}
-	wg    sync.WaitGroup // workers
+	// slots holds one token per running synthesis: a flight leader
+	// takes one before it synthesizes, so at most Workers modules
+	// synthesize at once across all requests.
+	slots chan struct{}
 	reqWG sync.WaitGroup // in-flight /synthesize requests
-
-	flMu    sync.Mutex
-	flights map[string]*srvFlight
 
 	start    time.Time
 	draining atomic.Bool
@@ -178,27 +155,20 @@ type Server struct {
 	clientGone                                   atomic.Int64
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	cache, err := pipeline.NewCache(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:     cfg,
-		cache:   cache,
-		col:     &pipeline.Collector{},
-		queue:   make(chan job, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		flights: make(map[string]*srvFlight),
-		start:   time.Now(),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s, nil
+	return &Server{
+		cfg:   cfg,
+		cache: cache,
+		col:   &pipeline.Collector{},
+		slots: make(chan struct{}, cfg.Workers),
+		start: time.Now(),
+	}, nil
 }
 
 // Cache exposes the warm cache (for tests and stats).
@@ -207,86 +177,20 @@ func (s *Server) Cache() *pipeline.Cache { return s.cache }
 // Collector exposes the process-lifetime trace collector.
 func (s *Server) Collector() *pipeline.Collector { return s.col }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			if err := j.ctx.Err(); err != nil {
-				s.finishFlight(j, nil, pipeline.OutcomeMiss, err)
-				continue
-			}
-			a, out, err := s.cache.SynthesizeCached(j.ctx, j.m, j.opt, s.col)
-			s.finishFlight(j, a, out, err)
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-func (s *Server) finishFlight(j job, a *pipeline.Artifact, out pipeline.Outcome, err error) {
-	s.flMu.Lock()
-	delete(s.flights, j.key)
-	s.flMu.Unlock()
-	j.fl.a, j.fl.outcome, j.fl.err = a, out, err
-	close(j.fl.done)
-}
-
-// synthesizeModule serves one module under its fingerprint key:
-// warm-cache fast path, then the server-level singleflight (join an
-// in-flight identical synthesis without occupying a worker), then the
-// admission-gated worker queue.
+// synthesizeModule serves one module under its fingerprint key
+// through the cache's flight: warm hits and flight joiners return
+// without a worker slot, and only the flight leader takes one before
+// it synthesizes.
 func (s *Server) synthesizeModule(ctx context.Context, key string, m *cfsm.CFSM, opt pipeline.Options) (*pipeline.Artifact, pipeline.Outcome, error) {
-	for {
-		if a, fromDisk, ok := s.cache.Get(key); ok {
-			s.col.Event(pipeline.Event{Kind: pipeline.EvCacheHit, Module: m.Name, FromDisk: fromDisk})
-			if fromDisk {
-				return a, pipeline.OutcomeDiskHit, nil
-			}
-			return a, pipeline.OutcomeMemHit, nil
-		}
-		s.flMu.Lock()
-		fl, joined := s.flights[key]
-		if !joined {
-			fl = &srvFlight{done: make(chan struct{})}
-			s.flights[key] = fl
-		}
-		s.flMu.Unlock()
-		if !joined {
-			// Leader: hand the work to the pool. The queue cannot
-			// overflow — admission bounds in-flight modules to its
-			// capacity — but guard anyway rather than block.
-			select {
-			case s.queue <- job{ctx: ctx, key: key, m: m, opt: opt, fl: fl}:
-			default:
-				s.flMu.Lock()
-				delete(s.flights, key)
-				s.flMu.Unlock()
-				fl.err = errQueueFull
-				close(fl.done)
-				return nil, pipeline.OutcomeMiss, errQueueFull
-			}
-		} else {
-			s.col.Event(pipeline.Event{Kind: pipeline.EvDedup, Module: m.Name})
-		}
+	return s.cache.Serve(ctx, key, m.Name, s.col, func(ctx context.Context) (*pipeline.Artifact, error) {
 		select {
-		case <-fl.done:
-			if fl.err != nil {
-				// A leader cancelled by its own request's deadline says
-				// nothing about this request: retry (and possibly lead).
-				if !joined || !(errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) {
-					return nil, fl.outcome, fl.err
-				}
-				continue
-			}
-			if joined {
-				return fl.a, pipeline.OutcomeDedup, nil
-			}
-			return fl.a, fl.outcome, nil
+		case s.slots <- struct{}{}:
 		case <-ctx.Done():
-			return nil, pipeline.OutcomeDedup, ctx.Err()
+			return nil, ctx.Err()
 		}
-	}
+		defer func() { <-s.slots }()
+		return pipeline.SynthesizeModuleContext(ctx, m, opt, s.col)
+	})
 }
 
 // admit reserves n module slots, failing when the admission queue is
@@ -304,6 +208,20 @@ func (s *Server) admit(n int) bool {
 }
 
 func (s *Server) release(n int) { s.pending.Add(int64(-n)) }
+
+// count adds one successfully served module to the summary totals.
+func (sum *SynthSummary) count(out pipeline.Outcome) {
+	switch out {
+	case pipeline.OutcomeMiss:
+		sum.Misses++
+	case pipeline.OutcomeMemHit:
+		sum.MemHits++
+	case pipeline.OutcomeDiskHit:
+		sum.DiskHit++
+	case pipeline.OutcomeDedup:
+		sum.Dedups++
+	}
+}
 
 func (s *Server) countOutcome(out pipeline.Outcome) {
 	switch out {
@@ -343,6 +261,17 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// handleSynthesize serves POST /synthesize. An aggregate request ends
+// in one of three statuses, decided by the module results alone:
+//
+//   - 200 when every module succeeded, even if the last one finished
+//     after the deadline: a late but complete answer is still whole;
+//   - 504 when a module failed and the deadline has passed;
+//   - 207 when a module failed on its own, with the deadline still
+//     live.
+//
+// A streaming request commits 200 with its first result line and
+// carries the same outcome in its summary trailer.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if r.Method != http.MethodPost {
@@ -416,7 +345,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.col.Event(pipeline.Event{Kind: pipeline.EvRunStart, Modules: n, Workers: s.cfg.Workers})
 
-	results := make(chan ModuleResult, n)
+	type served struct {
+		ModuleResult
+		out pipeline.Outcome
+	}
+	results := make(chan served, n)
 	for _, m := range net.Machines {
 		go func(m *cfsm.CFSM) {
 			mt0 := time.Now()
@@ -439,7 +372,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 					res.C = a.C
 				}
 			}
-			results <- res
+			results <- served{res, out}
 		}(m)
 	}
 
@@ -454,34 +387,23 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	clientGone := false
 	written := 0
 	for i := 0; i < n; i++ {
-		res := <-results
+		r := <-results
+		res := r.ModuleResult
 		if clientGone {
 			// Keep draining so the per-module goroutines exit, but the
 			// results are moot: nobody is listening, and the errors the
 			// cancellation induced are not module failures.
 			continue
 		}
-		switch res.Error {
-		case "":
-			switch res.Cache {
-			case "miss":
-				sum.Misses++
-			case "mem":
-				sum.MemHits++
-			case "disk":
-				sum.DiskHit++
-			case "dedup":
-				sum.Dedups++
-			}
-		default:
+		if res.Error == "" {
+			sum.count(r.out)
+			s.countOutcome(r.out)
+		} else {
 			sum.Errors++
 			s.modErrs.Add(1)
 			if sum.Error == "" {
 				sum.Error = fmt.Sprintf("%s: %s", res.Module, res.Error)
 			}
-		}
-		if res.Error == "" {
-			s.countOutcome(outcomeFromString(res.Cache))
 		}
 		if enc != nil {
 			if err := enc.Encode(res); err != nil {
@@ -547,19 +469,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		net.Name, n, sum.Misses, sum.MemHits, sum.DiskHit, sum.Dedups, sum.Errors, status, sum.Ms)
 }
 
-func outcomeFromString(s string) pipeline.Outcome {
-	switch s {
-	case "mem":
-		return pipeline.OutcomeMemHit
-	case "disk":
-		return pipeline.OutcomeDiskHit
-	case "dedup":
-		return pipeline.OutcomeDedup
-	default:
-		return pipeline.OutcomeMiss
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := Stats{
 		UptimeS:     time.Since(s.start).Seconds(),
@@ -597,9 +506,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// Shutdown drains the server: new requests are rejected with 503,
+// Shutdown drains the server: new requests are rejected with 503, and
 // in-flight requests run to completion (their own deadlines bound the
-// wait), then the worker pool stops. The context caps the drain wait.
+// wait). The context caps the drain wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil
@@ -616,8 +525,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = fmt.Errorf("polisd: drain aborted: %w", ctx.Err())
 	}
-	close(s.stop)
-	s.wg.Wait()
 	s.cfg.Logf("drained: %d requests served (%d ok), %d modules synthesized",
 		s.requests.Load(), s.ok.Load(), s.outMiss.Load())
 	return err

@@ -174,10 +174,10 @@ type Report struct {
 	Total ShardStat
 	// Wall is the whole run's wall time (map plus reduce).
 	Wall time.Duration
-	// Collector is the merged per-shard statistics collector; its
-	// Report() is the same shape an unsharded run prints. Process-mode
-	// runs only carry run-level and cache counters (per-stage timing
-	// stays in the worker processes).
+	// Collector holds the statistics of every shard; its Report() is
+	// the same shape an unsharded run prints. Process-mode runs only
+	// carry run-level and cache counters (per-stage timing stays in the
+	// worker processes).
 	Collector *pipeline.Collector
 	// Procs reports whether shards ran as separate OS processes.
 	Procs bool
@@ -216,10 +216,10 @@ func (st *ShardStat) count(out pipeline.Outcome) {
 
 // Run synthesizes the network's modules in deterministic shards, one
 // goroutine per shard, all sharing one cache as the shuffle layer.
-// Artifacts come back in network order; per-shard Collectors are
-// merged into Report.Collector. The first module failure stops every
-// shard from starting new modules (fail-fast) and the aggregate error
-// names each failed module.
+// Artifacts come back in network order; every shard sends its events
+// to Report.Collector, which is safe for concurrent use. The first
+// module failure stops every shard from starting new modules
+// (fail-fast) and the aggregate error names each failed module.
 func Run(ctx context.Context, net *cfsm.Network, opt Options) (*Report, error) {
 	machines := net.Machines
 	shards := opt.Shards
@@ -248,15 +248,12 @@ func Run(ctx context.Context, net *cfsm.Network, opt Options) (*Report, error) {
 	arts := make([]*pipeline.Artifact, len(machines))
 	moduleErrs := make([]error, len(machines))
 	stats := make([]ShardStat, shards)
-	cols := make([]*pipeline.Collector, shards)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for si := range parts {
 		wg.Add(1)
 		go func(si int, part []int) {
 			defer wg.Done()
-			col := pipeline.NewCollector()
-			cols[si] = col
 			st := &stats[si]
 			st.Shard = si
 			st.Modules = len(part)
@@ -266,11 +263,11 @@ func Run(ctx context.Context, net *cfsm.Network, opt Options) (*Report, error) {
 				if failed.Load() || ctx.Err() != nil {
 					return // fail-fast/cancelled: stop mapping this shard
 				}
-				a, out, err := cache.SynthesizeCached(ctx, machines[mi], opt.Pipeline, col)
+				a, out, err := cache.SynthesizeCached(ctx, machines[mi], opt.Pipeline, master)
 				if err != nil {
 					if ctx.Err() == nil {
 						moduleErrs[mi] = fmt.Errorf("module %s: %w", machines[mi].Name, err)
-						col.Event(pipeline.Event{Kind: pipeline.EvModuleError, Module: machines[mi].Name, Err: err})
+						master.Event(pipeline.Event{Kind: pipeline.EvModuleError, Module: machines[mi].Name, Err: err})
 					}
 					failed.Store(true)
 					return
@@ -282,11 +279,6 @@ func Run(ctx context.Context, net *cfsm.Network, opt Options) (*Report, error) {
 	}
 	wg.Wait()
 
-	// Reduce: merge shard collectors in shard order, then total the
-	// attribution counters.
-	for _, col := range cols {
-		master.Merge(col)
-	}
 	cst := cache.Stats()
 	master.Event(pipeline.Event{Kind: pipeline.EvRunEnd, Duration: time.Since(start), Cache: &cst})
 
