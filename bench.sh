@@ -47,8 +47,8 @@ run_benches() {
         # fixed random network's reactive functions) included.
         go test -run '^$' -bench . -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/bdd/
         # The cache key, and the stages after the s-graph one by one
-        # (BenchmarkBackend: reduce, assemble, emit-c, analyze-cycles,
-        # estimate).
+        # (BenchmarkBackend: reduce, routine, assemble, emit-c,
+        # analyze-cycles, estimate).
         go test -run '^$' -bench 'BenchmarkFingerprint|BenchmarkBackend' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
     sim)

@@ -6,7 +6,8 @@
 # and the two that sift reactive functions, where the per-swap sift-cost
 # audit also checks that the unique tables hold only live nodes), a
 # bounded
-# native fuzz run of the disk-cache entry decoder, a bounded
+# native fuzz run each of the disk-cache entry decoder and the polisd
+# wire decoder, a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
 # with and without the s-graph reduction engine, with same-cycle
@@ -33,6 +34,7 @@ go test -race ./...
 go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' ./internal/polisd/
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
+go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 20s ./internal/polisd
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
 NETFUZZ_STORM_RUNS=200 go test -race -run TestFuzzCampaignStorm ./internal/netfuzz/

@@ -41,7 +41,8 @@ type Options struct {
 	OptimizeCopies bool
 	// IfThreshold is the TEST arity at or below which a chain of
 	// compare-and-branch instructions is generated instead of a jump
-	// table (the paper's target-dependent switch/if parameter).
+	// table (the paper's target-dependent switch/if parameter);
+	// NewRoutine turns zero into 2.
 	IfThreshold int
 }
 
@@ -82,9 +83,6 @@ type Builder struct {
 // from the whole CFSM: everything read is copied). Callers then emit
 // the body through the Builder's methods and finish with Finish.
 func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Builder, error) {
-	if opts.IfThreshold == 0 {
-		opts.IfThreshold = 2
-	}
 	if plan == nil {
 		plan = ConservativePlan(c)
 	}
@@ -119,12 +117,15 @@ func (a *Builder) Finish() (*vm.Program, error) {
 	return a.p, nil
 }
 
-// StateAddr returns the persistent data word of a state variable.
-func (a *Builder) StateAddr(sv *cfsm.StateVar) int { return a.stateAddr[sv] }
-
 // StateReadAddr returns the data word reads of a state variable use:
-// its entry copy when one exists, else the persistent word.
-func (a *Builder) StateReadAddr(sv *cfsm.StateVar) int { return a.stateReadAddr(sv) }
+// its entry copy when one exists, else the persistent word, which
+// still holds the pre-reaction value at every read.
+func (a *Builder) StateReadAddr(sv *cfsm.StateVar) int {
+	if cur, ok := a.curAddr[sv]; ok {
+		return cur
+	}
+	return a.stateAddr[sv]
+}
 
 // SignalID returns the RTOS id of a signal.
 func (a *Builder) SignalID(s *cfsm.Signal) int { return a.sigs[s] }
@@ -185,17 +186,23 @@ func ConservativePlan(c *cfsm.CFSM) *CopyPlan {
 // EntryLabel returns the label of a CFSM's reaction routine.
 func EntryLabel(c *cfsm.CFSM) string { return c.Name + "_react" }
 
-// Assemble translates an s-graph into a routine for the virtual CPU.
-// The routine reads event presence and values through SVC traps,
-// updates the persistent state words allocated in the program, and
-// halts. State variables live in the program's data memory and keep
-// their values across runs of one vm.Machine.
+// Assemble translates an s-graph into a routine for the virtual CPU;
+// it is NewRoutine(g, opts).Assemble(sigs).
 func Assemble(g *sgraph.SGraph, sigs SignalMap, opts Options) (*vm.Program, error) {
-	a, err := NewBuilder(g.C, sigs, opts, AnalyzeCopies(g))
+	return NewRoutine(g, opts).Assemble(sigs)
+}
+
+// Assemble translates the routine into a program for the virtual CPU.
+// The program reads event presence and values through SVC traps,
+// updates the persistent state words allocated in it, and halts.
+// State variables live in the program's data memory and keep their
+// values across runs of one vm.Machine.
+func (r *Routine) Assemble(sigs SignalMap) (*vm.Program, error) {
+	a, err := NewBuilder(r.G.C, sigs, r.Opts, r.Plan)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.body(g); err != nil {
+	if err := a.body(r); err != nil {
 		return nil, err
 	}
 	return a.Finish()
@@ -205,11 +212,7 @@ func Assemble(g *sgraph.SGraph, sigs SignalMap, opts Options) (*vm.Program, erro
 // paper's copy-on-entry discipline (optionally trimmed by data flow).
 func (a *Builder) prologue() {
 	for _, sv := range a.c.States {
-		need := a.plan.Read[sv]
-		if a.opts.OptimizeCopies {
-			need = a.plan.NeedCopy[sv]
-		}
-		if !need {
+		if !a.plan.Copied(sv, a.opts.OptimizeCopies) {
 			continue
 		}
 		cur := a.p.Alloc("cur_" + sv.Name)
@@ -243,23 +246,10 @@ func (a *Builder) readAddr(name string) (int, error) {
 	}
 	for _, sv := range a.c.States {
 		if sv.Name == name {
-			if cur, ok := a.curAddr[sv]; ok {
-				return cur, nil
-			}
-			// No copy needed: the persistent word still holds the
-			// pre-reaction value at every read.
-			return a.stateAddr[sv], nil
+			return a.StateReadAddr(sv), nil
 		}
 	}
 	return 0, fmt.Errorf("codegen: unknown variable %q", name)
-}
-
-// stateReadAddr returns the address selector tests read.
-func (a *Builder) stateReadAddr(sv *cfsm.StateVar) int {
-	if cur, ok := a.curAddr[sv]; ok {
-		return cur
-	}
-	return a.stateAddr[sv]
 }
 
 // CompileExpr evaluates e into register RegVal using the simple
@@ -319,36 +309,33 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 
 func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
 
-// body emits all reachable vertices in DFS order, falling through to
-// the next vertex where the layout allows and jumping otherwise.
-func (a *Builder) body(g *sgraph.SGraph) error {
-	order := g.Reachable() // DFS pre-order, Begin first
+// body emits the routine's vertices in layout order, each ending in
+// the routine's Jump unless a jump table dispatched every outcome.
+func (a *Builder) body(r *Routine) error {
 	// Room for about five instructions per vertex, the usual count.
-	a.p.Instrs = slices.Grow(a.p.Instrs, 5*len(order))
-	for i, v := range order {
+	a.p.Instrs = slices.Grow(a.p.Instrs, 5*len(r.Order))
+	for _, v := range r.Order {
 		if err := a.p.Mark(vlabel(v)); err != nil {
 			return err
 		}
-		next := func(w *sgraph.Vertex) {
-			if i+1 < len(order) && order[i+1] == w {
-				return // fall through
-			}
-			a.p.Emit(vm.Instr{Op: vm.JMP, Label: vlabel(w)})
-		}
 		switch v.Kind {
-		case sgraph.Begin:
-			next(v.Next)
 		case sgraph.End:
 			a.p.Emit(vm.Instr{Op: vm.HALT})
 		case sgraph.Assign:
 			if err := a.EmitAction(v.Action); err != nil {
 				return err
 			}
-			next(v.Next)
 		case sgraph.Test:
-			if err := a.emitTest(v, next); err != nil {
+			tabled, err := a.emitTest(v)
+			if err != nil {
 				return err
 			}
+			if tabled {
+				continue
+			}
+		}
+		if w := r.Jump(v); w != nil {
+			a.p.Emit(vm.Instr{Op: vm.JMP, Label: vlabel(w)})
 		}
 	}
 	return nil
@@ -357,17 +344,18 @@ func (a *Builder) body(g *sgraph.SGraph) error {
 // emitTest lowers a TEST vertex: presence tests through an RTOS trap,
 // predicates through expression code, selectors and collapsed tests
 // through a jump table or a compare-and-branch chain depending on
-// arity (the paper's switch/if threshold).
-func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error {
+// arity (the paper's switch/if threshold). It reports whether a jump
+// table dispatched every outcome, leaving no fall-through arm.
+func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 	if len(v.Tests) == 1 && v.Tests[0].Arity() == 2 {
 		t := v.Tests[0]
 		// The branch sense follows the hot order: the fall-through arm
 		// is FallIdx() (outcome 0 unless specialized), and the branch
 		// takes the other outcome. BRZ and BRNZ cost the same in both
 		// size profiles, so swapping the sense is free.
-		brOp, brTo, fall := vm.BRNZ, v.Children[1], v.Children[0]
+		brOp, brTo := vm.BRNZ, v.Children[1]
 		if v.FallIdx() == 1 {
-			brOp, brTo, fall = vm.BRZ, v.Children[0], v.Children[1]
+			brOp, brTo = vm.BRZ, v.Children[0]
 		}
 		switch t.Kind {
 		case cfsm.TestPresence:
@@ -376,15 +364,14 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 			a.p.Emit(vm.Instr{Op: brOp, Rs: 0, Label: vlabel(brTo)})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
-				return err
+				return false, err
 			}
 			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: vlabel(brTo)})
 		default:
-			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateReadAddr(t.Sel), Comment: t.Name()})
+			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel), Comment: t.Name()})
 			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: vlabel(brTo)})
 		}
-		next(fall)
-		return nil
+		return false, nil
 	}
 	// Multi-way: compute the combined outcome index into RegAcc
 	// (CompileExpr may run mid-accumulation and clobbers RegVal,
@@ -402,14 +389,14 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: 0})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
-				return err
+				return false, err
 			}
 			// Normalise to 0/1.
 			a.p.Emit(vm.Instr{Op: vm.NOT, Rd: RegVal})
 			a.p.Emit(vm.Instr{Op: vm.NOT, Rd: RegVal})
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		default:
-			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateReadAddr(t.Sel), Comment: t.Name()})
+			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel), Comment: t.Name()})
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		}
 	}
@@ -422,15 +409,14 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 			a.p.Emit(vm.Instr{Op: vm.BR, Cond: vm.CondEQ, Rs: RegAcc, Rt: RegAux,
 				Label: vlabel(v.Children[idx])})
 		}
-		next(v.Children[v.FallIdx()])
-		return nil
+		return false, nil
 	}
 	table := make([]string, v.Arity())
 	for idx, c := range v.Children {
 		table[idx] = vlabel(c)
 	}
 	a.p.Emit(vm.Instr{Op: vm.JTAB, Rs: RegAcc, Table: table})
-	return nil
+	return true, nil
 }
 
 // EmitAction lowers an ASSIGN vertex. Its one effect instruction (the

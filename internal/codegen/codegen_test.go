@@ -230,7 +230,7 @@ func TestCopyAnalysis(t *testing.T) {
 	// x needs a copy; simple's a := a + 1 reads before any write on
 	// the path, so no copy is required.
 	gs := buildSG(t, swapper(), sgraph.OrderSiftAfterSupport)
-	plan := AnalyzeCopies(gs)
+	plan := NewRoutine(gs, Options{}).Plan
 	needNames := map[string]bool{}
 	for sv, need := range plan.NeedCopy {
 		if need {
@@ -242,7 +242,7 @@ func TestCopyAnalysis(t *testing.T) {
 	}
 
 	gsimple := buildSG(t, simple(), sgraph.OrderSiftAfterSupport)
-	plan2 := AnalyzeCopies(gsimple)
+	plan2 := NewRoutine(gsimple, Options{}).Plan
 	for sv, need := range plan2.NeedCopy {
 		if need {
 			t.Errorf("simple: %s should not need a copy", sv.Name)

@@ -29,9 +29,19 @@ type CopyPlan struct {
 	ValueRead map[*cfsm.Signal]bool
 }
 
-// AnalyzeCopies runs the write-before-read data-flow analysis over all
+// Copied reports whether a routine copies sv on entry: every state
+// variable it reads, or with optimize (Options.OptimizeCopies) only
+// those in NeedCopy.
+func (p *CopyPlan) Copied(sv *cfsm.StateVar, optimize bool) bool {
+	if optimize {
+		return p.NeedCopy[sv]
+	}
+	return p.Read[sv]
+}
+
+// analyzeCopies runs the write-before-read data-flow analysis over all
 // BEGIN-to-END paths of g. It is one forward pass over a topological
-// order carrying, per vertex, the may-written set W(v): the state
+// order (topo) carrying, per vertex, the may-written set W(v): the state
 // variables some BEGIN-to-v path assigns. Each ASSIGN adds its variable
 // to what flows to its successor, so W(child) is the union of W(v) ∪
 // writes(v) over the child's parents. A variable needs a copy when a
@@ -39,8 +49,8 @@ type CopyPlan struct {
 // written-set at v is contained in W(v), and every member of W(v) is
 // written on some path to v, this is exactly the union over paths of
 // the per-path analysis. Sets are bitsets of ⌈|States|/64⌉ words per
-// vertex ID.
-func AnalyzeCopies(g *sgraph.SGraph) *CopyPlan {
+// vertex ID. NewRoutine runs it; Routine.Plan holds the result.
+func analyzeCopies(g *sgraph.SGraph, topo []*sgraph.Vertex) *CopyPlan {
 	p := &CopyPlan{
 		Read:      make(map[*cfsm.StateVar]bool),
 		NeedCopy:  make(map[*cfsm.StateVar]bool),
@@ -88,7 +98,7 @@ func AnalyzeCopies(g *sgraph.SGraph) *CopyPlan {
 		}
 		return out
 	}
-	for _, v := range g.TopoOrder() {
+	for _, v := range topo {
 		w := may[v.ID*words : (v.ID+1)*words]
 		switch v.Kind {
 		case sgraph.Begin:

@@ -13,7 +13,7 @@ import (
 )
 
 // referenceCopies is the path-enumerating write-before-read analysis
-// AnalyzeCopies replaced, kept as its oracle: a DFS from BEGIN carrying
+// the routine's copy analysis replaced, kept as its oracle: a DFS from BEGIN carrying
 // each path's written-set, revisiting a vertex once per distinct
 // written-set signature.
 func referenceCopies(g *sgraph.SGraph) *CopyPlan {
@@ -104,11 +104,11 @@ func referenceCopies(g *sgraph.SGraph) *CopyPlan {
 	return p
 }
 
-// checkAgainstReference fails t unless AnalyzeCopies(g) equals the
-// path-enumerating oracle, and returns the plan.
+// checkAgainstReference fails t unless the copy plan of g's routine
+// equals the path-enumerating oracle, and returns the plan.
 func checkAgainstReference(t *testing.T, name string, g *sgraph.SGraph) *CopyPlan {
 	t.Helper()
-	got, want := AnalyzeCopies(g), referenceCopies(g)
+	got, want := NewRoutine(g, Options{}).Plan, referenceCopies(g)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: copy plan differs from the path analysis:\n got %s\nwant %s",
 			name, planString(g.C, got), planString(g.C, want))
@@ -183,8 +183,9 @@ func TestCopyAfterJoin(t *testing.T) {
 		g := buildSG(t, c, sgraph.OrderNaive)
 
 		joined := false
-		for v, n := range g.Parents() {
-			if v.Kind == sgraph.Assign && v.Action == read && n == 2 {
+		parents := g.Parents()
+		for _, v := range g.Reachable() {
+			if v.Kind == sgraph.Assign && v.Action == read && parents[v.ID] == 2 {
 				joined = true
 			}
 		}

@@ -36,6 +36,7 @@ func (r Result) Micros(p *Params, cycles int64) float64 {
 type Options struct {
 	// Codegen mirrors the code-generation options the estimate
 	// should assume (copy optimisation, if/switch threshold).
+	// EstimateRoutine reads the routine's options instead.
 	Codegen codegen.Options
 	// UseFalsePaths enables pruning of statically infeasible paths
 	// using the CFSM's mutual-exclusion information ("event
@@ -49,8 +50,8 @@ type Options struct {
 }
 
 // vertexCost is the estimated cycles of the vertex body (excluding
-// per-edge costs) and its code size.
-func vertexCost(p *Params, opts Options, v *sgraph.Vertex) (cyc, sz int64) {
+// per-edge costs) and its code size in routine r.
+func vertexCost(p *Params, r *codegen.Routine, v *sgraph.Vertex) (cyc, sz int64) {
 	switch v.Kind {
 	case sgraph.Begin, sgraph.End:
 		return 0, 0
@@ -99,11 +100,7 @@ func vertexCost(p *Params, opts Options, v *sgraph.Vertex) (cyc, sz int64) {
 			}
 		}
 		arity := int64(v.Arity())
-		threshold := opts.Codegen.IfThreshold
-		if threshold == 0 {
-			threshold = 2
-		}
-		if int(arity) <= threshold {
+		if int(arity) <= r.Opts.IfThreshold {
 			// Compare-and-branch chain: one LDI+BR per non-zero
 			// outcome; approximate per-arm cost with the Boolean
 			// branch parameters.
@@ -119,67 +116,51 @@ func vertexCost(p *Params, opts Options, v *sgraph.Vertex) (cyc, sz int64) {
 }
 
 // edgeCost is the estimated cycles of taking the k-th (semantic)
-// edge out of v. Costs attach to emission positions, not outcome
-// indices: position 0 is the fall-through arm, later positions pay
-// progressively more comparisons. On an unspecialized vertex position
-// and index coincide; a Hot order permutes which outcome sits where,
-// which is exactly how specialization makes the hot arm cheap.
-func edgeCost(p *Params, opts Options, v *sgraph.Vertex, k int) int64 {
+// edge out of v (k is 0 for BEGIN and ASSIGN), including the goto of
+// the routine's Jump on the fall-through arm. Costs attach to emission
+// positions, not outcome indices: position 0 is the fall-through arm,
+// later positions pay progressively more comparisons. On an
+// unspecialized vertex position and index coincide; a Hot order
+// permutes which outcome sits where, which is exactly how
+// specialization makes the hot arm cheap.
+func edgeCost(p *Params, r *codegen.Routine, v *sgraph.Vertex, k int) int64 {
+	var jump int64
+	if k == v.FallIdx() && r.Jump(v) != nil {
+		jump = p.GotoCyc
+	}
 	if v.Kind != sgraph.Test {
-		return 0
+		return jump
 	}
 	pos := v.HotPos(k)
 	if len(v.Tests) == 1 && v.Tests[0].Arity() == 2 {
-		t := v.Tests[0]
-		if t.Kind == cfsm.TestPresence {
-			return p.TestPresenceCyc[pos]
+		if v.Tests[0].Kind == cfsm.TestPresence {
+			return jump + p.TestPresenceCyc[pos]
 		}
-		return p.TestBoolCyc[pos]
+		return jump + p.TestBoolCyc[pos]
 	}
-	threshold := opts.Codegen.IfThreshold
-	if threshold == 0 {
-		threshold = 2
-	}
-	if v.Arity() <= threshold {
+	if v.Arity() <= r.Opts.IfThreshold {
 		// The arm at emission position pos pays pos comparisons
 		// before its branch hits.
-		return int64(pos) * (p.ExprConstCyc + p.TestBoolCyc[1])
+		return jump + int64(pos)*(p.ExprConstCyc+p.TestBoolCyc[1])
 	}
 	// Jump-table dispatch is uniform in reality; the per-edge model
 	// keeps the historical position-proportional approximation.
-	return int64(pos) * p.TestMultiPerEdgeCyc
+	return jump + int64(pos)*p.TestMultiPerEdgeCyc
 }
 
-// layout is the generated code's statement order: the DFS preorder
-// of the reachable vertices, as the emitters lay them out, and each
-// vertex's position in it by vertex ID.
-type layout struct {
-	order []*sgraph.Vertex
-	pos   []int32
-}
-
-func newLayout(g *sgraph.SGraph) layout {
-	l := layout{order: g.Reachable(), pos: make([]int32, g.IDBound())}
-	for i, v := range l.order {
-		l.pos[v.ID] = int32(i)
-	}
-	return l
-}
-
-// fallsThrough reports whether w's statement directly follows v's, so
-// the edge from v to w needs no goto.
-func (l layout) fallsThrough(v, w *sgraph.Vertex) bool {
-	i := int(l.pos[v.ID]) + 1
-	return i < len(l.order) && l.order[i] == w
-}
-
-// EstimateSGraph computes the estimate by a single traversal of the
-// s-graph, as the paper's estimator does: code size is the sum of the
-// per-vertex size parameters, timing bounds come from shortest and
-// longest path.
+// EstimateSGraph estimates g's routine under opts.Codegen; it is
+// EstimateRoutine over codegen.NewRoutine(g, opts.Codegen).
 func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
+	return EstimateRoutine(codegen.NewRoutine(g, opts.Codegen), p, opts)
+}
+
+// EstimateRoutine computes the estimate by a single traversal of the
+// routine, as the paper's estimator does: code size is the sum of the
+// per-vertex size parameters, timing bounds come from shortest and
+// longest path. The routine's options replace opts.Codegen.
+func EstimateRoutine(r *codegen.Routine, p *Params, opts Options) Result {
 	var res Result
-	plan := codegen.AnalyzeCopies(g)
+	g := r.G
 
 	// --- entry overhead ---
 	var entryCyc, entrySz int64
@@ -187,11 +168,7 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	entrySz += p.CallReturnSz
 	copies := 0
 	for _, sv := range g.C.States {
-		need := plan.Read[sv]
-		if opts.Codegen.OptimizeCopies {
-			need = plan.NeedCopy[sv]
-		}
-		if need {
+		if r.Plan.Copied(sv, r.Opts.OptimizeCopies) {
 			copies++
 			entryCyc += p.LocalCopyCyc
 			entrySz += p.LocalCopySz
@@ -199,7 +176,7 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	}
 	valueFetches := 0
 	for _, sig := range g.C.Inputs {
-		if !sig.Pure && plan.ValueRead[sig] {
+		if !sig.Pure && r.Plan.ValueRead[sig] {
 			valueFetches++
 			entryCyc += p.ValueFetchCyc
 			entrySz += p.ValueFetchSz
@@ -207,13 +184,11 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	}
 
 	// --- per-vertex size, and timing DP over the DAG ---
-	lay := newLayout(g)
-	var sz int64
-	// The emitter falls through to the DFS-next vertex; every other
-	// edge needs a goto: fold the goto bytes into code size and the
-	// goto time into the corresponding edge. Shortest/longest path
-	// over the DAG by memoised recursion (DFS pre-order is not a
+	// Each statement's goto bytes go into code size, its goto time into
+	// the edge it jumps along (edgeCost). Shortest/longest path over the
+	// DAG by memoised recursion (DFS pre-order is not a
 	// reverse-topological order when children are shared).
+	var sz int64
 	type bounds struct {
 		min, max int64
 		done     bool
@@ -224,45 +199,21 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 		if b := memo[v.ID]; b.done {
 			return b
 		}
-		vc, vs := vertexCost(p, opts, v)
+		vc, vs := vertexCost(p, r, v)
 		sz += vs
-		b := bounds{done: true}
-		switch v.Kind {
-		case sgraph.End:
-			b.min, b.max = vc, vc
-		case sgraph.Test:
-			first := true
-			for k, w := range v.Children {
-				e := edgeCost(p, opts, v, k)
-				if !lay.fallsThrough(v, w) && k == v.FallIdx() {
-					// FallIdx is the fall-through arm in the generated
-					// code; a displaced child needs a goto.
-					e += p.GotoCyc
-					sz += p.GotoSz
-				}
-				cb := visit(w)
-				cMin := vc + e + cb.min
-				cMax := vc + e + cb.max
-				if first {
-					b.min, b.max = cMin, cMax
-					first = false
-					continue
-				}
-				if cMin < b.min {
-					b.min = cMin
-				}
-				if cMax > b.max {
-					b.max = cMax
-				}
+		if r.Jump(v) != nil {
+			sz += p.GotoSz
+		}
+		b := bounds{min: vc, max: vc, done: true}
+		for k, n := 0, v.Arity(); v.Kind != sgraph.End && k < n; k++ {
+			e := vc + edgeCost(p, r, v, k)
+			cb := visit(v.Succ(k))
+			if k == 0 || e+cb.min < b.min {
+				b.min = e + cb.min
 			}
-		default: // Begin, Assign
-			e := int64(0)
-			if !lay.fallsThrough(v, v.Next) {
-				e = p.GotoCyc
-				sz += p.GotoSz
+			if k == 0 || e+cb.max > b.max {
+				b.max = e + cb.max
 			}
-			cb := visit(v.Next)
-			b.min, b.max = vc+e+cb.min, vc+e+cb.max
 		}
 		memo[v.ID] = b
 		return b
@@ -272,16 +223,16 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	res.MinCycles = entryCyc + root.min
 	res.MaxCycles = entryCyc + root.max
 	if opts.UseFalsePaths {
-		if mx, ok := maxWithFalsePaths(g, p, opts, lay, entryCyc); ok && mx < res.MaxCycles {
+		if mx, ok := maxWithFalsePaths(r, p, entryCyc); ok && mx < res.MaxCycles {
 			res.MaxCycles = mx
 		}
 	}
 	if opts.ScenarioProfile != nil {
-		res.ExpectedCycles = expectedCycles(g, p, opts, lay, entryCyc)
+		res.ExpectedCycles = expectedCycles(r, p, opts.ScenarioProfile, entryCyc)
 	}
 
 	// --- RAM: persistent state + copies + value copies + spill temps ---
-	words := len(g.C.States) + copies + valueFetches + exprDepth(lay.order)
+	words := len(g.C.States) + copies + valueFetches + exprDepth(r.Order)
 	res.DataBytes = int64(words * p.IntBytes)
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"polis/internal/codegen"
 	"polis/internal/sgraph"
 )
 
@@ -14,11 +15,11 @@ import (
 // a fall-through child — accumulated with the vector's observed
 // frequency. Vectors that do not cover every test on their path (the
 // profile came from a different synthesis of the module) are dropped
-// from the weighting rather than guessed at. The layout must be the
-// one the size/bound DP used, so the goto placement agrees between the
+// from the weighting rather than guessed at. The routine is the one the
+// size/bound DP walks, so the goto placement agrees between the
 // figures.
-func expectedCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout, entryCyc int64) int64 {
-	prof := opts.ScenarioProfile
+func expectedCycles(r *codegen.Routine, p *Params, prof *sgraph.SpecializeProfile, entryCyc int64) int64 {
+	g := r.G
 	col := make(map[string]int, len(prof.TestNames))
 	for i, n := range prof.TestNames {
 		col[n] = i
@@ -33,10 +34,6 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout, entry
 		} else {
 			colOf[i] = -1
 		}
-	}
-	idOf := make(map[string]int, len(g.C.Tests))
-	for i, t := range g.C.Tests {
-		idOf[t.Name()] = i
 	}
 
 	var weighted, total int64
@@ -66,7 +63,7 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout, entry
 		if !ok {
 			continue
 		}
-		cycles, covered := pathCycles(g, p, opts, lay, outcome, idOf)
+		cycles, covered := pathCycles(r, p, outcome)
 		if !covered {
 			continue
 		}
@@ -79,43 +76,29 @@ func expectedCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout, entry
 	return weighted / total
 }
 
-// pathCycles walks one outcome vector from BEGIN to END and sums the
-// same cost terms the bound DP charges along that path. covered is
-// false when the walk hits a test the vector does not determine.
-func pathCycles(g *sgraph.SGraph, p *Params, opts Options, lay layout,
-	outcome []int, idOf map[string]int) (int64, bool) {
+// pathCycles walks one outcome vector (indexed by test ID) from BEGIN
+// to END and sums the same cost terms the bound DP charges along that
+// path. covered is false when the walk hits a test the vector does not
+// determine.
+func pathCycles(r *codegen.Routine, p *Params, outcome []int) (int64, bool) {
 	var cycles int64
-	v := g.Begin
-	steps := 0
-	for {
-		if steps++; steps > len(g.Vertices)+1 {
-			return 0, false
-		}
-		vc, _ := vertexCost(p, opts, v)
+	v := r.G.Begin
+	for steps := 0; steps <= len(r.G.Vertices); steps++ {
+		vc, _ := vertexCost(p, r, v)
 		cycles += vc
-		switch v.Kind {
-		case sgraph.End:
+		if v.Kind == sgraph.End {
 			return cycles, true
-		case sgraph.Test:
-			k := 0
-			for _, t := range v.Tests {
-				o := outcome[idOf[t.Name()]]
-				if o < 0 {
-					return 0, false
-				}
-				k = k*t.Arity() + o
-			}
-			w := v.Children[k]
-			cycles += edgeCost(p, opts, v, k)
-			if !lay.fallsThrough(v, w) && k == v.FallIdx() {
-				cycles += p.GotoCyc
-			}
-			v = w
-		default: // Begin, Assign
-			if !lay.fallsThrough(v, v.Next) {
-				cycles += p.GotoCyc
-			}
-			v = v.Next
 		}
+		k := 0 // BEGIN and ASSIGN have no tests
+		for _, t := range v.Tests {
+			o := outcome[r.G.C.TestID(t)]
+			if o < 0 {
+				return 0, false
+			}
+			k = k*t.Arity() + o
+		}
+		cycles += edgeCost(p, r, v, k)
+		v = v.Succ(k)
 	}
+	return 0, false
 }

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"polis/internal/cfsm"
+	"polis/internal/codegen"
 	"polis/internal/sgraph"
 )
 
@@ -13,7 +14,8 @@ import (
 // Section III-C). The search enumerates paths with memoisation on the
 // (vertex, asserted-exclusive-tests) pair; the exclusive-test sets of
 // practical CFSMs are small.
-func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, lay layout, entryCyc int64) (int64, bool) {
+func maxWithFalsePaths(r *codegen.Routine, p *Params, entryCyc int64) (int64, bool) {
+	g := r.G
 	if len(g.C.Exclusive) == 0 {
 		return 0, false
 	}
@@ -57,56 +59,38 @@ func maxWithFalsePaths(g *sgraph.SGraph, p *Params, opts Options, lay layout, en
 	var walk func(v *sgraph.Vertex, asserted uint32) int64
 	walk = func(v *sgraph.Vertex, asserted uint32) int64 {
 		k := key{v, asserted}
-		if r, ok := memo[k]; ok {
-			return r
+		if res, ok := memo[k]; ok {
+			return res
 		}
-		vc, _ := vertexCost(p, opts, v)
-		var r int64
-		switch v.Kind {
-		case sgraph.End:
-			r = vc
-		case sgraph.Test:
-			r = dead
-			for kk, w := range v.Children {
-				a2 := asserted
-				if len(v.Tests) == 1 {
-					if bit, ok := exIdx[v.Tests[0]]; ok && v.Tests[0].Arity() == 2 && kk == 1 {
-						a2 |= 1 << bit
-						if conflicts(a2) {
-							continue // infeasible branch
-						}
+		vc, _ := vertexCost(p, r, v)
+		res := dead
+		if v.Kind == sgraph.End {
+			res = vc
+		}
+		for kk, n := 0, v.Arity(); v.Kind != sgraph.End && kk < n; kk++ {
+			a2 := asserted
+			if len(v.Tests) == 1 {
+				if bit, ok := exIdx[v.Tests[0]]; ok && v.Tests[0].Arity() == 2 && kk == 1 {
+					a2 |= 1 << bit
+					if conflicts(a2) {
+						continue // infeasible branch
 					}
 				}
-				e := edgeCost(p, opts, v, kk)
-				if !lay.fallsThrough(v, w) && kk == v.FallIdx() {
-					e += p.GotoCyc
-				}
-				sub := walk(w, a2)
-				if sub == dead {
-					continue
-				}
-				if c := vc + e + sub; r == dead || c > r {
-					r = c
-				}
 			}
-		default:
-			e := int64(0)
-			if !lay.fallsThrough(v, v.Next) {
-				e = p.GotoCyc
-			}
-			sub := walk(v.Next, asserted)
+			sub := walk(v.Succ(kk), a2)
 			if sub == dead {
-				r = dead
-			} else {
-				r = vc + e + sub
+				continue
+			}
+			if c := vc + edgeCost(p, r, v, kk) + sub; res == dead || c > res {
+				res = c
 			}
 		}
-		memo[k] = r
-		return r
+		memo[k] = res
+		return res
 	}
-	r := walk(g.Begin, 0)
-	if r == dead {
+	worst := walk(g.Begin, 0)
+	if worst == dead {
 		return 0, false
 	}
-	return entryCyc + r, true
+	return entryCyc + worst, true
 }

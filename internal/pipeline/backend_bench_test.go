@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polis/internal/codegen"
+	"polis/internal/designs"
 	"polis/internal/estimate"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
@@ -13,8 +14,9 @@ import (
 // BenchmarkBackend measures the stages after the s-graph, one
 // sub-benchmark per stage, over the back-end golden's 75 modules on
 // HC11 with default options: reduce (on a fresh clone of each
-// unreduced graph; the clone is not timed), assemble, emit-c,
-// analyze-cycles and estimate, each over the reduced graphs. One op is
+// unreduced graph; the clone is not timed), routine (codegen.NewRoutine
+// over each reduced graph), then assemble, emit-c and estimate over the
+// prebuilt routines and analyze-cycles over their programs. One op is
 // the stage over every module.
 func BenchmarkBackend(b *testing.B) {
 	opt := Options{}
@@ -22,6 +24,7 @@ func BenchmarkBackend(b *testing.B) {
 	ms := backendGoldenModules()
 	raw := make([]*sgraph.SGraph, len(ms))
 	reduced := make([]*sgraph.SGraph, len(ms))
+	routines := make([]*codegen.Routine, len(ms))
 	progs := make([]*vm.Program, len(ms))
 	sigs := make([]codegen.SignalMap, len(ms))
 	for i, m := range ms {
@@ -33,7 +36,8 @@ func BenchmarkBackend(b *testing.B) {
 		reduced[i] = sg.SGraph.Clone()
 		reduced[i].Reduce(opt.ReduceOpt)
 		sigs[i] = codegen.NewSignalMap(m)
-		if progs[i], err = codegen.Assemble(reduced[i], sigs[i], opt.Codegen); err != nil {
+		routines[i] = codegen.NewRoutine(reduced[i], opt.Codegen)
+		if progs[i], err = routines[i].Assemble(sigs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,11 +60,19 @@ func BenchmarkBackend(b *testing.B) {
 			}
 		}
 	})
+	b.Run("routine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range reduced {
+				routineSink = codegen.NewRoutine(g, opt.Codegen)
+			}
+		}
+	})
 	b.Run("assemble", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for j, g := range reduced {
-				if _, err := codegen.Assemble(g, sigs[j], opt.Codegen); err != nil {
+			for j, r := range routines {
+				if _, err := r.Assemble(sigs[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,8 +81,8 @@ func BenchmarkBackend(b *testing.B) {
 	b.Run("emit-c", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, g := range reduced {
-				cSink = codegen.EmitC(g, opt.Codegen)
+			for _, r := range routines {
+				cSink = r.EmitC()
 			}
 		}
 	})
@@ -87,14 +99,60 @@ func BenchmarkBackend(b *testing.B) {
 	b.Run("estimate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, g := range reduced {
-				estSink = estimate.EstimateSGraph(g, params, estimate.Options{Codegen: opt.Codegen})
+			for _, r := range routines {
+				estSink = estimate.EstimateRoutine(r, params, estimate.Options{})
 			}
 		}
 	})
 }
 
 var (
-	cSink   string
-	estSink estimate.Result
+	routineSink *codegen.Routine
+	cSink       string
+	estSink     estimate.Result
 )
+
+// raceBuild is set under the race detector, whose instrumentation
+// changes allocation counts.
+var raceBuild bool
+
+// TestBackendAllocs gates the allocations of the back end of the
+// paper's two designs: one codegen.Routine, then assembly, C emission
+// and estimation over it, for each reduced dashboard and
+// shock-absorber graph. The ceiling is the count measured when the
+// routine was introduced (Go 1.24, linux/amd64).
+func TestBackendAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const ceiling = 1457
+	opt := Options{Reduce: true}
+	opt.fill()
+	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
+	gs := make([]*sgraph.SGraph, len(ms))
+	sigs := make([]codegen.SignalMap, len(ms))
+	for i, m := range ms {
+		sg, err := SynthesizeGraph(context.Background(), m, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i], sigs[i] = sg.SGraph, codegen.NewSignalMap(m)
+	}
+	params, err := estimate.CalibrateCached(opt.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		for i, g := range gs {
+			r := codegen.NewRoutine(g, opt.Codegen)
+			if _, err := r.Assemble(sigs[i]); err != nil {
+				t.Fatal(err)
+			}
+			cSink = r.EmitC()
+			estSink = estimate.EstimateRoutine(r, params, estimate.Options{})
+		}
+	})
+	if n > ceiling {
+		t.Errorf("back end of the two designs: %v allocations per run, ceiling %v", n, ceiling)
+	}
+}

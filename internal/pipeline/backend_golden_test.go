@@ -28,10 +28,8 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
 	"polis/internal/randcfsm"
 	"polis/internal/sgraph"
-	"polis/internal/vm"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -69,7 +67,7 @@ func hashArtifact(h hash.Hash, c *cfsm.CFSM, a *Artifact) {
 	io.WriteString(h, a.Listing)
 	h.Write([]byte{0})
 	fmt.Fprintf(h, "%+v|%+v|%d|%+v\n", a.Estimate, a.Measured, a.CodeSize, a.Stats)
-	plan := codegen.AnalyzeCopies(a.SGraph)
+	plan := codegen.NewRoutine(a.SGraph, codegen.Options{}).Plan
 	for _, sv := range c.States {
 		fmt.Fprintf(h, "%s:%t:%t\n", sv.Name, plan.Read[sv], plan.NeedCopy[sv])
 	}
@@ -96,10 +94,10 @@ func randomSpecProfile(r *rand.Rand, m *cfsm.CFSM) *sgraph.SpecializeProfile {
 	return sp
 }
 
-// collapsedSpecialized runs the back end the way SynthesizeModule
-// does, on a reduced graph whose TEST trees are collapsed into
-// multi-way vertices and then specialized under a random profile, so
-// the if-chain/jump-table threshold and the Hot layouts both run.
+// collapsedSpecialized runs the back end SynthesizeModule runs, on a
+// reduced graph whose TEST trees are collapsed into multi-way vertices
+// and then specialized under a random profile, so the
+// if-chain/jump-table threshold and the Hot layouts both run.
 func collapsedSpecialized(t *testing.T, m *cfsm.CFSM, r *rand.Rand) *Artifact {
 	t.Helper()
 	opt := Options{Reduce: true, UseFalsePaths: true, Codegen: codegen.Options{IfThreshold: 4}}
@@ -108,35 +106,16 @@ func collapsedSpecialized(t *testing.T, m *cfsm.CFSM, r *rand.Rand) *Artifact {
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
-	g := sg.SGraph
-	g.CollapseTests(0)
-	sp := randomSpecProfile(r, m)
-	if _, err := g.Specialize(sp); err != nil {
+	sg.SGraph.CollapseTests(0)
+	sg.Spec = randomSpecProfile(r, m)
+	if _, err := sg.SGraph.Specialize(sg.Spec); err != nil {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
-	prog, err := codegen.Assemble(g, codegen.NewSignalMap(m), opt.Codegen)
+	a, err := backEnd(context.Background(), m, sg, opt, nopTrace{})
 	if err != nil {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
-	meas, err := vm.AnalyzeCycles(opt.Target, prog, codegen.EntryLabel(m))
-	if err != nil {
-		t.Fatalf("%s: %v", m.Name, err)
-	}
-	params, err := estimate.CalibrateCached(opt.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Artifact{
-		C:       codegen.EmitC(g, opt.Codegen),
-		Listing: prog.Listing(),
-		Estimate: estimate.EstimateSGraph(g, params, estimate.Options{
-			Codegen: opt.Codegen, UseFalsePaths: true, ScenarioProfile: sp,
-		}),
-		Measured: meas,
-		CodeSize: opt.Target.CodeSize(prog),
-		Stats:    g.ComputeStats(),
-		SGraph:   g,
-	}
+	return a
 }
 
 func b2i(b bool) int {

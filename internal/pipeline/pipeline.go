@@ -172,11 +172,12 @@ func SynthesizeModule(m *cfsm.CFSM, opt Options, tr Trace) (*Artifact, error) {
 	return SynthesizeModuleContext(context.Background(), m, opt, tr)
 }
 
-// SynthesizeModuleContext is SynthesizeModule under a context: the
-// deadline or cancellation is checked between stages, so an abandoned
-// request stops consuming its worker at the next stage boundary (the
-// stages themselves are short; a module never runs more than one stage
-// past its cancellation).
+// SynthesizeModuleContext is SynthesizeModule under a context. The
+// deadline or cancellation is checked before the reactive function is
+// built, after it, after sifting, after s-graph construction and
+// reduction, after specialization, and between code generation and
+// estimation, so an abandoned request stops consuming its worker at
+// the next of those boundaries.
 func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*Artifact, error) {
 	opt.fill()
 	if tr == nil {
@@ -189,18 +190,29 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := sg.SGraph
+	return backEnd(ctx, m, sg, opt, tr)
+}
 
+// backEnd runs the stages after the s-graph on sg: one codegen.Routine
+// shared by assembly, C emission and estimation, the exact cycle
+// analysis of the object code, and the artifact. It checks ctx between
+// the codegen and estimate stages.
+func backEnd(ctx context.Context, m *cfsm.CFSM, sg *Graph, opt Options, tr Trace) (*Artifact, error) {
+	g := sg.SGraph
 	t := time.Now()
-	prog, err := codegen.Assemble(g, codegen.NewSignalMap(m), opt.Codegen)
+	r := codegen.NewRoutine(g, opt.Codegen)
+	prog, err := r.Assemble(codegen.NewSignalMap(m))
 	if err != nil {
 		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
 		return nil, err
 	}
-	cSrc := codegen.EmitC(g, opt.Codegen)
+	cSrc := r.EmitC()
 	meas, err := vm.AnalyzeCycles(opt.Target, prog, codegen.EntryLabel(m))
 	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -209,8 +221,7 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 	if err != nil {
 		return nil, err
 	}
-	est := estimate.EstimateSGraph(g, params, estimate.Options{
-		Codegen:         opt.Codegen,
+	est := estimate.EstimateRoutine(r, params, estimate.Options{
 		UseFalsePaths:   opt.UseFalsePaths,
 		ScenarioProfile: sg.Spec,
 	})

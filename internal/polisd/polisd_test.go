@@ -8,11 +8,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"polis/internal/cfsm"
+	"polis/internal/designs"
 	"polis/internal/pipeline"
 	"polis/internal/randcfsm"
 )
@@ -60,6 +63,60 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// selectorRepro is a wire network whose selector tests a state
+// variable of the given domain; below 2 it cannot be a control
+// variable.
+func selectorRepro(domain int) string {
+	return `{"name":"n","signals":[{"name":"a","pure":true}],"machines":[{"name":"m","inputs":["a"],` +
+		`"states":[{"name":"s","domain":` + strconv.Itoa(domain) + `}],"tests":[{"kind":"sel","sel":"s"}],` +
+		`"trans":[{"guard":[{"test":0,"val":1}]}]}]}`
+}
+
+// FuzzDecodeNetwork: no JSON input makes DecodeNetwork panic, and an
+// accepted network survives EncodeNetwork then DecodeNetwork with
+// every machine's fingerprint unchanged.
+func FuzzDecodeNetwork(f *testing.F) {
+	seed := func(n *cfsm.Network) {
+		blob, err := json.Marshal(EncodeNetwork(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	seed(designs.NewDashboard().Net)
+	seed(designs.NewShockAbsorber().Net)
+	for s := int64(1); s <= 3; s++ {
+		n, _, err := randcfsm.NewNetwork(rand.New(rand.NewSource(s)), 3, randcfsm.DefaultConfig())
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(n)
+	}
+	f.Add([]byte(selectorRepro(0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w WireNetwork
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		n, err := DecodeNetwork(&w)
+		if err != nil {
+			return
+		}
+		again, err := DecodeNetwork(EncodeNetwork(n))
+		if err != nil {
+			t.Fatalf("re-decoding an accepted network: %v", err)
+		}
+		if len(again.Machines) != len(n.Machines) {
+			t.Fatalf("%d machines came back as %d", len(n.Machines), len(again.Machines))
+		}
+		for i, m := range n.Machines {
+			if pipeline.Fingerprint(m, pipeline.Options{}) != pipeline.Fingerprint(again.Machines[i], pipeline.Options{}) {
+				t.Errorf("machine %s: fingerprint changed across EncodeNetwork", m.Name)
+			}
+		}
+	})
 }
 
 // TestWireOptionsErrors: unknown names are rejected.
@@ -321,13 +378,20 @@ func TestServerTypedRejections(t *testing.T) {
 	})
 	t.Run("400", func(t *testing.T) {
 		_, hs := testServer(t, Config{})
-		hr, err := http.Post(hs.URL+"/synthesize", "application/json", bytes.NewReader([]byte("{")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr.Body.Close()
-		if hr.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", hr.StatusCode)
+		for name, body := range map[string]string{
+			"malformed json":     "{",
+			"selector domain 0":  `{"network":` + selectorRepro(0) + `}`,
+			"selector domain -3": `{"network":` + selectorRepro(-3) + `}`,
+			"selector domain 1":  `{"network":` + selectorRepro(1) + `}`,
+		} {
+			hr, err := http.Post(hs.URL+"/synthesize", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			hr.Body.Close()
+			if hr.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400", name, hr.StatusCode)
+			}
 		}
 	})
 	t.Run("413", func(t *testing.T) {

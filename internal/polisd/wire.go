@@ -369,6 +369,9 @@ func decodeMachine(w *WireMachine, sigs map[string]*cfsm.Signal) (*cfsm.CFSM, er
 			if !ok {
 				return nil, fmt.Errorf("test %d: unknown state variable %q", i, wt.Sel)
 			}
+			if v.Domain < 2 {
+				return nil, fmt.Errorf("test %d: selector on %q needs a domain of at least 2, has %d", i, wt.Sel, v.Domain)
+			}
 			tests[i] = c.Sel(v)
 		default:
 			return nil, fmt.Errorf("test %d: unknown kind %q", i, wt.Kind)

@@ -32,8 +32,8 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 	if maxArity <= 0 {
 		maxArity = 16
 	}
-	edgesFrom := func(v, c *Vertex) int {
-		n := 0
+	edgesFrom := func(v, c *Vertex) int32 {
+		var n int32
 		for _, ch := range v.Children {
 			if ch == c {
 				n++
@@ -43,9 +43,9 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 	}
 	collapsed := 0
 	parents := g.Parents()
-	absorbed := make(map[*Vertex]bool)
+	absorbed := make([]bool, g.idBound)
 	for _, v := range g.Reachable() {
-		if v.Kind != Test || absorbed[v] {
+		if v.Kind != Test || absorbed[v.ID] {
 			continue
 		}
 		// Re-examine v until it no longer collapses: absorbing a layer
@@ -64,7 +64,7 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 					ok = false
 					break
 				}
-				if parents[c] != edgesFrom(v, c) {
+				if parents[c.ID] != edgesFrom(v, c) {
 					ok = false // reached from outside the subgraph
 					break
 				}
@@ -87,8 +87,8 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 				newChildren = append(newChildren, c.Children...)
 			}
 			for _, c := range v.Children {
-				absorbed[c] = true
-				delete(parents, c)
+				absorbed[c.ID] = true
+				parents[c.ID] = 0
 			}
 			v.Tests = append(v.Tests, common)
 			v.Children = newChildren

@@ -20,7 +20,7 @@ import (
 //     only reader of a state-variable write is the post-reaction
 //     commit: an ASSIGN to x is dead iff every path from its
 //     successor contains another ASSIGN to x. This is
-//     codegen.AnalyzeCopies' write-before-read analysis lifted from
+//     the write-before-read analysis of codegen's copy plan lifted from
 //     copy suppression to vertex removal.
 //
 //  2. Don't-care TEST elimination propagates a reachability-context
@@ -167,6 +167,12 @@ func appendActionKey(b []byte, a *cfsm.Action) []byte {
 // deterministic: ties break on first discovery.
 func (g *SGraph) TopoOrder() []*Vertex {
 	reach := g.Reachable()
+	return g.TopoSort(reach, reach[:0])
+}
+
+// TopoSort appends TopoOrder's order to order, given reach, the graph's
+// Reachable order; order may share reach's storage.
+func (g *SGraph) TopoSort(reach, order []*Vertex) []*Vertex {
 	indeg := make([]int32, g.idBound)
 	for _, v := range reach {
 		switch v.Kind {
@@ -179,7 +185,7 @@ func (g *SGraph) TopoOrder() []*Vertex {
 		}
 	}
 	// The order doubles as the FIFO queue: order[head:] is ready.
-	order := append(reach[:0], g.Begin)
+	order = append(order, g.Begin)
 	ready := func(c *Vertex) {
 		if indeg[c.ID]--; indeg[c.ID] == 0 {
 			order = append(order, c)

@@ -642,7 +642,7 @@ func TestReachableDeepChain(t *testing.T) {
 	if err := g.CheckWellFormed(); err != nil {
 		t.Fatal(err)
 	}
-	if n := g.Parents()[g.End]; n != 1 {
+	if n := g.Parents()[g.End.ID]; n != 1 {
 		t.Fatalf("END in-degree %d, want 1", n)
 	}
 }

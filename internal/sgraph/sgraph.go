@@ -78,6 +78,15 @@ func (v *Vertex) Arity() int {
 	return n
 }
 
+// Succ returns v's k-th successor: Children[k] of a TEST, Next of
+// BEGIN and ASSIGN (k is 0; Arity is 1).
+func (v *Vertex) Succ(k int) *Vertex {
+	if v.Kind == Test {
+		return v.Children[k]
+	}
+	return v.Next
+}
+
 // OutcomeAt maps an emission position to the semantic outcome index
 // laid out there: Hot[pos] when a hot order is set, pos otherwise.
 func (v *Vertex) OutcomeAt(pos int) int {
@@ -446,17 +455,18 @@ func (g *SGraph) Clone() *SGraph {
 	return ng
 }
 
-// Parents computes the in-degree of each reachable vertex.
-func (g *SGraph) Parents() map[*Vertex]int {
-	in := make(map[*Vertex]int)
+// Parents computes the in-degree of each reachable vertex, indexed by
+// vertex ID (zero for unreachable IDs).
+func (g *SGraph) Parents() []int32 {
+	in := make([]int32, g.idBound)
 	for _, v := range g.Reachable() {
 		switch v.Kind {
 		case Test:
 			for _, c := range v.Children {
-				in[c]++
+				in[c.ID]++
 			}
 		case Begin, Assign:
-			in[v.Next]++
+			in[v.Next.ID]++
 		}
 	}
 	return in

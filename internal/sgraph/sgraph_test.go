@@ -374,16 +374,16 @@ func TestParentsCounts(t *testing.T) {
 	g := buildGraph(t, c, OrderNaive)
 	parents := g.Parents()
 	// BEGIN has no parents; END is shared by several paths.
-	if parents[g.Begin] != 0 {
-		t.Errorf("BEGIN in-degree %d", parents[g.Begin])
+	if parents[g.Begin.ID] != 0 {
+		t.Errorf("BEGIN in-degree %d", parents[g.Begin.ID])
 	}
-	if parents[g.End] < 2 {
-		t.Errorf("END in-degree %d, want >= 2", parents[g.End])
+	if parents[g.End.ID] < 2 {
+		t.Errorf("END in-degree %d, want >= 2", parents[g.End.ID])
 	}
 	// Sum of in-degrees equals the edge count.
 	total := 0
 	for _, n := range parents {
-		total += n
+		total += int(n)
 	}
 	if st := g.ComputeStats(); total != st.Edges {
 		t.Errorf("in-degree sum %d != edges %d", total, st.Edges)

@@ -305,7 +305,8 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 	}
 	g := sg.SGraph
 	sigs := codegen.NewSignalMap(m)
-	prog, err := codegen.Assemble(g, sigs, opt.Codegen)
+	r := codegen.NewRoutine(g, opt.Codegen)
+	prog, err := r.Assemble(sigs)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -343,7 +344,7 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		vt.estMax = estimate.EstimateSGraph(g, params, estimate.Options{Codegen: opt.Codegen}).MaxCycles
+		vt.estMax = estimate.EstimateRoutine(r, params, estimate.Options{}).MaxCycles
 	}
 	vt.machine = vm.NewMachine(opt.Profile, prog.Words, vt)
 	codegen.InitStateMemory(g, prog, vt.machine)
