@@ -5,9 +5,11 @@
 # build tag (over the kernel, the two packages that release managers
 # and the two that sift reactive functions, where the per-swap sift-cost
 # audit also checks that the unique tables hold only live nodes), a
-# bounded
 # native fuzz run each of the disk-cache entry decoder and the polisd
-# wire decoder, a bounded
+# wire decoder, bounded by an exec count rather than a time budget (a
+# stalled fuzz coordinator ran only a few hundred execs in 20 s and
+# still passed) and by a 300 s timeout that fails such a stall loudly,
+# a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
 # with and without the s-graph reduction engine, with same-cycle
@@ -33,8 +35,8 @@ go test -race ./...
 # depend on how fast synthesis is.
 go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' ./internal/polisd/
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
-go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 20s ./internal/pipeline
-go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 20s ./internal/polisd
+timeout 300 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 100000x ./internal/pipeline
+timeout 300 go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 100000x ./internal/polisd
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
 NETFUZZ_STORM_RUNS=200 go test -race -run TestFuzzCampaignStorm ./internal/netfuzz/

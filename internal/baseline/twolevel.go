@@ -51,19 +51,19 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 	p := b.Prog()
 
 	// Level 1: pack the control state into RegTmp and dispatch.
-	p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAcc, Imm: 0, Comment: "state index"})
+	p.Comment(p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAcc, Imm: 0}), "state index")
 	for _, t := range selectors {
 		p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAux, Imm: int64(t.Arity())})
 		p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpMul, Rd: codegen.RegAcc, Rs: codegen.RegAux})
 		p.Emit(vm.Instr{Op: vm.LD, Rd: codegen.RegVal, Addr: b.StateReadAddr(t.Sel)})
 		p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: codegen.RegAcc, Rs: codegen.RegVal})
 	}
-	stateTable := make([]string, states)
-	for s := range stateTable {
-		stateTable[s] = fmt.Sprintf("state%d", s)
-	}
+	stateTable := make([]int32, states)
 	if states > 1 {
-		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Table: stateTable})
+		for s := range stateTable {
+			stateTable[s] = p.Label(fmt.Sprintf("state%d", s))
+		}
+		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Label: p.Table(stateTable...)})
 	}
 
 	// Level 2, per state: pack the decision variables relevant to the
@@ -73,19 +73,18 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 		bools := relevantBools(c, selectors, bools, s)
 		decisions := 1 << len(bools)
 		if states > 1 {
-			if err := p.Mark(stateTable[s]); err != nil {
+			if err := p.Bind(stateTable[s]); err != nil {
 				return nil, err
 			}
 		}
-		p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAcc, Imm: 0, Comment: "decision word"})
+		p.Comment(p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAcc, Imm: 0}), "decision word")
 		for _, t := range bools {
 			// Shift left by one, add the outcome.
 			p.Emit(vm.Instr{Op: vm.LDI, Rd: codegen.RegAux, Imm: 2})
 			p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpMul, Rd: codegen.RegAcc, Rs: codegen.RegAux})
 			switch t.Kind {
 			case cfsm.TestPresence:
-				p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(b.SignalID(t.Signal)),
-					Comment: t.Name()})
+				p.Comment(p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(b.SignalID(t.Signal))}), t.Name())
 				p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: codegen.RegAcc, Rs: 0})
 			case cfsm.TestPredicate:
 				if err := b.CompileExpr(t.Pred); err != nil {
@@ -96,13 +95,13 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 				p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: codegen.RegAcc, Rs: codegen.RegVal})
 			}
 		}
-		dTable := make([]string, decisions)
+		dTable := make([]int32, decisions)
 		for d := range dTable {
-			dTable[d] = fmt.Sprintf("s%dd%d", s, d)
+			dTable[d] = p.Label(fmt.Sprintf("s%dd%d", s, d))
 		}
-		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Table: dTable})
+		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Label: p.Table(dTable...)})
 		for d := 0; d < decisions; d++ {
-			if err := p.Mark(dTable[d]); err != nil {
+			if err := p.Bind(dTable[d]); err != nil {
 				return nil, err
 			}
 			tr := matchTransition(c, selectors, bools, s, d)

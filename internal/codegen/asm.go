@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"polis/internal/cfsm"
@@ -73,6 +72,7 @@ type Builder struct {
 	stateAddr map[*cfsm.StateVar]int // persistent state words
 	curAddr   map[*cfsm.StateVar]int // entry copies (when needed)
 	valAddr   map[*cfsm.Signal]int   // input value copies
+	vlab      []int32                // vertex ID -> label, set by body
 	tmpDepth  int
 	maxTmp    int
 }
@@ -217,7 +217,7 @@ func (a *Builder) prologue() {
 		}
 		cur := a.p.Alloc("cur_" + sv.Name)
 		a.curAddr[sv] = cur
-		a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateAddr[sv], Comment: "copy " + sv.Name})
+		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateAddr[sv]}), "copy "+sv.Name)
 		a.p.Emit(vm.Instr{Op: vm.ST, Addr: cur, Rs: RegVal})
 	}
 	for _, sig := range a.c.Inputs {
@@ -226,7 +226,7 @@ func (a *Builder) prologue() {
 		}
 		addr := a.p.Alloc("val_" + sig.Name)
 		a.valAddr[sig] = addr
-		a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig]), Comment: "?" + sig.Name})
+		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig])}), "?"+sig.Name)
 		a.p.Emit(vm.Instr{Op: vm.ST, Addr: addr, Rs: 0})
 	}
 }
@@ -312,10 +312,15 @@ func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
 // body emits the routine's vertices in layout order, each ending in
 // the routine's Jump unless a jump table dispatched every outcome.
 func (a *Builder) body(r *Routine) error {
-	// Room for about five instructions per vertex, the usual count.
-	a.p.Instrs = slices.Grow(a.p.Instrs, 5*len(r.Order))
+	// Room for about five instructions per vertex, the usual count, and
+	// a label and a comment each.
+	a.p.Reserve(5*len(r.Order), len(r.Order))
+	a.vlab = make([]int32, r.G.IDBound())
 	for _, v := range r.Order {
-		if err := a.p.Mark(vlabel(v)); err != nil {
+		a.vlab[v.ID] = a.p.Label(vlabel(v))
+	}
+	for _, v := range r.Order {
+		if err := a.p.Bind(a.vlab[v.ID]); err != nil {
 			return err
 		}
 		switch v.Kind {
@@ -335,7 +340,7 @@ func (a *Builder) body(r *Routine) error {
 			}
 		}
 		if w := r.Jump(v); w != nil {
-			a.p.Emit(vm.Instr{Op: vm.JMP, Label: vlabel(w)})
+			a.p.Emit(vm.Instr{Op: vm.JMP, Label: a.vlab[w.ID]})
 		}
 	}
 	return nil
@@ -359,17 +364,16 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 		}
 		switch t.Kind {
 		case cfsm.TestPresence:
-			a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal]),
-				Comment: t.Name()})
-			a.p.Emit(vm.Instr{Op: brOp, Rs: 0, Label: vlabel(brTo)})
+			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t.Name())
+			a.p.Emit(vm.Instr{Op: brOp, Rs: 0, Label: a.vlab[brTo.ID]})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
 				return false, err
 			}
-			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: vlabel(brTo)})
+			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.vlab[brTo.ID]})
 		default:
-			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel), Comment: t.Name()})
-			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: vlabel(brTo)})
+			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t.Name())
+			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.vlab[brTo.ID]})
 		}
 		return false, nil
 	}
@@ -384,8 +388,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 		}
 		switch t.Kind {
 		case cfsm.TestPresence:
-			a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal]),
-				Comment: t.Name()})
+			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t.Name())
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: 0})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
@@ -396,7 +399,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 			a.p.Emit(vm.Instr{Op: vm.NOT, Rd: RegVal})
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		default:
-			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel), Comment: t.Name()})
+			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t.Name())
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		}
 	}
@@ -407,15 +410,15 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 			idx := v.OutcomeAt(pos)
 			a.p.Emit(vm.Instr{Op: vm.LDI, Rd: RegAux, Imm: int64(idx)})
 			a.p.Emit(vm.Instr{Op: vm.BR, Cond: vm.CondEQ, Rs: RegAcc, Rt: RegAux,
-				Label: vlabel(v.Children[idx])})
+				Label: a.vlab[v.Children[idx].ID]})
 		}
 		return false, nil
 	}
-	table := make([]string, v.Arity())
+	table := make([]int32, v.Arity())
 	for idx, c := range v.Children {
-		table[idx] = vlabel(c)
+		table[idx] = a.vlab[c.ID]
 	}
-	a.p.Emit(vm.Instr{Op: vm.JTAB, Rs: RegAcc, Table: table})
+	a.p.Emit(vm.Instr{Op: vm.JTAB, Rs: RegAcc, Label: a.p.Table(table...)})
 	return true, nil
 }
 
@@ -425,27 +428,27 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 // before it has no branch, so the mark executes exactly when the
 // vertex does.
 func (a *Builder) EmitAction(act *cfsm.Action) error {
+	var in vm.Instr
+	var e expr.Expr
 	switch act.Kind {
 	case cfsm.ActEmit:
-		if act.Value == nil {
-			a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmit, Imm: int64(a.sigs[act.Signal]), Fires: true,
-				Comment: act.Name()})
-			return nil
+		in, e = vm.Instr{Op: vm.SVC, Num: vm.SvcEmit, Imm: int64(a.sigs[act.Signal])}, act.Value
+		if e != nil {
+			in.Num, in.Rs = vm.SvcEmitV, RegVal
 		}
-		if err := a.CompileExpr(act.Value); err != nil {
-			return err
-		}
-		a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcEmitV, Imm: int64(a.sigs[act.Signal]), Rs: RegVal, Fires: true,
-			Comment: act.Name()})
-		return nil
 	case cfsm.ActAssign:
-		if err := a.CompileExpr(act.Expr); err != nil {
+		in, e = vm.Instr{Op: vm.ST, Addr: a.stateAddr[act.Var], Rs: RegVal}, act.Expr
+	default:
+		return fmt.Errorf("codegen: unknown action kind")
+	}
+	if e != nil {
+		if err := a.CompileExpr(e); err != nil {
 			return err
 		}
-		a.p.Emit(vm.Instr{Op: vm.ST, Addr: a.stateAddr[act.Var], Rs: RegVal, Fires: true, Comment: act.Name()})
-		return nil
 	}
-	return fmt.Errorf("codegen: unknown action kind")
+	in.Fires = true
+	a.p.Comment(a.p.Emit(in), act.Name())
+	return nil
 }
 
 // InitStateMemory writes the initial values of the CFSM's state

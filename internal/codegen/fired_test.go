@@ -100,7 +100,14 @@ func TestFiresMarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			order := g.Reachable()
-			first := p.Labels[vlabel(order[0])]
+			labelAt := func(v *sgraph.Vertex) int {
+				pc, ok := p.LabelAt(vlabel(v))
+				if !ok {
+					t.Fatalf("%s: vertex %s has no label", c.Name, vlabel(v))
+				}
+				return pc
+			}
+			first := labelAt(order[0])
 			for pc := 0; pc < first; pc++ {
 				if p.Instrs[pc].Fires {
 					t.Errorf("%s: prologue instruction %d is marked", c.Name, pc)
@@ -108,9 +115,9 @@ func TestFiresMarks(t *testing.T) {
 			}
 			assigns := 0
 			for k, v := range order {
-				from, to := p.Labels[vlabel(v)], len(p.Instrs)
+				from, to := labelAt(v), len(p.Instrs)
 				if k+1 < len(order) {
-					to = p.Labels[vlabel(order[k+1])]
+					to = labelAt(order[k+1])
 				}
 				marks := 0
 				for pc := from; pc < to; pc++ {

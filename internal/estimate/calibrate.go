@@ -89,14 +89,14 @@ func Calibrate(prof *vm.Profile) (*Params, error) {
 	// Presence TEST: RTOS presence call plus conditional branch.
 	fr := mk(
 		vm.Instr{Op: vm.SVC, Num: vm.SvcPresent},
-		vm.Instr{Op: vm.BRNZ, Rs: 0, Label: "end"},
+		vm.Instr{Op: vm.BRNZ, Rs: 0},
 	)
 	p.TestPresenceCyc[0] = fr.fallCyc - halt.fallCyc
 	p.TestPresenceCyc[1] = fr.takenCyc - halt.fallCyc
 	p.TestPresenceSz = fr.bytes - halt.bytes
 
 	// Boolean predicate branch (on top of the predicate expression).
-	fb := mk(vm.Instr{Op: vm.BRNZ, Rs: 1, Label: "end"})
+	fb := mk(vm.Instr{Op: vm.BRNZ, Rs: 1})
 	p.TestBoolCyc[0] = fb.fallCyc - halt.fallCyc
 	p.TestBoolCyc[1] = fb.takenCyc - halt.fallCyc
 	p.TestBoolSz = fb.bytes - halt.bytes
@@ -137,7 +137,7 @@ func Calibrate(prof *vm.Profile) (*Params, error) {
 	p.AssignStoreSz = fs.bytes - halt.bytes
 
 	// Unconditional branch (goto).
-	fg := mk(vm.Instr{Op: vm.JMP, Label: "end"})
+	fg := mk(vm.Instr{Op: vm.JMP})
 	p.GotoCyc = fg.fallCyc - halt.fallCyc
 	p.GotoSz = fg.bytes - halt.bytes
 
@@ -191,10 +191,11 @@ type fragResult struct {
 	bytes    int64
 }
 
-// frag assembles instrs followed by a HALT at label "end" and measures
-// it statically on the profile. For fragments with one conditional
-// branch to "end", the fall-through path and the taken path bracket
-// the two edge costs.
+// frag assembles instrs followed by a HALT at label "end", the only
+// label and so label 0, the target of every branch and jump in instrs,
+// and measures it statically on the profile. For fragments with one
+// conditional branch to "end", the fall-through path and the taken path
+// bracket the two edge costs.
 func frag(prof *vm.Profile, instrs ...vm.Instr) (fragResult, error) {
 	p := vm.NewProgram("frag")
 	p.Alloc("t0")
@@ -240,12 +241,13 @@ func hasBranch(instrs []vm.Instr) bool {
 // the cost at index 1 so the per-index increment can be derived.
 func jtabFrag(prof *vm.Profile, n int) (fragResult, error) {
 	p := vm.NewProgram("jt")
-	table := make([]string, n)
+	end := p.Label("end")
+	table := make([]int32, n)
 	for i := range table {
-		table[i] = "end"
+		table[i] = end
 	}
-	p.Emit(vm.Instr{Op: vm.JTAB, Rs: 1, Table: table})
-	_ = p.Mark("end")
+	p.Emit(vm.Instr{Op: vm.JTAB, Rs: 1, Label: p.Table(table...)})
+	_ = p.Bind(end)
 	p.Emit(vm.Instr{Op: vm.HALT})
 	if err := p.Resolve(); err != nil {
 		return fragResult{}, fmt.Errorf("estimate: bad jtab fragment: %w", err)

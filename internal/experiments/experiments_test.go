@@ -336,7 +336,7 @@ func TestRTABoundsSimulatedResponses(t *testing.T) {
 
 	sys, err := rtos.NewSystem(n, cfg, func(m *cfsm.CFSM) (*rtos.Task, error) {
 		mm := m
-		return rtos.NewTask(mm, rtos.Infallible(mm.React), func(cfsm.Snapshot) int64 { return costs[mm] }), nil
+		return rtos.NewBehavioralTask(mm, func() int64 { return costs[mm] }), nil
 	})
 	if err != nil {
 		t.Fatal(err)

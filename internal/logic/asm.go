@@ -41,8 +41,7 @@ func Assemble(n *Network, sigs codegen.SignalMap, opts codegen.Options) (*vm.Pro
 			if err := emitInput(b, g); err != nil {
 				return nil, err
 			}
-			p.Emit(vm.Instr{Op: vm.ST, Addr: gateAddr[g.ID], Rs: codegen.RegVal,
-				Comment: g.Test.Name()})
+			p.Comment(p.Emit(vm.Instr{Op: vm.ST, Addr: gateAddr[g.ID], Rs: codegen.RegVal}), g.Test.Name())
 		case GateIte:
 			// r1 = if; r2 = then & if; r1 = (if ^ 1) & else; or.
 			p.Emit(vm.Instr{Op: vm.LD, Rd: 1, Addr: gateAddr[g.If.ID]})
@@ -59,13 +58,13 @@ func Assemble(n *Network, sigs codegen.SignalMap, opts codegen.Options) (*vm.Pro
 
 	// Phase c: act on the output flags.
 	for j, og := range n.Outputs {
-		skip := fmt.Sprintf("skip%d", j)
+		skip := p.Label(fmt.Sprintf("skip%d", j))
 		p.Emit(vm.Instr{Op: vm.LD, Rd: codegen.RegVal, Addr: gateAddr[og.ID]})
 		p.Emit(vm.Instr{Op: vm.BRZ, Rs: codegen.RegVal, Label: skip})
 		if err := b.EmitAction(n.C.Actions[j]); err != nil {
 			return nil, err
 		}
-		if err := p.Mark(skip); err != nil {
+		if err := p.Bind(skip); err != nil {
 			return nil, err
 		}
 	}

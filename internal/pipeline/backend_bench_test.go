@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"polis/internal/codegen"
@@ -116,6 +117,10 @@ var (
 // changes allocation counts.
 var raceBuild bool
 
+// bddDebugBuild is set under the bdddebug tag, where released BDD
+// managers are never reused and the owner check allocates.
+var bddDebugBuild bool
+
 // TestBackendAllocs gates the allocations of the back end of the
 // paper's two designs: one codegen.Routine, then assembly, C emission
 // and estimation over it, for each reduced dashboard and
@@ -125,7 +130,7 @@ func TestBackendAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const ceiling = 1457
+	const ceiling = 1454
 	opt := Options{Reduce: true}
 	opt.fill()
 	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
@@ -154,5 +159,33 @@ func TestBackendAllocs(t *testing.T) {
 	})
 	if n > ceiling {
 		t.Errorf("back end of the two designs: %v allocations per run, ceiling %v", n, ceiling)
+	}
+}
+
+// TestSynthesizeAllocs gates the allocations of whole-module synthesis,
+// front end and back end, of the paper's two designs under the
+// options the synthesis benchmark uses. The ceiling is the count
+// measured when instructions became pointer-free values (Go 1.24,
+// linux/amd64).
+func TestSynthesizeAllocs(t *testing.T) {
+	if raceBuild || bddDebugBuild {
+		t.Skip("allocation counts differ under the race detector and the bdddebug tag")
+	}
+	const ceiling = 5482
+	opt := Options{Reduce: true}
+	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
+	// A collection empties the pool of BDD managers, and the next
+	// synthesis allocates a fresh one; with the collector off the
+	// count is exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := testing.AllocsPerRun(5, func() {
+		for _, m := range ms {
+			if _, err := SynthesizeModule(m, opt, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > ceiling {
+		t.Errorf("synthesis of the two designs: %v allocations per run, ceiling %v", n, ceiling)
 	}
 }

@@ -296,13 +296,6 @@ func (t *Task) finish(fired bool, nextState []int64) {
 	t.running = false
 }
 
-// Infallible adapts a pure reaction function — e.g. the reference
-// interpreter (*cfsm.CFSM).React — to the error-returning callback
-// NewTask expects.
-func Infallible(f func(cfsm.Snapshot) cfsm.Reaction) func(cfsm.Snapshot) (cfsm.Reaction, error) {
-	return func(snap cfsm.Snapshot) (cfsm.Reaction, error) { return f(snap), nil }
-}
-
 // NewDenseTask builds the runtime record for a software CFSM with a
 // dense reaction function and cost model. lay may be nil, in which
 // case a fresh layout is built for the machine.
@@ -341,33 +334,6 @@ func NewBehavioralTask(m *cfsm.CFSM, cost func() int64) *Task {
 		return nil
 	}
 	return NewDenseTask(m, lay, react, cost)
-}
-
-// NewTask builds the runtime record for a software CFSM from a
-// map-based reaction function and cost model. It adapts the legacy
-// callback signature onto the dense runtime by materialising a map
-// snapshot per reaction, so it allocates; hot paths should use
-// NewDenseTask or NewBehavioralTask instead.
-func NewTask(m *cfsm.CFSM, react func(cfsm.Snapshot) (cfsm.Reaction, error),
-	cost func(cfsm.Snapshot) int64) *Task {
-	lay := cfsm.NewLayout(m)
-	var lastSnap cfsm.Snapshot
-	dreact := func(snap *cfsm.DenseSnapshot, out *cfsm.DenseReaction) error {
-		lastSnap = snap.Snapshot()
-		r, err := react(lastSnap)
-		if err != nil {
-			return err
-		}
-		out.Fired = r.Fired
-		out.Emitted = append(out.Emitted[:0], r.Emitted...)
-		out.NextState = out.NextState[:0]
-		for _, sv := range lay.States {
-			out.NextState = append(out.NextState, r.NextState[sv])
-		}
-		return nil
-	}
-	dcost := func() int64 { return cost(lastSnap) }
-	return NewDenseTask(m, lay, dreact, dcost)
 }
 
 // State exposes the task's committed state (for assertions and

@@ -40,7 +40,7 @@ func chainNet() (*cfsm.Network, *cfsm.Signal, *cfsm.Signal, *cfsm.CFSM, *cfsm.CF
 func mkBehavioral(cost int64) func(m *cfsm.CFSM) (*Task, error) {
 	return func(m *cfsm.CFSM) (*Task, error) {
 		mm := m
-		return NewTask(mm, Infallible(mm.React), func(cfsm.Snapshot) int64 { return cost }), nil
+		return NewBehavioralTask(mm, func() int64 { return cost }), nil
 	}
 }
 
@@ -219,7 +219,7 @@ func TestPreemption(t *testing.T) {
 			cost = 10000
 		}
 		mm := m
-		return NewTask(mm, Infallible(mm.React), func(cfsm.Snapshot) int64 { return cost }), nil
+		return NewBehavioralTask(mm, func() int64 { return cost }), nil
 	}
 
 	run := func(preempt bool) (hiT, loT int64) {

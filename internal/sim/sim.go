@@ -14,9 +14,9 @@
 // The execution core is throughput-oriented: reactions run over dense
 // slot-indexed buffers resolved once at task-build time and allocate
 // nothing in steady state. A VMExact task's routine is assembled at
-// task build and decoded by its vm.Machine on the task's first
-// reaction; every reaction is then one pass over the decoded stream,
-// which also reports whether an ASSIGN fired. Golden tests pin this
+// task build and checked by its vm.Machine on the task's first
+// reaction; every reaction is then one pass over the routine's
+// instruction stream, which also reports whether an ASSIGN fired. Golden tests pin this
 // engine to the traces, cycle counts, accounting and final states the
 // previous map-based, event-at-a-time engine produced on 176
 // randomized scenarios (testdata/engine_golden.json).

@@ -15,17 +15,13 @@ type PathCycles struct {
 // paths from the entry label to any HALT, by shortest/longest path
 // over the instruction control-flow graph. The routine must be acyclic
 // (s-graph generated code is); a cycle is reported as an error. Every
-// instruction on a path is decoded as Run decodes it, so a malformed
+// instruction on a path is checked as Run checks it, so a malformed
 // one fails with the same *DecodeError (or *LabelError) instead of
 // being costed.
 func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, error) {
-	entry := 0
-	if label != "" {
-		idx, ok := prog.Labels[label]
-		if !ok {
-			return PathCycles{}, fmt.Errorf("vm: unknown entry label %q", label)
-		}
-		entry = idx
+	entry, err := prog.entry(label)
+	if err != nil {
+		return PathCycles{}, err
 	}
 	// One memo entry per instruction, indexed by pc.
 	type memoEnt struct {
@@ -34,6 +30,7 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		onStack  bool
 	}
 	memo := make([]memoEnt, len(prog.Instrs))
+	c := newCosts(prof)
 
 	var visit func(pc int) (int64, int64, error)
 	visit = func(pc int) (int64, int64, error) {
@@ -51,7 +48,7 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 			return 0, 0, err
 		}
 		e.onStack = true
-		mn, mx, err := visitInstr(prof, prog, pc, visit)
+		mn, mx, err := visitInstr(&c, prog, pc, visit)
 		e.onStack = false
 		if err != nil {
 			return 0, 0, err
@@ -68,28 +65,16 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 
 // visitInstr returns the cycle bounds from the checked instruction at
 // pc to a HALT, through visit for its successors.
-func visitInstr(prof *Profile, prog *Program, pc int, visit func(int) (int64, int64, error)) (mn, mx int64, err error) {
+func visitInstr(c *costs, prog *Program, pc int, visit func(int) (int64, int64, error)) (mn, mx int64, err error) {
 	in := &prog.Instrs[pc]
-	base := int64(prof.Cyc[in.Op])
+	base, next := c.op[in.Op], pc+1
 	switch in.Op {
 	case HALT:
 		return base, base, nil
 	case JMP:
-		t, err := prog.target(pc, in.Label)
-		if err != nil {
-			return 0, 0, err
-		}
-		m1, m2, err := visit(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return base + m1, base + m2, nil
+		next = int(prog.labels[in.Label].at)
 	case BR, BRZ, BRNZ:
-		t, err := prog.target(pc, in.Label)
-		if err != nil {
-			return 0, 0, err
-		}
-		tMin, tMax, err := visit(t)
+		tMin, tMax, err := visit(int(prog.labels[in.Label].at))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -97,47 +82,29 @@ func visitInstr(prof *Profile, prog *Program, pc int, visit func(int) (int64, in
 		if err != nil {
 			return 0, 0, err
 		}
-		taken := base + int64(prof.TakenExtra)
-		return min64(taken+tMin, base+fMin), max64(taken+tMax, base+fMax), nil
+		taken := base + c.taken
+		return min(taken+tMin, base+fMin), max(taken+tMax, base+fMax), nil
 	case JTAB:
-		for idx, l := range in.Table {
-			t, err := prog.target(pc, l)
+		for idx, l := range prog.tables[in.Label] {
+			m1, m2, err := visit(int(prog.labels[l].at))
 			if err != nil {
 				return 0, 0, err
 			}
-			m1, m2, err := visit(t)
-			if err != nil {
-				return 0, 0, err
-			}
-			disp := base + int64(prof.JTabEntryCyc)*int64(idx)
+			disp := base + c.perEntry*int64(idx)
 			if idx == 0 {
 				mn, mx = disp+m1, disp+m2
 				continue
 			}
-			mn = min64(mn, disp+m1)
-			mx = max64(mx, disp+m2)
+			mn = min(mn, disp+m1)
+			mx = max(mx, disp+m2)
 		}
 		return mn, mx, nil
 	case ALU:
-		base = int64(prof.ALUCycles(in.AOp))
+		base = c.alu[in.AOp]
 	}
-	m1, m2, err := visit(pc + 1)
+	m1, m2, err := visit(next)
 	if err != nil {
 		return 0, 0, err
 	}
 	return base + m1, base + m2, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,25 +25,26 @@ func randomDAGProgram(r *rand.Rand) *Program {
 		p.Alloc(fmt.Sprintf("w%d", i))
 	}
 	nBlocks := 3 + r.Intn(6)
-	label := func(i int) string { return fmt.Sprintf("b%d", i) }
+	label := func(i int) int32 { return p.Label(fmt.Sprintf("b%d", i)) }
+	reg := func() int8 { return int8(1 + r.Intn(3)) }
 	for b := 0; b < nBlocks; b++ {
-		_ = p.Mark(label(b))
+		_ = p.Bind(label(b))
 		// A few straight-line instructions.
 		for k := 0; k < r.Intn(4); k++ {
 			switch r.Intn(6) {
 			case 0:
-				p.Emit(Instr{Op: LDI, Rd: 1 + r.Intn(3), Imm: r.Int63n(16)})
+				p.Emit(Instr{Op: LDI, Rd: reg(), Imm: r.Int63n(16)})
 			case 1:
-				p.Emit(Instr{Op: LD, Rd: 1 + r.Intn(3), Addr: r.Intn(4)})
+				p.Emit(Instr{Op: LD, Rd: reg(), Addr: r.Intn(4)})
 			case 2:
-				p.Emit(Instr{Op: ST, Addr: r.Intn(4), Rs: 1 + r.Intn(3)})
+				p.Emit(Instr{Op: ST, Addr: r.Intn(4), Rs: reg()})
 			case 3:
 				ops := []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMin}
-				p.Emit(Instr{Op: ALU, AOp: ops[r.Intn(len(ops))], Rd: 1 + r.Intn(3), Rs: 1 + r.Intn(3)})
+				p.Emit(Instr{Op: ALU, AOp: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg()})
 			case 4:
 				p.Emit(Instr{Op: SVC, Num: SvcPresent, Imm: int64(r.Intn(3))})
 			default:
-				p.Emit(Instr{Op: MOV, Rd: 1 + r.Intn(3), Rs: r.Intn(4)})
+				p.Emit(Instr{Op: MOV, Rd: reg(), Rs: int8(r.Intn(4))})
 			}
 		}
 		// Terminator: fall through, forward branch, forward jump
@@ -66,7 +67,7 @@ func randomDAGProgram(r *rand.Rand) *Program {
 			// Jump table over 2-3 forward targets, indexed by a
 			// freshly bounded register.
 			n := 2 + r.Intn(2)
-			table := make([]string, n)
+			table := make([]int32, n)
 			for i := range table {
 				table[i] = label(b + 1 + r.Intn(nBlocks-b-1))
 			}
@@ -76,7 +77,7 @@ func randomDAGProgram(r *rand.Rand) *Program {
 			// rd = min(n-1, r0) could leave r1 = r0 when small; either
 			// way the index is within [0, n).
 			p.Emit(Instr{Op: MOV, Rd: 2, Rs: 1})
-			p.Emit(Instr{Op: JTAB, Rs: 2, Table: table})
+			p.Emit(Instr{Op: JTAB, Rs: 2, Label: p.Table(table...)})
 		}
 	}
 	if err := p.Resolve(); err != nil {

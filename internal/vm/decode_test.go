@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -9,10 +10,13 @@ import (
 )
 
 // TestDecodeErrors runs hand-built malformed programs: each must fail
-// decode with a *DecodeError naming the bad instruction, before any
+// the check with a *DecodeError naming the bad instruction, before any
 // cycle is spent or any service called, and static cycle analysis must
 // reject it with the same error rather than panic or cost it.
 func TestDecodeErrors(t *testing.T) {
+	// Each row's program interns "end" first (label 0), then adds the
+	// jump tables [end] (table 0) and [] (table 2).
+	const end, endTable, emptyTable = 0, 0, 2
 	for _, tc := range []struct {
 		name string
 		bad  Instr
@@ -23,21 +27,24 @@ func TestDecodeErrors(t *testing.T) {
 		{"negative register", Instr{Op: MOV, Rd: 1, Rs: -1}},
 		{"load register", Instr{Op: LD, Rd: NumRegs, Addr: 0}},
 		{"store source register", Instr{Op: ST, Rs: 9, Addr: 0}},
-		{"branch register", Instr{Op: BR, Cond: CondLT, Rs: 1, Rt: 8, Label: "end"}},
-		{"branch condition", Instr{Op: BR, Cond: CondGE + 1, Rs: 1, Rt: 2, Label: "end"}},
-		{"jump table register", Instr{Op: JTAB, Rs: 10, Table: []string{"end"}}},
+		{"branch register", Instr{Op: BR, Cond: CondLT, Rs: 1, Rt: 8, Label: end}},
+		{"branch condition", Instr{Op: BR, Cond: CondGE + 1, Rs: 1, Rt: 2, Label: end}},
+		{"jump table register", Instr{Op: JTAB, Rs: 10, Label: endTable}},
 		{"emitted value register", Instr{Op: SVC, Num: SvcEmitV, Rs: 8}},
 		{"ALU operator", Instr{Op: ALU, AOp: expr.Op(expr.NumOps()), Rd: 1, Rs: 2}},
 		{"negative ALU operator", Instr{Op: ALU, AOp: -1, Rd: 1, Rs: 2}},
 		{"unknown service", Instr{Op: SVC, Num: SvcEmitV + 1}},
 		{"negative service", Instr{Op: SVC, Num: -1}},
-		{"empty jump table", Instr{Op: JTAB, Rs: 1}},
+		{"empty jump table", Instr{Op: JTAB, Rs: 1, Label: emptyTable}},
+		{"missing jump table", Instr{Op: JTAB, Rs: 1, Label: emptyTable + 1}},
 		{"fires on a load", Instr{Op: LD, Rd: 1, Fires: true}},
 		{"fires on a presence test", Instr{Op: SVC, Num: SvcPresent, Fires: true}},
-		{"fires on a jump", Instr{Op: JMP, Label: "end", Fires: true}},
+		{"fires on a jump", Instr{Op: JMP, Label: end, Fires: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProgram("bad")
+			p.Table(p.Label("end"))
+			p.Table()
 			p.Alloc("x")
 			p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 0})
 			p.Emit(tc.bad)
@@ -68,16 +75,17 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestUnusedOperandsAreNotDecoded keeps decode to the fields an opcode
-// uses: a register field an instruction ignores may hold anything.
+// TestUnusedOperandsAreNotDecoded keeps the check to the fields an
+// opcode uses: a register field an instruction ignores may hold
+// anything.
 func TestUnusedOperandsAreNotDecoded(t *testing.T) {
 	p := NewProgram("loose")
 	p.Emit(Instr{Op: SVC, Num: SvcPresent, Rs: 99})
-	p.Emit(Instr{Op: JMP, Rd: 42, Rs: -3, Label: "end"})
+	p.Emit(Instr{Op: JMP, Rd: 42, Rs: -3, Label: p.Label("end")})
 	if err := p.Mark("end"); err != nil {
 		t.Fatal(err)
 	}
-	p.Emit(Instr{Op: HALT, Rd: 1000})
+	p.Emit(Instr{Op: HALT, Rd: 100})
 	if _, err := NewMachine(R3K(), 0, nil).Run(p, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +99,11 @@ func TestRunFired(t *testing.T) {
 	x := p.Alloc("x")
 	p.Emit(Instr{Op: ST, Addr: x, Rs: 1})        // unmarked effect
 	p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 0}) // unmarked effect
-	p.Emit(Instr{Op: BRZ, Rs: 2, Label: "end"})
+	p.Emit(Instr{Op: BRZ, Rs: 2, Label: p.Label("end")})
 	p.Emit(Instr{Op: LDI, Rd: 3, Imm: 7})
-	p.Emit(Instr{Op: BRNZ, Rs: 3, Label: "emit"})
+	p.Emit(Instr{Op: BRNZ, Rs: 3, Label: p.Label("emit")})
 	p.Emit(Instr{Op: ST, Addr: x, Rs: 3, Fires: true})
-	p.Emit(Instr{Op: JMP, Label: "end"})
+	p.Emit(Instr{Op: JMP, Label: p.Label("end")})
 	if err := p.Mark("emit"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +127,9 @@ func TestRunFired(t *testing.T) {
 	}
 }
 
-// TestProfileSwapRedecodes charges a new profile's costs after Prof is
+// TestProfileSwapRecosts charges a new profile's costs after Prof is
 // replaced between runs of one program.
-func TestProfileSwapRedecodes(t *testing.T) {
+func TestProfileSwapRecosts(t *testing.T) {
 	p := NewProgram("swap")
 	p.Emit(Instr{Op: ALU, AOp: expr.OpMul, Rd: 1, Rs: 2})
 	p.Emit(Instr{Op: HALT})
@@ -140,7 +148,7 @@ func TestProfileSwapRedecodes(t *testing.T) {
 
 // TestFaultKeepsCycles pins the cycle accounting of a run that faults:
 // the cycles up to and including the faulting instruction are added to
-// Cycles, as before the decoded stream.
+// Cycles.
 func TestFaultKeepsCycles(t *testing.T) {
 	prof := HC11()
 	p := NewProgram("fault")
@@ -156,17 +164,22 @@ func TestFaultKeepsCycles(t *testing.T) {
 	}
 }
 
-// TestInstrSize guards the instruction's footprint: the Fires mark
-// shares a word with the opcode and condition, so it costs nothing per
-// instruction, and the decoded form stays at 32 bytes.
+// TestInstrSize pins the one instruction representation: a value of at
+// most 40 bytes with no field that points elsewhere, so a routine's
+// code is one flat slice the garbage collector does not scan.
 func TestInstrSize(t *testing.T) {
+	typ := reflect.TypeOf(Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("Instr.%s is a %s", f.Name, f.Type.Kind())
+		}
+	}
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Instr{}); got > 120 {
-		t.Errorf("Instr is %d bytes, want at most 120", got)
-	}
-	if got := unsafe.Sizeof(dinstr{}); got != 32 {
-		t.Errorf("dinstr is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(Instr{}); got > 40 {
+		t.Errorf("Instr is %d bytes, want at most 40", got)
 	}
 }

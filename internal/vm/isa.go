@@ -96,46 +96,63 @@ const (
 	SvcEmitV          // emit signal Imm with value in Rs
 )
 
-// Instr is one virtual instruction. Fields are used according to Op.
+// Instr is one virtual instruction, a value with no pointer in it that
+// the assembler, machine, cycle analyzer and listing all read. Fields
+// are used according to Op; branch targets and jump tables index side
+// tables of the instruction's Program.
 type Instr struct {
 	Op   OpCode
 	Cond Cond
 	// Fires marks the effect instruction of an ASSIGN vertex (its
 	// state ST, SVC Emit or SVC EmitV): Machine.Run reports whether a
 	// marked instruction executed. The mark has no cost, size or
-	// listing of its own; decode rejects it on any other instruction.
+	// listing of its own; check rejects it on any other instruction.
 	Fires bool
-	Rd    int
-	Rs    int
-	Rt    int
+	Rd    int8
+	Rs    int8
+	Rt    int8
+	Num   int8 // SVC service number
+	// Label is the target of a BR, BRZ, BRNZ or JMP (an index from
+	// Program.Label) or the jump table of a JTAB (from Program.Table).
+	Label int32
 	AOp   expr.Op
 	Imm   int64
 	Addr  int
-	Num   int      // SVC service number
-	Label string   // branch/jump target
-	Table []string // JTAB targets
-	// Comment annotates listings with the originating s-graph
-	// vertex; it has no semantic effect.
-	Comment string
 }
 
-// Program is an assembled routine: a label map plus the instruction
-// stream. Addresses index the data memory of the machine; Words is
-// the number of data words the routine uses.
+// Program is an assembled routine: the instruction stream and the side
+// tables its instructions index. Addresses index the data memory of
+// the machine; Words is the number of data words the routine uses.
 type Program struct {
 	Name    string
 	Instrs  []Instr
-	Labels  map[string]int // label -> instruction index
 	Words   int            // data memory footprint in words
 	Symbols map[string]int // variable name -> address, for listings
+
+	labels   []label          // by label index
+	byName   map[string]int32 // name -> label index
+	tables   [][]int32        // jump tables of label indices
+	comments []comment        // listing annotations, by instruction
+}
+
+// label is a named position in the instruction stream.
+type label struct {
+	name string
+	at   int32 // instruction index, -1 until bound
+}
+
+// comment annotates instruction at in listings.
+type comment struct {
+	at   int
+	text string
 }
 
 // NewProgram creates an empty program.
 func NewProgram(name string) *Program {
 	return &Program{
 		Name:    name,
-		Labels:  make(map[string]int),
 		Symbols: make(map[string]int),
+		byName:  make(map[string]int32),
 	}
 }
 
@@ -145,13 +162,13 @@ func (p *Program) Emit(i Instr) int {
 	return len(p.Instrs) - 1
 }
 
-// Mark defines a label at the current position.
-func (p *Program) Mark(label string) error {
-	if _, dup := p.Labels[label]; dup {
-		return fmt.Errorf("vm: duplicate label %q", label)
-	}
-	p.Labels[label] = len(p.Instrs)
-	return nil
+// Reserve makes room for instrs more instructions and labels more
+// labels and comments, so an assembler that knows the size of its
+// routine appends without regrowing.
+func (p *Program) Reserve(instrs, labels int) {
+	p.Instrs = slices.Grow(p.Instrs, instrs)
+	p.labels = slices.Grow(p.labels, labels)
+	p.comments = slices.Grow(p.comments, labels)
 }
 
 // Alloc reserves a data word for the named variable and returns its
@@ -166,24 +183,92 @@ func (p *Program) Alloc(name string) int {
 	return a
 }
 
+// Label returns the index of the named label, adding it, not yet
+// bound to a position, on first use; a branch may name a label before
+// it is bound.
+func (p *Program) Label(name string) int32 {
+	if l, ok := p.byName[name]; ok {
+		return l
+	}
+	l := int32(len(p.labels))
+	p.labels = append(p.labels, label{name, -1})
+	p.byName[name] = l
+	return l
+}
+
+// Bind places label l at the current position.
+func (p *Program) Bind(l int32) error {
+	if p.labels[l].at >= 0 {
+		return fmt.Errorf("vm: duplicate label %q", p.labels[l].name)
+	}
+	p.labels[l].at = int32(len(p.Instrs))
+	return nil
+}
+
+// Mark defines a label at the current position.
+func (p *Program) Mark(label string) error { return p.Bind(p.Label(label)) }
+
+// LabelAt returns the instruction index of a bound label.
+func (p *Program) LabelAt(name string) (int, bool) {
+	l, ok := p.byName[name]
+	if !ok || p.labels[l].at < 0 {
+		return 0, false
+	}
+	return int(p.labels[l].at), true
+}
+
+// Table adds a jump table over the given labels, keeping the slice,
+// and returns the index a JTAB takes as its Label.
+func (p *Program) Table(labels ...int32) int32 {
+	p.tables = append(p.tables, labels)
+	return int32(len(p.tables) - 1)
+}
+
+// Comment annotates instruction i in listings; an empty text adds
+// nothing. Comments are listed in instruction order, so they must be
+// given in that order.
+func (p *Program) Comment(i int, text string) {
+	if text != "" {
+		p.comments = append(p.comments, comment{i, text})
+	}
+}
+
+// entry returns the instruction index a run from label starts at: 0
+// for an empty label that is not bound.
+func (p *Program) entry(label string) (int, error) {
+	pc, ok := p.LabelAt(label)
+	if !ok && label != "" {
+		return 0, fmt.Errorf("vm: unknown entry label %q", label)
+	}
+	return pc, nil
+}
+
+// table returns jump table t, nil if there is none.
+func (p *Program) table(t int32) []int32 {
+	if t < 0 || int(t) >= len(p.tables) {
+		return nil
+	}
+	return p.tables[t]
+}
+
 // LabelError reports a branch, jump or jump-table entry whose target
 // label the program does not define.
 type LabelError struct {
 	Instr int    // index of the referencing instruction
-	Label string // the missing label ("" for an empty one)
+	Label string // the unbound label ("" for an index that names none)
 }
 
 func (e *LabelError) Error() string {
 	if e.Label == "" {
-		return fmt.Sprintf("vm: instr %d: empty label", e.Instr)
+		return fmt.Sprintf("vm: instr %d: label index out of range", e.Instr)
 	}
 	return fmt.Sprintf("vm: instr %d: undefined label %q", e.Instr, e.Label)
 }
 
 // DecodeError reports an instruction the machine cannot execute: an
 // opcode, register, ALU operator or service number out of range, an
-// empty jump table, or a Fires mark on an instruction that is not an
-// effect.
+// empty or missing jump table, or a Fires mark on an instruction that
+// is not an effect.
 type DecodeError struct {
 	Instr  int    // index of the malformed instruction
 	Reason string // what is wrong with it
@@ -194,22 +279,27 @@ func (e *DecodeError) Error() string {
 }
 
 // target resolves label l referenced by instruction i.
-func (p *Program) target(i int, l string) (int, error) {
-	pc, ok := p.Labels[l]
-	if !ok || l == "" {
-		return 0, &LabelError{Instr: i, Label: l}
+func (p *Program) target(i int, l int32) (int, error) {
+	if l < 0 || int(l) >= len(p.labels) {
+		return 0, &LabelError{Instr: i}
 	}
-	return pc, nil
+	if p.labels[l].at < 0 {
+		return 0, &LabelError{Instr: i, Label: p.labels[l].name}
+	}
+	return int(p.labels[l].at), nil
 }
 
 // check validates the fields instruction i uses: a *DecodeError for a
-// malformed one, a *LabelError for a missing branch target.
+// malformed one, a *LabelError for a missing branch target. It is the
+// one validator: Resolve, Machine.Run and AnalyzeCycles all go
+// through it, and after it the machine indexes registers, cost tables
+// and jump tables without further checks.
 func (p *Program) check(i int) error {
 	in := &p.Instrs[i]
 	bad := func(format string, a ...any) error {
 		return &DecodeError{Instr: i, Reason: fmt.Sprintf(format, a...)}
 	}
-	reg := func(rs ...int) error {
+	reg := func(rs ...int8) error {
 		for _, r := range rs {
 			if r < 0 || r >= NumRegs {
 				return bad("register r%d out of range", r)
@@ -232,7 +322,7 @@ func (p *Program) check(i int) error {
 	case MOV:
 		err = reg(in.Rd, in.Rs)
 	case ALU:
-		if in.AOp < 0 || int(in.AOp) >= expr.NumOps() {
+		if in.AOp < 0 || in.AOp > expr.OpMax {
 			return bad("ALU operator %d out of range", in.AOp)
 		}
 		err = reg(in.Rd, in.Rs)
@@ -256,10 +346,11 @@ func (p *Program) check(i int) error {
 	case BR, BRZ, BRNZ, JMP:
 		_, err = p.target(i, in.Label)
 	case JTAB:
-		if len(in.Table) == 0 {
-			return bad("empty jump table")
+		tab := p.table(in.Label)
+		if len(tab) == 0 {
+			return bad("jump table %d empty or missing", in.Label)
 		}
-		for _, l := range in.Table {
+		for _, l := range tab {
 			if _, err = p.target(i, l); err != nil {
 				break
 			}
@@ -280,30 +371,38 @@ func (p *Program) Resolve() error {
 	return nil
 }
 
+// labelName returns the name of label l, "" for an index that names
+// none.
+func (p *Program) labelName(l int32) string {
+	if l < 0 || int(l) >= len(p.labels) {
+		return ""
+	}
+	return p.labels[l].name
+}
+
 // Listing renders a human-readable assembly listing. Every artifact
 // carries one, so it is built with append and strconv rather than fmt.
 func (p *Program) Listing() string {
-	type mark struct {
-		at   int
-		name string
+	marks := make([]label, 0, len(p.labels))
+	for _, l := range p.labels {
+		if l.at >= 0 {
+			marks = append(marks, l)
+		}
 	}
-	marks := make([]mark, 0, len(p.Labels))
-	for l, i := range p.Labels {
-		marks = append(marks, mark{i, l})
-	}
-	slices.SortFunc(marks, func(a, b mark) int {
+	slices.SortFunc(marks, func(a, b label) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), strings.Compare(a.name, b.name))
 	})
+	comments := p.comments
 	b := make([]byte, 0, 32*(len(p.Instrs)+len(marks)+1))
 	labelsAt := func(i int) {
-		for ; len(marks) > 0 && marks[0].at <= i; marks = marks[1:] {
-			if marks[0].at == i { // a label set out of range is not listed
+		for ; len(marks) > 0 && int(marks[0].at) <= i; marks = marks[1:] {
+			if int(marks[0].at) == i { // a label set out of range is not listed
 				b = append(b, marks[0].name...)
 				b = append(b, ":\n"...)
 			}
 		}
 	}
-	reg := func(r int) { b = strconv.AppendInt(append(b, 'r'), int64(r), 10) }
+	reg := func(r int8) { b = strconv.AppendInt(append(b, 'r'), int64(r), 10) }
 	b = append(b, "; routine "...)
 	b = append(b, p.Name...)
 	b = append(b, " ("...)
@@ -357,24 +456,24 @@ func (p *Program) Listing() string {
 			b = append(b, ", "...)
 			reg(in.Rt)
 			b = append(b, ", "...)
-			b = append(b, in.Label...)
+			b = append(b, p.labelName(in.Label)...)
 		case BRZ, BRNZ:
 			b = append(b, ' ')
 			reg(in.Rs)
 			b = append(b, ", "...)
-			b = append(b, in.Label...)
+			b = append(b, p.labelName(in.Label)...)
 		case JMP:
 			b = append(b, ' ')
-			b = append(b, in.Label...)
+			b = append(b, p.labelName(in.Label)...)
 		case JTAB:
 			b = append(b, ' ')
 			reg(in.Rs)
 			b = append(b, ", ["...)
-			for k, l := range in.Table {
+			for k, l := range p.table(in.Label) {
 				if k > 0 {
 					b = append(b, ' ')
 				}
-				b = append(b, l...)
+				b = append(b, p.labelName(l)...)
 			}
 			b = append(b, ']')
 		case SVC:
@@ -385,9 +484,9 @@ func (p *Program) Listing() string {
 			b = append(b, ", "...)
 			reg(in.Rs)
 		}
-		if in.Comment != "" {
+		for ; len(comments) > 0 && comments[0].at == i; comments = comments[1:] {
 			b = append(b, "  ; "...)
-			b = append(b, in.Comment...)
+			b = append(b, comments[0].text...)
 		}
 		b = append(b, '\n')
 	}

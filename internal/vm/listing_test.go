@@ -23,26 +23,26 @@ func listingProgram() *Program {
 	mark("entry")
 	mark("b_start")
 	p.Emit(Instr{Op: NOP})
-	p.Emit(Instr{Op: LDI, Rd: 1, Imm: -42, Comment: "v3 init"})
+	p.Comment(p.Emit(Instr{Op: LDI, Rd: 1, Imm: -42}), "v3 init")
 	p.Emit(Instr{Op: LDI, Rd: 12, Imm: 9223372036854775807})
 	p.Emit(Instr{Op: LD, Rd: 2, Addr: 1})
 	p.Emit(Instr{Op: ST, Addr: 0, Rs: 2})
 	p.Emit(Instr{Op: MOV, Rd: 3, Rs: 1})
 	p.Emit(Instr{Op: ALU, AOp: expr.OpAdd, Rd: 1, Rs: 2})
-	p.Emit(Instr{Op: ALU, AOp: expr.OpMod, Rd: 4, Rs: 5, Comment: "100% taken"})
+	p.Comment(p.Emit(Instr{Op: ALU, AOp: expr.OpMod, Rd: 4, Rs: 5}), "100% taken")
 	p.Emit(Instr{Op: NEG, Rd: 1})
 	p.Emit(Instr{Op: NOT, Rd: 7})
 	mark("loop")
 	for c := CondEQ; c <= CondGE; c++ {
-		p.Emit(Instr{Op: BR, Cond: c, Rs: 1, Rt: 2, Label: "loop"})
+		p.Emit(Instr{Op: BR, Cond: c, Rs: 1, Rt: 2, Label: p.Label("loop")})
 	}
-	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "entry"})
-	p.Emit(Instr{Op: BRNZ, Rs: 11, Label: "out"})
-	p.Emit(Instr{Op: JMP, Label: "out", Comment: "v7 -> end"})
-	p.Emit(Instr{Op: JTAB, Rs: 3, Table: []string{"loop", "entry", "out"}})
-	p.Emit(Instr{Op: JTAB, Rs: 4})
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: p.Label("entry")})
+	p.Emit(Instr{Op: BRNZ, Rs: 11, Label: p.Label("out")})
+	p.Comment(p.Emit(Instr{Op: JMP, Label: p.Label("out")}), "v7 -> end")
+	p.Emit(Instr{Op: JTAB, Rs: 3, Label: p.Table(p.Label("loop"), p.Label("entry"), p.Label("out"))})
+	p.Emit(Instr{Op: JTAB, Rs: 4, Label: p.Table()})
 	p.Emit(Instr{Op: SVC, Num: SvcPresent, Imm: 2, Rs: 0})
-	p.Emit(Instr{Op: SVC, Num: SvcEmitV, Imm: -1, Rs: 6, Comment: "emit %v"})
+	p.Comment(p.Emit(Instr{Op: SVC, Num: SvcEmitV, Imm: -1, Rs: 6}), "emit %v")
 	mark("z_mid")
 	mark("a_mid")
 	mark("m_mid")

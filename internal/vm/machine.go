@@ -39,9 +39,9 @@ func (NopHost) EmitValue(int, int64) {}
 // Machine executes programs under a cost profile, counting exact
 // cycles.
 type Machine struct {
-	// Prof is read when a program is decoded, on its first run on this
-	// machine; replacing it forces a new decode, but a profile edited
-	// in place needs a fresh Machine.
+	// Prof is read into the machine's cost table on the first run
+	// after it changes; a profile edited in place needs a fresh
+	// Machine.
 	Prof *Profile
 	Regs [NumRegs]int64
 	Mem  []int64
@@ -56,74 +56,38 @@ type Machine struct {
 	// (the event-consumption bit of the paper's Section IV-D).
 	Fired bool
 
-	// prog and prof key the decoded stream: code holds one dinstr per
-	// instruction and table the resolved JTAB targets. entry and
-	// entryPC cache the last entry label, so repeated reactions of one
-	// routine decode and look their label up only once.
+	// prog is the program last checked, with checked instructions,
+	// and cost the table of prof, both rebuilt when either changes.
+	// entry and entryPC cache the last entry label, so repeated
+	// reactions of one routine look it up once.
 	prog    *Program
+	checked int
 	prof    *Profile
-	code    []dinstr
-	table   []int
+	cost    costs
 	entry   string
 	entryPC int
 }
 
-// Decoded-only opcodes: decode splits SVC by service, in service-number
-// order, so the run loop dispatches once per instruction.
-const (
-	opPresent = numOpcodes + iota
-	opValue
-	opEmit
-	opEmitV
-)
-
-// dinstr is one pre-decoded instruction (32 bytes): its base cost is
-// folded in (the operator cost for ALU), its jump target or table
-// offset resolved, and its operands narrowed.
-type dinstr struct {
-	op         OpCode
-	cond       Cond
-	fires      bool
-	rd, rs, rt uint8
-	aop        uint8 // expr.Op of an ALU
-	cost       int64 // cycles charged on issue
-	arg        int   // jump target, table offset or data address
-	imm        int64 // LDI immediate, SVC signal id or JTAB entry count
+// costs is a profile's cycle model in the form the machine and the
+// analyzer charge from: op[o] on issue of every opcode but ALU (whose
+// entry is 0), alu[a] on issue of an ALU with operator a.
+type costs struct {
+	op       [numOpcodes]int64
+	alu      [expr.OpMax + 1]int64
+	taken    int64 // a taken conditional branch
+	perEntry int64 // each jump-table entry skipped
 }
 
-// decode validates prog and lowers it to the dinstr stream under prof;
-// table[d.arg+k] is the target of entry k of a JTAB d.
-func decode(prog *Program, prof *Profile) ([]dinstr, []int, error) {
-	code := make([]dinstr, len(prog.Instrs))
-	var table []int
-	for i := range prog.Instrs {
-		if err := prog.check(i); err != nil {
-			return nil, nil, err
-		}
-		in := &prog.Instrs[i]
-		d := dinstr{
-			op: in.Op, cond: in.Cond, fires: in.Fires,
-			rd: uint8(in.Rd), rs: uint8(in.Rs), rt: uint8(in.Rt), aop: uint8(in.AOp),
-			cost: int64(prof.Cyc[in.Op]), imm: in.Imm,
-		}
-		switch in.Op {
-		case LD, ST:
-			d.arg = in.Addr
-		case ALU:
-			d.cost = int64(prof.ALUCycles(in.AOp))
-		case BR, BRZ, BRNZ, JMP:
-			d.arg = prog.Labels[in.Label]
-		case JTAB:
-			d.arg, d.imm = len(table), int64(len(in.Table))
-			for _, l := range in.Table {
-				table = append(table, prog.Labels[l])
-			}
-		case SVC:
-			d.op = opPresent + OpCode(in.Num)
-		}
-		code[i] = d
+func newCosts(p *Profile) costs {
+	c := costs{taken: int64(p.TakenExtra), perEntry: int64(p.JTabEntryCyc)}
+	for o, cyc := range p.Cyc {
+		c.op[o] = int64(cyc)
 	}
-	return code, table, nil
+	c.op[ALU] = 0
+	for a := range c.alu {
+		c.alu[a] = int64(p.ALUCycles(expr.Op(a)))
+	}
+	return c
 }
 
 // NewMachine creates a machine with the given data memory size.
@@ -142,33 +106,30 @@ func NewMachine(prof *Profile, words int, host Host) *Machine {
 // Run executes prog from the instruction at the given label (or index
 // 0 if label is empty) until HALT, returning the cycles consumed by
 // this run and setting Fired. The first run of a program on this
-// machine (or the first after Prof changes) decodes it: a malformed
-// instruction fails with a *DecodeError and an undefined label with a
-// *LabelError, before anything executes. The decoded stream is reused
-// while the program keeps its length; a program edited in place must
-// be run on a fresh Machine. A fault during execution still adds the
-// cycles spent up to and including the faulting instruction to Cycles.
+// machine (or the first after Prof changes or the program grows)
+// checks every instruction: a malformed one fails with a *DecodeError
+// and an undefined label with a *LabelError, before anything executes.
+// An instruction edited in place after that is not checked again; run
+// the edited program on a fresh Machine. A fault during execution
+// still adds the cycles spent up to and including the faulting
+// instruction to Cycles.
 func (m *Machine) Run(prog *Program, label string) (int64, error) {
-	if prog != m.prog || m.Prof != m.prof || len(prog.Instrs) != len(m.code) {
-		code, table, err := decode(prog, m.Prof)
+	if prog != m.prog || m.Prof != m.prof || len(prog.Instrs) != m.checked {
+		if err := prog.Resolve(); err != nil {
+			return 0, err
+		}
+		m.prog, m.checked, m.entry, m.entryPC = prog, len(prog.Instrs), "", 0
+		m.prof, m.cost = m.Prof, newCosts(m.Prof)
+	}
+	if label != m.entry {
+		pc, err := prog.entry(label)
 		if err != nil {
 			return 0, err
 		}
-		m.prog, m.prof, m.code, m.table, m.entry, m.entryPC = prog, m.Prof, code, table, "", 0
-	}
-	if label != m.entry {
-		idx := 0
-		if label != "" {
-			var ok bool
-			if idx, ok = prog.Labels[label]; !ok {
-				return 0, fmt.Errorf("vm: unknown entry label %q", label)
-			}
-		}
-		m.entry, m.entryPC = label, idx
+		m.entry, m.entryPC = label, pc
 	}
 	m.Fired = false
-	code, table, mem, regs := m.code, m.table, m.Mem, &m.Regs
-	taken, perEntry := int64(m.prof.TakenExtra), int64(m.prof.JTabEntryCyc)
+	code, labels, tables, mem, regs, c := prog.Instrs, prog.labels, prog.tables, m.Mem, &m.Regs, &m.cost
 	pc, cyc, maxSteps := m.entryPC, int64(0), m.MaxSteps
 	for steps := 1; ; steps++ {
 		if steps > maxSteps {
@@ -177,78 +138,82 @@ func (m *Machine) Run(prog *Program, label string) (int64, error) {
 		if pc < 0 || pc >= len(code) {
 			return m.fault(cyc, fmt.Errorf("vm: pc %d out of range in %s", pc, prog.Name))
 		}
-		d := &code[pc]
-		cyc += d.cost
+		in := &code[pc]
+		cyc += c.op[in.Op]
 		pc++
-		switch d.op {
+		switch in.Op {
 		case LDI:
-			regs[d.rd] = d.imm
+			regs[in.Rd] = in.Imm
 		case LD:
-			if d.arg < 0 || d.arg >= len(mem) {
-				return m.fault(cyc, fmt.Errorf("vm: load address %d out of range", d.arg))
+			if in.Addr < 0 || in.Addr >= len(mem) {
+				return m.fault(cyc, fmt.Errorf("vm: load address %d out of range", in.Addr))
 			}
-			regs[d.rd] = mem[d.arg]
+			regs[in.Rd] = mem[in.Addr]
 		case ST:
-			if d.arg < 0 || d.arg >= len(mem) {
-				return m.fault(cyc, fmt.Errorf("vm: store address %d out of range", d.arg))
+			if in.Addr < 0 || in.Addr >= len(mem) {
+				return m.fault(cyc, fmt.Errorf("vm: store address %d out of range", in.Addr))
 			}
-			mem[d.arg] = regs[d.rs]
-			if d.fires {
+			mem[in.Addr] = regs[in.Rs]
+			if in.Fires {
 				m.Fired = true
 			}
 		case MOV:
-			regs[d.rd] = regs[d.rs]
+			regs[in.Rd] = regs[in.Rs]
 		case ALU:
-			regs[d.rd] = expr.EvalOp(expr.Op(d.aop), regs[d.rd], regs[d.rs])
+			cyc += c.alu[in.AOp]
+			regs[in.Rd] = expr.EvalOp(in.AOp, regs[in.Rd], regs[in.Rs])
 		case NEG:
-			regs[d.rd] = -regs[d.rd]
+			regs[in.Rd] = -regs[in.Rd]
 		case NOT:
-			if regs[d.rd] == 0 {
-				regs[d.rd] = 1
+			if regs[in.Rd] == 0 {
+				regs[in.Rd] = 1
 			} else {
-				regs[d.rd] = 0
+				regs[in.Rd] = 0
 			}
 		case BR:
-			if d.cond.Holds(regs[d.rs], regs[d.rt]) {
-				cyc += taken
-				pc = d.arg
+			if in.Cond.Holds(regs[in.Rs], regs[in.Rt]) {
+				cyc += c.taken
+				pc = int(labels[in.Label].at)
 			}
 		case BRZ:
-			if regs[d.rs] == 0 {
-				cyc += taken
-				pc = d.arg
+			if regs[in.Rs] == 0 {
+				cyc += c.taken
+				pc = int(labels[in.Label].at)
 			}
 		case BRNZ:
-			if regs[d.rs] != 0 {
-				cyc += taken
-				pc = d.arg
+			if regs[in.Rs] != 0 {
+				cyc += c.taken
+				pc = int(labels[in.Label].at)
 			}
 		case JMP:
-			pc = d.arg
+			pc = int(labels[in.Label].at)
 		case JTAB:
-			idx := regs[d.rs]
-			if idx < 0 || idx >= d.imm {
-				return m.fault(cyc, fmt.Errorf("vm: jump table index %d out of range (%d entries)", idx, d.imm))
+			tab, idx := tables[in.Label], regs[in.Rs]
+			if idx < 0 || idx >= int64(len(tab)) {
+				return m.fault(cyc, fmt.Errorf("vm: jump table index %d out of range (%d entries)", idx, len(tab)))
 			}
-			cyc += perEntry * idx
-			pc = table[d.arg+int(idx)]
-		case opPresent:
-			if m.Host.Present(int(d.imm)) {
-				regs[0] = 1
-			} else {
-				regs[0] = 0
-			}
-		case opValue:
-			regs[0] = m.Host.Value(int(d.imm))
-		case opEmit:
-			m.Host.Emit(int(d.imm))
-			if d.fires {
-				m.Fired = true
-			}
-		case opEmitV:
-			m.Host.EmitValue(int(d.imm), regs[d.rs])
-			if d.fires {
-				m.Fired = true
+			cyc += c.perEntry * idx
+			pc = int(labels[tab[idx]].at)
+		case SVC:
+			switch in.Num {
+			case SvcPresent:
+				if m.Host.Present(int(in.Imm)) {
+					regs[0] = 1
+				} else {
+					regs[0] = 0
+				}
+			case SvcValue:
+				regs[0] = m.Host.Value(int(in.Imm))
+			case SvcEmit:
+				m.Host.Emit(int(in.Imm))
+				if in.Fires {
+					m.Fired = true
+				}
+			default:
+				m.Host.EmitValue(int(in.Imm), regs[in.Rs])
+				if in.Fires {
+					m.Fired = true
+				}
 			}
 		case HALT:
 			m.Cycles += cyc

@@ -129,20 +129,21 @@ func R3K() *Profile {
 	return p
 }
 
-// InstrSize returns the encoded size of instruction i when its branch
-// displacement (in bytes) is disp; callers that do not know the
+// InstrSize returns the encoded size of instruction i of prog when its
+// branch displacement (in bytes) is disp; callers that do not know the
 // displacement pass a large value to get the long form.
-func (p *Profile) InstrSize(i *Instr, disp int) int {
-	switch i.Op {
+func (p *Profile) InstrSize(prog *Program, i, disp int) int {
+	in := &prog.Instrs[i]
+	switch in.Op {
 	case BR, BRZ, BRNZ, JMP:
 		if p.ShortBranchRange > 0 && disp >= -p.ShortBranchRange && disp <= p.ShortBranchRange {
 			return p.ShortBranchSize
 		}
-		return p.Size[i.Op]
+		return p.Size[in.Op]
 	case JTAB:
-		return p.Size[JTAB] + len(i.Table)*p.JTabEntryBytes
+		return p.Size[JTAB] + len(prog.table(in.Label))*p.JTabEntryBytes
 	default:
-		return p.Size[i.Op]
+		return p.Size[in.Op]
 	}
 }
 
@@ -157,7 +158,7 @@ func (p *Profile) Layout(prog *Program) []int {
 	// Start with long forms everywhere, then shrink.
 	sizes := make([]int, n)
 	for i := range prog.Instrs {
-		sizes[i] = p.InstrSize(&prog.Instrs[i], 1<<30)
+		sizes[i] = p.InstrSize(prog, i, 1<<30)
 	}
 	for pass := 0; pass < 8; pass++ {
 		off[0] = 0
@@ -166,15 +167,13 @@ func (p *Profile) Layout(prog *Program) []int {
 		}
 		changed := false
 		for i := range prog.Instrs {
-			in := &prog.Instrs[i]
-			switch in.Op {
+			switch prog.Instrs[i].Op {
 			case BR, BRZ, BRNZ, JMP:
-				t, ok := prog.Labels[in.Label]
-				if !ok {
+				t, err := prog.target(i, prog.Instrs[i].Label)
+				if err != nil {
 					continue // undefined target: keep the long form
 				}
-				disp := off[t] - off[i+1]
-				ns := p.InstrSize(in, disp)
+				ns := p.InstrSize(prog, i, off[t]-off[i+1])
 				if ns != sizes[i] {
 					sizes[i] = ns
 					changed = true

@@ -40,7 +40,7 @@ func TestBranching(t *testing.T) {
 	p := NewProgram("b")
 	p.Emit(Instr{Op: LDI, Rd: 1, Imm: 5})
 	p.Emit(Instr{Op: LDI, Rd: 2, Imm: 5})
-	p.Emit(Instr{Op: BR, Cond: CondEQ, Rs: 1, Rt: 2, Label: "eq"})
+	p.Emit(Instr{Op: BR, Cond: CondEQ, Rs: 1, Rt: 2, Label: p.Label("eq")})
 	p.Emit(Instr{Op: LDI, Rd: 0, Imm: 0})
 	p.Emit(Instr{Op: HALT})
 	if err := p.Mark("eq"); err != nil {
@@ -82,7 +82,7 @@ func TestConds(t *testing.T) {
 
 func TestJumpTable(t *testing.T) {
 	p := NewProgram("jt")
-	p.Emit(Instr{Op: JTAB, Rs: 1, Table: []string{"l0", "l1", "l2"}})
+	p.Emit(Instr{Op: JTAB, Rs: 1, Label: p.Table(p.Label("l0"), p.Label("l1"), p.Label("l2"))})
 	for i := 0; i < 3; i++ {
 		if err := p.Mark([]string{"l0", "l1", "l2"}[i]); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func (h *recHost) EmitValue(s int, v int64) { h.emitted = append(h.emitted, s); 
 func TestSVC(t *testing.T) {
 	p := NewProgram("svc")
 	p.Emit(Instr{Op: SVC, Num: SvcPresent, Imm: 3})
-	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "out"})
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: p.Label("out")})
 	p.Emit(Instr{Op: SVC, Num: SvcValue, Imm: 3})
 	p.Emit(Instr{Op: MOV, Rd: 1, Rs: 0})
 	p.Emit(Instr{Op: SVC, Num: SvcEmitV, Imm: 7, Rs: 1})
@@ -185,7 +185,7 @@ func TestAnalyzeCyclesMatchesExecution(t *testing.T) {
 	// static analysis.
 	p := NewProgram("two")
 	p.Emit(Instr{Op: SVC, Num: SvcPresent, Imm: 0})
-	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "skip"})
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: p.Label("skip")})
 	p.Emit(Instr{Op: LDI, Rd: 1, Imm: 1})
 	p.Emit(Instr{Op: ALU, AOp: expr.OpMul, Rd: 1, Rs: 1})
 	p.Emit(Instr{Op: SVC, Num: SvcEmit, Imm: 1})
@@ -228,7 +228,7 @@ func TestAnalyzeDetectsLoop(t *testing.T) {
 	if err := p.Mark("top"); err != nil {
 		t.Fatal(err)
 	}
-	p.Emit(Instr{Op: JMP, Label: "top"})
+	p.Emit(Instr{Op: JMP, Label: p.Label("top")})
 	if _, err := AnalyzeCycles(HC11(), p, ""); err == nil {
 		t.Error("loop must be detected")
 	}
@@ -237,7 +237,7 @@ func TestAnalyzeDetectsLoop(t *testing.T) {
 func TestLayoutShortBranches(t *testing.T) {
 	prof := HC11()
 	p := NewProgram("near")
-	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "end"})
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: p.Label("end")})
 	p.Emit(Instr{Op: NOP})
 	if err := p.Mark("end"); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestLayoutShortBranches(t *testing.T) {
 
 	// Far branch: pad beyond the short range.
 	p2 := NewProgram("far")
-	p2.Emit(Instr{Op: BRZ, Rs: 0, Label: "end"})
+	p2.Emit(Instr{Op: BRZ, Rs: 0, Label: p2.Label("end")})
 	for i := 0; i < 200; i++ {
 		p2.Emit(Instr{Op: NOP})
 	}
@@ -270,7 +270,7 @@ func TestR3KUniformSize(t *testing.T) {
 	prof := R3K()
 	p := NewProgram("u")
 	p.Emit(Instr{Op: LDI, Rd: 0, Imm: 1})
-	p.Emit(Instr{Op: BRZ, Rs: 0, Label: "x"})
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: p.Label("x")})
 	if err := p.Mark("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,23 +282,23 @@ func TestR3KUniformSize(t *testing.T) {
 
 func TestResolveCatchesUndefined(t *testing.T) {
 	p := NewProgram("bad")
-	p.Emit(Instr{Op: JMP, Label: "nowhere"})
+	p.Emit(Instr{Op: JMP, Label: p.Label("nowhere")})
 	if err := p.Resolve(); err == nil {
 		t.Error("undefined label must be reported")
 	}
 }
 
-// TestDanglingLabel: a branch to an undefined label used to read the
-// label map's zero value and jump to instruction 0. Run and
-// AnalyzeCycles must instead fail with a *LabelError, and Run must do
-// so before executing anything.
+// TestDanglingLabel: a branch to an unbound label, or to an index that
+// names no label, must fail Run and AnalyzeCycles with a *LabelError,
+// and Run must do so before executing anything.
 func TestDanglingLabel(t *testing.T) {
 	progs := map[string]func(p *Program){
-		"jmp": func(p *Program) { p.Emit(Instr{Op: JMP, Label: "nowhere"}) },
-		"brz": func(p *Program) { p.Emit(Instr{Op: BRZ, Rs: 1, Label: "nowhere"}) },
+		"jmp": func(p *Program) { p.Emit(Instr{Op: JMP, Label: p.Label("nowhere")}) },
+		"brz": func(p *Program) { p.Emit(Instr{Op: BRZ, Rs: 1, Label: p.Label("nowhere")}) },
 		"jtab": func(p *Program) {
-			p.Emit(Instr{Op: JTAB, Rs: 1, Table: []string{"end", "nowhere"}})
+			p.Emit(Instr{Op: JTAB, Rs: 1, Label: p.Table(p.Label("end"), p.Label("nowhere"))})
 		},
+		"index": func(p *Program) { p.Emit(Instr{Op: BR, Rs: 1, Rt: 2, Label: 99}) },
 	}
 	for name, branch := range progs {
 		p := NewProgram(name)
@@ -311,8 +311,12 @@ func TestDanglingLabel(t *testing.T) {
 		h := &recHost{}
 		m := NewMachine(HC11(), 0, h)
 		_, err := m.Run(p, "")
+		want := "nowhere"
+		if name == "index" {
+			want = ""
+		}
 		var le *LabelError
-		if !errors.As(err, &le) || le.Label != "nowhere" || le.Instr != 1 {
+		if !errors.As(err, &le) || le.Label != want || le.Instr != 1 {
 			t.Errorf("%s: Run error %v, want a LabelError for instr 1", name, err)
 		}
 		if m.Cycles != 0 || len(h.emitted) != 0 {
@@ -339,7 +343,7 @@ func TestAllocDedup(t *testing.T) {
 
 func TestListing(t *testing.T) {
 	p := NewProgram("l")
-	p.Emit(Instr{Op: LDI, Rd: 1, Imm: 3, Comment: "init"})
+	p.Comment(p.Emit(Instr{Op: LDI, Rd: 1, Imm: 3}), "init")
 	p.Emit(Instr{Op: HALT})
 	lst := p.Listing()
 	if !strings.Contains(lst, "ldi") || !strings.Contains(lst, "init") {
@@ -352,7 +356,7 @@ func TestStepLimit(t *testing.T) {
 	if err := p.Mark("top"); err != nil {
 		t.Fatal(err)
 	}
-	p.Emit(Instr{Op: JMP, Label: "top"})
+	p.Emit(Instr{Op: JMP, Label: p.Label("top")})
 	m := NewMachine(R3K(), 0, nil)
 	m.MaxSteps = 100
 	if _, err := m.Run(p, ""); err == nil {
@@ -367,12 +371,12 @@ func TestRunSwitchesProgramsAndEntries(t *testing.T) {
 	build := func(name string, a, b int64) *Program {
 		p := NewProgram(name)
 		p.Emit(Instr{Op: LDI, Rd: 0, Imm: 0})
-		p.Emit(Instr{Op: JMP, Label: "out"})
+		p.Emit(Instr{Op: JMP, Label: p.Label("out")})
 		if err := p.Mark("a"); err != nil {
 			t.Fatal(err)
 		}
 		p.Emit(Instr{Op: LDI, Rd: 0, Imm: a})
-		p.Emit(Instr{Op: JMP, Label: "out"})
+		p.Emit(Instr{Op: JMP, Label: p.Label("out")})
 		if err := p.Mark("b"); err != nil {
 			t.Fatal(err)
 		}
