@@ -4,7 +4,7 @@
 #
 #   suite "bdd"   ->  BENCH_bdd.json   (synthesis, BDD kernel, cache key)
 #   suite "sim"   ->  BENCH_sim.json   (co-simulation throughput)
-#   suite "synth" ->  BENCH_synth.json (sharded synthesis at scale)
+#   suite "synth" ->  BENCH_synth.json (pooled synthesis at scale)
 #
 # BENCH_SUITES overrides the suite list (e.g. BENCH_SUITES=synth).
 #
@@ -63,8 +63,8 @@ run_benches() {
         # The 1000-module cases take tens of seconds per iteration on
         # the 1-CPU CI box; -benchtime=1x (the smoke default) keeps
         # them bounded.
-        go test -run '^$' -bench 'BenchmarkShardSynthesize' -timeout 30m \
-            -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/shard/
+        go test -run '^$' -bench 'BenchmarkRunModules' -timeout 30m \
+            -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
     esac
 }

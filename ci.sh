@@ -116,11 +116,11 @@ end var
 end module
 EOF
 "$tmp/polisc" "$tmp/net.strl" >"$tmp/plain"
-"$tmp/polisc" -shards 2 -shard-procs -cache "$tmp/cache" -stats "$tmp/net.strl" | tee "$tmp/cold"
+"$tmp/polisc" -shards 2 -cache "$tmp/cache" -stats "$tmp/net.strl" | tee "$tmp/cold"
 grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 3 | mem 0 | disk 0 | dedup 0' "$tmp/cold"
-"$tmp/polisc" -shards 2 -shard-procs -cache "$tmp/cache" -stats "$tmp/net.strl" | tee "$tmp/warm"
+"$tmp/polisc" -shards 2 -cache "$tmp/cache" -stats "$tmp/net.strl" | tee "$tmp/warm"
 grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 0 | mem 0 | disk 3 | dedup 0' "$tmp/warm"
-"$tmp/polisc" -shards 2 -shard-procs -cache "$tmp/cache" "$tmp/net.strl" >"$tmp/sharded"
+"$tmp/polisc" -shards 2 -cache "$tmp/cache" "$tmp/net.strl" >"$tmp/sharded"
 diff "$tmp/plain" "$tmp/sharded"
 trap - EXIT
 rm -rf "$tmp"
@@ -161,7 +161,7 @@ rm -rf "$tmp"
 ./bench.sh
 
 # Bounded perf-regression smoke: short-benchtime timings for every
-# suite (bdd synthesis, sim throughput, sharded synthesis at scale)
+# suite (bdd synthesis, sim throughput, pooled synthesis at scale)
 # compared to their last recorded -full runs, failing only on
 # order-of-magnitude blowups (the generous threshold absorbs
 # shared-runner noise; the real measurement lives in bench.sh -full /

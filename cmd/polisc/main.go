@@ -7,11 +7,11 @@
 //
 //	polisc [-target hc11|r3k] [-order default|naive|inputs-first]
 //	       [-j N] [-cache dir] [-stats] [-reduce]
-//	       [-shards N] [-shard-strategy hash|size] [-shard-procs]
+//	       [-shards N] [-shard-strategy hash|size]
 //	       [-profile prof.json -specialize]
 //	       [-c] [-asm] [-dot] [-optimize-copies] [-o dir] [file.strl]
 //	polisc fuzz [-seed N] [-runs N] [-config "k=v,..."]
-//	polisc shard-worker   (internal: exec'd by -shard-procs)
+//	polisc shard-worker   (internal: exec'd by -shards)
 //
 // -profile loads an execution profile captured by cfsmsim
 // -profile-out; with -specialize the synthesis reorders each covered
@@ -38,15 +38,14 @@
 //
 // -shards N routes synthesis through the map-reduce driver
 // (internal/shard): modules are partitioned into N deterministic
-// shards (-shard-strategy hash|size), mapped through the shared
-// artifact cache, and reduced back into source order — output is
-// byte-identical to an unsharded run for any shard count. With
-// -shard-procs each shard runs as a separate `polisc shard-worker`
-// process and the -cache directory becomes the shuffle layer the
-// workers publish into (a temporary directory is used when -cache is
-// not given); the reducer fetches every artifact back from it by
-// fingerprint. -stats adds the per-shard wall-time and miss|mem|disk|
-// dedup attribution lines to the report. With no file, the
+// shards (-shard-strategy hash|size), each shard runs as a separate
+// `polisc shard-worker` process, and the -cache directory becomes the
+// shuffle layer the workers publish into (a temporary directory is
+// used when -cache is not given); the reducer fetches every artifact
+// back from it by fingerprint, in source order, so output is
+// byte-identical to an unsharded run for any shard count. In-process
+// parallelism is -j. -stats adds the per-shard wall-time and
+// miss|mem|disk|dedup attribution lines to the report. With no file, the
 // paper's Fig. 1 module is synthesized as a demo. With -o, the
 // generated C sources (one per module, plus polis_rtos.h and the RTOS)
 // are written into the given directory.
@@ -117,9 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print the pipeline statistics report")
 	profPath := fs.String("profile", "", "execution profile JSON (from cfsmsim -profile-out)")
 	specialize := fs.Bool("specialize", false, "reorder TEST outcomes hot-path-first using -profile")
-	shards := fs.Int("shards", 0, "partition modules into N map-reduce shards (0 = off)")
+	shards := fs.Int("shards", 0, "run N shard-worker processes sharing the -cache directory (0 = off; in-process parallelism is -j)")
 	shardStrat := fs.String("shard-strategy", "hash", "shard partitioner: hash or size")
-	shardProcs := fs.Bool("shard-procs", false, "run each shard as a separate shard-worker process")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -179,14 +177,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	cache, err := pipeline.NewCache(*cacheDir)
-	if err != nil {
-		return fail(stderr, err)
-	}
 	col := pipeline.NewCollector()
 	var arts []*pipeline.Artifact
 	var shardRep *shard.Report
-	if *shards != 0 || *shardProcs {
+	if *shards != 0 {
 		strat, err := shard.ParseStrategy(*shardStrat)
 		if err != nil {
 			return fail(stderr, err)
@@ -194,37 +188,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sopt := shard.Options{
 			Shards:   *shards,
 			Strategy: strat,
-			Pipeline: opt.Pipeline(),
+			Pipeline: opt,
 			CacheDir: *cacheDir,
 		}
-		if *shardProcs {
-			// Process mode needs an on-disk shuffle layer; fall back to
-			// a run-scoped temporary directory when -cache is not given.
-			if sopt.CacheDir == "" {
-				tmp, err := os.MkdirTemp("", "polisc-shard-*")
-				if err != nil {
-					return fail(stderr, err)
-				}
-				defer os.RemoveAll(tmp)
-				sopt.CacheDir = tmp
-			}
-			exe, err := os.Executable()
+		// The workers need an on-disk shuffle layer; fall back to a
+		// run-scoped temporary directory when -cache is not given.
+		if sopt.CacheDir == "" {
+			tmp, err := os.MkdirTemp("", "polisc-shard-*")
 			if err != nil {
 				return fail(stderr, err)
 			}
-			shardRep, err = shard.RunProcs(context.Background(), net, sopt, []string{exe, "shard-worker"})
-			if err != nil {
-				return fail(stderr, err)
-			}
-		} else {
-			sopt.Cache = cache
-			shardRep, err = shard.Run(context.Background(), net, sopt)
-			if err != nil {
-				return fail(stderr, err)
-			}
+			defer os.RemoveAll(tmp)
+			sopt.CacheDir = tmp
+		}
+		exe, err := os.Executable()
+		if err != nil {
+			return fail(stderr, err)
+		}
+		shardRep, err = shard.RunProcs(context.Background(), net, sopt, []string{exe, "shard-worker"})
+		if err != nil {
+			return fail(stderr, err)
 		}
 		arts = shardRep.Artifacts
 	} else {
+		cache, err := pipeline.NewCache(*cacheDir)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		arts, err = polis.SynthesizeNetwork(net, opt, pipeline.Config{
 			Jobs:  *jobs,
 			Cache: cache,
@@ -283,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		// Per-shard wall times vary run to run, so the shard summary
 		// only prints here: without -stats the output stays
-		// byte-identical across shard counts and modes.
+		// byte-identical across shard counts and -j.
 		if shardRep != nil {
 			fmt.Fprint(stdout, shardRep.Summary())
 			fmt.Fprint(stdout, shardRep.Collector.Report())
@@ -297,9 +287,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runShardWorker is the map side of process-mode sharding: it decodes
 // one shard job from stdin, synthesizes the job's modules through the
 // shared on-disk cache (the shuffle layer), and streams one NDJSON
-// result per module on stdout. It is exec'd by
-// `polisc -shards N -shard-procs`; see internal/shard for the
-// protocol.
+// result per module on stdout. It is exec'd by `polisc -shards N`;
+// see internal/shard for the protocol.
 func runShardWorker(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 0 {
 		return fail(stderr, fmt.Errorf("shard-worker takes no arguments (job comes on stdin)"))

@@ -183,16 +183,16 @@ func keys(m map[string]string) []string {
 	return out
 }
 
-// TestShardDeterminism: the sharded drivers — one shard, eight shards,
-// both strategies, and two worker processes — all produce output and
-// generated sources byte-identical to the plain pipeline.
+// TestShardDeterminism: sharded runs — one, two and eight worker
+// processes, both strategies — all produce output and generated
+// sources byte-identical to the plain pipeline.
 func TestShardDeterminism(t *testing.T) {
 	base, baseFiles := runPolisc(t, "-j", "2")
 	for _, extra := range [][]string{
 		{"-shards", "1"},
 		{"-shards", "8"},
 		{"-shards", "8", "-shard-strategy", "size"},
-		{"-shards", "2", "-shard-procs"},
+		{"-shards", "2"},
 	} {
 		out, files := runPolisc(t, extra...)
 		if out != base {
@@ -207,11 +207,12 @@ func TestShardDeterminism(t *testing.T) {
 }
 
 // TestShardStats: -stats on a sharded run prints the shard summary
-// with merged attribution, and a second process-mode run over the same
-// cache directory is served from disk.
+// with merged attribution, a second run over the same cache directory
+// is served from disk, and without -cache the workers share a
+// temporary directory.
 func TestShardStats(t *testing.T) {
 	cacheDir := t.TempDir()
-	cold, _ := runPolisc(t, "-shards", "2", "-shard-procs", "-cache", cacheDir, "-stats")
+	cold, _ := runPolisc(t, "-shards", "2", "-cache", cacheDir, "-stats")
 	for _, want := range []string{
 		"shard: 2 shard(s) (process), 3 module(s)",
 		"miss 3 | mem 0 | disk 0 | dedup 0",
@@ -220,14 +221,14 @@ func TestShardStats(t *testing.T) {
 			t.Errorf("cold shard stats missing %q in:\n%s", want, cold)
 		}
 	}
-	warm, _ := runPolisc(t, "-shards", "2", "-shard-procs", "-cache", cacheDir, "-stats")
+	warm, _ := runPolisc(t, "-shards", "2", "-cache", cacheDir, "-stats")
 	if !strings.Contains(warm, "miss 0 | mem 0 | disk 3 | dedup 0") {
 		t.Errorf("warm shard run should be served from the shared disk cache:\n%s", warm)
 	}
 
-	inproc, _ := runPolisc(t, "-shards", "2", "-stats")
-	if !strings.Contains(inproc, "shard: 2 shard(s) (in-process), 3 module(s)") {
-		t.Errorf("in-process shard stats missing summary in:\n%s", inproc)
+	tmp, _ := runPolisc(t, "-shards", "2", "-stats")
+	if !strings.Contains(tmp, "shard: 2 shard(s) (process), 3 module(s), miss 3 | mem 0 | disk 0 | dedup 0") {
+		t.Errorf("shard run without -cache missing summary in:\n%s", tmp)
 	}
 }
 

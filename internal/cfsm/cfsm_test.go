@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"polis/internal/bdd"
 	"polis/internal/expr"
 )
 
@@ -305,26 +304,6 @@ func TestSupports(t *testing.T) {
 		if len(sup[av]) != 2 {
 			t.Errorf("action %s support: %d vars, want 2", c.Actions[j].Name(), len(sup[av]))
 		}
-	}
-}
-
-func TestCareSet(t *testing.T) {
-	c := New("ex")
-	in := c.AddInput("v", false)
-	o := c.AddOutput("o", true)
-	p := c.Present(in)
-	lo := c.Pred(expr.Lt(expr.V("?v"), expr.C(10)))
-	hi := c.Pred(expr.Ge(expr.V("?v"), expr.C(20)))
-	c.MarkExclusive(lo, hi)
-	c.AddTransition([]Cond{On(p, 1), On(lo, 1)}, c.Emit(o))
-	r, err := BuildReactive(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Care must exclude lo=1 & hi=1.
-	bad := r.Space.M.And(r.Space.Eq(r.TestVars[lo.id], 1), r.Space.Eq(r.TestVars[hi.id], 1))
-	if r.Space.M.And(r.Care, bad) != bdd.False {
-		t.Error("care set must exclude mutually exclusive tests both true")
 	}
 }
 

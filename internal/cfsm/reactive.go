@@ -18,9 +18,9 @@ import (
 // containing action j. Each test is one (possibly multi-valued) Input
 // variable; each action is one Boolean Output variable.
 //
-// Sifting consumes ActFuncs and Care: both Sift methods unprotect
-// them and reset them to nil and False, so the reordering carries the
-// characteristic function alone and the BDD kernel can free every
+// Sifting consumes ActFuncs: both Sift methods unprotect them and
+// reset them to nil, so the reordering carries the characteristic
+// function alone and the BDD kernel can free every
 // node that dies during a swap (see bdd's siftcost.go). After sifting
 // only Chi is valid; take Supports first if the firing functions are
 // still needed.
@@ -33,12 +33,6 @@ type Reactive struct {
 	// ActFuncs[j] = f_j(x), the firing condition of action j. Nil
 	// after sifting.
 	ActFuncs []bdd.Node
-	// Care is the conjunction of mutual-exclusion constraints from
-	// C.Exclusive; snapshots outside Care cannot occur. Nothing in
-	// the synthesis flow reads it (false-path estimation and the
-	// s-graph reducer take C.Exclusive directly); it is kept for
-	// callers that want the constraint as a BDD. False after sifting.
-	Care bdd.Node
 }
 
 // BuildReactive extracts the reactive function of c into a fresh
@@ -85,19 +79,6 @@ func BuildReactive(c *CFSM) (*Reactive, error) {
 	for _, f := range r.ActFuncs {
 		m.Protect(f)
 	}
-
-	care := bdd.True
-	for _, grp := range c.Exclusive {
-		for i := 0; i < len(grp); i++ {
-			for j := i + 1; j < len(grp); j++ {
-				care = m.And(care, m.Not(m.And(
-					s.Eq(r.TestVars[grp[i].id], 1),
-					s.Eq(r.TestVars[grp[j].id], 1))))
-			}
-		}
-	}
-	r.Care = care
-	m.Protect(care)
 	return r, nil
 }
 
@@ -115,8 +96,8 @@ func (r *Reactive) Supports() map[*mvar.MV][]*mvar.MV {
 // SiftOutputsAfterSupport optimises the variable order by dynamic
 // sifting under the paper's default constraint (each output after its
 // own support). This is the configuration the paper reports best
-// results with (Table II, second row). It consumes ActFuncs and Care
-// (see Reactive).
+// results with (Table II, second row). It consumes ActFuncs (see
+// Reactive).
 func (r *Reactive) SiftOutputsAfterSupport() {
 	if r.ActFuncs == nil {
 		// Supports would come back empty and the sift unconstrained.
@@ -129,23 +110,21 @@ func (r *Reactive) SiftOutputsAfterSupport() {
 
 // SiftOutputsAfterAllInputs optimises with the stronger restriction
 // that all outputs appear after all inputs (Table II, first row). It
-// consumes ActFuncs and Care (see Reactive).
+// consumes ActFuncs (see Reactive).
 func (r *Reactive) SiftOutputsAfterAllInputs() {
 	r.dropNonChiRoots()
 	r.Space.SiftOutputsAfterAllInputs(r.Chi)
 }
 
-// dropNonChiRoots unprotects the firing functions and the care set,
-// leaving Chi the only protected root, so sifting neither reorders
-// them nor keeps their nodes alive.
+// dropNonChiRoots unprotects the firing functions, leaving Chi the
+// only protected root, so sifting neither reorders them nor keeps
+// their nodes alive.
 func (r *Reactive) dropNonChiRoots() {
 	m := r.Space.M
 	for _, f := range r.ActFuncs {
 		m.Unprotect(f)
 	}
-	m.Unprotect(r.Care)
 	r.ActFuncs = nil
-	r.Care = bdd.False
 }
 
 // EvalChi evaluates the characteristic function on explicit test

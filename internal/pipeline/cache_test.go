@@ -28,14 +28,14 @@ func TestCacheMemHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, misses := col.CacheCounters(); hits != 0 || misses != 6 {
+	if hits, _, misses := cacheCounters(col); hits != 0 || misses != 6 {
 		t.Fatalf("cold run: %d hits, %d misses; want 0/6", hits, misses)
 	}
 	warm, err := Run(net, Options{}, Config{Jobs: 2, Cache: cache, Trace: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, diskHits, misses := col.CacheCounters(); hits != 6 || diskHits != 0 || misses != 6 {
+	if hits, diskHits, misses := cacheCounters(col); hits != 6 || diskHits != 0 || misses != 6 {
 		t.Fatalf("warm run: %d hits (%d disk), %d misses; want 6 (0)/6", hits, diskHits, misses)
 	}
 	for i := range cold {
@@ -201,7 +201,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, diskHits, _ := col.CacheCounters(); hits != 4 || diskHits != 4 {
+	if hits, diskHits, _ := cacheCounters(col); hits != 4 || diskHits != 4 {
 		t.Fatalf("want 4 disk hits, got %d hits (%d disk)", hits, diskHits)
 	}
 	for i := range cold {
@@ -261,7 +261,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupted cache must recompile, not fail: %v", err)
 	}
-	if hits, _, misses := col.CacheCounters(); hits != 0 || misses != 3 {
+	if hits, _, misses := cacheCounters(col); hits != 0 || misses != 3 {
 		t.Errorf("corrupted entries should all miss: %d hits, %d misses", hits, misses)
 	}
 	for i := range cold {
@@ -278,7 +278,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 	if _, err := Run(net, Options{}, Config{Jobs: 1, Cache: c3, Trace: col3}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, diskHits, _ := col3.CacheCounters(); hits != 3 || diskHits != 3 {
+	if hits, diskHits, _ := cacheCounters(col3); hits != 3 || diskHits != 3 {
 		t.Errorf("after repair want 3 disk hits, got %d (%d disk)", hits, diskHits)
 	}
 }

@@ -37,11 +37,13 @@ import (
 	"polis/internal/vm"
 )
 
-// Options mirrors the root package's synthesis options; the root
-// package converts between the two (it cannot be imported from here
-// without a cycle).
+// Options selects the synthesis configuration; the root package
+// re-exports it as polis.Options. The zero value is the paper's
+// default flow on the HC11-class target.
 type Options struct {
-	// Ordering is the s-graph variable-ordering strategy.
+	// Ordering is the s-graph variable-ordering strategy; the zero
+	// value is the paper's default (dynamic sifting with each output
+	// constrained after its support).
 	Ordering sgraph.Ordering
 	// Target selects the cost profile; nil means the HC11-class
 	// micro-controller.
@@ -62,7 +64,8 @@ type Options struct {
 	// stage for every module the profile has evidence for: TEST
 	// outcome edges are reordered hottest-first (equivalence-gated),
 	// and the estimate stage reports the profile-weighted expected
-	// cycles next to the worst-case bound.
+	// cycles next to the worst-case bound. Capture profiles with
+	// internal/profile's Collector (e.g. cfsmsim -profile-out).
 	Profile *profile.Profile
 }
 
@@ -495,6 +498,10 @@ const (
 	OutcomeDiskHit
 	// OutcomeMemHit: served from the in-memory cache layer.
 	OutcomeMemHit
+
+	// NumOutcomes is the number of outcomes: the length of a tally
+	// indexed by Outcome.
+	NumOutcomes
 )
 
 func (o Outcome) String() string {
@@ -510,6 +517,16 @@ func (o Outcome) String() string {
 	default:
 		return fmt.Sprintf("outcome%d", int(o))
 	}
+}
+
+// ParseOutcome reverses Outcome.String; an unknown name is an error.
+func ParseOutcome(s string) (Outcome, error) {
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		if o.String() == s {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("pipeline: unknown cache outcome %q", s)
 }
 
 // SynthesizeCached synthesizes one module through the cache with
@@ -528,17 +545,17 @@ func (c *Cache) SynthesizeCached(ctx context.Context, m *cfsm.CFSM, opt Options,
 // elect one leader, and only the leader calls synth; the rest wait for
 // its artifact instead of duplicating the work. A leader that dies of
 // its own context's end says nothing about a joiner's request, so the
-// joiner retries and may lead in turn. module names the events sent to
-// tr; the returned Outcome reports which layer served the call. A nil
-// tr disables tracing.
+// joiner retries and may lead in turn. The returned Outcome reports
+// which layer served the call, and one EvCache event named module
+// reports it to tr when the call returns, error or not. A nil tr
+// disables tracing.
 func (c *Cache) Serve(ctx context.Context, key, module string, tr Trace,
-	synth func(context.Context) (*Artifact, error)) (*Artifact, Outcome, error) {
-	if tr == nil {
-		tr = nopTrace{}
+	synth func(context.Context) (*Artifact, error)) (a *Artifact, out Outcome, err error) {
+	if tr != nil {
+		defer func() { tr.Event(Event{Kind: EvCache, Module: module, Outcome: out}) }()
 	}
 	for {
 		if a, fromDisk, ok := c.Get(key); ok {
-			tr.Event(Event{Kind: EvCacheHit, Module: module, FromDisk: fromDisk})
 			if fromDisk {
 				return a, OutcomeDiskHit, nil
 			}
@@ -551,10 +568,8 @@ func (c *Cache) Serve(ctx context.Context, key, module string, tr Trace,
 			// flight: serve that instead of synthesizing again.
 			if a, ok := c.peek(key); ok {
 				c.endFlight(key, f, a, nil)
-				tr.Event(Event{Kind: EvCacheHit, Module: module})
 				return a, OutcomeMemHit, nil
 			}
-			tr.Event(Event{Kind: EvCacheMiss, Module: module})
 			a, err := synth(ctx)
 			if err == nil {
 				c.Put(key, a)
@@ -562,7 +577,6 @@ func (c *Cache) Serve(ctx context.Context, key, module string, tr Trace,
 			c.endFlight(key, f, a, err)
 			return a, OutcomeMiss, err
 		}
-		tr.Event(Event{Kind: EvDedup, Module: module})
 		select {
 		case <-f.done:
 			if f.err != nil {

@@ -23,6 +23,13 @@ func testNetwork(t testing.TB, seed int64, n int) *cfsm.Network {
 	return net
 }
 
+// cacheCounters reads the collector's cache hits (total and from the
+// on-disk layer) and misses.
+func cacheCounters(c *Collector) (hits, diskHits, misses int) {
+	o := c.Outcomes()
+	return o[OutcomeMemHit] + o[OutcomeDiskHit], o[OutcomeDiskHit], o[OutcomeMiss]
+}
+
 // TestRunDeterministic requires byte-identical artifacts in identical
 // order for any worker count.
 func TestRunDeterministic(t *testing.T) {
@@ -285,11 +292,11 @@ func TestSingleflightFollowersShareOneRun(t *testing.T) {
 			t.Errorf("follower %d received a different artifact", i)
 		}
 	}
-	if _, _, misses := col.CacheCounters(); misses != 0 {
+	if _, _, misses := cacheCounters(col); misses != 0 {
 		t.Errorf("followers recorded %d misses; the leader's run is the only synthesis", misses)
 	}
-	if col.Dedups() != followers {
-		t.Errorf("collector saw %d dedups, want %d", col.Dedups(), followers)
+	if col.Outcomes()[OutcomeDedup] != followers {
+		t.Errorf("collector saw %d dedups, want %d", col.Outcomes()[OutcomeDedup], followers)
 	}
 }
 
@@ -332,8 +339,26 @@ func TestSingleflightLeaderCancelledRetries(t *testing.T) {
 	if art == nil {
 		t.Fatal("follower returned no artifact")
 	}
-	if _, _, misses := col.CacheCounters(); misses != 1 {
-		t.Errorf("retrying follower should synthesize exactly once, saw %d misses", misses)
+	// The join and the retry are one Serve call: it reports only its
+	// final outcome, one miss, and no dedup.
+	if o := col.Outcomes(); o[OutcomeMiss] != 1 || o[OutcomeDedup] != 0 || o[OutcomeMemHit]+o[OutcomeDiskHit] != 0 {
+		t.Errorf("retrying follower counted %v (by outcome), want exactly one miss", o)
+	}
+}
+
+// TestParseOutcome: every outcome's name parses back to it, and an
+// unknown name is an error rather than a silent miss.
+func TestParseOutcome(t *testing.T) {
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		got, err := ParseOutcome(o.String())
+		if err != nil || got != o {
+			t.Errorf("ParseOutcome(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	for _, bad := range []string{"", "hit", "MISS", "outcome4"} {
+		if o, err := ParseOutcome(bad); err == nil {
+			t.Errorf("ParseOutcome(%q) = %v, want an error", bad, o)
+		}
 	}
 }
 
@@ -363,13 +388,13 @@ func TestConcurrentRunsSynthesizeOnce(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	hits, _, misses := col.CacheCounters()
+	hits, _, misses := cacheCounters(col)
 	if misses != 6 {
 		t.Errorf("%d misses across %d concurrent runs, want exactly 6 (one per module)", misses, runs)
 	}
-	if total := hits + col.Dedups() + misses; total != runs*6 {
+	if total := hits + col.Outcomes()[OutcomeDedup] + misses; total != runs*6 {
 		t.Errorf("hits %d + dedups %d + misses %d = %d, want %d lookups",
-			hits, col.Dedups(), misses, total, runs*6)
+			hits, col.Outcomes()[OutcomeDedup], misses, total, runs*6)
 	}
 }
 

@@ -81,14 +81,13 @@ const (
 	// by lower-bound pruning), sift passes, and the kernel's lossy
 	// operation-cache counters (hits, misses, resets, evictions).
 	EvBDD
-	// EvCacheHit and EvCacheMiss report artifact-cache lookups.
-	EvCacheHit
-	EvCacheMiss
-	// EvDedup reports a singleflight join: the module's fingerprint was
-	// already being synthesized by another worker (possibly of another
-	// concurrent run sharing the Cache), so this worker waited for that
-	// artifact instead of duplicating the synthesis.
-	EvDedup
+	// EvCache reports one Cache.Serve call when it returns: Outcome
+	// says whether it synthesized (miss), joined a flight another
+	// worker or run sharing the Cache was leading (dedup), or was
+	// served from the disk or memory layer. A joiner whose leader was
+	// cancelled and which then led itself reports only the final
+	// outcome.
+	EvCache
 	// EvModuleError reports a failed module with its error.
 	EvModuleError
 	// EvReduce reports the module's s-graph reduction statistics.
@@ -138,7 +137,7 @@ type Event struct {
 	CacheResets    int
 	CacheEvictions int
 
-	FromDisk bool // EvCacheHit: served from the on-disk layer
+	Outcome Outcome // EvCache
 
 	// Cache is a snapshot of the run cache's counters, attached to
 	// EvRunEnd when the run had a cache: the per-lookup lock-wait
@@ -206,7 +205,7 @@ type Collector struct {
 	specTests     int   // TEST vertices with profile weight
 	specReordered int   // TEST vertices given a hot order
 
-	hits, diskHits, misses, dedups int
+	outcomes [NumOutcomes]int // EvCache events by Outcome
 
 	cacheStats *CacheStats // last EvRunEnd snapshot (cumulative per cache)
 
@@ -279,33 +278,21 @@ func (c *Collector) Event(e Event) {
 		c.specSamples += e.Specialize.Samples
 		c.specTests += e.Specialize.Tests
 		c.specReordered += e.Specialize.Reordered
-	case EvCacheHit:
-		c.hits++
-		if e.FromDisk {
-			c.diskHits++
+	case EvCache:
+		if e.Outcome >= 0 && e.Outcome < NumOutcomes {
+			c.outcomes[e.Outcome]++
 		}
-	case EvCacheMiss:
-		c.misses++
-	case EvDedup:
-		c.dedups++
 	case EvModuleError:
 		c.errs = append(c.errs, fmt.Sprintf("%s: %v", e.Module, e.Err))
 	}
 }
 
-// CacheCounters returns the numbers of cache hits (total and from the
-// on-disk layer) and misses observed so far.
-func (c *Collector) CacheCounters() (hits, diskHits, misses int) {
+// Outcomes returns the cache outcomes observed so far, indexed by
+// Outcome.
+func (c *Collector) Outcomes() [NumOutcomes]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.diskHits, c.misses
-}
-
-// Dedups returns the number of singleflight joins observed so far.
-func (c *Collector) Dedups() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dedups
+	return c.outcomes
 }
 
 // Modules returns the total number of modules dispatched across runs.
@@ -421,8 +408,9 @@ func (c *Collector) Report() string {
 		fmt.Fprintf(&b, "  specialize: %d module(s), %d reaction sample(s), %d/%d weighted TEST vertice(s) reordered\n",
 			c.specModules, c.specSamples, c.specReordered, c.specTests)
 	}
+	o := &c.outcomes
 	fmt.Fprintf(&b, "  cache: %d hit(s) (%d from disk), %d miss(es), %d dedup join(s)\n",
-		c.hits, c.diskHits, c.misses, c.dedups)
+		o[OutcomeMemHit]+o[OutcomeDiskHit], o[OutcomeDiskHit], o[OutcomeMiss], o[OutcomeDedup])
 	if cs := c.cacheStats; cs != nil {
 		fmt.Fprintf(&b, "  contention: cache get-wait %s, put-wait %s, trace lock-wait %s; %d corrupt disk entr%s\n",
 			round(cs.GetWait), round(cs.PutWait), round(time.Duration(c.lockWaitNs)),

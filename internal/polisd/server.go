@@ -151,8 +151,10 @@ type Server struct {
 	pending  atomic.Int64 // admitted in-flight modules
 
 	requests, ok, badReq, rej429, rej503, ddl504 atomic.Int64
-	outMiss, outMem, outDisk, outDedup, modErrs  atomic.Int64
-	clientGone                                   atomic.Int64
+	modErrs, clientGone                          atomic.Int64
+	// outcomes counts the successfully served modules by cache
+	// outcome (/stats "modules").
+	outcomes [pipeline.NumOutcomes]atomic.Int64
 }
 
 // New builds a Server.
@@ -208,33 +210,6 @@ func (s *Server) admit(n int) bool {
 }
 
 func (s *Server) release(n int) { s.pending.Add(int64(-n)) }
-
-// count adds one successfully served module to the summary totals.
-func (sum *SynthSummary) count(out pipeline.Outcome) {
-	switch out {
-	case pipeline.OutcomeMiss:
-		sum.Misses++
-	case pipeline.OutcomeMemHit:
-		sum.MemHits++
-	case pipeline.OutcomeDiskHit:
-		sum.DiskHit++
-	case pipeline.OutcomeDedup:
-		sum.Dedups++
-	}
-}
-
-func (s *Server) countOutcome(out pipeline.Outcome) {
-	switch out {
-	case pipeline.OutcomeMiss:
-		s.outMiss.Add(1)
-	case pipeline.OutcomeMemHit:
-		s.outMem.Add(1)
-	case pipeline.OutcomeDiskHit:
-		s.outDisk.Add(1)
-	case pipeline.OutcomeDedup:
-		s.outDedup.Add(1)
-	}
-}
 
 // Handler returns the service mux:
 //
@@ -384,6 +359,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc = json.NewEncoder(w)
 	}
+	var tally [pipeline.NumOutcomes]int // this request's served modules by outcome
 	clientGone := false
 	written := 0
 	for i := 0; i < n; i++ {
@@ -396,8 +372,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if res.Error == "" {
-			sum.count(r.out)
-			s.countOutcome(r.out)
+			tally[r.out]++
+			s.outcomes[r.out].Add(1)
 		} else {
 			sum.Errors++
 			s.modErrs.Add(1)
@@ -424,6 +400,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			all = append(all, res)
 		}
 	}
+	sum.Misses, sum.Dedups = tally[pipeline.OutcomeMiss], tally[pipeline.OutcomeDedup]
+	sum.DiskHit, sum.MemHits = tally[pipeline.OutcomeDiskHit], tally[pipeline.OutcomeMemHit]
 	sum.Ms = float64(time.Since(t0).Microseconds()) / 1000
 	cst := s.cache.Stats()
 	s.col.Event(pipeline.Event{Kind: pipeline.EvRunEnd, Duration: time.Since(t0), Cache: &cst})
@@ -470,6 +448,10 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	modules := make(map[string]int64, pipeline.NumOutcomes)
+	for o := range s.outcomes {
+		modules[pipeline.Outcome(o).String()] = s.outcomes[o].Load()
+	}
 	st := Stats{
 		UptimeS:     time.Since(s.start).Seconds(),
 		Draining:    s.draining.Load(),
@@ -480,19 +462,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected503: s.rej503.Load(),
 		Deadline504: s.ddl504.Load(),
 		ClientGone:  s.clientGone.Load(),
-		Modules: map[string]int64{
-			"miss":  s.outMiss.Load(),
-			"mem":   s.outMem.Load(),
-			"disk":  s.outDisk.Load(),
-			"dedup": s.outDedup.Load(),
-		},
-		ModuleErrs: s.modErrs.Load(),
-		Pending:    s.pending.Load(),
-		QueueDepth: s.cfg.QueueDepth,
-		Workers:    s.cfg.Workers,
-		Cache:      s.cache.Stats(),
-		BDDStages:  s.col.BDDStages(),
-		Report:     s.col.Report(),
+		Modules:     modules,
+		ModuleErrs:  s.modErrs.Load(),
+		Pending:     s.pending.Load(),
+		QueueDepth:  s.cfg.QueueDepth,
+		Workers:     s.cfg.Workers,
+		Cache:       s.cache.Stats(),
+		BDDStages:   s.col.BDDStages(),
+		Report:      s.col.Report(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
@@ -526,6 +503,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = fmt.Errorf("polisd: drain aborted: %w", ctx.Err())
 	}
 	s.cfg.Logf("drained: %d requests served (%d ok), %d modules synthesized",
-		s.requests.Load(), s.ok.Load(), s.outMiss.Load())
+		s.requests.Load(), s.ok.Load(), s.outcomes[pipeline.OutcomeMiss].Load())
 	return err
 }

@@ -138,14 +138,17 @@ func Worker(r io.Reader, w io.Writer) error {
 	return nil
 }
 
-// RunProcs is Run with each shard in its own OS process: workerCmd is
-// the argv prefix of the worker (e.g. ["polisc", "shard-worker"]),
-// spawned once per non-empty shard with the shard's Job on stdin. The
-// shared opt.CacheDir is the shuffle layer: workers publish artifacts
-// there (the cross-process-safe CreateTemp+rename publish keeps
-// concurrent same-fingerprint writers from tearing files) and the
-// reduce phase fetches every artifact back by fingerprint, in network
-// order, so the output is byte-identical to an in-process run.
+// RunProcs synthesizes the network's modules in deterministic shards,
+// each in its own OS process: workerCmd is the argv prefix of the
+// worker (e.g. ["polisc", "shard-worker"]), spawned once per non-empty
+// shard with the shard's Job on stdin. The shared opt.CacheDir is the
+// shuffle layer: workers publish artifacts there (the
+// cross-process-safe CreateTemp+rename publish keeps concurrent
+// same-fingerprint writers from tearing files) and the reduce phase
+// fetches every artifact back by fingerprint, in network order, so the
+// output is byte-identical to an in-process pipeline.Run. Module
+// failures do not stop the other shards; the aggregate error names
+// each failed module.
 func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []string) (*Report, error) {
 	if opt.CacheDir == "" {
 		return nil, errors.New("shard: process mode needs a cache directory (-cache)")
@@ -203,40 +206,21 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 		go func(si int, job []byte) {
 			defer wg.Done()
 			t0 := time.Now()
-			defer func() { stats[si].Wall = time.Since(t0) }()
-			cmd := exec.CommandContext(ctx, workerCmd[0], workerCmd[1:]...)
-			cmd.Stdin = bytes.NewReader(job)
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			stdout, err := cmd.StdoutPipe()
-			if err != nil {
-				procErrs[si] = fmt.Errorf("shard %d: %w", si, err)
-				return
-			}
-			if err := cmd.Start(); err != nil {
-				procErrs[si] = fmt.Errorf("shard %d: start worker: %w", si, err)
-				return
-			}
-			sc := bufio.NewScanner(stdout)
-			sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-			for sc.Scan() {
-				var res Result
-				if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-					procErrs[si] = fmt.Errorf("shard %d: bad result line: %w", si, err)
-					break
+			err := runWorker(ctx, workerCmd, job, func(res Result) error {
+				out, err := pipeline.ParseOutcome(res.Cache)
+				if err != nil {
+					return fmt.Errorf("module %s: %w", res.Module, err)
 				}
+				stats[si].Outcomes[out]++
+				master.Event(pipeline.Event{Kind: pipeline.EvCache, Module: res.Module, Outcome: out})
 				mu.Lock()
 				resultsByModule[res.Module] = res
 				mu.Unlock()
-				stats[si].count(outcomeFromString(res.Cache))
-			}
-			if err := cmd.Wait(); err != nil && procErrs[si] == nil {
-				msg := strings.TrimSpace(stderr.String())
-				if msg != "" {
-					procErrs[si] = fmt.Errorf("shard %d: worker failed: %v: %s", si, err, msg)
-				} else {
-					procErrs[si] = fmt.Errorf("shard %d: worker failed: %w", si, err)
-				}
+				return nil
+			})
+			stats[si].Wall = time.Since(t0)
+			if err != nil {
+				procErrs[si] = fmt.Errorf("shard %d: %w", si, err)
 			}
 		}(si, job)
 	}
@@ -253,7 +237,6 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 	// Reduce: fetch every artifact from the shuffle layer by
 	// fingerprint, in network order. A fresh cache instance keeps the
 	// reducer honest — it can only see what the workers published.
-	popt := opt.Pipeline
 	rcache, err := pipeline.NewCache(opt.CacheDir)
 	if err != nil {
 		return nil, err
@@ -271,20 +254,7 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 			master.Event(pipeline.Event{Kind: pipeline.EvModuleError, Module: m.Name, Err: errors.New(res.Error)})
 			continue
 		}
-		// Mirror the worker's outcome into the merged collector so the
-		// stats report attributes lookups the same way an in-process
-		// run would (per-stage timings stay in the worker processes).
-		switch outcomeFromString(res.Cache) {
-		case pipeline.OutcomeMiss:
-			master.Event(pipeline.Event{Kind: pipeline.EvCacheMiss, Module: m.Name})
-		case pipeline.OutcomeDedup:
-			master.Event(pipeline.Event{Kind: pipeline.EvDedup, Module: m.Name})
-		case pipeline.OutcomeDiskHit:
-			master.Event(pipeline.Event{Kind: pipeline.EvCacheHit, Module: m.Name, FromDisk: true})
-		case pipeline.OutcomeMemHit:
-			master.Event(pipeline.Event{Kind: pipeline.EvCacheHit, Module: m.Name})
-		}
-		key := pipeline.Fingerprint(m, popt)
+		key := pipeline.Fingerprint(m, opt.Pipeline)
 		if res.Fingerprint != key {
 			moduleErrs = append(moduleErrs, fmt.Errorf("module %s: worker fingerprint %.12s != driver %.12s (options drifted?)",
 				m.Name, res.Fingerprint, key))
@@ -305,13 +275,11 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 		Shards:    stats,
 		Wall:      time.Since(start),
 		Collector: master,
-		Procs:     true,
 	}
 	for _, st := range stats {
-		rep.Total.Miss += st.Miss
-		rep.Total.Mem += st.Mem
-		rep.Total.Disk += st.Disk
-		rep.Total.Dedup += st.Dedup
+		for o, n := range st.Outcomes {
+			rep.Total.Outcomes[o] += n
+		}
 		rep.Total.Modules += st.Modules
 	}
 	if len(moduleErrs) > 0 {
@@ -321,16 +289,58 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 	return rep, nil
 }
 
-// outcomeFromString reverses pipeline.Outcome.String for the wire.
-func outcomeFromString(s string) pipeline.Outcome {
-	switch s {
-	case "mem":
-		return pipeline.OutcomeMemHit
-	case "disk":
-		return pipeline.OutcomeDiskHit
-	case "dedup":
-		return pipeline.OutcomeDedup
-	default:
-		return pipeline.OutcomeMiss
+// runWorker runs one worker process on job and hands each Result line
+// it writes to emit. When reading stops early (a line longer than the
+// scanner's limit, a failed read, an undecodable line, or an error
+// from emit) the worker is killed before Wait: it may be blocked
+// writing to a pipe nobody reads any more, and Wait would not return.
+func runWorker(ctx context.Context, argv []string, job []byte, emit func(Result) error) error {
+	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
+	cmd.Stdin = bytes.NewReader(job)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return err
 	}
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("start worker: %w", err)
+	}
+	if err := readResults(stdout, emit); err != nil {
+		// err is the cause: Kill and Wait can only add that the
+		// worker was killed, or had exited already.
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+		return err
+	}
+	if err := cmd.Wait(); err != nil {
+		if msg := strings.TrimSpace(stderr.String()); msg != "" {
+			return fmt.Errorf("worker failed: %v: %s", err, msg)
+		}
+		return fmt.Errorf("worker failed: %w", err)
+	}
+	return nil
+}
+
+// maxResultLine bounds one Result line; the longest field is the
+// worker's error text.
+const maxResultLine = 1 << 20
+
+// readResults decodes Result lines from r until EOF.
+func readResults(r io.Reader, emit func(Result) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxResultLine)
+	for sc.Scan() {
+		var res Result
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			return fmt.Errorf("bad result line: %w", err)
+		}
+		if err := emit(res); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("read results: %w", err)
+	}
+	return nil
 }

@@ -6,93 +6,105 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"polis/internal/pipeline"
 	"polis/internal/shard"
 )
 
+// Worker modes of the test binary, chosen by its first argument.
+const (
+	// workerOK is a real shard worker.
+	workerOK = "shard-worker-proc"
+	// workerLongLine writes one result line longer than the driver
+	// reads, and blocks on the full pipe unless the driver acts.
+	workerLongLine = "shard-worker-long-line"
+	// workerBadOutcome reports a cache outcome no Outcome has.
+	workerBadOutcome = "shard-worker-bad-outcome"
+)
+
 // TestMain doubles as the shard worker: RunProcs re-executes this test
-// binary with the "shard-worker-proc" argument, which speaks the
+// binary with one of the worker modes above, which speak the
 // Job/Result protocol on stdin/stdout — the same re-exec idiom the
 // real `polisc shard-worker` subcommand uses.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "shard-worker-proc" {
-		if err := shard.Worker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case workerOK:
+			if err := shard.Worker(os.Stdin, os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			os.Exit(0)
+		case workerLongLine:
+			line := `{"shard":0,"module":"` + strings.Repeat("x", 2<<20+1) + `","cache":"miss"}` + "\n"
+			os.Stdout.WriteString(line)
+			os.Exit(0)
+		case workerBadOutcome:
+			os.Stdout.WriteString(`{"shard":0,"module":"m0","cache":"hit"}` + "\n")
+			os.Exit(0)
 		}
-		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-func workerCmd(t *testing.T) []string {
+func workerCmd(t *testing.T, mode string) []string {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []string{exe, "shard-worker-proc"}
+	return []string{exe, mode}
 }
 
 // TestRunProcsMatchesInProcess: two worker processes sharing one cache
 // directory produce the same artifacts, in the same order, as the
-// in-process driver — the disk cache really is the shuffle layer. A
-// second process-mode run over the same directory is served entirely
-// from disk.
+// in-process pipeline — the disk cache really is the shuffle layer.
 func TestRunProcsMatchesInProcess(t *testing.T) {
 	net := testNetwork(t, 11, 8)
-	cache, err := pipeline.NewCache("")
+	inproc, err := pipeline.Run(net, pipeline.Options{}, pipeline.Config{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inproc, err := shard.Run(context.Background(), net, shard.Options{Shards: 2, Cache: cache})
+	procs, err := shard.RunProcs(context.Background(), net,
+		shard.Options{Shards: 2, CacheDir: t.TempDir()}, workerCmd(t, workerOK))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	opt := shard.Options{Shards: 2, CacheDir: dir}
-	procs, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !procs.Procs {
-		t.Error("report does not mark the run as process-mode")
-	}
-	if len(procs.Artifacts) != len(inproc.Artifacts) {
-		t.Fatalf("%d artifacts, want %d", len(procs.Artifacts), len(inproc.Artifacts))
-	}
-	for i, a := range procs.Artifacts {
-		b := inproc.Artifacts[i]
-		if a.Module != b.Module {
-			t.Fatalf("artifact %d is %s, want %s (order broken)", i, a.Module, b.Module)
-		}
-		if a.C != b.C || a.Listing != b.Listing || a.CodeSize != b.CodeSize ||
-			a.Estimate != b.Estimate || a.Measured != b.Measured || a.Stats != b.Stats {
-			t.Errorf("module %s: process-mode artifact differs from in-process", a.Module)
-		}
-	}
-	if procs.Total.Miss != len(net.Machines) {
+	sameArtifacts(t, "process mode", procs.Artifacts, inproc)
+	if procs.Total.Outcomes[pipeline.OutcomeMiss] != len(net.Machines) {
 		t.Errorf("cold process run attribution %s, want %d misses", procs.Total.Attribution(), len(net.Machines))
 	}
 	if !strings.Contains(procs.Summary(), "(process)") {
 		t.Errorf("summary does not name the mode: %q", procs.Summary())
 	}
+}
 
-	// Same directory again: every worker lookup is a disk hit published
-	// by the first run's processes.
-	warm, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t))
-	if err != nil {
-		t.Fatal(err)
+// TestRunProcsLongResultLine: a result line longer than the driver
+// reads stops the scan while the worker is still blocked writing it.
+// RunProcs must kill the worker and return an error naming the shard,
+// not wait on it until the context ends.
+func TestRunProcsLongResultLine(t *testing.T) {
+	net := testNetwork(t, 5, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	_, err := shard.RunProcs(ctx, net, shard.Options{Shards: 1, CacheDir: t.TempDir()}, workerCmd(t, workerLongLine))
+	if ctx.Err() != nil {
+		t.Fatalf("RunProcs waited for the context to end: %v", err)
 	}
-	if warm.Total.Disk != len(net.Machines) || warm.Total.Miss != 0 {
-		t.Errorf("warm process run attribution %s, want %d disk hits", warm.Total.Attribution(), len(net.Machines))
+	if err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("want an error naming shard 0, got %v", err)
 	}
-	for i := range warm.Artifacts {
-		if warm.Artifacts[i].C != procs.Artifacts[i].C {
-			t.Errorf("module %s: warm artifact differs", warm.Artifacts[i].Module)
-		}
+}
+
+// TestRunProcsBadOutcome: a result line whose cache outcome is not one
+// of miss|mem|disk|dedup is an error naming the module, not a miss.
+func TestRunProcsBadOutcome(t *testing.T) {
+	net := testNetwork(t, 5, 1)
+	_, err := shard.RunProcs(context.Background(), net,
+		shard.Options{Shards: 1, CacheDir: t.TempDir()}, workerCmd(t, workerBadOutcome))
+	if err == nil || !strings.Contains(err.Error(), `module m0: pipeline: unknown cache outcome "hit"`) {
+		t.Fatalf("want an unknown-outcome error naming module m0, got %v", err)
 	}
 }
 
@@ -100,7 +112,7 @@ func TestRunProcsMatchesInProcess(t *testing.T) {
 // as an in-band Result error and the driver aggregates it by name.
 func TestRunProcsModuleError(t *testing.T) {
 	net := badNetwork(t)
-	_, err := shard.RunProcs(context.Background(), net, shard.Options{Shards: 2, CacheDir: t.TempDir()}, workerCmd(t))
+	_, err := shard.RunProcs(context.Background(), net, shard.Options{Shards: 2, CacheDir: t.TempDir()}, workerCmd(t, workerOK))
 	if err == nil {
 		t.Fatal("want an aggregate error")
 	}
@@ -113,7 +125,7 @@ func TestRunProcsModuleError(t *testing.T) {
 // shuffle layer, so process mode must refuse to start.
 func TestRunProcsRequiresCacheDir(t *testing.T) {
 	net := testNetwork(t, 5, 2)
-	_, err := shard.RunProcs(context.Background(), net, shard.Options{Shards: 2}, workerCmd(t))
+	_, err := shard.RunProcs(context.Background(), net, shard.Options{Shards: 2}, workerCmd(t, workerOK))
 	if err == nil || !strings.Contains(err.Error(), "cache") {
 		t.Fatalf("want a cache-dir error, got %v", err)
 	}
@@ -127,7 +139,7 @@ func TestRunProcsRejectsUnwirableOptions(t *testing.T) {
 	opt := shard.Options{Shards: 1, CacheDir: t.TempDir()}
 	opt.Pipeline.Reduce = true
 	opt.Pipeline.ReduceOpt.MaxIter = 7
-	_, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t))
+	_, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t, workerOK))
 	if err == nil || !strings.Contains(err.Error(), "not supported in process mode") {
 		t.Fatalf("want an unsupported-options error, got %v", err)
 	}

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,12 +96,50 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// sameArtifacts fails unless got holds want's artifacts, byte for
+// byte, in the same order.
+func sameArtifacts(t *testing.T, label string, got, want []*pipeline.Artifact) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d artifacts, want %d", label, len(got), len(want))
+	}
+	for i, a := range got {
+		b := want[i]
+		if a.Module != b.Module {
+			t.Fatalf("%s: artifact %d is %s, want %s (order broken)", label, i, a.Module, b.Module)
+		}
+		if a.C != b.C || a.Listing != b.Listing || a.CodeSize != b.CodeSize ||
+			a.Estimate != b.Estimate || a.Measured != b.Measured || a.Stats != b.Stats {
+			t.Errorf("%s: module %s artifact differs", label, a.Module)
+		}
+	}
+}
+
+// cacheLine is the cache-counter line of a Collector report.
+func cacheLine(t *testing.T, c *pipeline.Collector) string {
+	t.Helper()
+	for _, line := range strings.Split(c.Report(), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "cache:") {
+			return line
+		}
+	}
+	t.Fatalf("no cache line in report:\n%s", c.Report())
+	return ""
+}
+
 // TestRunDeterministicAcrossShardCounts: the same network through the
-// plain pipeline, one shard, and eight shards produces byte-identical
-// artifacts in the same order, with identical merged attribution.
+// plain pipeline and through one and eight worker processes, under
+// both strategies, produces byte-identical artifacts in the same
+// order, with identical merged attribution and the unsharded run's
+// cache counters.
 func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 	net := testNetwork(t, 7, 12)
-	base, err := pipeline.Run(net, pipeline.Options{}, pipeline.Config{Jobs: 2})
+	baseCol := pipeline.NewCollector()
+	baseCache, err := pipeline.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := pipeline.Run(net, pipeline.Options{}, pipeline.Config{Jobs: 2, Cache: baseCache, Trace: baseCol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,40 +147,22 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 	var totals []shard.ShardStat
 	for _, shards := range []int{1, 8} {
 		for _, strat := range []shard.Strategy{shard.ByHash, shard.BySize} {
-			cache, err := pipeline.NewCache("")
+			label := fmt.Sprintf("shards=%d strat=%v", shards, strat)
+			rep, err := shard.RunProcs(context.Background(), net, shard.Options{
+				Shards: shards, Strategy: strat, CacheDir: t.TempDir(),
+			}, workerCmd(t, workerOK))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			rep, err := shard.Run(context.Background(), net, shard.Options{
-				Shards: shards, Strategy: strat, Cache: cache,
-			})
-			if err != nil {
-				t.Fatalf("shards=%d strat=%v: %v", shards, strat, err)
-			}
-			if len(rep.Artifacts) != len(base) {
-				t.Fatalf("shards=%d: %d artifacts, want %d", shards, len(rep.Artifacts), len(base))
-			}
-			for i, a := range rep.Artifacts {
-				b := base[i]
-				if a.Module != b.Module {
-					t.Fatalf("shards=%d: artifact %d is %s, want %s (order broken)", shards, i, a.Module, b.Module)
-				}
-				if a.C != b.C || a.Listing != b.Listing || a.CodeSize != b.CodeSize ||
-					a.Estimate != b.Estimate || a.Measured != b.Measured || a.Stats != b.Stats {
-					t.Errorf("shards=%d strat=%v: module %s artifact differs from unsharded run", shards, strat, a.Module)
-				}
-			}
-			if rep.Total.Miss != len(base) || rep.Total.Mem != 0 || rep.Total.Disk != 0 || rep.Total.Dedup != 0 {
-				t.Errorf("shards=%d strat=%v: cold attribution %s, want all misses", shards, strat, rep.Total.Attribution())
+			sameArtifacts(t, label, rep.Artifacts, base)
+			if rep.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeMiss: len(base)} {
+				t.Errorf("%s: cold attribution %s, want all misses", label, rep.Total.Attribution())
 			}
 			if got := rep.Collector.Modules(); got != len(base) {
-				t.Errorf("shards=%d: merged collector saw %d modules, want %d", shards, got, len(base))
+				t.Errorf("%s: merged collector saw %d modules, want %d", label, got, len(base))
 			}
-			if _, _, misses := rep.Collector.CacheCounters(); misses != len(base) {
-				t.Errorf("shards=%d: merged collector counted %d misses, want %d", shards, misses, len(base))
-			}
-			if rep.Collector.StageTotal(pipeline.StageReactive) <= 0 {
-				t.Errorf("shards=%d: merged collector lost stage timings", shards)
+			if got, want := cacheLine(t, rep.Collector), cacheLine(t, baseCol); got != want {
+				t.Errorf("%s: merged collector counted %q, unsharded run %q", label, got, want)
 			}
 			totals = append(totals, rep.Total)
 		}
@@ -153,49 +174,29 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestRunSharedCacheWarm: a second sharded run over the same shared
-// cache is served entirely from memory, and the attribution says so.
+// TestRunSharedCacheWarm: a second sharded run over the same cache
+// directory is served entirely from the disk the first run's workers
+// published to, and the attribution says so.
 func TestRunSharedCacheWarm(t *testing.T) {
 	net := testNetwork(t, 9, 10)
-	cache, err := pipeline.NewCache("")
+	opt := shard.Options{Shards: 4, CacheDir: t.TempDir()}
+	cold, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t, workerOK))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := shard.Options{Shards: 4, Cache: cache}
-	cold, err := shard.Run(context.Background(), net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Total.Miss != 10 {
+	if cold.Total.Outcomes[pipeline.OutcomeMiss] != 10 {
 		t.Fatalf("cold attribution %s, want 10 misses", cold.Total.Attribution())
 	}
-	warm, err := shard.Run(context.Background(), net, opt)
+	warm, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t, workerOK))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Total.Mem != 10 || warm.Total.Miss != 0 {
-		t.Fatalf("warm attribution %s, want 10 mem hits", warm.Total.Attribution())
+	if warm.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeDiskHit: 10} {
+		t.Fatalf("warm attribution %s, want 10 disk hits", warm.Total.Attribution())
 	}
-	for i := range cold.Artifacts {
-		if warm.Artifacts[i].C != cold.Artifacts[i].C {
-			t.Errorf("module %s: warm artifact differs", cold.Artifacts[i].Module)
-		}
-	}
-	if !strings.Contains(warm.Summary(), "mem 10") {
+	sameArtifacts(t, "warm", warm.Artifacts, cold.Artifacts)
+	if !strings.Contains(warm.Summary(), "disk 10") {
 		t.Errorf("summary misses the attribution: %q", warm.Summary())
-	}
-}
-
-// TestRunError: a failing module surfaces in the aggregate error with
-// its module attribution; healthy modules are unaffected.
-func TestRunError(t *testing.T) {
-	net := badNetwork(t)
-	_, err := shard.Run(context.Background(), net, shard.Options{Shards: 2})
-	if err == nil {
-		t.Fatal("want an aggregate error")
-	}
-	if !strings.Contains(err.Error(), "module bad") {
-		t.Errorf("error does not name the failing module: %v", err)
 	}
 }
 

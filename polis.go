@@ -29,71 +29,13 @@ import (
 	"polis/internal/esterel"
 	"polis/internal/estimate"
 	"polis/internal/pipeline"
-	"polis/internal/profile"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
-// Options selects the synthesis configuration.
-type Options struct {
-	// Ordering is the s-graph variable-ordering strategy; the zero
-	// value is the paper's default (dynamic sifting with each output
-	// constrained after its support).
-	Ordering sgraph.Ordering
-	// Target selects the cost profile; nil means the HC11-class
-	// micro-controller.
-	Target *vm.Profile
-	// Codegen tunes code generation (copy optimisation, if/switch
-	// threshold).
-	Codegen codegen.Options
-	// UseFalsePaths tightens the worst-case estimate using declared
-	// test exclusivities.
-	UseFalsePaths bool
-	// Reduce runs the fixed-point s-graph reduction engine (DAG
-	// sharing, don't-care TEST elimination, ASSIGN straightening)
-	// between s-graph construction and code generation.
-	Reduce bool
-	// ReduceOpt tunes the reduction passes; the zero value runs all
-	// passes with default limits.
-	ReduceOpt sgraph.ReduceOptions
-	// Profile, when non-nil, enables profile-guided specialization:
-	// TEST outcome edges of each covered module are reordered so the
-	// observed hot path becomes the fall-through path, gated by an
-	// exhaustive equivalence check, and the estimate additionally
-	// reports profile-weighted expected cycles. Capture profiles with
-	// internal/profile's Collector (e.g. cfsmsim -profile-out).
-	Profile *profile.Profile
-}
-
-func (o *Options) fill() {
-	if o.Target == nil {
-		o.Target = pipeline.DefaultTarget()
-	}
-}
-
-// Pipeline converts Options to the internal pipeline's mirror of the
-// same structure, with defaults filled in. Sharded drivers (see
-// internal/shard and polisc -shards) need it so every worker
-// fingerprints modules exactly as the single-process flow does.
-func (o Options) Pipeline() pipeline.Options {
-	o.fill()
-	return o.pipelineOptions()
-}
-
-// pipelineOptions converts Options to the internal pipeline's mirror
-// of the same structure.
-func (o Options) pipelineOptions() pipeline.Options {
-	return pipeline.Options{
-		Ordering:      o.Ordering,
-		Target:        o.Target,
-		Codegen:       o.Codegen,
-		UseFalsePaths: o.UseFalsePaths,
-		Reduce:        o.Reduce,
-		ReduceOpt:     o.ReduceOpt,
-		Profile:       o.Profile,
-	}
-}
+// Options selects the synthesis configuration; see pipeline.Options.
+type Options = pipeline.Options
 
 // Artifacts bundles everything synthesis produces for one CFSM.
 type Artifacts struct {
@@ -113,8 +55,7 @@ type Artifacts struct {
 // the single-module, untraced form of SynthesizeNetwork; both share
 // the staged implementation in internal/pipeline.
 func Synthesize(m *cfsm.CFSM, opt Options) (*Artifacts, error) {
-	opt.fill()
-	a, err := pipeline.SynthesizeModule(m, opt.pipelineOptions(), nil)
+	a, err := pipeline.SynthesizeModule(m, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +79,7 @@ func Synthesize(m *cfsm.CFSM, opt Options) (*Artifacts, error) {
 // returned in the network's machine order regardless of completion
 // order, so results are deterministic for any worker count.
 func SynthesizeNetwork(n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*pipeline.Artifact, error) {
-	opt.fill()
-	return pipeline.Run(n, opt.pipelineOptions(), cfg)
+	return pipeline.Run(n, opt, cfg)
 }
 
 // SynthesizeNetworkContext is SynthesizeNetwork under a context, for
@@ -147,8 +87,7 @@ func SynthesizeNetwork(n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*pi
 // stops scheduling remaining modules and aborts in-flight ones at
 // their next stage boundary, returning the context's error.
 func SynthesizeNetworkContext(ctx context.Context, n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*pipeline.Artifact, error) {
-	opt.fill()
-	return pipeline.RunContext(ctx, n, opt.pipelineOptions(), cfg)
+	return pipeline.RunContext(ctx, n, opt, cfg)
 }
 
 // SynthesizeSource parses an Esterel-subset module (see

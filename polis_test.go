@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polis/internal/designs"
+	"polis/internal/esterel"
 	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
@@ -114,13 +115,45 @@ end module
 	}
 }
 
-// TestDefaultTargetShared pins that a nil target resolves to the one
-// process-lifetime profile the pipeline calibrates once, not to a
-// fresh vm.HC11() (see pipeline.TestDefaultTargetCalibratesOnce).
+// TestDefaultTargetShared pins that Synthesize resolves a nil target
+// to the one process-lifetime profile, pipeline.DefaultTarget, which
+// the pipeline calibrates once: the artifacts match an explicit
+// DefaultTarget, and a call costs no more allocations than one with it
+// (a fresh vm.HC11() per call would re-calibrate; see
+// pipeline.TestDefaultTargetCalibratesOnce).
 func TestDefaultTargetShared(t *testing.T) {
-	a, b := Options{}.Pipeline(), Options{}.Pipeline()
-	if a.Target == nil || a.Target != b.Target || a.Target != pipeline.DefaultTarget() {
-		t.Errorf("nil targets resolved to %p and %p, want the shared %p",
-			a.Target, b.Target, pipeline.DefaultTarget())
+	mod, err := esterel.Parse(fig1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := esterel.Compile(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := Options{Target: pipeline.DefaultTarget()}
+	a, err := Synthesize(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Synthesize(m, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.C != b.C || a.Listing != b.Listing || a.CodeSize != b.CodeSize ||
+		a.Estimate != b.Estimate || a.Measured != b.Measured {
+		t.Error("a nil target synthesizes differently from pipeline.DefaultTarget")
+	}
+	synth := func(opt Options) func() {
+		return func() {
+			if _, err := Synthesize(m, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	withTarget := testing.AllocsPerRun(20, synth(explicit))
+	defaulted := testing.AllocsPerRun(20, synth(Options{}))
+	if defaulted > withTarget*1.1 {
+		t.Errorf("Synthesize with a nil Target: %.0f allocs/op, %.0f with pipeline.DefaultTarget (re-calibrating per call?)",
+			defaulted, withTarget)
 	}
 }
