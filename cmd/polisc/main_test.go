@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -229,6 +230,18 @@ func TestShardStats(t *testing.T) {
 	tmp, _ := runPolisc(t, "-shards", "2", "-stats")
 	if !strings.Contains(tmp, "shard: 2 shard(s) (process), 3 module(s), miss 3 | mem 0 | disk 0 | dedup 0") {
 		t.Errorf("shard run without -cache missing summary in:\n%s", tmp)
+	}
+
+	// The stages ran in the worker processes, so the master report
+	// must not print a stage table of zeros.
+	zeroStage := regexp.MustCompile(`(?m)^\s*reactive\s.*\s0$`)
+	for name, out := range map[string]string{"cold": cold, "warm": warm, "no -cache": tmp} {
+		if !strings.Contains(out, "pipeline: 3 module(s)") {
+			t.Errorf("%s shard run missing the pipeline report in:\n%s", name, out)
+		}
+		if zeroStage.MatchString(out) {
+			t.Errorf("%s shard run prints an all-zero stage table:\n%s", name, out)
+		}
 	}
 }
 

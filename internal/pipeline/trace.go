@@ -361,8 +361,10 @@ func (c *Collector) Report() string {
 	defer c.mu.Unlock()
 	var b strings.Builder
 	var serial time.Duration
+	runs := 0
 	for s := Stage(0); s < numStages; s++ {
 		serial += c.stageTotal[s]
+		runs += c.stageCount[s]
 	}
 	fmt.Fprintf(&b, "pipeline: %d module(s), %d worker(s), wall %s",
 		c.modules, c.workers, round(c.wall))
@@ -371,14 +373,18 @@ func (c *Collector) Report() string {
 			float64(serial)/float64(c.wall))
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  %-9s %10s %10s %10s %6s\n", "stage", "total", "max", "mean", "runs")
-	for s := Stage(0); s < numStages; s++ {
-		mean := time.Duration(0)
-		if c.stageCount[s] > 0 {
-			mean = c.stageTotal[s] / time.Duration(c.stageCount[s])
+	// A run whose stages all ran elsewhere (cache hits, shard worker
+	// processes) has no stage table to show.
+	if runs > 0 {
+		fmt.Fprintf(&b, "  %-9s %10s %10s %10s %6s\n", "stage", "total", "max", "mean", "runs")
+		for s := Stage(0); s < numStages; s++ {
+			mean := time.Duration(0)
+			if c.stageCount[s] > 0 {
+				mean = c.stageTotal[s] / time.Duration(c.stageCount[s])
+			}
+			fmt.Fprintf(&b, "  %-9s %10s %10s %10s %6d\n",
+				s, round(c.stageTotal[s]), round(c.stageMax[s]), round(mean), c.stageCount[s])
 		}
-		fmt.Fprintf(&b, "  %-9s %10s %10s %10s %6d\n",
-			s, round(c.stageTotal[s]), round(c.stageMax[s]), round(mean), c.stageCount[s])
 	}
 	if c.peakNodes > 0 {
 		fmt.Fprintf(&b, "  bdd: peak %d live nodes (%s), %d sift swaps (%d skipped), %d passes, %d lb-prunes\n",

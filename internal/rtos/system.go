@@ -106,9 +106,10 @@ type System struct {
 
 	Now int64
 	// Trace records every event in order. It is appended to on each
-	// delivery; a caller that knows a lower bound on the event count
-	// (sim reserves one slot per environment stimulus) may preallocate
-	// its capacity before the first EmitEnv.
+	// delivery. A caller that can estimate the final event count
+	// reserves it with ReserveTrace (sim projects it from the event
+	// rate of the run's first stimuli); past its capacity, the trace
+	// doubles (see record).
 	Trace []TraceEvent
 
 	current   running
@@ -310,6 +311,18 @@ func (s *System) EmitEnv(sig *cfsm.Signal, val int64) error {
 // allocates nothing; past it, the trace doubles (see record).
 func (s *System) ResetTrace() { s.Trace = s.Trace[:0] }
 
+// ReserveTrace grows the trace's capacity to at least n events with
+// one copy of the events recorded so far; a trace that already holds
+// n does not move.
+func (s *System) ReserveTrace(n int) {
+	if n <= cap(s.Trace) {
+		return
+	}
+	grown := make([]TraceEvent, len(s.Trace), n)
+	copy(grown, s.Trace)
+	s.Trace = grown
+}
+
 // minTraceCap is the capacity an unreserved trace starts at.
 const minTraceCap = 64
 
@@ -319,9 +332,7 @@ const minTraceCap = 64
 // times per doubling.
 func (s *System) record(sig *cfsm.Signal, val int64, from string) {
 	if len(s.Trace) == cap(s.Trace) {
-		grown := make([]TraceEvent, len(s.Trace), max(2*cap(s.Trace), minTraceCap))
-		copy(grown, s.Trace)
-		s.Trace = grown
+		s.ReserveTrace(max(2*cap(s.Trace), minTraceCap))
 	}
 	s.Trace = append(s.Trace, TraceEvent{Time: s.Now, Signal: sig, Value: val, From: from})
 }

@@ -119,13 +119,15 @@ func Worker(r io.Reader, w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	for _, m := range net.Machines {
-		res := Result{
-			Shard:       job.Shard,
-			Module:      m.Name,
-			Fingerprint: pipeline.Fingerprint(m, opt),
-		}
+		// One hash per module: the reported fingerprint is the key the
+		// artifact is served and stored under (Fingerprint and the
+		// synthesis fill opt's defaults alike).
+		key := pipeline.Fingerprint(m, opt)
+		res := Result{Shard: job.Shard, Module: m.Name, Fingerprint: key}
 		t0 := time.Now()
-		_, out, err := cache.SynthesizeCached(context.Background(), m, opt, nil)
+		_, out, err := cache.Serve(context.Background(), key, m.Name, nil, func(ctx context.Context) (*pipeline.Artifact, error) {
+			return pipeline.SynthesizeModuleContext(ctx, m, opt, nil)
+		})
 		res.Ms = float64(time.Since(t0).Microseconds()) / 1000
 		res.Cache = out.String()
 		if err != nil {

@@ -66,8 +66,10 @@ func reactions(res *sim.Result) int64 {
 // BenchmarkSimThroughput measures end-to-end co-simulation throughput
 // (reactions per second, reported as a custom metric) on 10²- and
 // 10³-module networks: the dense engine serial and with GALS partition
-// parallelism. Whole runs are timed — task build included — so the
-// numbers reflect what a caller of sim.Run observes. The loop case
+// parallelism, and at 10² also cycle-exact on the virtual CPU
+// (VMExact, the mechanism of perfbench's sim-vm case). Whole runs are
+// timed — task build included — so the numbers reflect what a caller
+// of sim.Run observes. The loop case
 // splits sim.Run at its layer boundary: it times only rtos.NewSystem
 // and the EmitEnv/Advance event loop of the serial engine, with
 // synthesis done once outside the timer.
@@ -96,6 +98,18 @@ func BenchmarkSimThroughput(b *testing.B) {
 				return reactions(res)
 			})
 		})
+		if n == 100 {
+			b.Run(fmt.Sprintf("n%d/engine-vm", n), func(b *testing.B) {
+				run(b, func() int64 {
+					res, err := sim.Run(bc.net, bc.stimuli, bc.horizon,
+						sim.Options{Cfg: rtos.DefaultConfig(), Mode: sim.VMExact})
+					if err != nil {
+						b.Fatal(err)
+					}
+					return reactions(res)
+				})
+			})
+		}
 		b.Run(fmt.Sprintf("n%d/engine-parallel", n), func(b *testing.B) {
 			run(b, func() int64 {
 				res, err := sim.Run(bc.net, bc.stimuli, bc.horizon,
@@ -123,18 +137,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys.Trace = make([]rtos.TraceEvent, 0, len(bc.stimuli))
-				for _, st := range bc.stimuli {
-					if err := sys.Advance(st.Time); err != nil {
-						b.Fatal(err)
-					}
-					if err := sys.EmitEnv(st.Signal, st.Value); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := sys.Advance(bc.horizon); err != nil {
-					b.Fatal(err)
-				}
+				drive(b, sys, bc.stimuli, bc.horizon, true)
 				return reactions(&sim.Result{System: sys})
 			}
 			// The loop must do the work sim.Run does.

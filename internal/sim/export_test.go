@@ -31,3 +31,10 @@ func BehavioralCosts(n *cfsm.Network, opt Options) (map[*cfsm.CFSM]int64, error)
 	}
 	return costs, nil
 }
+
+// TracePrefix and TraceReserve expose the trace reservation rule of
+// runSingle.
+var (
+	TracePrefix  = tracePrefix
+	TraceReserve = traceReserve
+)

@@ -375,6 +375,31 @@ func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until 
 	return runSingle(ctx, n, stimuli, until, opt)
 }
 
+// The trace reservation rule: the first 1/tracePrefixDiv of the
+// stimuli, and at least tracePrefixMin of them, measure the run's
+// event rate, and the final length it projects gets a
+// 1/traceMarginDiv margin.
+const (
+	tracePrefixDiv = 64
+	tracePrefixMin = 256
+	traceMarginDiv = 16
+)
+
+// tracePrefix returns how many of n stimuli measure the event rate.
+// A shorter prefix underestimates it: the events of reactions still
+// queued when the prefix ends are not recorded yet.
+func tracePrefix(n int) int { return max(n/tracePrefixDiv, tracePrefixMin) + 1 }
+
+// traceReserve returns the trace capacity for a run of total stimuli
+// whose first done stimuli recorded events: the projection
+// recorded × total / done plus its margin, and never less than one
+// slot per remaining stimulus (each adds one environment event). A
+// projection that falls short is caught by the trace's doubling.
+func traceReserve(recorded, done, total int) int {
+	proj := recorded * total / done
+	return max(proj+proj/traceMarginDiv, recorded+total-done)
+}
+
 // runSingle simulates a network on one RTOS instance.
 func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	res := &Result{}
@@ -416,15 +441,20 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 		sort.SliceStable(stimuli, byTime)
 	}
 	stimuli = stimuli[:sort.Search(len(stimuli), func(i int) bool { return stimuli[i].Time > until })]
-	// Each stimulus adds exactly one environment event to the trace, so
-	// its count is a lower bound on the trace length.
-	sys.Trace = make([]rtos.TraceEvent, 0, len(stimuli))
-	for _, st := range stimuli {
+	// The trace is sized from the run's own event rate: only the first
+	// stimuli get slots up front, and once they have run the trace is
+	// reserved once for the length their rate projects (traceReserve).
+	prefix := tracePrefix(len(stimuli))
+	sys.ReserveTrace(min(prefix, len(stimuli)))
+	for i, st := range stimuli {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := sys.Advance(st.Time); err != nil {
 			return nil, err
+		}
+		if i == prefix {
+			sys.ReserveTrace(traceReserve(len(sys.Trace), prefix, len(stimuli)))
 		}
 		if err := sys.EmitEnv(st.Signal, st.Value); err != nil {
 			return nil, err
