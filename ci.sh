@@ -23,8 +23,9 @@
 # as the shuffle layer, warm second pass, output byte-identical to the
 # unsharded run), an sgestimate smoke over both designs and targets, a
 # cfsmsim smoke over both designs and timing modes with a profile
-# round trip, and a single-iteration benchmark smoke so the harness
-# can't bit-rot.
+# round trip, a build, vet and test of the perfbench module (its own
+# go.mod, compiled against this tree's internal APIs), and a
+# single-iteration benchmark smoke so the harness can't bit-rot.
 set -eux
 
 go vet ./...
@@ -157,6 +158,8 @@ done
 "$tmp/cfsmsim" -design dashboard -profile "$tmp/prof.json" -specialize >/dev/null
 trap - EXIT
 rm -rf "$tmp"
+
+(cd perfbench && go vet ./... && go test ./...)
 
 ./bench.sh
 

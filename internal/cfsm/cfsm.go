@@ -14,7 +14,9 @@
 package cfsm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"polis/internal/expr"
 )
@@ -72,10 +74,40 @@ func (t *Test) Name() string {
 	case TestPresence:
 		return "present_" + t.Signal.Name
 	case TestPredicate:
-		return "pred{" + t.Pred.C() + "}"
+		var b strings.Builder
+		b.WriteString("pred{")
+		expr.WriteC(&b, t.Pred, nil)
+		b.WriteByte('}')
+		return b.String()
 	default:
 		return "sel_" + t.Sel.Name
 	}
+}
+
+// AppendKey appends the structural key of t to b: its kind, then the
+// signal's length-prefixed name, the predicate's expr.AppendKey, or
+// the selector variable's name and domain. Keys are prefix-free, and
+// two tests are the same decision exactly when their keys are equal:
+// the CFSM interns its tests by key, the s-graph reduction shares and
+// collapses by it, and the cache fingerprint writes it into its
+// stream, so changing the encoding changes every cache key.
+func (t *Test) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(t.Kind))
+	switch t.Kind {
+	case TestPresence:
+		return appendString(b, t.Signal.Name)
+	case TestPredicate:
+		return expr.AppendKey(b, t.Pred)
+	default:
+		return binary.AppendVarint(appendString(b, t.Sel.Name), int64(t.Sel.Domain))
+	}
+}
+
+// Same reports whether t and u are the same test: the same pointer,
+// or equal keys (as equal tests allocated apart have).
+func (t *Test) Same(u *Test) bool {
+	var tb, ub [64]byte
+	return t == u || string(t.AppendKey(tb[:0])) == string(u.AppendKey(ub[:0]))
 }
 
 // ActionKind classifies the primitive actions.
@@ -101,13 +133,45 @@ type Action struct {
 
 // Name returns a diagnostic name for the action.
 func (a *Action) Name() string {
-	if a.Kind == ActEmit {
-		if a.Value != nil {
-			return fmt.Sprintf("emit_%s(%s)", a.Signal.Name, a.Value.C())
-		}
+	if a.Kind == ActEmit && a.Value == nil {
 		return "emit_" + a.Signal.Name
 	}
-	return fmt.Sprintf("%s:=%s", a.Var.Name, a.Expr.C())
+	var b strings.Builder
+	if a.Kind == ActEmit {
+		b.WriteString("emit_")
+		b.WriteString(a.Signal.Name)
+		b.WriteByte('(')
+		expr.WriteC(&b, a.Value, nil)
+		b.WriteByte(')')
+	} else {
+		b.WriteString(a.Var.Name)
+		b.WriteString(":=")
+		expr.WriteC(&b, a.Expr, nil)
+	}
+	return b.String()
+}
+
+// AppendKey appends the structural key of a to b, as Test.AppendKey
+// does for tests: its kind, the length-prefixed name of the emitted
+// signal or assigned variable, then the expr.AppendKey of the value
+// (nil for a pure emission) or right-hand side.
+func (a *Action) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(a.Kind))
+	if a.Kind == ActEmit {
+		return expr.AppendKey(appendString(b, a.Signal.Name), a.Value)
+	}
+	return expr.AppendKey(appendString(b, a.Var.Name), a.Expr)
+}
+
+// Same reports whether a and o are the same action: the same pointer,
+// or equal keys.
+func (a *Action) Same(o *Action) bool {
+	var ab, ob [64]byte
+	return a == o || string(a.AppendKey(ab[:0])) == string(o.AppendKey(ob[:0]))
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Cond requires a test to have a particular outcome: 0/1 for Boolean
@@ -177,35 +241,43 @@ func (c *CFSM) AddState(name string, domain int, init int64) *StateVar {
 	return v
 }
 
-func (c *CFSM) internTest(key string, t *Test) *Test {
-	if old, ok := c.testDedup[key]; ok {
+// internTest returns the CFSM's test with t's key, adding t if it
+// has none.
+func (c *CFSM) internTest(t *Test) *Test {
+	var buf [64]byte
+	key := t.AppendKey(buf[:0])
+	if old, ok := c.testDedup[string(key)]; ok {
 		return old
 	}
 	t.id = len(c.Tests)
 	c.Tests = append(c.Tests, t)
-	c.testDedup[key] = t
+	c.testDedup[string(key)] = t
 	return t
 }
 
-func (c *CFSM) internAction(key string, a *Action) *Action {
-	if old, ok := c.actDedup[key]; ok {
+// internAction returns the CFSM's action with a's key, adding a if it
+// has none.
+func (c *CFSM) internAction(a *Action) *Action {
+	var buf [64]byte
+	key := a.AppendKey(buf[:0])
+	if old, ok := c.actDedup[string(key)]; ok {
 		return old
 	}
 	a.id = len(c.Actions)
 	c.Actions = append(c.Actions, a)
-	c.actDedup[key] = a
+	c.actDedup[string(key)] = a
 	return a
 }
 
 // Present returns the presence test for an input signal.
 func (c *CFSM) Present(s *Signal) *Test {
-	return c.internTest("p:"+s.Name, &Test{Kind: TestPresence, Signal: s})
+	return c.internTest(&Test{Kind: TestPresence, Signal: s})
 }
 
 // Pred returns the predicate test for a Boolean expression over state
 // variables and input values (reference an input value as "?name").
 func (c *CFSM) Pred(e expr.Expr) *Test {
-	return c.internTest("e:"+e.C(), &Test{Kind: TestPredicate, Pred: e})
+	return c.internTest(&Test{Kind: TestPredicate, Pred: e})
 }
 
 // Sel returns the multi-way selector test on a control state variable.
@@ -213,22 +285,22 @@ func (c *CFSM) Sel(v *StateVar) *Test {
 	if v.Domain < 2 {
 		panic("cfsm: selector requires a control variable with domain >= 2")
 	}
-	return c.internTest("s:"+v.Name, &Test{Kind: TestSelector, Sel: v})
+	return c.internTest(&Test{Kind: TestSelector, Sel: v})
 }
 
 // Emit returns the action emitting a pure output signal.
 func (c *CFSM) Emit(s *Signal) *Action {
-	return c.internAction("e:"+s.Name, &Action{Kind: ActEmit, Signal: s})
+	return c.internAction(&Action{Kind: ActEmit, Signal: s})
 }
 
 // EmitV returns the action emitting a valued output signal.
 func (c *CFSM) EmitV(s *Signal, v expr.Expr) *Action {
-	return c.internAction("e:"+s.Name+":"+v.C(), &Action{Kind: ActEmit, Signal: s, Value: v})
+	return c.internAction(&Action{Kind: ActEmit, Signal: s, Value: v})
 }
 
 // Assign returns the action assigning e to state variable v.
 func (c *CFSM) Assign(v *StateVar, e expr.Expr) *Action {
-	return c.internAction("a:"+v.Name+":"+e.C(), &Action{Kind: ActAssign, Var: v, Expr: e})
+	return c.internAction(&Action{Kind: ActAssign, Var: v, Expr: e})
 }
 
 // AddTransition appends a transition with the given guard and actions.

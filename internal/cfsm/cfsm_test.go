@@ -82,6 +82,39 @@ func TestInternDedup(t *testing.T) {
 	}
 }
 
+// TestKeysSame: tests and actions allocated apart are the same when
+// their structure is, and every field of the key tells them apart.
+func TestKeysSame(t *testing.T) {
+	c, in, y, a := simpleCFSM()
+	sel := c.AddState("m", 3, 0)
+	pred := func(e expr.Expr) *Test { return &Test{Kind: TestPredicate, Pred: e} }
+	if !pred(expr.Eq(expr.V("a"), expr.V("?c"))).Same(c.Tests[1]) {
+		t.Error("equal predicates allocated apart differ")
+	}
+	for _, p := range [][2]*Test{
+		{c.Tests[0], pred(expr.V("c"))},
+		{pred(expr.V("a")), pred(expr.V("?a"))},
+		{c.Sel(sel), &Test{Kind: TestSelector, Sel: &StateVar{Name: "m", Domain: 4}}},
+		{c.Present(in), &Test{Kind: TestPresence, Signal: y}},
+	} {
+		if p[0].Same(p[1]) {
+			t.Errorf("%s and %s are the same", p[0].Name(), p[1].Name())
+		}
+	}
+	if !c.Assign(a, expr.C(0)).Same(&Action{Kind: ActAssign, Var: a, Expr: expr.C(0)}) {
+		t.Error("equal assignments allocated apart differ")
+	}
+	for _, p := range [][2]*Action{
+		{c.Emit(y), c.EmitV(y, expr.C(0))},
+		{c.Assign(a, expr.C(0)), c.Assign(a, expr.C(1))},
+		{c.EmitV(y, expr.V("a")), &Action{Kind: ActAssign, Var: &StateVar{Name: "y"}, Expr: expr.V("a")}},
+	} {
+		if p[0].Same(p[1]) {
+			t.Errorf("%s and %s are the same", p[0].Name(), p[1].Name())
+		}
+	}
+}
+
 func TestValidateRejectsDoubleAssign(t *testing.T) {
 	c := New("bad")
 	a := c.AddState("a", 0, 0)

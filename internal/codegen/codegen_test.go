@@ -324,16 +324,51 @@ func TestRTOSHeader(t *testing.T) {
 	}
 }
 
-func TestReplaceIdent(t *testing.T) {
-	cases := []struct{ s, from, to, want string }{
-		{"a + ab + a", "a", "cur_a", "cur_a + ab + cur_a"},
-		{"(st * 2)", "st", "cur_st", "(cur_st * 2)"},
-		{"?a + a", "a", "cur_a", "?a + cur_a"},
-	}
-	for _, c := range cases {
-		if got := replaceIdent(c.s, c.from, c.to); got != c.want {
-			t.Errorf("replaceIdent(%q,%q,%q) = %q, want %q", c.s, c.from, c.to, got, c.want)
+// TestEmitCLibraryNamedStates: state variables named like the safe
+// library calls (MIN, DIV) are renamed where they are read, and the
+// calls themselves keep their names.
+func TestEmitCLibraryNamedStates(t *testing.T) {
+	c := cfsm.New("lib")
+	tick := c.AddInput("tick", true)
+	c.AddInput("v", false)
+	minSt := c.AddState("MIN", 0, 0)
+	divSt := c.AddState("DIV", 0, 1)
+	c.AddState("y", 0, 0)
+	p := c.Present(tick)
+	c.AddTransition([]cfsm.Cond{cfsm.On(p, 1)},
+		c.Assign(minSt, expr.Min(expr.V("MIN"), expr.V("y"))),
+		c.Assign(divSt, expr.Div(expr.V("DIV"), expr.V("?v"))))
+	src := EmitC(buildSG(t, c, sgraph.OrderSiftAfterSupport), Options{})
+	for _, needle := range []string{
+		"st_MIN = MIN(cur_MIN, cur_y);",
+		"st_DIV = DIV(cur_DIV, val_v);",
+	} {
+		if !strings.Contains(src, needle) {
+			t.Errorf("C output missing %q:\n%s", needle, src)
 		}
+	}
+	for _, bad := range []string{"cur_MIN(", "cur_DIV(", "st_MIN(", "st_DIV("} {
+		if strings.Contains(src, bad) {
+			t.Errorf("C output renames a library call, has %q:\n%s", bad, src)
+		}
+	}
+}
+
+// TestEmitCRefNames: only whole references are renamed. A state whose
+// name prefixes another state's keeps them apart, and an input value
+// ?a is not the state a.
+func TestEmitCRefNames(t *testing.T) {
+	c := cfsm.New("names")
+	in := c.AddInput("a", false)
+	a := c.AddState("a", 0, 0)
+	c.AddState("ab", 0, 0)
+	p := c.Present(in)
+	c.AddTransition([]cfsm.Cond{cfsm.On(p, 1)},
+		c.Assign(a, expr.Add(expr.Add(expr.V("a"), expr.V("ab")), expr.Add(expr.V("?a"), expr.V("a")))))
+	src := EmitC(buildSG(t, c, sgraph.OrderSiftAfterSupport), Options{})
+	want := "st_a = ((cur_a + cur_ab) + (val_a + cur_a));"
+	if !strings.Contains(src, want) {
+		t.Errorf("C output missing %q:\n%s", want, src)
 	}
 }
 

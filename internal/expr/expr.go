@@ -6,7 +6,11 @@
 // correct CFSM may perform (but must not use) a division by zero.
 package expr
 
-import "strconv"
+import (
+	"encoding/binary"
+	"strconv"
+	"strings"
+)
 
 // Op enumerates the operators of the expression language. Each binary
 // operator corresponds to one of the predefined software library
@@ -91,7 +95,7 @@ type Const int64
 func (c Const) Eval(Env) int64 { return int64(c) }
 
 // C implements Expr.
-func (c Const) C() string { return strconv.FormatInt(int64(c), 10) }
+func (c Const) C() string { return render(c) }
 
 // Vars implements Expr.
 func (c Const) Vars(dst []string) []string { return dst }
@@ -108,7 +112,7 @@ type Ref string
 func (r Ref) Eval(env Env) int64 { return env.Lookup(string(r)) }
 
 // C implements Expr.
-func (r Ref) C() string { return string(r) }
+func (r Ref) C() string { return render(r) }
 
 // Vars implements Expr.
 func (r Ref) Vars(dst []string) []string { return append(dst, string(r)) }
@@ -201,14 +205,7 @@ func b2i(b bool) int64 {
 }
 
 // C implements Expr.
-func (b *Bin) C() string {
-	switch b.Op {
-	case OpMin, OpMax, OpDiv, OpMod:
-		// Library calls (the division ones are safe division).
-		return b.Op.Name() + "(" + b.L.C() + ", " + b.R.C() + ")"
-	}
-	return "(" + b.L.C() + " " + opSyms[b.Op] + " " + b.R.C() + ")"
-}
+func (b *Bin) C() string { return render(b) }
 
 // Vars implements Expr.
 func (b *Bin) Vars(dst []string) []string { return b.R.Vars(b.L.Vars(dst)) }
@@ -253,16 +250,7 @@ func (u *Un) Eval(env Env) int64 {
 }
 
 // C implements Expr.
-func (u *Un) C() string {
-	switch u.Op {
-	case UnNeg:
-		return "(-" + u.X.C() + ")"
-	case UnNot:
-		return "(!" + u.X.C() + ")"
-	default:
-		return "(~" + u.X.C() + ")"
-	}
-}
+func (u *Un) C() string { return render(u) }
 
 // Vars implements Expr.
 func (u *Un) Vars(dst []string) []string { return u.X.Vars(dst) }
@@ -341,4 +329,100 @@ func Subst(e Expr, sub map[string]Expr) Expr {
 		return &Bin{Op: x.Op, L: Subst(x.L, sub), R: Subst(x.R, sub)}
 	}
 	return e
+}
+
+// WriteC writes e in C syntax to b. Each variable reference is written
+// as ref(name), or as its name when ref is nil; the code generator
+// passes a ref that maps state variables and input values into the
+// routine's name space. An Expr outside the four closed shapes writes
+// its C().
+func WriteC(b *strings.Builder, e Expr, ref func(name string) string) {
+	switch x := e.(type) {
+	case Const:
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], int64(x), 10))
+	case Ref:
+		if ref == nil {
+			b.WriteString(string(x))
+		} else {
+			b.WriteString(ref(string(x)))
+		}
+	case *Bin:
+		switch x.Op {
+		case OpMin, OpMax, OpDiv, OpMod:
+			// Library calls (the division ones are safe division).
+			b.WriteString(x.Op.Name())
+			b.WriteByte('(')
+			WriteC(b, x.L, ref)
+			b.WriteString(", ")
+		default:
+			b.WriteByte('(')
+			WriteC(b, x.L, ref)
+			b.WriteByte(' ')
+			b.WriteString(opSyms[x.Op])
+			b.WriteByte(' ')
+		}
+		WriteC(b, x.R, ref)
+		b.WriteByte(')')
+	case *Un:
+		switch x.Op {
+		case UnNeg:
+			b.WriteString("(-")
+		case UnNot:
+			b.WriteString("(!")
+		default:
+			b.WriteString("(~")
+		}
+		WriteC(b, x.X, ref)
+		b.WriteByte(')')
+	default:
+		b.WriteString(e.C())
+	}
+}
+
+// render is C for the closed shapes: WriteC with every name as written.
+func render(e Expr) string {
+	var b strings.Builder
+	WriteC(&b, e, nil)
+	return b.String()
+}
+
+// Shape tags of AppendKey.
+const (
+	keyNil = iota
+	keyConst
+	keyRef
+	keyBin
+	keyUn
+	keyOther
+)
+
+// AppendKey appends the structural key of e to b: a shape tag, then a
+// constant's varint value, a reference's length-prefixed name, or an
+// operator followed by its operands' keys. A nil e (the value of a
+// pure emission) has its own tag, and an Expr outside the four closed
+// shapes is keyed by its C() so the key stays total. Keys are
+// prefix-free: equal keys are equal trees, and keys written one after
+// another read back unambiguously. The encoding is part of the cache
+// fingerprint's stream, so changing it changes every cache key.
+func AppendKey(b []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case nil:
+		return append(b, keyNil)
+	case Const:
+		return binary.AppendVarint(append(b, keyConst), int64(x))
+	case Ref:
+		return appendString(append(b, keyRef), string(x))
+	case *Bin:
+		b = binary.AppendUvarint(append(b, keyBin), uint64(x.Op))
+		return AppendKey(AppendKey(b, x.L), x.R)
+	case *Un:
+		b = binary.AppendUvarint(append(b, keyUn), uint64(x.Op))
+		return AppendKey(b, x.X)
+	}
+	return appendString(append(b, keyOther), e.C())
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

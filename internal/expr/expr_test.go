@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,43 @@ func TestCRendering(t *testing.T) {
 	}
 	if got := Min(V("a"), C(1)).C(); got != "MIN(a, 1)" {
 		t.Errorf("MIN C(): %q", got)
+	}
+}
+
+// TestWriteCRefMapping: WriteC sends each reference, and only
+// references, through the mapping; library-call names stay.
+func TestWriteCRefMapping(t *testing.T) {
+	e := Add(Min(V("MIN"), V("?x")), NewNeg(Div(V("DIV"), C(-2))))
+	ref := func(name string) string { return "m_" + name }
+	var b strings.Builder
+	WriteC(&b, e, ref)
+	if want := "(MIN(m_MIN, m_?x) + (-DIV(m_DIV, -2)))"; b.String() != want {
+		t.Errorf("WriteC = %q, want %q", b.String(), want)
+	}
+}
+
+// TestAppendKey pins the key's bytes for one tree (they are part of
+// the cache fingerprint) and that trees C() renders alike, but which
+// differ in shape, get different keys.
+func TestAppendKey(t *testing.T) {
+	got := AppendKey(nil, Add(V("ab"), NewNeg(C(-1))))
+	want := []byte{keyBin, byte(OpAdd), keyRef, 2, 'a', 'b', keyUn, byte(UnNeg), keyConst, 1}
+	if string(got) != string(want) {
+		t.Errorf("AppendKey = %v, want %v", got, want)
+	}
+	if string(AppendKey(nil, nil)) != string([]byte{keyNil}) {
+		t.Error("nil key")
+	}
+	for _, p := range [][2]Expr{
+		{C(-1), V("-1")},
+		{Add(V("a"), V("b")), V("(a + b)")},
+	} {
+		if p[0].C() != p[1].C() {
+			t.Fatalf("%q and %q: not alike", p[0].C(), p[1].C())
+		}
+		if string(AppendKey(nil, p[0])) == string(AppendKey(nil, p[1])) {
+			t.Errorf("%q: const/ref and bin/ref share a key", p[0].C())
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package logic
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"polis/internal/cfsm"
@@ -283,32 +282,5 @@ func TestCircuitBiggerSlowerThanSGraph(t *testing.T) {
 	if ct.Max <= tt.Max {
 		t.Errorf("circuit worst case (%d cyc) should exceed tree worst case (%d cyc)",
 			ct.Max, tt.Max)
-	}
-}
-
-func TestEmitCCircuit(t *testing.T) {
-	c := counter()
-	n := buildNet(t, c)
-	src := EmitC(n, codegen.Options{})
-	for _, needle := range []string{
-		"void counter_react(void)",
-		"PRESENT(tick)",
-		"(cur_st >> ", // selector bit extraction
-		"& 1;",
-		"EMIT_VALUE(wrap",
-		"st_st = ",
-	} {
-		if !strings.Contains(src, needle) {
-			t.Errorf("circuit C missing %q:\n%s", needle, src)
-		}
-	}
-	// Balanced braces.
-	if strings.Count(src, "{") != strings.Count(src, "}") {
-		t.Error("unbalanced braces in circuit C")
-	}
-	// One temp per gate.
-	if strings.Count(src, "  int n") != len(n.Gates) {
-		t.Errorf("gate temp count mismatch: %d vs %d gates",
-			strings.Count(src, "  int n"), len(n.Gates))
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
-	"polis/internal/expr"
 )
 
 // Fingerprint returns the content-addressed cache key of one module
@@ -25,9 +24,9 @@ import (
 // The key is a SHA-256 over one binary stream built by walking the
 // machine by shape: every list is count-prefixed and every string
 // length-prefixed, so no two different machines share a stream.
-// Tests and actions are written as kind plus fields, expressions over
-// their closed shapes, transitions and exclusivity groups as test and
-// action IDs. Nothing is memoized per *cfsm.CFSM: machines are
+// Tests and actions are written as their structural keys
+// (cfsm.Test.AppendKey, cfsm.Action.AppendKey, over expr.AppendKey),
+// transitions and exclusivity groups as test and action IDs. Nothing is memoized per *cfsm.CFSM: machines are
 // mutable, and randcfsm.Mutate edits one in place.
 //
 // The target profile is identified by its Name; callers that mutate a
@@ -54,27 +53,11 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Tests)))
 	for _, t := range m.Tests {
-		b = binary.AppendUvarint(b, uint64(t.Kind))
-		switch t.Kind {
-		case cfsm.TestPresence:
-			b = appendString(b, t.Signal.Name)
-		case cfsm.TestPredicate:
-			b = appendExpr(b, t.Pred)
-		default:
-			b = appendString(b, t.Sel.Name)
-			b = binary.AppendVarint(b, int64(t.Sel.Domain))
-		}
+		b = t.AppendKey(b)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Actions)))
 	for _, a := range m.Actions {
-		b = binary.AppendUvarint(b, uint64(a.Kind))
-		if a.Kind == cfsm.ActEmit {
-			b = appendString(b, a.Signal.Name)
-			b = appendExpr(b, a.Value)
-		} else {
-			b = appendString(b, a.Var.Name)
-			b = appendExpr(b, a.Expr)
-		}
+		b = a.AppendKey(b)
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Trans)))
 	for _, tr := range m.Trans {
@@ -125,36 +108,6 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 // the stream's layout changes, so old keys can never collide with new
 // ones.
 const fingerprintVersion = 2
-
-// Expression shape tags of the fingerprint stream. exprOther covers an
-// Expr outside the four closed shapes through its rendered C, so the
-// key stays total.
-const (
-	exprNil = iota
-	exprConst
-	exprRef
-	exprBin
-	exprUn
-	exprOther
-)
-
-func appendExpr(b []byte, e expr.Expr) []byte {
-	switch x := e.(type) {
-	case nil:
-		return append(b, exprNil)
-	case expr.Const:
-		return binary.AppendVarint(append(b, exprConst), int64(x))
-	case expr.Ref:
-		return appendString(append(b, exprRef), string(x))
-	case *expr.Bin:
-		b = binary.AppendUvarint(append(b, exprBin), uint64(x.Op))
-		return appendExpr(appendExpr(b, x.L), x.R)
-	case *expr.Un:
-		b = binary.AppendUvarint(append(b, exprUn), uint64(x.Op))
-		return appendExpr(b, x.X)
-	}
-	return appendString(append(b, exprOther), e.C())
-}
 
 func appendSignals(b []byte, sigs []*cfsm.Signal) []byte {
 	b = binary.AppendUvarint(b, uint64(len(sigs)))

@@ -10,6 +10,7 @@ import (
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
+	"polis/internal/designs"
 	"polis/internal/expr"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
@@ -151,6 +152,50 @@ func fpMachine(s fpShape) *cfsm.CFSM {
 		c.Exclusive = append(c.Exclusive, []*cfsm.Test{p1, p2})
 	}
 	return c
+}
+
+// TestFingerprintStable pins the cache keys of the paper's 15 design
+// modules, with and without the reduction engine: a change to the
+// stream (or to the test, action and expression keys it takes from
+// cfsm and expr) that is not a fingerprintVersion bump would silently
+// orphan every disk entry, and fails here instead.
+func TestFingerprintStable(t *testing.T) {
+	if fingerprintVersion != 2 {
+		t.Fatalf("fingerprintVersion %d: re-record the pinned keys", fingerprintVersion)
+	}
+	want := []struct{ name, plain, reduced string }{
+		{"belt", "4fe0c3b0e49fa714819c667b05bda57de93ff46c7796040d5394ef1b3d019c9f", "dc1cde0eb49ea864312a5827df0a17dbcba4d334383340e2e5079ba5b1a3794e"},
+		{"timer", "7fbd33ec98e75174dc99b4e1123eeebb72d858ae674ae0e5ed5a9ef0d430608b", "a9692c94d25e6f35dceb81ac2c1d7e2e5a7611af4f093d316a2439a9d8c61560"},
+		{"speed_filter", "190969d73f336bbebd0c3e9f1259dd2784e6ac1b3bb3d3eef372874b898ea973", "cb5b566429be3a1e2cd6f8fdf8487096af121dc4376f5d690f7ca34093f19ef5"},
+		{"odometer", "6021ea673721eac1aae3fae3d86878d2bf37e30b921f524f6f4e75d8fdde07b7", "15c317a3516aa4cd300bd0b26ec6161eea57241fc94bb4cd5dcb8c07671dcad8"},
+		{"speedo", "13511d202d656c8636207364da2586e551c6611c4b419fdfe2ce6dbcce1f9623", "40cf1e46c816fff14cfe6c7f33d78b19cbe4ba810632159404205ce8913b697e"},
+		{"engine_mon", "e41f22d2d1aa9ab477745b3fb195b218c2150dde9e069fe54f990832daa1b8b7", "9fd05e4e08a614a25de4a00f3ce14590f0c382761c5557063a46fe9cd64fc126"},
+		{"tacho", "e9aa034d59aa4adb4e26419ede4e2fe38b1addce27c124c011e67d7040394d28", "7f4cc3ddbefe082fe689a556d4df9f5a88f0d91be91153edb3db48fdb2c07d2a"},
+		{"fuel", "75d7561b854c620b9476acf3d97154457acb21e31c82e472c4f1a53ab930ccbd", "b68273bbee37b3a0ae7f55fc1d8a4f2d54681f83d4376ca7a6e197cdb5036548"},
+		{"pwm", "2615e0531f720fc11510923bc72d5a3866d1bd251f9264c42b29c8ed48aee095", "7820b2473ff647588c802e24d50c4f86b4e33c9e6a731801272cda3d89b08945"},
+		{"accel_filter", "c66924bdf4649fff36c8e4283914a4d47671eea16c76a5b1e88700e150962b54", "0c7b829e8612a3a5d9b02b5faa7dcadc4e92093d5aaacee128c6e737f1779806"},
+		{"road_estimator", "a4c0caba7f1945edf51c6acba7fc878671ce8d7f7cead8558c1c65ead521e322", "0828f105ec78456311dcefff96a5cc740257e090872275c92a5798ef1927eb12"},
+		{"mode_logic", "a46effa150a2d1e4e98c8173976f59d5a67c99d6309bc651736bf24010ba5440", "3c967fc7a9feb6f7ae323387921b44858776684830925dba0efa488e11f4a712"},
+		{"actuator", "0db49f636f79fc85f48d4996fc9ea421c2a47ed345b2cfa61a01a669abd5948b", "7d604f30f9e549c9cb129741e5c838884f14291886b4d61da5ace37705af0fc0"},
+		{"watchdog", "5d9f206f55ac2c12724d7169c0c2b65dc2b0422ff926f408ca431d5bfdf324b3", "f81c53963366facaeb4ad84b80552f2964f362d431623b6aede2ee2d16c10944"},
+		{"diag", "6c1d431ed907598a42295d1dd50b770f8d0bab4e4bf4de05c9a55317ab69a812", "fd0fcb0aa17f57a7c7460dda752cbcbe4fa140a29204803acf12b07054df2dfe"},
+	}
+	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
+	if len(ms) != len(want) {
+		t.Fatalf("%d design modules, %d pinned", len(ms), len(want))
+	}
+	for i, m := range ms {
+		w := want[i]
+		if m.Name != w.name {
+			t.Fatalf("module %d is %s, pinned %s", i, m.Name, w.name)
+		}
+		if got := Fingerprint(m, Options{}); got != w.plain {
+			t.Errorf("%s: Options{} key %s, pinned %s", m.Name, got, w.plain)
+		}
+		if got := Fingerprint(m, Options{Reduce: true}); got != w.reduced {
+			t.Errorf("%s: Options{Reduce: true} key %s, pinned %s", m.Name, got, w.reduced)
+		}
+	}
 }
 
 // TestFingerprintAllocs pins the key's cost: the stream is built in a

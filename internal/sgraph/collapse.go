@@ -60,7 +60,7 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 				}
 				if common == nil {
 					common = c.Tests[0]
-				} else if testKey(c.Tests[0]) != testKey(common) {
+				} else if !c.Tests[0].Same(common) {
 					ok = false
 					break
 				}
@@ -74,7 +74,7 @@ func (g *SGraph) CollapseTests(maxArity int) int {
 			}
 			// v must not itself test the common test already.
 			for _, t := range v.Tests {
-				if testKey(t) == testKey(common) {
+				if t.Same(common) {
 					ok = false
 					break
 				}

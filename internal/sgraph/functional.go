@@ -112,16 +112,15 @@ func violatesExclusive(c *cfsm.CFSM, outcome []int, idOf map[*cfsm.Test]int) boo
 }
 
 // walkOutcome is one exhaustive-check evaluation of g under a fixed
-// outcome vector: it returns the emission sequence (as structural
-// action keys, in path order), the last assign per state variable,
-// and the fired flag. Unlike CheckFunctional's walk it tolerates a
+// outcome vector: it returns the emission sequence (in path order),
+// the last assign per state variable, and the fired flag. Unlike CheckFunctional's walk it tolerates a
 // test appearing more than once on a path (the outcome vector keeps
 // repeated evaluations consistent), so it can compare graphs the
 // reduction engine has not cleaned up yet; termination is still
 // enforced, since any path of a well-formed DAG visits each vertex at
 // most once.
-func (g *SGraph) walkOutcome(outcome []int, idOf map[*cfsm.Test]int) (emits []string, last map[*cfsm.StateVar]string, fired bool, err error) {
-	last = make(map[*cfsm.StateVar]string)
+func (g *SGraph) walkOutcome(outcome []int, idOf map[*cfsm.Test]int) (emits []*cfsm.Action, last map[*cfsm.StateVar]*cfsm.Action, fired bool, err error) {
+	last = make(map[*cfsm.StateVar]*cfsm.Action)
 	v := g.Begin
 	steps := 0
 	for v.Kind != End {
@@ -134,9 +133,9 @@ func (g *SGraph) walkOutcome(outcome []int, idOf map[*cfsm.Test]int) (emits []st
 		case Assign:
 			fired = true
 			if v.Action.Kind == cfsm.ActEmit {
-				emits = append(emits, actionKey(v.Action))
+				emits = append(emits, v.Action)
 			} else {
-				last[v.Action.Var] = actionKey(v.Action)
+				last[v.Action.Var] = v.Action
 			}
 			v = v.Next
 		case Test:
@@ -205,16 +204,20 @@ func (g *SGraph) CheckEquivalent(h *SGraph) error {
 			return fmt.Errorf("sgraph: combination %d: %d emission(s) vs %d", k, len(ge), len(he))
 		}
 		for i := range ge {
-			if ge[i] != he[i] {
-				return fmt.Errorf("sgraph: combination %d: emission %d is %s vs %s", k, i, ge[i], he[i])
+			if !ge[i].Same(he[i]) {
+				return fmt.Errorf("sgraph: combination %d: emission %d is %s vs %s", k, i, ge[i].Name(), he[i].Name())
 			}
 		}
 		if len(gl) != len(hl) {
 			return fmt.Errorf("sgraph: combination %d: %d state write(s) vs %d", k, len(gl), len(hl))
 		}
 		for sv, a := range gl {
-			if hl[sv] != a {
-				return fmt.Errorf("sgraph: combination %d: last write to %s is %s vs %s", k, sv.Name, a, hl[sv])
+			b := hl[sv]
+			if b == nil {
+				return fmt.Errorf("sgraph: combination %d: only one graph writes %s", k, sv.Name)
+			}
+			if !a.Same(b) {
+				return fmt.Errorf("sgraph: combination %d: last write to %s is %s vs %s", k, sv.Name, a.Name(), b.Name())
 			}
 		}
 	}

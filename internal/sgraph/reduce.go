@@ -126,39 +126,6 @@ func (g *SGraph) Reduce(opt ReduceOptions) ReduceStats {
 	return st
 }
 
-// testKey is the structural identity of a test, mirroring the cfsm
-// package's interning keys so equal tests allocated separately (as in
-// hand-built graphs) compare equal.
-func testKey(t *cfsm.Test) string { return string(appendTestKey(nil, t)) }
-
-// appendTestKey appends testKey(t) to b.
-func appendTestKey(b []byte, t *cfsm.Test) []byte {
-	switch t.Kind {
-	case cfsm.TestPresence:
-		return append(append(b, "p:"...), t.Signal.Name...)
-	case cfsm.TestPredicate:
-		return append(append(b, "e:"...), t.Pred.C()...)
-	default:
-		return append(append(b, "s:"...), t.Sel.Name...)
-	}
-}
-
-// actionKey is the structural identity of an action.
-func actionKey(a *cfsm.Action) string { return string(appendActionKey(nil, a)) }
-
-// appendActionKey appends actionKey(a) to b.
-func appendActionKey(b []byte, a *cfsm.Action) []byte {
-	if a.Kind == cfsm.ActEmit {
-		b = append(append(b, "e:"...), a.Signal.Name...)
-		if a.Value != nil {
-			b = append(append(b, ':'), a.Value.C()...)
-		}
-		return b
-	}
-	b = append(append(b, "a:"...), a.Var.Name...)
-	return append(append(b, ':'), a.Expr.C()...)
-}
-
 // TopoOrder returns the reachable vertices with every parent strictly
 // before each of its children — a true topological order even for
 // shared DAGs, which the DFS preorder of Reachable is not (a shared
@@ -518,21 +485,22 @@ func (g *SGraph) shareSubgraphs(st *ReduceStats) int {
 	return merged
 }
 
-// appendVertexKey appends the hash-consing identity of a vertex to b.
-// Child identity uses the topological index of the (canonicalised)
-// child.
+// appendVertexKey appends the hash-consing identity of a vertex to b:
+// its tests' and action's structural keys (cfsm's AppendKey, so equal
+// tests allocated apart, as in hand-built graphs, share) and the
+// topological index of each (canonicalised) child.
 func appendVertexKey(b []byte, v *Vertex, id []int32) []byte {
 	switch v.Kind {
 	case End:
 		b = append(b, 'E')
 	case Assign:
-		b = appendActionKey(append(b, "A|"...), v.Action)
+		b = v.Action.AppendKey(append(b, "A|"...))
 		b = append(b, '|')
 		b = strconv.AppendInt(b, int64(id[v.Next.ID]), 10)
 	case Test:
 		b = append(b, 'T')
 		for _, t := range v.Tests {
-			b = appendTestKey(append(b, '|'), t)
+			b = t.AppendKey(append(b, '|'))
 		}
 		for _, c := range v.Children {
 			b = append(b, '|')

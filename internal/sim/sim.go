@@ -99,8 +99,8 @@ type Options struct {
 	// code generation): each module with evidence in the profile gets
 	// its TEST outcome edges reordered hottest-first through
 	// sgraph.SpecializeChecked, so the equivalence gate runs on every
-	// specialized graph. Behavioral runs also report the
-	// profile-weighted expected cycles through the estimator.
+	// specialized graph. Behavioral tasks take their worst-case cycles
+	// from the estimate of the specialized graph.
 	Specialize *profile.Profile
 	// Probe, when non-nil, observes every delivery and execution in
 	// the underlying RTOS model (see rtos.Probe). With Partition it
@@ -422,8 +422,7 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 			if err != nil {
 				return nil, err
 			}
-			est := estimate.EstimateSGraph(sg.SGraph, params,
-				estimate.Options{Codegen: opt.Codegen, ScenarioProfile: sg.Spec})
+			est := estimate.EstimateSGraph(sg.SGraph, params, estimate.Options{Codegen: opt.Codegen})
 			res.CodeBytes += est.CodeBytes
 			res.DataBytes += est.DataBytes
 			return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil
