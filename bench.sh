@@ -5,6 +5,7 @@
 #   suite "bdd"   ->  BENCH_bdd.json   (synthesis, BDD kernel, cache key)
 #   suite "sim"   ->  BENCH_sim.json   (co-simulation throughput)
 #   suite "synth" ->  BENCH_synth.json (pooled synthesis at scale)
+#   suite "polisd" -> BENCH_polisd.json (polisd request overhead)
 #
 # BENCH_SUITES overrides the suite list (e.g. BENCH_SUITES=synth).
 #
@@ -34,7 +35,7 @@
 # are absorbed as a run labelled "legacy" on the next -full.
 set -eu
 
-SUITES="${BENCH_SUITES:-bdd sim synth}"
+SUITES="${BENCH_SUITES:-bdd sim synth polisd}"
 
 # run_benches SUITE honors an optional BENCHTIME override (any
 # -benchtime value, e.g. "10ms" or "1x") so CI can bound a run's cost.
@@ -65,6 +66,12 @@ run_benches() {
         # them bounded.
         go test -run '^$' -bench 'BenchmarkRunModules' -timeout 30m \
             -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
+        ;;
+    polisd)
+        # One POST /synthesize through the handler, no socket, over
+        # warm modules: a repeated body and a freshly edited one.
+        go test -run '^$' -bench 'BenchmarkServeRequest' \
+            -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/polisd/
         ;;
     esac
 }

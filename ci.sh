@@ -5,8 +5,9 @@
 # build tag (over the kernel, the two packages that release managers
 # and the two that sift reactive functions, where the per-swap sift-cost
 # audit also checks that the unique tables hold only live nodes), a
-# native fuzz run each of the disk-cache entry decoder and the polisd
-# wire decoder, bounded by an exec count rather than a time budget (a
+# native fuzz run each of the disk-cache entry decoder, the polisd
+# wire decoder, the Esterel program parser and the profile reader,
+# bounded by an exec count rather than a time budget (a
 # stalled fuzz coordinator ran only a few hundred execs in 20 s and
 # still passed) and by a 300 s timeout that fails such a stall loudly,
 # a bounded
@@ -38,6 +39,8 @@ go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' 
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 timeout 300 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 100000x ./internal/pipeline
 timeout 300 go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 100000x ./internal/polisd
+timeout 300 go test -run '^$' -fuzz FuzzParseProgram -fuzztime 100000x ./internal/esterel
+timeout 300 go test -run '^$' -fuzz FuzzReadJSON -fuzztime 100000x ./internal/profile
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
 NETFUZZ_STORM_RUNS=200 go test -race -run TestFuzzCampaignStorm ./internal/netfuzz/
@@ -45,7 +48,8 @@ NETFUZZ_SPEC_RUNS=200 go test -race -run TestFuzzCampaignSpecialize ./internal/n
 
 # polisd e2e smoke: race-instrumented daemon on an ephemeral port.
 # The same single-client batch driven twice must hit the warm cache on
-# the second pass (4 misses + 4 mem hits = 50.0%), a concurrent burst
+# the second pass (4 misses + 4 mem hits = 50.0%), and its repeated body
+# must be served from the request memo; a concurrent burst
 # with edits must serve every request, /stats and /healthz must
 # answer, and SIGTERM must drain cleanly (exit 0, "drained" printed).
 tmp=$(mktemp -d)
@@ -60,6 +64,7 @@ done
 url=$(sed -n 's/^listening on //p' "$tmp/out")
 "$tmp/polisd" loadgen -url "$url" -n 2 -c 1 -networks 1 -modules 4 | tee "$tmp/load1"
 grep -q 'hit ratio 50.0%' "$tmp/load1"
+curl -fsS "$url/stats" | grep -q '"request_memo":{"hits":[1-9]'
 "$tmp/polisd" loadgen -url "$url" -n 200 -c 50 -networks 4 -modules 2 -edit-rate 0.1 -seed 7
 curl -fsS "$url/stats" | grep -q '"requests"'
 curl -fsS "$url/healthz" | grep -q ok
@@ -164,11 +169,12 @@ rm -rf "$tmp"
 ./bench.sh
 
 # Bounded perf-regression smoke: short-benchtime timings for every
-# suite (bdd synthesis, sim throughput, pooled synthesis at scale)
+# suite (bdd synthesis, sim throughput, pooled synthesis at scale,
+# polisd request overhead)
 # compared to their last recorded -full runs, failing only on
 # order-of-magnitude blowups (the generous threshold absorbs
 # shared-runner noise; the real measurement lives in bench.sh -full /
 # -compare).
-if [ -f BENCH_bdd.json ] || [ -f BENCH_sim.json ] || [ -f BENCH_synth.json ]; then
+if [ -f BENCH_bdd.json ] || [ -f BENCH_sim.json ] || [ -f BENCH_synth.json ] || [ -f BENCH_polisd.json ]; then
     BENCHTIME=10ms ./bench.sh -compare -fail-over 400
 fi

@@ -402,10 +402,18 @@ func TestServerTypedRejections(t *testing.T) {
 			t.Fatalf("status %d, want 413", code)
 		}
 		// The batch limit applies before the machines are decoded, and
-		// the body is capped before it is buffered whole.
+		// the body is capped before it is buffered whole. The body is
+		// read whole before it is decoded, so a valid request followed
+		// by padding past the cap is refused too.
+		small, _ := testNetwork(t, 7, 1)
+		valid, err := json.Marshal(&SynthRequest{Network: small})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, body := range map[string]string{
-			"malformed machines": `{"network":{"name":"n","machines":[{},{},{}]}}`,
-			"oversized body":     `{"network":{"name":"` + strings.Repeat("x", 2*maxMachineBytes+1) + `"}}`,
+			"malformed machines":       `{"network":{"name":"n","machines":[{},{},{}]}}`,
+			"oversized body":           `{"network":{"name":"` + strings.Repeat("x", 2*maxMachineBytes+1) + `"}}`,
+			"valid value then padding": string(valid) + strings.Repeat(" ", 2*maxMachineBytes+1),
 		} {
 			hr, err := http.Post(hs.URL+"/synthesize", "application/json", strings.NewReader(body))
 			if err != nil {

@@ -2,6 +2,7 @@ package polisd
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -127,6 +128,9 @@ type Stats struct {
 	QueueDepth int                 `json:"queue_cap"`
 	Workers    int                 `json:"workers"`
 	Cache      pipeline.CacheStats `json:"cache"`
+	// RequestMemo counts the requests served from a memoized plan of
+	// an earlier identical body, and what the memo holds.
+	RequestMemo MemoStats `json:"request_memo"`
 	// BDDStages is the per-stage BDD kernel footprint across every
 	// module synthesized so far: worst live/peak node counts and
 	// per-stage op-cache hit rates (reactive build, sifting, s-graph).
@@ -136,10 +140,19 @@ type Stats struct {
 
 // Server is the synthesis service core. Create with New, mount
 // Handler on an http.Server, and call Shutdown to drain.
+//
+// A request body is read whole and keyed by its SHA-256. The first
+// accepted request with a given body is decoded, checked and
+// fingerprinted into a plan, which the memo keeps for every later
+// request with the same body; rejected bodies are never memoized, so
+// their typed rejection is computed on every request. Hits and misses
+// then take the one serving path: admission, deadline and one
+// Cache.Serve per module.
 type Server struct {
 	cfg   Config
 	cache *pipeline.Cache
 	col   *pipeline.Collector
+	memo  *planMemo
 	// slots holds one token per running synthesis: a flight leader
 	// takes one before it synthesizes, so at most Workers modules
 	// synthesize at once across all requests.
@@ -168,6 +181,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		cache: cache,
 		col:   &pipeline.Collector{},
+		memo:  newPlanMemo(cfg.maxBody()),
 		slots: make(chan struct{}, cfg.Workers),
 		start: time.Now(),
 	}, nil
@@ -263,52 +277,35 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.reqWG.Add(1)
 	defer s.reqWG.Done()
 
-	var req SynthRequest
-	r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxBatch)*maxMachineBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	limit := s.cfg.maxBody()
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	body, err := readBody(r.Body, r.ContentLength, limit)
+	if err != nil {
 		s.badReq.Add(1)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
-	if req.Network != nil && len(req.Network.Machines) > s.cfg.MaxBatch {
-		s.badReq.Add(1)
-		httpError(w, http.StatusRequestEntityTooLarge, "%d machines exceeds batch limit %d", len(req.Network.Machines), s.cfg.MaxBatch)
-		return
-	}
-	net, err := DecodeNetwork(req.Network)
-	if err != nil {
-		s.badReq.Add(1)
-		httpError(w, http.StatusBadRequest, "bad network: %v", err)
-		return
-	}
-	if len(net.Machines) == 0 {
-		s.badReq.Add(1)
-		httpError(w, http.StatusBadRequest, "network has no machines")
-		return
-	}
-	opt, err := req.Options.Options()
-	if err != nil {
-		s.badReq.Add(1)
-		httpError(w, http.StatusBadRequest, "bad options: %v", err)
-		return
+	key := sha256.Sum256(body)
+	p := s.memo.get(key)
+	if p == nil {
+		var code int
+		if p, code, err = s.newPlan(body); err != nil {
+			s.badReq.Add(1)
+			httpError(w, code, "%v", err)
+			return
+		}
+		p = s.memo.put(key, p)
 	}
 
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
 	defer cancel()
 
-	n := len(net.Machines)
+	n := len(p.net.Machines)
 	if !s.admit(n) {
 		s.rej429.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -325,11 +322,10 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		out pipeline.Outcome
 	}
 	results := make(chan served, n)
-	for _, m := range net.Machines {
-		go func(m *cfsm.CFSM) {
+	for i, m := range p.net.Machines {
+		go func(m *cfsm.CFSM, key string) {
 			mt0 := time.Now()
-			key := pipeline.Fingerprint(m, opt)
-			a, out, err := s.synthesizeModule(ctx, key, m, opt)
+			a, out, err := s.synthesizeModule(ctx, key, m, p.opt)
 			res := ModuleResult{
 				Module:      m.Name,
 				Fingerprint: key,
@@ -343,19 +339,19 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 				res.MinCycles = a.Measured.Min
 				res.MaxCycles = a.Measured.Max
 				res.EstBytes = a.Estimate.CodeBytes
-				if req.IncludeC {
+				if p.includeC {
 					res.C = a.C
 				}
 			}
 			results <- served{res, out}
-		}(m)
+		}(m, p.keys[i])
 	}
 
-	sum := SynthSummary{Done: true, Network: net.Name, Modules: n}
+	sum := SynthSummary{Done: true, Network: p.net.Name, Modules: n}
 	var all []ModuleResult
 	var enc *json.Encoder
 	flusher, _ := w.(http.Flusher)
-	if !req.Aggregate {
+	if !p.aggregate {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc = json.NewEncoder(w)
 	}
@@ -428,7 +424,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		// Nothing more to write, and the "errors" are our own
 		// cancellation: don't send a trailer, don't count the request
 		// as served.
-		s.cfg.Logf("synthesize net=%s modules=%d client_gone after %d result(s)", net.Name, n, written)
+		s.cfg.Logf("synthesize net=%s modules=%d client_gone after %d result(s)", p.net.Name, n, written)
 		return
 	}
 	if enc != nil {
@@ -444,7 +440,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.ok.Add(1)
 	}
 	s.cfg.Logf("synthesize net=%s modules=%d miss=%d mem=%d disk=%d dedup=%d errs=%d status=%d ms=%.1f",
-		net.Name, n, sum.Misses, sum.MemHits, sum.DiskHit, sum.Dedups, sum.Errors, status, sum.Ms)
+		p.net.Name, n, sum.Misses, sum.MemHits, sum.DiskHit, sum.Dedups, sum.Errors, status, sum.Ms)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -468,6 +464,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:  s.cfg.QueueDepth,
 		Workers:     s.cfg.Workers,
 		Cache:       s.cache.Stats(),
+		RequestMemo: s.memo.stats(),
 		BDDStages:   s.col.BDDStages(),
 		Report:      s.col.Report(),
 	}

@@ -139,11 +139,18 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadJSON deserialises a profile written by WriteJSON.
+// ReadJSON deserialises a profile written by WriteJSON. A module
+// entry that is null is an error: WriteJSON never writes one, and
+// Merge and Fingerprint need every entry.
 func ReadJSON(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
+	}
+	for name, m := range p.Modules {
+		if m == nil {
+			return nil, fmt.Errorf("profile: module %q has no entry", name)
+		}
 	}
 	return &p, nil
 }
