@@ -6,7 +6,8 @@
 # and the two that sift reactive functions, where the per-swap sift-cost
 # audit also checks that the unique tables hold only live nodes), a
 # native fuzz run each of the disk-cache entry decoder, the polisd
-# wire decoder, the Esterel program parser and the profile reader,
+# wire decoder, the Esterel program parser and compiler and the
+# profile reader,
 # bounded by an exec count rather than a time budget (a
 # stalled fuzz coordinator ran only a few hundred execs in 20 s and
 # still passed) and by a 300 s timeout that fails such a stall loudly,
@@ -24,7 +25,9 @@
 # as the shuffle layer, warm second pass, output byte-identical to the
 # unsharded run), an sgestimate smoke over both designs and targets, a
 # cfsmsim smoke over both designs and timing modes with a profile
-# round trip, a build, vet and test of the perfbench module (its own
+# round trip, a check that cfsmsim, rtosgen and sgestimate reject an
+# unknown mode, policy or target by listing the accepted names, a
+# build, vet and test of the perfbench module (its own
 # go.mod, compiled against this tree's internal APIs), and a
 # single-iteration benchmark smoke so the harness can't bit-rot.
 set -eux
@@ -40,6 +43,7 @@ go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ .
 timeout 300 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 100000x ./internal/pipeline
 timeout 300 go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 100000x ./internal/polisd
 timeout 300 go test -run '^$' -fuzz FuzzParseProgram -fuzztime 100000x ./internal/esterel
+timeout 300 go test -run '^$' -fuzz FuzzCompileProgram -fuzztime 100000x ./internal/esterel
 timeout 300 go test -run '^$' -fuzz FuzzReadJSON -fuzztime 100000x ./internal/profile
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
@@ -161,6 +165,19 @@ for design in dashboard:9 shock:6; do
 done
 "$tmp/cfsmsim" -design dashboard -profile-out "$tmp/prof.json" >/dev/null
 "$tmp/cfsmsim" -design dashboard -profile "$tmp/prof.json" -specialize >/dev/null
+trap - EXIT
+rm -rf "$tmp"
+
+# An unknown name exits non-zero and lists the accepted names.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/" ./cmd/cfsmsim ./cmd/rtosgen ./cmd/sgestimate
+if "$tmp/cfsmsim" -mode bogus >/dev/null 2>"$tmp/err"; then exit 1; fi
+grep -q 'accepted: behavioral, vm' "$tmp/err"
+if "$tmp/rtosgen" -policy bogus >/dev/null 2>"$tmp/err"; then exit 1; fi
+grep -q 'accepted: rr, prio' "$tmp/err"
+if "$tmp/sgestimate" -target z80 >/dev/null 2>"$tmp/err"; then exit 1; fi
+grep -q 'accepted: hc11, r3k' "$tmp/err"
 trap - EXIT
 rm -rf "$tmp"
 

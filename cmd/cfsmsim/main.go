@@ -10,6 +10,9 @@
 //	        [-parallel] [-workers n] [-trace]
 //	        [-profile-out prof.json] [-profile prof.json -specialize]
 //
+// An unknown -target, -mode or -policy name exits 1 with an error
+// listing the accepted names.
+//
 // -profile-out captures an execution profile (per-module TEST outcome
 // frequencies) during the run and writes it as JSON; feeding it back
 // with -profile -specialize (or to polisc -profile -specialize)
@@ -48,27 +51,21 @@ func main() {
 	specialize := flag.Bool("specialize", false, "reorder TEST outcomes hot-path-first using -profile")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
-	}
 	opts := sim.Options{
 		Cfg:       rtos.DefaultConfig(),
-		Profile:   prof,
 		Ordering:  sgraph.OrderSiftAfterSupport,
 		Partition: *parallel,
 		Workers:   *workers,
 	}
-	if *mode == "vm" {
-		opts.Mode = sim.VMExact
+	var err error
+	if opts.Profile, err = vm.Target(*target); err != nil {
+		fatal(err)
 	}
-	if *policy == "prio" {
-		opts.Cfg.Policy = rtos.StaticPriority
+	if opts.Mode, err = sim.ParseMode(*mode); err != nil {
+		fatal(err)
+	}
+	if opts.Cfg.Policy, err = rtos.ParsePolicy(*policy); err != nil {
+		fatal(err)
 	}
 	if *specialize != (*profIn != "") {
 		fatal(fmt.Errorf("-specialize and -profile must be used together"))
@@ -164,8 +161,8 @@ func main() {
 		util = float64(busy) / float64(now*int64(len(systems)))
 	}
 	fmt.Printf("simulated %d cycles (%.2f ms at %d kHz), CPU utilisation %.1f%%\n",
-		res.Cycles, float64(res.Cycles)/float64(prof.ClockKHz),
-		prof.ClockKHz, 100*util)
+		res.Cycles, float64(res.Cycles)/float64(opts.Profile.ClockKHz),
+		opts.Profile.ClockKHz, 100*util)
 	fmt.Printf("software: %d code bytes, %d data bytes; %d scheduler calls, %d interrupts\n",
 		res.CodeBytes, res.DataBytes, schedCalls, interrupts)
 	if len(systems) > 1 {

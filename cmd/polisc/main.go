@@ -13,6 +13,10 @@
 //	polisc fuzz [-seed N] [-runs N] [-config "k=v,..."]
 //	polisc shard-worker   (internal: exec'd by -shards)
 //
+// -order also accepts sift for default. An unknown -target, -order or
+// -shard-strategy name exits 1 with an error listing the accepted
+// names.
+//
 // -profile loads an execution profile captured by cfsmsim
 // -profile-out; with -specialize the synthesis reorders each covered
 // module's TEST outcome edges so the observed hot path becomes the
@@ -131,24 +135,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		src = string(data)
 	}
 
-	opt := polis.Options{}
-	switch *target {
-	case "hc11":
-		opt.Target = vm.HC11()
-	case "r3k":
-		opt.Target = vm.R3K()
-	default:
-		return fail(stderr, fmt.Errorf("unknown target %q", *target))
+	var opt polis.Options
+	var err error
+	if opt.Target, err = vm.Target(*target); err != nil {
+		return fail(stderr, err)
 	}
-	switch *order {
-	case "default":
-		opt.Ordering = sgraph.OrderSiftAfterSupport
-	case "naive":
-		opt.Ordering = sgraph.OrderNaive
-	case "inputs-first":
-		opt.Ordering = sgraph.OrderSiftInputsFirst
-	default:
-		return fail(stderr, fmt.Errorf("unknown ordering %q", *order))
+	if opt.Ordering, err = sgraph.ParseOrdering(*order); err != nil {
+		return fail(stderr, err)
 	}
 	opt.Codegen.OptimizeCopies = *optCopies
 	opt.Reduce = *reduce

@@ -8,6 +8,9 @@
 //
 //	rtosgen [-design dashboard|shock] [-policy rr|prio] [-preemptive]
 //	        [-poll sig1,sig2] [-target hc11|r3k]
+//
+// An unknown -policy or -target name exits 1 with an error listing
+// the accepted names.
 package main
 
 import (
@@ -31,14 +34,13 @@ func main() {
 	target := flag.String("target", "hc11", "cost profile: hc11 or r3k")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	prof, err := vm.Target(*target)
+	if err != nil {
+		fatal(err)
+	}
+	cfg := rtos.DefaultConfig()
+	if cfg.Policy, err = rtos.ParsePolicy(*policy); err != nil {
+		fatal(err)
 	}
 
 	var net *cfsm.Network
@@ -51,9 +53,7 @@ func main() {
 		fatal(fmt.Errorf("unknown design %q", *design))
 	}
 
-	cfg := rtos.DefaultConfig()
-	if *policy == "prio" {
-		cfg.Policy = rtos.StaticPriority
+	if cfg.Policy == rtos.StaticPriority {
 		for i, m := range net.Machines {
 			cfg.Priority[m] = len(net.Machines) - i
 		}

@@ -6,6 +6,9 @@
 // Usage:
 //
 //	sgestimate [-target hc11|r3k] [-design dashboard|shock]
+//
+// An unknown -target name exits 1 with an error listing the accepted
+// names.
 package main
 
 import (
@@ -23,14 +26,9 @@ func main() {
 	design := flag.String("design", "dashboard", "benchmark design: dashboard or shock")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	prof, err := vm.Target(*target)
+	if err != nil {
+		fatal(err)
 	}
 
 	switch *design {

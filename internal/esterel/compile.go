@@ -33,6 +33,27 @@ type cfgNode struct {
 	next *cfgNode
 }
 
+// MaxCompileSize bounds the work of compiling one module, in units of
+// one per statement visited while unrolling (each repeat copy counts
+// its statements again), one per step of the path enumeration from an
+// await, one per guard condition and action of each transition, and
+// one per expression node folded along a path: each assignment's own
+// nodes, and all nodes of each test, emission and assignment built
+// from the folded path state. Nested repeats multiply the first
+// count, sequential if statements double the second, and chained
+// assignments such as x := x + x double the last, so a short source
+// can ask for an unbounded machine; past the budget compilation stops
+// with a *SizeError.
+const MaxCompileSize = 1 << 16
+
+// SizeError reports a module whose compilation would exceed
+// MaxCompileSize.
+type SizeError struct{ Module string }
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("esterel: %s: compiled size exceeds %d units (nested repeat, sequential if or chained assignments)", e.Module, MaxCompileSize)
+}
+
 // Compile translates a parsed module into a CFSM: one control state
 // per await site (the classical reactive-program-to-FSM translation
 // for a single-threaded module). Straight-line code between awaits
@@ -83,11 +104,22 @@ func compileResolved(m *Module, sigs map[string]*cfsm.Signal) (*cfsm.CFSM, map[s
 		vars[m.Vars[i].Name] = &m.Vars[i]
 	}
 
+	size := 0 // units of MaxCompileSize spent
+	charge := func(units int) error {
+		if size += units; size > MaxCompileSize {
+			return &SizeError{Module: m.Name}
+		}
+		return nil
+	}
+
 	// Build the control-flow graph.
 	halt := &cfgNode{kind: nHalt}
 	var awaits []*cfgNode
 	var build func(stmts []Stmt, cont *cfgNode) (*cfgNode, error)
 	build = func(stmts []Stmt, cont *cfgNode) (*cfgNode, error) {
+		if err := charge(1 + len(stmts)); err != nil {
+			return nil, err
+		}
 		cur := cont
 		for i := len(stmts) - 1; i >= 0; i-- {
 			switch s := stmts[i].(type) {
@@ -239,116 +271,131 @@ func compileResolved(m *Module, sigs map[string]*cfsm.Signal) (*cfsm.CFSM, map[s
 	// assignments are forwarded symbolically along each path: later
 	// reads of an assigned variable substitute its folded expression,
 	// and each variable ends up assigned exactly once per transition.
-	type pathState struct {
+	// One path state is extended on the way down and restored on the
+	// way back.
+	var (
 		conds       []cfsm.Cond
 		emits       []*cfsm.Action
 		assignOrder []string
-		sub         map[string]expr.Expr
-	}
-	clonePS := func(ps pathState) pathState {
-		sub := make(map[string]expr.Expr, len(ps.sub))
-		for k, v := range ps.sub {
-			sub[k] = v
-		}
-		return pathState{
-			conds:       append([]cfsm.Cond(nil), ps.conds...),
-			emits:       append([]*cfsm.Action(nil), ps.emits...),
-			assignOrder: append([]string(nil), ps.assignOrder...),
-			sub:         sub,
-		}
-	}
-	var emitTransition func(from *cfgNode, ps pathState, target int)
-	emitTransition = func(from *cfgNode, ps pathState, target int) {
-		guard := make([]cfsm.Cond, 0, len(ps.conds)+2)
+		sub         = map[string]expr.Expr{}
+		subSize     = map[string]int{} // expression nodes of each sub entry
+		onPath      = map[*cfgNode]bool{}
+	)
+	emitTransition := func(from *cfgNode, target int) error {
+		guard := make([]cfsm.Cond, 0, len(conds)+2)
 		if pc != nil {
 			guard = append(guard, cfsm.On(c.Sel(pc), from.stateID))
 		}
 		guard = append(guard, cfsm.On(c.Present(sigs[from.awaitSig]), 1))
-		guard = append(guard, ps.conds...)
-		actions := append([]*cfsm.Action(nil), ps.emits...)
-		for _, name := range ps.assignOrder {
-			actions = append(actions, c.Assign(svs[name], ps.sub[name]))
+		guard = append(guard, conds...)
+		actions := append([]*cfsm.Action(nil), emits...)
+		for _, name := range assignOrder {
+			if err := charge(subSize[name]); err != nil {
+				return err
+			}
+			actions = append(actions, c.Assign(svs[name], sub[name]))
 		}
 		if pc != nil {
 			actions = append(actions, c.Assign(pc, expr.C(int64(target))))
 		}
 		c.AddTransition(guard, actions...)
+		return charge(len(guard) + len(actions))
 	}
 
-	var walkErr error
-	var walk func(from *cfgNode, n *cfgNode, ps pathState, onPath map[*cfgNode]bool)
-	walk = func(from *cfgNode, n *cfgNode, ps pathState, onPath map[*cfgNode]bool) {
-		if walkErr != nil {
-			return
+	var walk func(from *cfgNode, n *cfgNode) error
+	walk = func(from *cfgNode, n *cfgNode) error {
+		if err := charge(1); err != nil {
+			return err
 		}
 		switch n.kind {
 		case nAwait:
-			emitTransition(from, ps, n.stateID)
+			return emitTransition(from, n.stateID)
 		case nHalt:
-			emitTransition(from, ps, haltID)
+			return emitTransition(from, haltID)
+		}
+		if onPath[n] {
+			return fmt.Errorf("esterel: %s: instantaneous loop (no await on a cycle)", m.Name)
+		}
+		onPath[n] = true
+		defer delete(onPath, n)
+		switch n.kind {
 		case nGoto:
-			if onPath[n] {
-				walkErr = fmt.Errorf("esterel: %s: instantaneous loop (no await on a cycle)", m.Name)
-				return
-			}
-			onPath[n] = true
-			walk(from, n.next, ps, onPath)
-			delete(onPath, n)
+			return walk(from, n.next)
 		case nAction:
-			if onPath[n] {
-				walkErr = fmt.Errorf("esterel: %s: instantaneous loop (no await on a cycle)", m.Name)
-				return
-			}
-			onPath[n] = true
-			ps2 := clonePS(ps)
 			switch a := n.action.(type) {
 			case EmitStmt:
-				if a.Value != nil {
-					ps2.emits = append(ps2.emits, c.EmitV(sigs[a.Signal], expr.Subst(a.Value, ps2.sub)))
+				if a.Value == nil {
+					emits = append(emits, c.Emit(sigs[a.Signal]))
 				} else {
-					ps2.emits = append(ps2.emits, c.Emit(sigs[a.Signal]))
+					if err := charge(exprSize(a.Value, subSize)); err != nil {
+						return err
+					}
+					emits = append(emits, c.EmitV(sigs[a.Signal], expr.Subst(a.Value, sub)))
 				}
+				defer func() { emits = emits[:len(emits)-1] }()
 			case AssignStmt:
-				folded := expr.Subst(a.Expr, ps2.sub)
-				if _, seen := ps2.sub[a.Var]; !seen {
-					ps2.assignOrder = append(ps2.assignOrder, a.Var)
+				// Subst copies a.Expr's own nodes.
+				if err := charge(exprSize(a.Expr, nil)); err != nil {
+					return err
 				}
-				ps2.sub[a.Var] = folded
-			}
-			walk(from, n.next, ps2, onPath)
-			delete(onPath, n)
-		case nCond:
-			if onPath[n] {
-				walkErr = fmt.Errorf("esterel: %s: instantaneous loop (no await on a cycle)", m.Name)
-				return
-			}
-			onPath[n] = true
-			var test *cfsm.Test
-			if n.condPresent != "" {
-				test = c.Present(sigs[n.condPresent])
-			} else {
-				test = c.Pred(expr.Subst(n.condExpr, ps.sub))
-			}
-			for _, val := range []int{1, 0} {
-				conds, clash := addCond(ps.conds, cfsm.On(test, val))
-				if clash {
-					continue
+				old, had := sub[a.Var]
+				oldSize := subSize[a.Var]
+				sub[a.Var], subSize[a.Var] = expr.Subst(a.Expr, sub), exprSize(a.Expr, subSize)
+				if !had {
+					assignOrder = append(assignOrder, a.Var)
 				}
-				tgt := n.next
-				if val == 0 {
-					tgt = n.elseNext
-				}
-				ps2 := clonePS(ps)
-				ps2.conds = conds
-				walk(from, tgt, ps2, onPath)
+				defer func() {
+					if had {
+						sub[a.Var], subSize[a.Var] = old, oldSize
+						return
+					}
+					delete(sub, a.Var)
+					delete(subSize, a.Var)
+					assignOrder = assignOrder[:len(assignOrder)-1]
+				}()
 			}
-			delete(onPath, n)
+			return walk(from, n.next)
 		}
+		// nCond
+		var test *cfsm.Test
+		if n.condPresent != "" {
+			test = c.Present(sigs[n.condPresent])
+		} else {
+			if err := charge(exprSize(n.condExpr, subSize)); err != nil {
+				return err
+			}
+			test = c.Pred(expr.Subst(n.condExpr, sub))
+		}
+		for _, val := range []int{1, 0} {
+			var clash, known bool
+			for _, old := range conds {
+				if old.Test == test {
+					clash, known = old.Val != val, true
+				}
+			}
+			if clash {
+				continue
+			}
+			tgt := n.next
+			if val == 0 {
+				tgt = n.elseNext
+			}
+			if !known {
+				conds = append(conds, cfsm.On(test, val))
+			}
+			err := walk(from, tgt)
+			if !known {
+				conds = conds[:len(conds)-1]
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for _, a := range states {
-		walk(a, a.next, pathState{sub: map[string]expr.Expr{}}, map[*cfgNode]bool{})
-		if walkErr != nil {
-			return nil, nil, walkErr
+		if err := walk(a, a.next); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -357,19 +404,21 @@ func compileResolved(m *Module, sigs map[string]*cfsm.Signal) (*cfsm.CFSM, map[s
 	return c, sigs, nil
 }
 
-// addCond appends a guard condition, reporting conflicts.
-func addCond(conds []cfsm.Cond, nc cfsm.Cond) ([]cfsm.Cond, bool) {
-	for _, old := range conds {
-		if old.Test == nc.Test {
-			if old.Val != nc.Val {
-				return conds, true
-			}
-			return conds, false
+// exprSize is the node count of e with each variable in sizes counted
+// as that many nodes, saturating just past MaxCompileSize so that
+// chained assignments cannot overflow it.
+func exprSize(e expr.Expr, sizes map[string]int) int {
+	switch x := e.(type) {
+	case expr.Ref:
+		if n, ok := sizes[string(x)]; ok {
+			return n
 		}
+	case *expr.Un:
+		return min(1+exprSize(x.X, sizes), MaxCompileSize+1)
+	case *expr.Bin:
+		return min(1+exprSize(x.L, sizes)+exprSize(x.R, sizes), MaxCompileSize+1)
 	}
-	out := make([]cfsm.Cond, 0, len(conds)+1)
-	out = append(out, conds...)
-	return append(out, nc), false
+	return 1
 }
 
 // MustCompile parses and compiles src, panicking on error; intended

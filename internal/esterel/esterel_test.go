@@ -1,9 +1,12 @@
 package esterel
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"polis/internal/cfsm"
 	"polis/internal/expr"
@@ -593,5 +596,49 @@ end module
 `
 	if _, err := Parse(src); err == nil {
 		t.Error("repeat 0 must be rejected")
+	}
+}
+
+// TestCompileSizeBudget: sources whose compiled form grows
+// multiplicatively with their length stop at MaxCompileSize with a
+// *SizeError, quickly, while a nest well inside the budget compiles.
+func TestCompileSizeBudget(t *testing.T) {
+	nest := func(depth int, body string) string {
+		for i := 0; i < depth; i++ {
+			body = "repeat 24 times " + body + " end repeat"
+		}
+		return body
+	}
+	module := func(body string) string {
+		return "module big: input t; output o; var x : integer in\nloop await t; " + body + " end loop\nend var end module"
+	}
+	ifs := "" // 2^20 paths from one await
+	for i := 1; i <= 20; i++ {
+		ifs += fmt.Sprintf("if x = %d then emit o; end if ", i)
+	}
+	for name, src := range map[string]string{
+		"repeat nest depth 4": module(nest(4, "await t; emit o;")),
+		"empty repeat nest":   module("emit o; " + nest(6, "nothing;")),
+		"sequential ifs":      module(ifs),
+		"chained assignments": module("repeat 64 times x := x + x; end repeat emit o;"),
+		"long assignment run": module("repeat 1024 times repeat 30 times x := " +
+			strings.Repeat("1 + ", 50) + "1; end repeat end repeat emit o;"),
+	} {
+		start := time.Now()
+		_, _, err := CompileProgram(src)
+		var se *SizeError
+		if !errors.As(err, &se) || se.Module != "big" {
+			t.Errorf("%s: want a *SizeError for module big, got %v", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: took %v to fail", name, d)
+		}
+	}
+	net, _, err := CompileProgram(module(nest(2, "await t; emit o;")))
+	if err != nil {
+		t.Fatalf("repeat nest depth 2: %v", err)
+	}
+	if n := len(net.Machines[0].Trans); n != 577 {
+		t.Errorf("repeat nest depth 2: %d transitions, want 577", n)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"polis/internal/names"
 	"polis/internal/randcfsm"
 	"polis/internal/rtos"
 )
@@ -133,46 +134,16 @@ func DefaultConfig() Config {
 	}
 }
 
-func mutantName(m rtos.Mutant) string {
-	switch m {
-	case rtos.MutantLostUndercount:
-		return "lost"
-	case rtos.MutantStaleOverwrite:
-		return "stale"
-	case rtos.MutantConsumeUnfired:
-		return "consume"
-	default:
-		return "none"
-	}
+// mutantNames is the replay-line name table of the mutants, indexed
+// by rtos.Mutant.
+var mutantNames = []string{
+	rtos.MutantNone:           "none",
+	rtos.MutantLostUndercount: "lost",
+	rtos.MutantStaleOverwrite: "stale",
+	rtos.MutantConsumeUnfired: "consume",
 }
 
-func parseMutant(s string) (rtos.Mutant, error) {
-	switch s {
-	case "none", "":
-		return rtos.MutantNone, nil
-	case "lost":
-		return rtos.MutantLostUndercount, nil
-	case "stale":
-		return rtos.MutantStaleOverwrite, nil
-	case "consume":
-		return rtos.MutantConsumeUnfired, nil
-	}
-	return rtos.MutantNone, fmt.Errorf("netfuzz: unknown mutant %q", s)
-}
-
-func topoName(t randcfsm.Topology) string { return t.String() }
-
-func parseTopo(s string) (randcfsm.Topology, error) {
-	switch s {
-	case "independent":
-		return randcfsm.TopoIndependent, nil
-	case "chain":
-		return randcfsm.TopoChain, nil
-	case "dag":
-		return randcfsm.TopoDAG, nil
-	}
-	return 0, fmt.Errorf("netfuzz: unknown topology %q", s)
-}
+func mutantName(m rtos.Mutant) string { return names.Name(mutantNames, m) }
 
 func boolName(b bool) string {
 	if b {
@@ -184,12 +155,8 @@ func boolName(b bool) string {
 // String encodes the config as a compact "k=v,..." line, the format
 // Parse accepts and failure reports print for replay.
 func (c Config) String() string {
-	policy := "rr"
-	if c.Policy == rtos.StaticPriority {
-		policy = "prio"
-	}
 	return fmt.Sprintf("n=%d,topo=%s,stim=%d,gap=%d,hz=%d,policy=%s,preempt=%s,poll=%s,hw=%s,chain=%s,reduce=%s,storm=%s,spec=%s,faults=%s,mutant=%s",
-		c.Machines, topoName(c.Topology), c.Stimuli, c.Gap, c.Horizon, policy,
+		c.Machines, c.Topology, c.Stimuli, c.Gap, c.Horizon, c.Policy.Name(),
 		boolName(c.Preempt), boolName(c.Polling), boolName(c.HW), boolName(c.Chains),
 		boolName(c.Reduce), boolName(c.Storm), boolName(c.Specialize),
 		c.Faults, mutantName(c.Mutant))
@@ -212,7 +179,7 @@ func Parse(s string) (Config, error) {
 		case "n":
 			c.Machines, err = strconv.Atoi(v)
 		case "topo":
-			c.Topology, err = parseTopo(v)
+			c.Topology, err = randcfsm.ParseTopology(v)
 		case "stim":
 			c.Stimuli, err = strconv.Atoi(v)
 		case "gap":
@@ -220,14 +187,7 @@ func Parse(s string) (Config, error) {
 		case "hz":
 			c.Horizon, err = strconv.ParseInt(v, 10, 64)
 		case "policy":
-			switch v {
-			case "rr":
-				c.Policy = rtos.RoundRobin
-			case "prio":
-				c.Policy = rtos.StaticPriority
-			default:
-				err = fmt.Errorf("netfuzz: unknown policy %q", v)
-			}
+			c.Policy, err = rtos.ParsePolicy(v)
 		case "preempt":
 			c.Preempt = v == "1"
 		case "poll":
@@ -245,7 +205,9 @@ func Parse(s string) (Config, error) {
 		case "faults":
 			c.Faults, err = parseFaults(v)
 		case "mutant":
-			c.Mutant, err = parseMutant(v)
+			if v != "" {
+				c.Mutant, err = names.Parse[rtos.Mutant]("mutant", mutantNames, v)
+			}
 		default:
 			err = fmt.Errorf("netfuzz: unknown config key %q", k)
 		}

@@ -267,7 +267,8 @@ func RunOne(seed int64, cfg Config) *Report {
 		model *Model
 		ok    bool
 	}
-	run := func(mode sim.Mode, label string, ms *ModeStats) modeRun {
+	run := func(mode sim.Mode, ms *ModeStats) modeRun {
+		label := mode.Name()
 		model := NewModel()
 		opt := sim.Options{
 			Cfg: rc, Mode: mode, Probe: model, Reduce: cfg.Reduce,
@@ -303,8 +304,8 @@ func RunOne(seed int64, cfg Config) *Report {
 		return modeRun{res: res, model: model, ok: err == nil && res != nil}
 	}
 
-	beh := run(sim.Behavioral, "behavioral", &rep.Behavioral)
-	vme := run(sim.VMExact, "vm", &rep.VMExact)
+	beh := run(sim.Behavioral, &rep.Behavioral)
+	vme := run(sim.VMExact, &rep.VMExact)
 
 	// Strict cross-mode comparison: per-signal output traces, loss
 	// accounting and final states must match exactly — but only when

@@ -75,15 +75,12 @@ func (o *Options) fill() {
 	}
 }
 
-// defaultTarget is the one HC11 profile a nil target resolves to for
-// the life of the process. estimate.CalibrateCached memoizes by
-// profile pointer, so a fresh vm.HC11() per call would re-calibrate
-// every time and retain one more memo entry per call.
-var defaultTarget = vm.HC11()
+// defaultTarget is the profile a nil target resolves to.
+var defaultTarget, _ = vm.Target("hc11")
 
-// DefaultTarget returns the shared HC11 profile that nil targets
-// resolve to throughout the flow (pipeline, polis, polisd, sim). It
-// must not be modified.
+// DefaultTarget returns the shared HC11 profile, vm.Target("hc11"),
+// that nil targets resolve to throughout the flow (pipeline, polis,
+// polisd, sim). It must not be modified.
 func DefaultTarget() *vm.Profile { return defaultTarget }
 
 // Config tunes one pipeline run.

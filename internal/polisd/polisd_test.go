@@ -15,9 +15,13 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
+	"polis/internal/codegen"
 	"polis/internal/designs"
 	"polis/internal/pipeline"
+	"polis/internal/profile"
 	"polis/internal/randcfsm"
+	"polis/internal/sgraph"
+	"polis/internal/vm"
 )
 
 // TestWireRoundTrip: Decode(Encode(net)) over the JSON wire yields a
@@ -126,6 +130,63 @@ func TestWireOptionsErrors(t *testing.T) {
 	}
 	if _, err := (WireOptions{Ordering: "sorted"}).Options(); err == nil {
 		t.Error("unknown ordering accepted")
+	}
+}
+
+// TestEncodeOptions: for every target, ordering and flag combination,
+// EncodeOptions followed by Options (across JSON, as a shard job
+// carries them) keys every design module as the original options do,
+// and options the wire cannot carry are rejected.
+func TestEncodeOptions(t *testing.T) {
+	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
+	if len(ms) != 15 {
+		t.Fatalf("%d design modules, want 15", len(ms))
+	}
+	targets := []*vm.Profile{nil, vm.HC11(), vm.R3K()}
+	orderings := []sgraph.Ordering{sgraph.OrderSiftAfterSupport, sgraph.OrderNaive, sgraph.OrderSiftInputsFirst}
+	for _, target := range targets {
+		for _, ord := range orderings {
+			for flags := 0; flags < 16; flags++ {
+				opt := pipeline.Options{
+					Target:        target,
+					Ordering:      ord,
+					Codegen:       codegen.Options{OptimizeCopies: flags&1 != 0, IfThreshold: 3 * (flags >> 3)},
+					UseFalsePaths: flags&2 != 0,
+					Reduce:        flags&4 != 0,
+				}
+				w, err := EncodeOptions(opt)
+				if err != nil {
+					t.Fatalf("%+v: %v", opt, err)
+				}
+				blob, err := json.Marshal(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back WireOptions
+				if err := json.Unmarshal(blob, &back); err != nil {
+					t.Fatal(err)
+				}
+				got, err := back.Options()
+				if err != nil {
+					t.Fatalf("%s: %v", blob, err)
+				}
+				for _, m := range ms {
+					if pipeline.Fingerprint(m, got) != pipeline.Fingerprint(m, opt) {
+						t.Fatalf("%s: module %s keyed differently after the wire", blob, m.Name)
+					}
+				}
+			}
+		}
+	}
+	for name, opt := range map[string]pipeline.Options{
+		"tuned reduce":   {Reduce: true, ReduceOpt: sgraph.ReduceOptions{MaxIter: 7}},
+		"profile":        {Profile: &profile.Profile{}},
+		"unknown target": {Target: &vm.Profile{Name: "z80"}},
+		"unknown order":  {Ordering: sgraph.Ordering(9)},
+	} {
+		if w, err := EncodeOptions(opt); err == nil {
+			t.Errorf("%s: encoded as %+v", name, w)
+		}
 	}
 }
 

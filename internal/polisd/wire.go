@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"polis/internal/cfsm"
+	"polis/internal/codegen"
 	"polis/internal/expr"
 	"polis/internal/pipeline"
 	"polis/internal/sgraph"
@@ -109,41 +110,51 @@ type WireOptions struct {
 	Reduce         bool   `json:"reduce,omitempty"`
 }
 
-// Target profiles are process-lifetime singletons so that every
-// request shares one calibration memo entry and one fingerprint
-// stream per target name (estimate.CalibrateCached and the pipeline
-// cache both key on the profile by identity/name).
-var (
-	profHC11 = pipeline.DefaultTarget()
-	profR3K  = vm.R3K()
-)
-
-// Options resolves the wire options to pipeline options.
+// Options resolves the wire options to pipeline options. Names
+// resolve through vm.Target and sgraph.ParseOrdering; an empty name is
+// the default.
 func (w WireOptions) Options() (pipeline.Options, error) {
-	var o pipeline.Options
-	switch w.Target {
-	case "", "hc11":
-		o.Target = profHC11
-	case "r3k":
-		o.Target = profR3K
-	default:
-		return o, fmt.Errorf("unknown target %q (want hc11 or r3k)", w.Target)
+	o := pipeline.Options{
+		Codegen:       codegen.Options{OptimizeCopies: w.OptimizeCopies, IfThreshold: w.IfThreshold},
+		UseFalsePaths: w.UseFalsePaths,
+		Reduce:        w.Reduce,
 	}
-	switch w.Ordering {
-	case "", "default", "sift":
-		o.Ordering = sgraph.OrderSiftAfterSupport
-	case "naive":
-		o.Ordering = sgraph.OrderNaive
-	case "inputs-first":
-		o.Ordering = sgraph.OrderSiftInputsFirst
-	default:
-		return o, fmt.Errorf("unknown ordering %q (want default, naive or inputs-first)", w.Ordering)
+	var err error
+	if w.Target != "" {
+		o.Target, err = vm.Target(w.Target)
 	}
-	o.Codegen.OptimizeCopies = w.OptimizeCopies
-	o.Codegen.IfThreshold = w.IfThreshold
-	o.UseFalsePaths = w.UseFalsePaths
-	o.Reduce = w.Reduce
-	return o, nil
+	if err == nil && w.Ordering != "" {
+		o.Ordering, err = sgraph.ParseOrdering(w.Ordering)
+	}
+	return o, err
+}
+
+// EncodeOptions is the inverse of Options: it names o's target and
+// ordering by the tables Options resolves them through, so the decoded
+// options fingerprint every machine as o does. Options the wire cannot
+// carry are an error rather than a silent drop: a target that is not
+// built in, non-zero ReduceOpt, or a specialization profile.
+func EncodeOptions(o pipeline.Options) (WireOptions, error) {
+	w := WireOptions{
+		Ordering:       o.Ordering.Name(),
+		OptimizeCopies: o.Codegen.OptimizeCopies,
+		IfThreshold:    o.Codegen.IfThreshold,
+		UseFalsePaths:  o.UseFalsePaths,
+		Reduce:         o.Reduce,
+	}
+	var err error
+	switch {
+	case w.Ordering == "":
+		err = fmt.Errorf("ordering %d has no wire name", o.Ordering)
+	case o.ReduceOpt != (sgraph.ReduceOptions{}):
+		err = fmt.Errorf("tuned reduce options have no wire form")
+	case o.Profile != nil:
+		err = fmt.Errorf("a specialization profile has no wire form")
+	case o.Target != nil:
+		w.Target = o.Target.Name
+		_, err = vm.Target(w.Target)
+	}
+	return w, err
 }
 
 // binOps maps wire operator names to expr binary operators, built

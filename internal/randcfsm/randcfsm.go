@@ -13,6 +13,7 @@ import (
 
 	"polis/internal/cfsm"
 	"polis/internal/expr"
+	"polis/internal/names"
 )
 
 // Config bounds the generated machines.
@@ -333,15 +334,16 @@ const (
 	TopoDAG
 )
 
-func (t Topology) String() string {
-	switch t {
-	case TopoChain:
-		return "chain"
-	case TopoDAG:
-		return "dag"
-	default:
-		return "independent"
-	}
+// topologyNames is the name table of the topologies, indexed by
+// Topology.
+var topologyNames = []string{TopoIndependent: "independent", TopoChain: "chain", TopoDAG: "dag"}
+
+func (t Topology) String() string { return names.Name(topologyNames, t) }
+
+// ParseTopology resolves a topology by name: "independent", "chain" or
+// "dag".
+func ParseTopology(name string) (Topology, error) {
+	return names.Parse[Topology]("topology", topologyNames, name)
 }
 
 // NewTopologyNetwork generates a network of n random machines wired

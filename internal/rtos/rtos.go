@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"polis/internal/cfsm"
+	"polis/internal/names"
 )
 
 // Policy selects the scheduling discipline.
@@ -35,6 +36,17 @@ const (
 	RoundRobin Policy = iota
 	StaticPriority
 )
+
+// policyNames is the name table of the policies, indexed by Policy.
+var policyNames = []string{RoundRobin: "rr", StaticPriority: "prio"}
+
+// ParsePolicy resolves a policy by name: "rr" or "prio".
+func ParsePolicy(name string) (Policy, error) {
+	return names.Parse[Policy]("policy", policyNames, name)
+}
+
+// Name returns the name ParsePolicy resolves to p.
+func (p Policy) Name() string { return names.Name(policyNames, p) }
 
 func (p Policy) String() string {
 	if p == RoundRobin {

@@ -6,6 +6,7 @@ import (
 	"polis/internal/bdd"
 	"polis/internal/cfsm"
 	"polis/internal/mvar"
+	"polis/internal/names"
 )
 
 // Ordering selects how the characteristic-function variables are
@@ -26,6 +27,27 @@ const (
 	// constrained after all inputs.
 	OrderSiftInputsFirst
 )
+
+// orderingNames is the name table of the orderings, indexed by
+// Ordering.
+var orderingNames = []string{
+	OrderSiftAfterSupport: "default",
+	OrderNaive:            "naive",
+	OrderSiftInputsFirst:  "inputs-first",
+}
+
+// ParseOrdering resolves an ordering by name: "default", "naive" or
+// "inputs-first"; "sift" also names the default.
+func ParseOrdering(name string) (Ordering, error) {
+	if name == "sift" {
+		return OrderSiftAfterSupport, nil
+	}
+	return names.Parse[Ordering]("ordering", orderingNames, name)
+}
+
+// Name returns the name ParseOrdering resolves to o, or "" for a value
+// outside the table.
+func (o Ordering) Name() string { return names.Name(orderingNames, o) }
 
 func (o Ordering) String() string {
 	switch o {

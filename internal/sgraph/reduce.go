@@ -195,15 +195,16 @@ func (f forwarding) resolve(v *Vertex) *Vertex {
 	return r
 }
 
-// applyForward rewrites every reachable edge through the forwarding
-// table. Forward targets are always vertices of the pre-rewrite graph,
-// so rewriting the pre-rewrite reachable set covers every edge that
-// can survive.
-func (g *SGraph) applyForward(f forwarding) {
+// applyForward rewrites the edges of order, the pass's pre-rewrite
+// reachable set, through the forwarding table. Forward targets are
+// always vertices of the pre-rewrite graph, so that set covers every
+// edge that can survive, and path-compressed resolution does not
+// depend on the visit order.
+func applyForward(order []*Vertex, f forwarding) {
 	if f == nil {
 		return
 	}
-	for _, v := range g.Reachable() {
+	for _, v := range order {
 		switch v.Kind {
 		case Test:
 			for i, c := range v.Children {
@@ -264,7 +265,7 @@ func (g *SGraph) straightenAssigns(st *ReduceStats) int {
 			dropped++
 		}
 	}
-	g.applyForward(forward)
+	applyForward(order, forward)
 	st.AssignsDropped += dropped
 	return dropped
 }
@@ -402,7 +403,7 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 			changed++
 		}
 	}
-	g.applyForward(forward)
+	applyForward(order, forward)
 	return changed
 }
 

@@ -26,8 +26,6 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/pipeline"
 	"polis/internal/polisd"
-	"polis/internal/sgraph"
-	"polis/internal/vm"
 )
 
 // Job is the unit of work handed to one shard-worker process on its
@@ -49,46 +47,6 @@ type Result struct {
 	Cache       string  `json:"cache"` // "miss" | "mem" | "disk" | "dedup"
 	Ms          float64 `json:"ms"`
 	Error       string  `json:"error,omitempty"`
-}
-
-// wireOptions maps pipeline options back onto the wire form, erroring
-// on options the wire cannot carry (a silent drop would change the
-// workers' fingerprints and break the shuffle-layer lookup).
-func wireOptions(opt pipeline.Options) (polisd.WireOptions, error) {
-	var w polisd.WireOptions
-	switch opt.Target {
-	case nil:
-	default:
-		switch opt.Target.Name {
-		case vm.HC11().Name:
-			w.Target = "hc11"
-		case vm.R3K().Name:
-			w.Target = "r3k"
-		default:
-			return w, fmt.Errorf("shard: target %q not supported in process mode", opt.Target.Name)
-		}
-	}
-	switch opt.Ordering {
-	case sgraph.OrderSiftAfterSupport:
-		w.Ordering = "default"
-	case sgraph.OrderNaive:
-		w.Ordering = "naive"
-	case sgraph.OrderSiftInputsFirst:
-		w.Ordering = "inputs-first"
-	default:
-		return w, fmt.Errorf("shard: ordering %v not supported in process mode", opt.Ordering)
-	}
-	w.OptimizeCopies = opt.Codegen.OptimizeCopies
-	w.IfThreshold = opt.Codegen.IfThreshold
-	w.UseFalsePaths = opt.UseFalsePaths
-	w.Reduce = opt.Reduce
-	if opt.Reduce && opt.ReduceOpt != (sgraph.ReduceOptions{}) {
-		return w, errors.New("shard: tuned reduce options not supported in process mode")
-	}
-	if opt.Profile != nil {
-		return w, errors.New("shard: profile-guided specialization not supported in process mode")
-	}
-	return w, nil
 }
 
 // Worker is the body of the `polisc shard-worker` subcommand: decode
@@ -158,9 +116,9 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 	if len(workerCmd) == 0 {
 		return nil, errors.New("shard: process mode needs a worker command")
 	}
-	wopt, err := wireOptions(opt.Pipeline)
+	wopt, err := polisd.EncodeOptions(opt.Pipeline)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: options not supported in process mode: %w", err)
 	}
 	machines := net.Machines
 	shards := opt.Shards

@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"polis/internal/codegen"
 	"polis/internal/pipeline"
+	"polis/internal/sgraph"
 	"polis/internal/shard"
+	"polis/internal/vm"
 )
 
 // Worker modes of the test binary, chosen by its first argument.
@@ -77,6 +80,33 @@ func TestRunProcsMatchesInProcess(t *testing.T) {
 	}
 	if !strings.Contains(procs.Summary(), "(process)") {
 		t.Errorf("summary does not name the mode: %q", procs.Summary())
+	}
+}
+
+// TestRunProcsMatchesInProcessOptions: every option the job carries
+// reaches the workers intact, so a non-default configuration produces
+// the same artifacts as the in-process pipeline under the same options.
+func TestRunProcsMatchesInProcessOptions(t *testing.T) {
+	net := testNetwork(t, 13, 6)
+	opt := pipeline.Options{
+		Target:        vm.R3K(),
+		Ordering:      sgraph.OrderSiftInputsFirst,
+		Codegen:       codegen.Options{OptimizeCopies: true, IfThreshold: 3},
+		UseFalsePaths: true,
+		Reduce:        true,
+	}
+	inproc, err := pipeline.Run(net, opt, pipeline.Config{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs, err := shard.RunProcs(context.Background(), net,
+		shard.Options{Shards: 2, Pipeline: opt, CacheDir: t.TempDir()}, workerCmd(t, workerOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameArtifacts(t, "process mode, tuned options", procs.Artifacts, inproc)
+	if procs.Total.Outcomes[pipeline.OutcomeMiss] != len(net.Machines) {
+		t.Errorf("cold process run attribution %s, want %d misses", procs.Total.Attribution(), len(net.Machines))
 	}
 }
 

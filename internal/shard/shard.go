@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
+	"polis/internal/names"
 	"polis/internal/pipeline"
 )
 
@@ -43,27 +44,19 @@ const (
 	BySize
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case ByHash:
-		return "hash"
-	case BySize:
-		return "size"
-	default:
-		return fmt.Sprintf("strategy%d", int(s))
-	}
-}
+// strategyNames is the name table of the strategies, indexed by
+// Strategy.
+var strategyNames = []string{ByHash: "hash", BySize: "size"}
 
-// ParseStrategy resolves a strategy name ("hash" or "size").
+func (s Strategy) String() string { return names.Name(strategyNames, s) }
+
+// ParseStrategy resolves a strategy by name: "hash" (also "") or
+// "size".
 func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "", "hash":
+	if name == "" {
 		return ByHash, nil
-	case "size":
-		return BySize, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown strategy %q (want hash or size)", name)
 	}
+	return names.Parse[Strategy]("strategy", strategyNames, name)
 }
 
 // weight is the structural proxy for a module's synthesis cost.

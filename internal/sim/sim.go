@@ -34,6 +34,7 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/estimate"
+	"polis/internal/names"
 	"polis/internal/pipeline"
 	"polis/internal/profile"
 	"polis/internal/rtos"
@@ -53,6 +54,15 @@ const (
 	// virtual CPU, charging the exact cycle count.
 	VMExact
 )
+
+// modeNames is the name table of the timing modes, indexed by Mode.
+var modeNames = []string{Behavioral: "behavioral", VMExact: "vm"}
+
+// ParseMode resolves a timing mode by name: "behavioral" or "vm".
+func ParseMode(name string) (Mode, error) { return names.Parse[Mode]("mode", modeNames, name) }
+
+// Name returns the name ParseMode resolves to m.
+func (m Mode) Name() string { return names.Name(modeNames, m) }
 
 // Stimulus is one environment event.
 type Stimulus struct {

@@ -1,6 +1,11 @@
 package vm
 
-import "polis/internal/expr"
+import (
+	"fmt"
+	"strings"
+
+	"polis/internal/expr"
+)
 
 // Profile is the cost model of one target system: per-instruction
 // sizes in bytes and timings in clock cycles, arithmetic library
@@ -127,6 +132,25 @@ func R3K() *Profile {
 		expr.OpMin: 2, expr.OpMax: 2,
 	}
 	return p
+}
+
+// targets is the name table of the built-in targets: one instance of
+// each for the life of the process, so that estimate.CalibrateCached,
+// which memoizes by profile pointer, calibrates each target once.
+var targets = []*Profile{HC11(), R3K()}
+
+// Target returns the shared instance of the built-in target with the
+// given name ("hc11" or "r3k"); it must not be modified. HC11 and R3K
+// build fresh profiles.
+func Target(name string) (*Profile, error) {
+	names := make([]string, len(targets))
+	for i, p := range targets {
+		if p.Name == name {
+			return p, nil
+		}
+		names[i] = p.Name
+	}
+	return nil, fmt.Errorf("unknown target %q (accepted: %s)", name, strings.Join(names, ", "))
 }
 
 // InstrSize returns the encoded size of instruction i of prog when its
