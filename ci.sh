@@ -1,5 +1,7 @@
 #!/bin/sh
-# CI gate: vet, build, the full test suite, the race detector (the
+# CI gate: vet (also of the pipeline package for windows, so the
+# os-based disk-cache read that non-unix builds compile stays
+# checked), build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
 # ownership and use-after-Release checks enabled under the bdddebug
 # build tag (over the kernel, the two packages that release managers
@@ -33,6 +35,7 @@
 set -eux
 
 go vet ./...
+GOOS=windows go vet ./internal/pipeline/
 go build ./...
 go test ./...
 go test -race ./...

@@ -136,7 +136,15 @@ func (m *Model) TaskBegan(t *rtos.Task, snap cfsm.Snapshot, now int64) {
 	if ts.running {
 		m.violate("buffer-model", "task %s began while already running (t=%d)", ts.name, now)
 	}
-	for s := range snap.Present {
+	// Both checks walk the task's inputs in declaration order, not
+	// the maps, so a replayed failure reports the same lines in the
+	// same order. Every key of either map is one of those inputs:
+	// deliveries are routed to input slots, and snapshots are built
+	// from them.
+	for _, s := range t.M.Inputs {
+		if !snap.Present[s] {
+			continue
+		}
 		v, ok := ts.visible[s]
 		if !ok {
 			m.violate("buffer-model",
@@ -150,8 +158,8 @@ func (m *Model) TaskBegan(t *rtos.Task, snap cfsm.Snapshot, now int64) {
 				ts.name, now, s.Name, got, v)
 		}
 	}
-	for s := range ts.visible {
-		if !snap.Present[s] {
+	for _, s := range t.M.Inputs {
+		if _, ok := ts.visible[s]; ok && !snap.Present[s] {
 			m.violate("buffer-model",
 				"task %s t=%d: model expects %s present but the snapshot misses it (event preservation violated)",
 				ts.name, now, s.Name)

@@ -283,3 +283,31 @@ func TestCleanRunsAreMutantFree(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayByteStable replays a stale-buffer campaign in which one
+// task has two mismatching buffers at once, several times over, and
+// requires the same output each time: a replayed failure must print
+// its violation lines in one order.
+func TestReplayByteStable(t *testing.T) {
+	cfg, err := Parse("n=3,topo=dag,stim=12,gap=60000,hz=0,policy=prio,preempt=1,poll=0,hw=0,chain=0,reduce=1,storm=0,spec=0,faults=,mutant=stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seeds and run count of "polisc fuzz -seed 3 -config ...".
+	replay := func() string {
+		var b strings.Builder
+		Campaign(3, 100, cfg, false, &b)
+		return b.String()
+	}
+	first := replay()
+	for _, line := range []string{"task m02 t=480024: snapshot value of m02_i0", "task m02 t=480024: snapshot value of m02_i2"} {
+		if !strings.Contains(first, line) {
+			t.Fatalf("the campaign no longer reports two stale buffers of one task (no %q); pick a config that does", line)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if again := replay(); again != first {
+			t.Fatalf("replay %d differs from the first:\n%s\nvs\n%s", i+2, again, first)
+		}
+	}
+}

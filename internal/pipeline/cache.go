@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"polis/internal/cfsm"
 )
@@ -139,9 +141,9 @@ func appendBool(b []byte, v bool) []byte {
 // payload (C, listing, estimates, measurements, s-graph statistics)
 // and have nil live handles. Each disk entry is one length-prefixed
 // binary file per fingerprint (see entryFields). A truncated,
-// corrupted or unreadable disk entry is treated as a miss — the
-// module is recompiled and the bad entry overwritten by the following
-// Put — and counted in Stats().CorruptMisses.
+// corrupted or oversized (see maxEntryBytes) disk entry is treated as
+// a miss — the module is recompiled and the bad entry overwritten by
+// the following Put — and counted in Stats().CorruptMisses.
 //
 // The cache also carries the singleflight registry used by the
 // pipeline (and by polisd across requests): at most one synthesis per
@@ -151,6 +153,9 @@ type Cache struct {
 	mu  sync.RWMutex
 	mem map[string]*Artifact
 	dir string
+	// prefix is dir joined with an empty file name, so an entry's
+	// path is one concatenation (see path).
+	prefix string
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -174,15 +179,21 @@ type flight struct {
 // only; otherwise dir is created (if needed) and used as the on-disk
 // layer, one binary entry file per fingerprint.
 func NewCache(dir string) (*Cache, error) {
+	var prefix string
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("pipeline: cache dir: %w", err)
 		}
+		// Join cleans dir and adds a separator where one is needed;
+		// dropping the one-byte name leaves what it put before it.
+		prefix = filepath.Join(dir, "x")
+		prefix = prefix[:len(prefix)-1]
 	}
 	return &Cache{
 		mem:     make(map[string]*Artifact),
 		flights: make(map[string]*flight),
 		dir:     dir,
+		prefix:  prefix,
 	}, nil
 }
 
@@ -225,7 +236,7 @@ type CacheStats struct {
 	MemHits       int64         // hits served from memory
 	DiskHits      int64         // hits restored from the on-disk layer
 	Misses        int64         // lookups that found nothing usable
-	CorruptMisses int64         // subset of Misses: unreadable/truncated disk entries
+	CorruptMisses int64         // subset of Misses: malformed, truncated or oversized disk entries
 	DedupJoins    int64         // singleflight followers that joined an in-flight synthesis
 	GetWait       time.Duration // cumulative time spent waiting for the read lock
 	PutWait       time.Duration // cumulative time spent waiting for the write lock
@@ -254,9 +265,28 @@ const diskSchema = 4
 
 var diskMagic = [4]byte{'P', 'O', 'L', diskSchema}
 
+// path is filepath.Join(c.dir, key+".bin") for a fingerprint key,
+// built in one concatenation.
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".bin")
+	return c.prefix + key + ".bin"
 }
+
+// maxEntryBytes caps the size of a disk entry Get will read, so a
+// huge, sparse or hostile file in the cache directory cannot make a
+// lookup allocate without bound. Entries are small: the largest the
+// paper's designs and the random corpora produce (randcfsm up to
+// Scaled(4), with and without Reduce) is 6.6 KB, and the largest a
+// test publishes is the 4 MiB payload of TestCachePublishRace. 64 MiB
+// is four orders of magnitude above the first and 16 times the
+// second, so no entry Put writes in practice is refused, while a
+// lookup still allocates at most 64 MiB per concurrent caller. A
+// larger file is a corrupt miss, and the recompile's Put overwrites
+// it.
+const maxEntryBytes = 64 << 20
+
+// errEntryTooLarge is readEntry's refusal of a file over
+// maxEntryBytes.
+var errEntryTooLarge = errors.New("pipeline: cache entry exceeds maxEntryBytes")
 
 // entryVisitor is one direction of the disk-entry codec: entryFields
 // walks an Artifact's serialisable fields through it, so the encoder
@@ -326,23 +356,37 @@ func encodeEntry(a *Artifact) []byte {
 // input has at most one accepted encoding: a truncated or overlong
 // varint, a non-minimal varint, a string longer than the remaining
 // bytes or a bool byte other than 0/1 marks the entry bad, and every
-// later field reads as zero.
+// later field reads as zero. String fields are substrings of the
+// input, never copies.
 type entryReader struct {
-	b   []byte
+	s   string
 	bad bool
 }
 
+// uvarint reads what binary.AppendUvarint wrote, accepting exactly
+// what binary.Uvarint accepts except a non-minimal encoding (a last
+// byte of 0 after the first).
 func (r *entryReader) uvarint() uint64 {
 	if r.bad {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.bad = true
-		return 0
+	var v uint64
+	for i := 0; i < len(r.s); i++ {
+		b := r.s[i]
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break // overflows 64 bits, or longer than ten bytes
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				break // non-minimal
+			}
+			r.s = r.s[i+1:]
+			return v
+		}
 	}
-	r.b = r.b[n:]
-	return v
+	r.bad = true
+	return 0
 }
 
 func (r *entryReader) int64Field(p *int64) {
@@ -364,35 +408,36 @@ func (r *entryReader) intField(p *int) {
 }
 
 func (r *entryReader) boolField(p *bool) {
-	if r.bad || len(r.b) == 0 || r.b[0] > 1 {
+	if r.bad || len(r.s) == 0 || r.s[0] > 1 {
 		r.bad = true
 		return
 	}
-	*p = r.b[0] == 1
-	r.b = r.b[1:]
+	*p = r.s[0] == 1
+	r.s = r.s[1:]
 }
 
 func (r *entryReader) stringField(p *string) {
 	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)) {
+	if r.bad || n > uint64(len(r.s)) {
 		r.bad = true
 		return
 	}
-	*p = string(r.b[:n])
-	r.b = r.b[n:]
+	*p = r.s[:n]
+	r.s = r.s[n:]
 }
 
 // decodeEntry parses a disk entry. It returns ok == false for bad
 // magic or schema, any malformed field, trailing bytes or an empty
-// Module; it never panics.
-func decodeEntry(data []byte) (a *Artifact, ok bool) {
-	if len(data) < len(diskMagic) || [4]byte(data[:4]) != diskMagic {
+// Module; it never panics. The artifact's Module, C and Listing are
+// substrings of data, so they keep all of data alive.
+func decodeEntry(data string) (a *Artifact, ok bool) {
+	if len(data) < len(diskMagic) || data[:len(diskMagic)] != string(diskMagic[:]) {
 		return nil, false
 	}
-	r := entryReader{b: data[len(diskMagic):]}
+	r := entryReader{s: data[len(diskMagic):]}
 	a = new(Artifact)
 	entryFields(&r, a)
-	if r.bad || len(r.b) != 0 || a.Module == "" {
+	if r.bad || len(r.s) != 0 || a.Module == "" {
 		return nil, false
 	}
 	return a, true
@@ -414,16 +459,21 @@ func (c *Cache) Get(key string) (a *Artifact, fromDisk, ok bool) {
 		c.misses.Add(1)
 		return nil, false, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false, false
+	data, err := readEntry(c.path(key))
+	if err == nil {
+		// data is the only reference to the buffer readEntry has just
+		// filled, and nothing writes that buffer again, so it changes
+		// owner here, once: from now on the string is its only user,
+		// and the decoded artifact's strings are substrings of it.
+		a, ok = decodeEntry(unsafe.String(unsafe.SliceData(data), len(data)))
 	}
-	a, ok = decodeEntry(data)
 	if !ok {
-		// Truncated, corrupted or stale entry: a miss, never an error.
-		// The recompile's Put overwrites the bad file.
-		c.corrupt.Add(1)
+		// A missing or unreadable file is a plain miss. An oversized,
+		// truncated, corrupted or stale entry is a corrupt miss, never
+		// an error; the recompile's Put overwrites the bad file.
+		if err == nil || err == errEntryTooLarge {
+			c.corrupt.Add(1)
+		}
 		c.misses.Add(1)
 		return nil, false, false
 	}

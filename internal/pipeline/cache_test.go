@@ -262,6 +262,47 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskHitAllocs gates the allocations of one disk hit on a fresh
+// Cache: the entry's path, the read and the decode, and the store
+// into the memory layer. The ceiling is the count measured when the
+// read went through four system calls and the decoder stopped copying
+// the entry's strings out of the read buffer (Go 1.24, linux/amd64).
+func TestDiskHitAllocs(t *testing.T) {
+	if raceBuild || bddDebugBuild {
+		t.Skip("allocation counts differ under the race detector and the bdddebug tag")
+	}
+	const ceiling = 6
+	dir := t.TempDir()
+	m := goodMachine("allocs")
+	warm, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunModules([]*cfsm.CFSM{m}, Options{}, Config{Jobs: 1, Cache: warm}); err != nil {
+		t.Fatal(err)
+	}
+	key := Fingerprint(m, Options{})
+	// AllocsPerRun calls the function runs+1 times; each call gets a
+	// cache of its own, opened beforehand, so every call is a disk hit.
+	const runs = 20
+	fresh := make([]*Cache, runs+1)
+	for i := range fresh {
+		if fresh[i], err = NewCache(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(runs, func() {
+		c := fresh[0]
+		fresh = fresh[1:]
+		if _, fromDisk, ok := c.Get(key); !ok || !fromDisk {
+			t.Fatalf("want a disk hit, got ok=%v fromDisk=%v", ok, fromDisk)
+		}
+	})
+	if n > ceiling {
+		t.Errorf("disk hit: %v allocations, ceiling %v", n, ceiling)
+	}
+}
+
 // TestDiskCacheCorruption: corrupted or wrong-schema entries fall back
 // to a recompile instead of failing the run.
 func TestDiskCacheCorruption(t *testing.T) {

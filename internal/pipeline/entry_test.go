@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"polis/internal/cfsm"
@@ -53,7 +54,7 @@ func TestEntryRoundTripEveryField(t *testing.T) {
 	var a Artifact
 	var next int64
 	fillDistinct(t, "", reflect.ValueOf(&a).Elem(), &next)
-	got, ok := decodeEntry(encodeEntry(&a))
+	got, ok := decodeEntry(string(encodeEntry(&a)))
 	if !ok {
 		t.Fatal("decoding a fresh encoding missed")
 	}
@@ -81,7 +82,7 @@ func TestDiskEntryCorruptAsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := decodeEntry(good)
+	a, ok := decodeEntry(string(good))
 	if !ok {
 		t.Fatal("published entry does not decode")
 	}
@@ -104,17 +105,32 @@ func TestDiskEntryCorruptAsMiss(t *testing.T) {
 	for k := 1; k < 8; k++ {
 		cases[fmt.Sprintf("truncated %d/8", k)] = good[:len(good)*k/8]
 	}
+	// The oversized row is the good entry extended by os.Truncate to
+	// one byte past maxEntryBytes: a sparse file, so it takes no disk
+	// space, and Get must refuse it before allocating its size.
+	cases["oversized"] = good
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if name == "oversized" {
+				if err := os.Truncate(path, maxEntryBytes+1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			c2, err := NewCache(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			if _, _, ok := c2.Get(key); ok {
 				t.Fatal("malformed entry must be a miss")
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxEntryBytes {
+				t.Errorf("the miss allocated %d bytes", grew)
 			}
 			if st := c2.Stats(); st.CorruptMisses != 1 || st.Misses != 1 {
 				t.Errorf("want 1 corrupt miss, got %+v", st)
@@ -144,7 +160,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	}
 	f.Add([]byte(`{"Schema":3,"Module":"m","NumTests":1,"C":"void f(){}"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, ok := decodeEntry(data)
+		a, ok := decodeEntry(string(data))
 		if !ok {
 			if a != nil {
 				t.Fatal("a miss returned an artifact")
