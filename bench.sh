@@ -49,7 +49,7 @@ run_benches() {
         go test -run '^$' -bench . -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/bdd/
         # The cache key, and the stages after the s-graph one by one
         # (BenchmarkBackend: reduce, routine, assemble, emit-c,
-        # analyze-cycles, estimate).
+        # analyze-cycles, listing, code-size, estimate).
         go test -run '^$' -bench 'BenchmarkFingerprint|BenchmarkBackend' -benchmem ${BENCHTIME:+-benchtime="$BENCHTIME"} ./internal/pipeline/
         ;;
     sim)

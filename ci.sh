@@ -42,6 +42,9 @@ go test -race ./...
 # The deadline and flight tests of polisd, repeated: they must not
 # depend on how fast synthesis is.
 go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' ./internal/polisd/
+# The back end's reused scratch must stay out of every artifact,
+# however the workers interleave.
+go test -race -count=20 -run TestArtifactsKeepNoScratch ./internal/pipeline/
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 timeout 300 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 100000x ./internal/pipeline
 timeout 300 go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 100000x ./internal/polisd

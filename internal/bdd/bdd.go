@@ -357,9 +357,6 @@ func (m *Manager) VarName(v Var) string { return m.names[v] }
 // (0 is the top).
 func (m *Manager) Level(v Var) int { return m.perm[v] }
 
-// VarAt returns the variable currently at the given level.
-func (m *Manager) VarAt(level int) Var { return m.invperm[level] }
-
 // levelOf returns the order level of the labelling variable of n, or a
 // value larger than any level for terminals. The complement bit does
 // not affect the level.

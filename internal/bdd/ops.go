@@ -315,15 +315,6 @@ func (m *Manager) cofRec(f Node, v Var, lvl int, lit Node) Node {
 	return r ^ c
 }
 
-// Restrict applies a partial assignment given as parallel slices of
-// variables and values, cofactoring f by each in turn.
-func (m *Manager) Restrict(f Node, vars []Var, vals []bool) Node {
-	for i, v := range vars {
-		f = m.Cofactor(f, v, vals[i])
-	}
-	return f
-}
-
 // varsCube builds the positive-literal cube of the given variables in
 // the current order — the canonical operation-cache key for
 // quantification. Duplicate variables collapse.

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"polis/internal/cfsm"
 	"polis/internal/expr"
@@ -65,6 +66,7 @@ const (
 type Builder struct {
 	c    *cfsm.CFSM
 	p    *vm.Program
+	buf  *[]vm.Instr // the lent buffer p.Instrs grows in until Finish
 	sigs SignalMap
 	opts Options
 	plan *CopyPlan
@@ -76,6 +78,10 @@ type Builder struct {
 	tmpDepth  int
 	maxTmp    int
 }
+
+// instrBufs lends each Builder the instruction buffer it assembles in.
+// Finish copies the finished stream out, so no Program keeps one.
+var instrBufs = sync.Pool{New: func() any { return new([]vm.Instr) }}
 
 // NewBuilder prepares a routine for the given CFSM: the entry label is
 // marked, state words are allocated and the copy-on-entry prologue is
@@ -96,6 +102,8 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 		curAddr:   make(map[*cfsm.StateVar]int),
 		valAddr:   make(map[*cfsm.Signal]int),
 	}
+	a.buf = instrBufs.Get().(*[]vm.Instr)
+	a.p.Instrs = (*a.buf)[:0]
 	for _, sv := range c.States {
 		a.stateAddr[sv] = a.p.Alloc("st_" + sv.Name)
 	}
@@ -109,11 +117,18 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 // Prog exposes the program under construction for direct emission.
 func (a *Builder) Prog() *vm.Program { return a.p }
 
-// Finish resolves labels and returns the completed program.
+// Finish resolves labels and returns the completed program, whose
+// instructions it copies out of the Builder's buffer into a slice of
+// exactly their number. The Builder is done after it.
 func (a *Builder) Finish() (*vm.Program, error) {
 	if err := a.p.Resolve(); err != nil {
 		return nil, err
 	}
+	ins := a.p.Instrs
+	a.p.Instrs = make([]vm.Instr, len(ins))
+	copy(a.p.Instrs, ins)
+	*a.buf = ins[:0]
+	instrBufs.Put(a.buf)
 	return a.p, nil
 }
 
@@ -312,9 +327,7 @@ func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
 // body emits the routine's vertices in layout order, each ending in
 // the routine's Jump unless a jump table dispatched every outcome.
 func (a *Builder) body(r *Routine) error {
-	// Room for about five instructions per vertex, the usual count, and
-	// a label and a comment each.
-	a.p.Reserve(5*len(r.Order), len(r.Order))
+	a.p.Reserve(len(r.Order))
 	a.vlab = make([]int32, r.G.IDBound())
 	for _, v := range r.Order {
 		a.vlab[v.ID] = a.p.Label(vlabel(v))

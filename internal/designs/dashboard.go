@@ -385,25 +385,3 @@ func buzzerCFSM(d *Dashboard) *cfsm.CFSM {
 		c.Assign(ph, expr.C(0)))
 	return c
 }
-
-// SpeedSubnet returns the acyclic three-machine speed chain
-// (speed_filter -> speedo -> pwm) for composition experiments.
-func SpeedSubnet() (*cfsm.Network, *Dashboard) {
-	d := &Dashboard{}
-	n := cfsm.NewNetwork("speed_chain")
-	d.Net = n
-	d.WheelPulse = n.NewSignal("wheel_pulse", false)
-	d.PWMClock = n.NewSignal("pwm_clock", true)
-	d.Speed = n.NewSignal("speed", false)
-	d.SpeedDuty = n.NewSignal("speed_duty", false)
-	d.PWMPin = n.NewSignal("pwm_pin", false)
-	d.SpeedF = speedFilterCFSM(d)
-	d.SpeedDisp = speedDisplayCFSM(d)
-	d.PWM = pwmCFSM(d)
-	for _, m := range []*cfsm.CFSM{d.SpeedF, d.SpeedDisp, d.PWM} {
-		if err := n.Add(m); err != nil {
-			panic(err)
-		}
-	}
-	return n, d
-}

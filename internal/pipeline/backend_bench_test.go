@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // HC11 with default options: reduce (on a fresh clone of each
 // unreduced graph; the clone is not timed), routine (codegen.NewRoutine
 // over each reduced graph), then assemble, emit-c and estimate over the
-// prebuilt routines and analyze-cycles over their programs. One op is
-// the stage over every module.
+// prebuilt routines and analyze-cycles, listing and code-size over
+// their programs. One op is the stage over every module.
 func BenchmarkBackend(b *testing.B) {
 	opt := Options{}
 	opt.fill()
@@ -97,6 +98,22 @@ func BenchmarkBackend(b *testing.B) {
 			}
 		}
 	})
+	b.Run("listing", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				cSink = p.Listing()
+			}
+		}
+	})
+	b.Run("code-size", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				sizeSink = opt.Target.CodeSize(p)
+			}
+		}
+	})
 	b.Run("estimate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -110,6 +127,7 @@ func BenchmarkBackend(b *testing.B) {
 var (
 	routineSink *codegen.Routine
 	cSink       string
+	sizeSink    int
 	estSink     estimate.Result
 )
 
@@ -124,14 +142,14 @@ var bddDebugBuild bool
 // TestBackendAllocs gates the allocations of the back end of the
 // paper's two designs: one codegen.Routine, then assembly, C emission
 // and estimation over it, for each reduced dashboard and
-// shock-absorber graph. The ceiling is the count measured when C
-// emission stopped rewriting rendered text and wrote each expression
-// straight into its builder (Go 1.24, linux/amd64).
+// shock-absorber graph. The ceiling is the count measured when the
+// assembler began building in a reused instruction buffer (Go 1.24,
+// linux/amd64).
 func TestBackendAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const ceiling = 1233
+	const ceiling = 1183
 	opt := Options{Reduce: true}
 	opt.fill()
 	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
@@ -148,6 +166,10 @@ func TestBackendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A collection empties the pool of instruction buffers, and the
+	// next assembly allocates and grows a fresh one; with the collector
+	// off the count is exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	n := testing.AllocsPerRun(20, func() {
 		for i, g := range gs {
 			r := codegen.NewRoutine(g, opt.Codegen)
@@ -163,30 +185,66 @@ func TestBackendAllocs(t *testing.T) {
 	}
 }
 
-// TestSynthesizeAllocs gates the allocations of whole-module synthesis,
-// front end and back end, of the paper's two designs under the
-// options the synthesis benchmark uses. The ceiling is the count
-// measured when the reducer's forwarding rewrite stopped walking the
-// graph again after each pass (Go 1.24, linux/amd64).
-func TestSynthesizeAllocs(t *testing.T) {
-	if raceBuild || bddDebugBuild {
-		t.Skip("allocation counts differ under the race detector and the bdddebug tag")
-	}
-	const ceiling = 5089
+// synthesizeDesigns returns a function that synthesizes every module
+// of the paper's two designs under the options the synthesis benchmark
+// uses.
+func synthesizeDesigns(t *testing.T) func() {
 	opt := Options{Reduce: true}
 	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
-	// A collection empties the pool of BDD managers, and the next
-	// synthesis allocates a fresh one; with the collector off the
-	// count is exact.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	n := testing.AllocsPerRun(5, func() {
+	return func() {
 		for _, m := range ms {
 			if _, err := SynthesizeModule(m, opt, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
+	}
+}
+
+// TestSynthesizeAllocs gates the allocations of whole-module synthesis,
+// front end and back end, of the paper's two designs under the
+// options the synthesis benchmark uses. The ceiling is the count
+// measured when the back end began assembling, listing and timing in
+// reused scratch (Go 1.24, linux/amd64).
+func TestSynthesizeAllocs(t *testing.T) {
+	if raceBuild || bddDebugBuild {
+		t.Skip("allocation counts differ under the race detector and the bdddebug tag")
+	}
+	const ceiling = 4964
+	// A collection empties the pool of BDD managers, and the next
+	// synthesis allocates a fresh one; with the collector off the
+	// count is exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := testing.AllocsPerRun(5, synthesizeDesigns(t))
 	if n > ceiling {
 		t.Errorf("synthesis of the two designs: %v allocations per run, ceiling %v", n, ceiling)
+	}
+}
+
+// TestSynthesizeBytes gates the bytes that synthesis of the paper's two
+// designs allocates, as TestSynthesizeAllocs gates their number. The
+// ceiling is the figure measured when the back end began assembling,
+// listing and timing in reused scratch, plus 2% (Go 1.24,
+// linux/amd64).
+func TestSynthesizeBytes(t *testing.T) {
+	if raceBuild || bddDebugBuild {
+		t.Skip("allocation sizes differ under the race detector and the bdddebug tag")
+	}
+	const ceiling = 269888 * 102 / 100
+	const runs = 5
+	// Pools keep a buffer per P, so a goroutine that moves to another
+	// P misses and allocates afresh; one P, as AllocsPerRun uses, makes
+	// the figure exact.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := synthesizeDesigns(t)
+	run() // fill the pools, as AllocsPerRun's warm-up run does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > ceiling {
+		t.Errorf("synthesis of the two designs: %v bytes per run, ceiling %v", n, ceiling)
 	}
 }

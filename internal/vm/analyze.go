@@ -1,6 +1,10 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // PathCycles is the result of static object-code timing analysis: the
 // exact minimum and maximum cycles of any execution path. This is the
@@ -10,6 +14,17 @@ type PathCycles struct {
 	Min int64
 	Max int64
 }
+
+// memoEnt is AnalyzeCycles' record of one instruction: its cycle
+// bounds to a HALT once done, and whether a visit of it is in flight.
+type memoEnt struct {
+	min, max int64
+	done     bool
+	onStack  bool
+}
+
+// memos lends AnalyzeCycles its memo, which no result keeps.
+var memos = sync.Pool{New: func() any { return new([]memoEnt) }}
 
 // AnalyzeCycles computes the minimum and maximum cycle counts over all
 // paths from the entry label to any HALT, by shortest/longest path
@@ -24,12 +39,9 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		return PathCycles{}, err
 	}
 	// One memo entry per instruction, indexed by pc.
-	type memoEnt struct {
-		min, max int64
-		done     bool
-		onStack  bool
-	}
-	memo := make([]memoEnt, len(prog.Instrs))
+	mp := memos.Get().(*[]memoEnt)
+	memo := slices.Grow((*mp)[:0], len(prog.Instrs))[:len(prog.Instrs)]
+	clear(memo)
 	c := newCosts(prof)
 
 	var visit func(pc int) (int64, int64, error)
@@ -57,6 +69,8 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		return mn, mx, nil
 	}
 	mn, mx, err := visit(entry)
+	*mp = memo[:0]
+	memos.Put(mp)
 	if err != nil {
 		return PathCycles{}, err
 	}

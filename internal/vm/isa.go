@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"polis/internal/expr"
 )
@@ -162,11 +163,9 @@ func (p *Program) Emit(i Instr) int {
 	return len(p.Instrs) - 1
 }
 
-// Reserve makes room for instrs more instructions and labels more
-// labels and comments, so an assembler that knows the size of its
-// routine appends without regrowing.
-func (p *Program) Reserve(instrs, labels int) {
-	p.Instrs = slices.Grow(p.Instrs, instrs)
+// Reserve makes room for labels more labels and as many comments, so
+// an assembler that knows its label count appends without regrowing.
+func (p *Program) Reserve(labels int) {
 	p.labels = slices.Grow(p.labels, labels)
 	p.comments = slices.Grow(p.comments, labels)
 }
@@ -380,10 +379,23 @@ func (p *Program) labelName(l int32) string {
 	return p.labels[l].name
 }
 
+// listingScratch is the working storage of one Listing call: the bound
+// labels in listing order and the text under construction.
+type listingScratch struct {
+	marks []label
+	b     []byte
+}
+
+// listingBufs lends Listing its scratch. The listing returned is a
+// copy of exactly the text's length, so no buffer outlives the call.
+var listingBufs = sync.Pool{New: func() any { return new(listingScratch) }}
+
 // Listing renders a human-readable assembly listing. Every artifact
-// carries one, so it is built with append and strconv rather than fmt.
+// carries one, so it is built with append and strconv rather than fmt,
+// in scratch that the next call reuses.
 func (p *Program) Listing() string {
-	marks := make([]label, 0, len(p.labels))
+	s := listingBufs.Get().(*listingScratch)
+	marks := s.marks[:0]
 	for _, l := range p.labels {
 		if l.at >= 0 {
 			marks = append(marks, l)
@@ -393,11 +405,12 @@ func (p *Program) Listing() string {
 		return cmp.Or(cmp.Compare(a.at, b.at), strings.Compare(a.name, b.name))
 	})
 	comments := p.comments
-	b := make([]byte, 0, 32*(len(p.Instrs)+len(marks)+1))
+	b := s.b[:0]
+	next := 0 // the first mark not yet listed
 	labelsAt := func(i int) {
-		for ; len(marks) > 0 && int(marks[0].at) <= i; marks = marks[1:] {
-			if int(marks[0].at) == i { // a label set out of range is not listed
-				b = append(b, marks[0].name...)
+		for ; next < len(marks) && int(marks[next].at) <= i; next++ {
+			if int(marks[next].at) == i { // a label set out of range is not listed
+				b = append(b, marks[next].name...)
 				b = append(b, ":\n"...)
 			}
 		}
@@ -491,5 +504,9 @@ func (p *Program) Listing() string {
 		b = append(b, '\n')
 	}
 	labelsAt(len(p.Instrs))
-	return string(b)
+	text := string(b)
+	clear(marks) // drop the label names
+	s.marks, s.b = marks[:0], b[:0]
+	listingBufs.Put(s)
+	return text
 }

@@ -2,7 +2,9 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"polis/internal/expr"
 )
@@ -171,16 +173,20 @@ func (p *Profile) InstrSize(prog *Program, i, disp int) int {
 	}
 }
 
-// Layout computes the byte offset of every instruction under the
-// profile's encoding, relaxing branches to their short form where the
-// displacement allows (iterating to a fixed point, like a linker's
-// branch relaxation). The returned slice has one extra element: the
-// total code size in bytes.
-func (p *Profile) Layout(prog *Program) []int {
+// layouts lends CodeSize its offset and size arrays, which no result
+// keeps.
+var layouts = sync.Pool{New: func() any { return new([]int) }}
+
+// CodeSize returns the total encoded size of the program in bytes. It
+// lays the program out under the profile's encoding, relaxing branches
+// to their short form where the displacement allows (iterating to a
+// fixed point, like a linker's branch relaxation).
+func (p *Profile) CodeSize(prog *Program) int {
 	n := len(prog.Instrs)
-	off := make([]int, n+1)
+	bp := layouts.Get().(*[]int)
+	buf := slices.Grow((*bp)[:0], 2*n+1)[:2*n+1]
+	off, sizes := buf[:n+1], buf[n+1:] // off[i]: byte offset of instruction i
 	// Start with long forms everywhere, then shrink.
-	sizes := make([]int, n)
 	for i := range prog.Instrs {
 		sizes[i] = p.InstrSize(prog, i, 1<<30)
 	}
@@ -208,17 +214,13 @@ func (p *Profile) Layout(prog *Program) []int {
 			break
 		}
 	}
-	off[0] = 0
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + sizes[i]
+	size := 0
+	for _, s := range sizes {
+		size += s
 	}
-	return off
-}
-
-// CodeSize returns the total encoded size of the program in bytes.
-func (p *Profile) CodeSize(prog *Program) int {
-	off := p.Layout(prog)
-	return off[len(off)-1]
+	*bp = buf[:0]
+	layouts.Put(bp)
+	return size
 }
 
 // DataSize returns the data footprint of the program in bytes.
