@@ -45,6 +45,9 @@ go test -race -count=20 -run 'TestServerTypedRejections|TestServerSingleflight' 
 # The back end's reused scratch must stay out of every artifact,
 # however the workers interleave.
 go test -race -count=20 -run TestArtifactsKeepNoScratch ./internal/pipeline/
+# VMExact islands build their programs concurrently through the back
+# end's pooled scratch and keep them live for the whole run.
+go test -race -count=20 -run 'TestPartitionParallelMatchesSerial|TestPartitionRandomizedIdentity' ./internal/sim/
 go test -tags bdddebug ./internal/bdd/ ./internal/sgraph/ ./internal/pipeline/ ./internal/cfsm/ ./internal/mvar/
 timeout 300 go test -run '^$' -fuzz FuzzDecodeEntry -fuzztime 100000x ./internal/pipeline
 timeout 300 go test -run '^$' -fuzz FuzzDecodeNetwork -fuzztime 100000x ./internal/polisd

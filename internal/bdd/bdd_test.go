@@ -162,10 +162,6 @@ func TestExists(t *testing.T) {
 	if got := m.Exists(f, vs[1], vs[2]); got != a {
 		t.Errorf("exists b,c: got %s", m.String(got))
 	}
-	// Forall b. (b OR c) = c
-	if got := m.Forall(m.Or(b, c), vs[1]); got != c {
-		t.Errorf("forall b: got %s", m.String(got))
-	}
 }
 
 func TestCompose(t *testing.T) {
@@ -195,56 +191,6 @@ func TestSupport(t *testing.T) {
 	}
 	if !m.DependsOn(f, vs[2]) {
 		t.Error("f must depend on vs[2]")
-	}
-}
-
-func TestSatCount(t *testing.T) {
-	m := New()
-	vs := newVars(m, 4)
-	a, b := m.VarNode(vs[0]), m.VarNode(vs[1])
-	if got := m.SatCount(m.And(a, b), 4); got != 4 {
-		t.Errorf("satcount(a&b, 4 vars) = %v, want 4", got)
-	}
-	if got := m.SatCount(True, 4); got != 16 {
-		t.Errorf("satcount(true) = %v", got)
-	}
-	if got := m.SatCount(False, 4); got != 0 {
-		t.Errorf("satcount(false) = %v", got)
-	}
-}
-
-func TestSatisfyOne(t *testing.T) {
-	m := New()
-	vs := newVars(m, 3)
-	f := m.And(m.VarNode(vs[0]), m.Not(m.VarNode(vs[2])))
-	asg := m.SatisfyOne(f)
-	if asg == nil {
-		t.Fatal("satisfiable function returned nil")
-	}
-	if !m.Eval(f, func(v Var) bool { return asg[v] }) {
-		t.Error("SatisfyOne returned a non-satisfying assignment")
-	}
-	if m.SatisfyOne(False) != nil {
-		t.Error("False must have no satisfying assignment")
-	}
-}
-
-func TestForEachCube(t *testing.T) {
-	m := New()
-	vs := newVars(m, 3)
-	a, b, c := m.VarNode(vs[0]), m.VarNode(vs[1]), m.VarNode(vs[2])
-	f := m.Or(m.And(a, b), m.And(m.Not(a), c))
-	count := 0
-	m.ForEachCube(f, func(vars []Var, vals []bool) bool {
-		count++
-		cube := m.Cube(vars, vals)
-		if m.And(cube, f) != cube {
-			t.Error("cube not contained in f")
-		}
-		return true
-	})
-	if count == 0 {
-		t.Error("no cubes enumerated")
 	}
 }
 

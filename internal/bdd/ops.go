@@ -386,13 +386,6 @@ func (m *Manager) existsRec(f, cube Node) Node {
 	return r
 }
 
-// Forall universally quantifies the given variables out of f. Both
-// complements are free bit flips; only the quantification itself
-// walks the diagram.
-func (m *Manager) Forall(f Node, vars ...Var) Node {
-	return m.Not(m.Exists(m.Not(f), vars...))
-}
-
 // Compose substitutes the function g for variable v inside f.
 func (m *Manager) Compose(f Node, v Var, g Node) Node {
 	f0 := m.Cofactor(f, v, false)
@@ -431,89 +424,6 @@ func (m *Manager) DependsOn(f Node, v Var) bool {
 	}
 	m.markStack = stack[:0]
 	return found
-}
-
-// SatCount returns the number of satisfying assignments of f over the
-// given number of variables (all variables of the manager typically).
-// It uses float64 accumulation, which is exact up to 2^53.
-func (m *Manager) SatCount(f Node, nvars int) float64 {
-	cache := make(map[Node]float64)
-	var rec func(n Node) float64 // fraction of the full space
-	rec = func(n Node) float64 {
-		switch n {
-		case False:
-			return 0
-		case True:
-			return 1
-		}
-		if r, ok := cache[n]; ok {
-			return r
-		}
-		c := n & 1
-		nd := &m.nodes[n>>1]
-		r := (rec(nd.lo^c) + rec(nd.hi^c)) / 2
-		cache[n] = r
-		return r
-	}
-	total := rec(f)
-	for i := 0; i < nvars; i++ {
-		total *= 2
-	}
-	return total
-}
-
-// SatisfyOne returns one satisfying assignment of f as a map from
-// variable to value, or nil if f is unsatisfiable. Variables f does
-// not constrain are omitted from the map.
-func (m *Manager) SatisfyOne(f Node) map[Var]bool {
-	if f == False {
-		return nil
-	}
-	out := make(map[Var]bool)
-	for !f.IsConst() {
-		c := f & 1
-		nd := &m.nodes[f>>1]
-		if lo := nd.lo ^ c; lo != False {
-			out[nd.v] = false
-			f = lo
-		} else {
-			out[nd.v] = true
-			f = nd.hi ^ c
-		}
-	}
-	return out
-}
-
-// ForEachCube calls fn once per cube (path to True) of f. The cube is
-// presented as parallel slices of variables and values, valid only for
-// the duration of the call. fn returning false stops the enumeration.
-func (m *Manager) ForEachCube(f Node, fn func(vars []Var, vals []bool) bool) {
-	var vars []Var
-	var vals []bool
-	var rec func(n Node) bool
-	rec = func(n Node) bool {
-		if n == False {
-			return true
-		}
-		if n == True {
-			return fn(vars, vals)
-		}
-		c := n & 1
-		nd := &m.nodes[n>>1]
-		vars = append(vars, nd.v)
-		vals = append(vals, false)
-		if !rec(nd.lo ^ c) {
-			return false
-		}
-		vals[len(vals)-1] = true
-		if !rec(nd.hi ^ c) {
-			return false
-		}
-		vars = vars[:len(vars)-1]
-		vals = vals[:len(vals)-1]
-		return true
-	}
-	rec(f)
 }
 
 // Cube builds the conjunction of literals given by parallel slices of

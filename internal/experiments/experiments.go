@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,16 +31,6 @@ import (
 // one at a time and in order.
 func synthesize(modules []*cfsm.CFSM, opt pipeline.Options) ([]*pipeline.Artifact, error) {
 	return pipeline.RunModules(modules, opt, pipeline.Config{Jobs: 1})
-}
-
-// program synthesizes a machine's s-graph through the pipeline and
-// assembles it, for the experiments that need only the object code.
-func program(m *cfsm.CFSM, opt pipeline.Options) (*vm.Program, error) {
-	sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return codegen.Assemble(sg.SGraph, codegen.NewSignalMap(m), opt.Codegen)
 }
 
 // ---------------------------------------------------------------- T1
@@ -147,11 +136,11 @@ func Table2(prof *vm.Profile) ([]Table2Row, error) {
 		for _, ord := range []sgraph.Ordering{
 			sgraph.OrderNaive, sgraph.OrderSiftInputsFirst, sgraph.OrderSiftAfterSupport,
 		} {
-			p, err := program(m, pipeline.Options{Target: prof, Ordering: ord})
+			a, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof, Ordering: ord}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, ord, err)
 			}
-			sz := int64(prof.CodeSize(p))
+			sz := int64(a.CodeSize)
 			switch ord {
 			case sgraph.OrderNaive:
 				row.Naive = sz
@@ -240,10 +229,11 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := program(prod, pipeline.Options{Target: prof})
+	a, err := pipeline.SynthesizeModule(prod, pipeline.Options{Target: prof}, nil)
 	if err != nil {
 		return nil, err
 	}
+	p := a.Program
 	synthV3 := time.Since(start)
 	cycles, err := runProductVM(prod, p, prof, stimuli)
 	if err != nil {
@@ -251,7 +241,7 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 	}
 	rows = append(rows, Table3Row{
 		Approach:  "ESTEREL",
-		CodeBytes: int64(prof.CodeSize(p)),
+		CodeBytes: int64(a.CodeSize),
 		DataBytes: int64(prof.DataSize(p)),
 		SimCycles: cycles,
 		Synthesis: synthV3,

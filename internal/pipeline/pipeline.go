@@ -265,10 +265,11 @@ type Graph struct {
 // SynthesizeGraph runs the flow up to the s-graph boundary: reactive
 // function, sifting, s-graph construction, then the optional reduce
 // (gated by CheckWellFormed) and specialize stages, emitting the same
-// trace events as SynthesizeModule does for them. Callers that need
-// only the object code (the simulator, the ordering experiments)
-// assemble the returned graph themselves and skip the C, listing and
-// estimate work. A nil Trace disables tracing.
+// trace events as SynthesizeModule does for them. Its one caller
+// outside this package is the simulator's Behavioral mode, which only
+// estimates the graph and so skips the whole back end; everything that
+// needs object code takes it from a SynthesizeModule artifact. A nil
+// Trace disables tracing.
 func SynthesizeGraph(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*Graph, error) {
 	if tr == nil {
 		tr = nopTrace{}

@@ -12,6 +12,7 @@ import (
 	"polis/internal/randcfsm"
 	"polis/internal/rtos"
 	"polis/internal/sim"
+	"polis/internal/vm"
 )
 
 // benchCase is a reusable throughput scenario: a large randomized
@@ -69,10 +70,11 @@ func reactions(res *sim.Result) int64 {
 // parallelism, and at 10² also cycle-exact on the virtual CPU
 // (VMExact, the mechanism of perfbench's sim-vm case). Whole runs are
 // timed — task build included — so the numbers reflect what a caller
-// of sim.Run observes. The loop case
-// splits sim.Run at its layer boundary: it times only rtos.NewSystem
-// and the EmitEnv/Advance event loop of the serial engine, with
-// synthesis done once outside the timer.
+// of sim.Run observes. The build-vm and loop cases split sim.Run at its
+// layer boundary: build-vm times only VMExact task build
+// (sim.BuildVMTask over every machine), and loop times only
+// rtos.NewSystem and the EmitEnv/Advance event loop of the serial
+// engine, with synthesis done once outside the timer.
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		bc := makeBenchCase(n, 2000/n+4)
@@ -108,6 +110,17 @@ func BenchmarkSimThroughput(b *testing.B) {
 					}
 					return reactions(res)
 				})
+			})
+			b.Run(fmt.Sprintf("n%d/build-vm", n), func(b *testing.B) {
+				opt := sim.Options{Cfg: rtos.DefaultConfig(), Mode: sim.VMExact, Profile: vm.HC11()}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, m := range bc.net.Machines {
+						if _, _, _, err := sim.BuildVMTask(m, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			})
 		}
 		b.Run(fmt.Sprintf("n%d/engine-parallel", n), func(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"polis/internal/cfsm"
+	"polis/internal/designs"
 	"polis/internal/netfuzz"
 	"polis/internal/rtos"
 	"polis/internal/sim"
@@ -104,6 +105,26 @@ func TestRunContextPreCancelled(t *testing.T) {
 	_, err := sim.RunContext(ctx, n, stim, 100000, sim.Options{Cfg: rtos.DefaultConfig()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunContextCancelledDuringTaskBuild runs the dashboard with no
+// stimuli under an already-cancelled context, so task build is the
+// only work before the empty event loop: every mode, serial and
+// partitioned, must stop there with the context's error.
+func TestRunContextCancelledDuringTaskBuild(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range []sim.Mode{sim.Behavioral, sim.VMExact} {
+		for _, partition := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/partition=%v", mode.Name(), partition), func(t *testing.T) {
+				opt := sim.Options{Cfg: rtos.DefaultConfig(), Mode: mode, Partition: partition}
+				_, err := sim.RunContext(ctx, designs.NewDashboard().Net, nil, 1000, opt)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			})
+		}
 	}
 }
 

@@ -7,19 +7,21 @@
 // — including seldom-executed paths and the scheduling policy, as
 // Section III-C1 describes for dynamic performance calculation.
 //
-// Tasks are synthesized through the pipeline's s-graph half
-// (pipeline.SynthesizeGraph), so a simulated task runs the same graph
-// and object code that pipeline.SynthesizeModule reports on.
+// A VMExact task is built from the artifact of
+// pipeline.SynthesizeModuleContext: it runs the program, and checks
+// the cycle bounds and estimate, that synthesis reports for its
+// machine. A Behavioral task charges the worst-case estimate of the
+// s-graph pipeline.SynthesizeGraph builds, without code generation.
 //
 // The execution core is throughput-oriented: reactions run over dense
 // slot-indexed buffers resolved once at task-build time and allocate
-// nothing in steady state. A VMExact task's routine is assembled at
-// task build and checked by its vm.Machine on the task's first
-// reaction; every reaction is then one pass over the routine's
-// instruction stream, which also reports whether an ASSIGN fired. Golden tests pin this
-// engine to the traces, cycle counts, accounting and final states the
-// previous map-based, event-at-a-time engine produced on 176
-// randomized scenarios (testdata/engine_golden.json).
+// nothing in steady state. A VMExact task's program is checked by its
+// vm.Machine on the task's first reaction; every reaction is then one
+// pass over the program's instruction stream, which also reports
+// whether an ASSIGN fired. Golden tests pin this engine to the traces,
+// cycle counts, accounting and final states the previous map-based,
+// event-at-a-time engine produced on 176 randomized scenarios
+// (testdata/engine_golden.json).
 package sim
 
 import (
@@ -153,10 +155,9 @@ type Result struct {
 // per-reaction traffic runs over dense slot indices resolved once at
 // build time; the Host callbacks and react itself allocate nothing.
 type vmTask struct {
-	g       *sgraph.SGraph
+	m       *cfsm.CFSM
 	prog    *vm.Program
 	machine *vm.Machine
-	sigs    codegen.SignalMap
 	lay     *cfsm.Layout
 	entry   string
 
@@ -232,7 +233,7 @@ func (t *vmTask) react(snap *cfsm.DenseSnapshot, out *cfsm.DenseReaction) error 
 	// Assemble puts on each ASSIGN's effect instruction.
 	out.Fired = t.machine.Fired
 	if t.check.VMAgainstReference {
-		if err := checkReference(t.g.C, snap.Snapshot(), out.Reaction(t.lay)); err != nil {
+		if err := checkReference(t.m, snap.Snapshot(), out.Reaction(t.lay)); err != nil {
 			return err
 		}
 	}
@@ -305,26 +306,28 @@ func (o Options) synthesis() pipeline.Options {
 	}
 }
 
-// BuildVMTask synthesizes a machine's s-graph through the pipeline,
-// assembles it, and returns its RTOS task plus its memory footprint on
-// the profile.
+// BuildVMTask synthesizes a machine through the pipeline and returns
+// its RTOS task, which runs the artifact's program, plus the program's
+// code and data bytes on the profile.
 func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
-	sg, err := pipeline.SynthesizeGraph(context.Background(), m, opt.synthesis(), nil)
+	return buildVMTask(context.Background(), m, opt)
+}
+
+// buildVMTask is BuildVMTask under a context.
+func buildVMTask(ctx context.Context, m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
+	a, err := pipeline.SynthesizeModuleContext(ctx, m, opt.synthesis(), nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	g := sg.SGraph
+	prog := a.Program
 	sigs := codegen.NewSignalMap(m)
-	r := codegen.NewRoutine(g, opt.Codegen)
-	prog, err := r.Assemble(sigs)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	lay := cfsm.NewLayout(m)
 	vt := &vmTask{
-		g: g, prog: prog, sigs: sigs, lay: lay,
-		entry: codegen.EntryLabel(m),
-		check: opt.Check,
+		m: m, prog: prog, lay: lay,
+		entry:  codegen.EntryLabel(m),
+		check:  opt.Check,
+		bounds: a.Measured,
+		estMax: a.Estimate.MaxCycles,
 	}
 	maxID := -1
 	for _, id := range sigs {
@@ -345,23 +348,25 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 	for i, sv := range lay.States {
 		vt.stateAddr[i] = prog.Symbols["st_"+sv.Name]
 	}
-	if opt.Check.CycleBounds {
-		vt.bounds, err = vm.AnalyzeCycles(opt.Profile, prog, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		params, err := estimate.CalibrateCached(opt.Profile)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		vt.estMax = estimate.EstimateRoutine(r, params, estimate.Options{}).MaxCycles
-	}
 	vt.machine = vm.NewMachine(opt.Profile, prog.Words, vt)
-	codegen.InitStateMemory(g, prog, vt.machine)
+	codegen.InitStateMemory(a.SGraph, prog, vt.machine)
 	task := rtos.NewDenseTask(m, lay, vt.react, func() int64 { return vt.cycles })
-	code := int64(opt.Profile.CodeSize(prog))
-	data := int64(opt.Profile.DataSize(prog))
-	return task, code, data, nil
+	return task, int64(a.CodeSize), int64(opt.Profile.DataSize(prog)), nil
+}
+
+// estimateTask synthesizes a machine's s-graph and estimates it: the
+// worst case is what a Behavioral run charges per reaction, and the
+// code and data bytes its footprint.
+func estimateTask(ctx context.Context, m *cfsm.CFSM, opt Options) (estimate.Result, error) {
+	sg, err := pipeline.SynthesizeGraph(ctx, m, opt.synthesis(), nil)
+	if err != nil {
+		return estimate.Result{}, err
+	}
+	params, err := estimate.CalibrateCached(opt.Profile)
+	if err != nil {
+		return estimate.Result{}, err
+	}
+	return estimate.EstimateSGraph(sg.SGraph, params, estimate.Options{Codegen: opt.Codegen}), nil
 }
 
 // Run simulates the network until the given cycle, injecting the
@@ -416,7 +421,7 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 	mk := func(m *cfsm.CFSM) (*rtos.Task, error) {
 		switch opt.Mode {
 		case VMExact:
-			t, code, data, err := BuildVMTask(m, opt)
+			t, code, data, err := buildVMTask(ctx, m, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -424,15 +429,10 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 			res.DataBytes += data
 			return t, nil
 		default:
-			sg, err := pipeline.SynthesizeGraph(ctx, m, opt.synthesis(), nil)
+			est, err := estimateTask(ctx, m, opt)
 			if err != nil {
 				return nil, err
 			}
-			params, err := estimate.CalibrateCached(opt.Profile)
-			if err != nil {
-				return nil, err
-			}
-			est := estimate.EstimateSGraph(sg.SGraph, params, estimate.Options{Codegen: opt.Codegen})
 			res.CodeBytes += est.CodeBytes
 			res.DataBytes += est.DataBytes
 			return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil
