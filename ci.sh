@@ -28,7 +28,8 @@
 # unsharded run), an sgestimate smoke over both designs and targets, a
 # cfsmsim smoke over both designs and timing modes with a profile
 # round trip, a check that cfsmsim, rtosgen and sgestimate reject an
-# unknown mode, policy or target by listing the accepted names, a
+# unknown mode, policy or target by listing the accepted names, a run
+# of each example checked for its result line, a
 # build, vet and test of the perfbench module (its own
 # go.mod, compiled against this tree's internal APIs), and a
 # single-iteration benchmark smoke so the harness can't bit-rot.
@@ -187,6 +188,19 @@ if "$tmp/rtosgen" -policy bogus >/dev/null 2>"$tmp/err"; then exit 1; fi
 grep -q 'accepted: rr, prio' "$tmp/err"
 if "$tmp/sgestimate" -target z80 >/dev/null 2>"$tmp/err"; then exit 1; fi
 grep -q 'accepted: hc11, r3k' "$tmp/err"
+trap - EXIT
+rm -rf "$tmp"
+
+# Example smoke: each example exits 0 and prints its result line.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for ex in trafficlight quickstart dashboard shockabsorber; do
+    go run "./examples/$ex" >"$tmp/$ex"
+done
+grep -qF 'verified: phase stays in [0,5) over 5 reachable states' "$tmp/trafficlight"
+grep -qF 'reaction 3: 123 cycles, emitted y: true' "$tmp/quickstart"
+grep -qF 'low fuel warnings: 1' "$tmp/dashboard"
+grep -qF 'task 5 worst-case response: 1519 cycles' "$tmp/shockabsorber"
 trap - EXIT
 rm -rf "$tmp"
 

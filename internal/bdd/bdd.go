@@ -96,9 +96,8 @@
 // internal/pipeline) gives each worker its own Manager instead of
 // sharing one. Build with `-tags bdddebug` to enforce the invariant at
 // run time: every mutating entry point (including Protect/Unprotect
-// and the mk-reaching helpers VarNode/NVarNode) then panics when
-// called from a goroutine other than the owner (see owner_debug.go);
-// a deliberate handoff can re-bind ownership with TransferOwnership.
+// and the mk-reaching helper VarNode) then panics when called from a
+// goroutine other than the owner (see owner_debug.go).
 package bdd
 
 import (
@@ -319,16 +318,6 @@ func (m *Manager) checkOwner() {
 	}
 }
 
-// TransferOwnership re-binds the Manager to the calling goroutine.
-// Use it for a deliberate handoff (create on one goroutine, hand the
-// whole manager to another); it is a no-op unless built with the
-// bdddebug tag.
-func (m *Manager) TransferOwnership() {
-	if ownerChecks {
-		m.owner = goid()
-	}
-}
-
 // NumVars returns the number of variables created so far.
 func (m *Manager) NumVars() int { return len(m.perm) }
 
@@ -427,12 +416,6 @@ func (m *Manager) mk(v Var, lo, hi Node) Node {
 func (m *Manager) VarNode(v Var) Node {
 	m.checkOwner()
 	return m.mk(v, False, True)
-}
-
-// NVarNode returns the function that is true exactly when v is false.
-func (m *Manager) NVarNode(v Var) Node {
-	m.checkOwner()
-	return m.mk(v, True, False)
 }
 
 // Protect registers n as an external root so garbage collection and

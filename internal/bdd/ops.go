@@ -386,46 +386,6 @@ func (m *Manager) existsRec(f, cube Node) Node {
 	return r
 }
 
-// Compose substitutes the function g for variable v inside f.
-func (m *Manager) Compose(f Node, v Var, g Node) Node {
-	f0 := m.Cofactor(f, v, false)
-	f1 := m.Cofactor(f, v, true)
-	return m.Ite(g, f1, f0)
-}
-
-// DependsOn reports whether f essentially depends on v. Complements
-// do not change support, so the walk visits physical nodes.
-func (m *Manager) DependsOn(f Node, v Var) bool {
-	f &^= 1
-	if f == 0 {
-		return false
-	}
-	lvl := m.perm[v]
-	gen := m.visitEpoch()
-	stack := append(m.markStack[:0], f)
-	m.visited[f] = gen
-	found := false
-	for len(stack) > 0 && !found {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &m.nodes[n>>1]
-		if nd.v == v {
-			found = true
-			break
-		}
-		if lo := nd.lo &^ 1; lo != 0 && m.levelOf(lo) <= lvl && m.visited[lo] != gen {
-			m.visited[lo] = gen
-			stack = append(stack, lo)
-		}
-		if hi := nd.hi; hi != 0 && m.levelOf(hi) <= lvl && m.visited[hi] != gen {
-			m.visited[hi] = gen
-			stack = append(stack, hi)
-		}
-	}
-	m.markStack = stack[:0]
-	return found
-}
-
 // Cube builds the conjunction of literals given by parallel slices of
 // variables and phase values.
 func (m *Manager) Cube(vars []Var, vals []bool) Node {

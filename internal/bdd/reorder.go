@@ -196,12 +196,15 @@ func (m *Manager) swapBlockDown(bs []block, i int) int {
 	return delta
 }
 
+// siftMaxGrowth aborts a block's movement in one direction once the
+// diagram grows beyond this factor of its size at the start of the
+// block's sift. It is fixed: every recorded sift order (the sift and
+// differential goldens, the benchmark's swap counts) was produced with
+// it, and no caller needs another bound.
+const siftMaxGrowth = 2
+
 // SiftOptions controls dynamic reordering.
 type SiftOptions struct {
-	// MaxGrowth aborts movement in one direction once the diagram
-	// grows beyond this factor of its size at the start of the
-	// variable's sift. Zero means 2.0.
-	MaxGrowth float64
 	// Precede, if non-nil, is a partial order on group ids: when
 	// Precede(a, b) is true, every variable of group a must stay
 	// above (before) every variable of group b. If the initial
@@ -229,9 +232,6 @@ type SiftOptions struct {
 // garbage collected first so that dead nodes do not bias the costs.
 func (m *Manager) Sift(opts SiftOptions) {
 	m.checkOwner()
-	if opts.MaxGrowth == 0 {
-		opts.MaxGrowth = 2.0
-	}
 	passes := opts.Passes
 	if passes <= 0 {
 		passes = 1
@@ -372,7 +372,7 @@ func (m *Manager) siftBlock(gid int32, opts SiftOptions) {
 	}
 	size := m.sift.size
 	startSize := size
-	limit := int(float64(startSize) * opts.MaxGrowth)
+	limit := startSize * siftMaxGrowth
 	bestSize := startSize
 	bestPos := pos
 	cur := pos

@@ -143,7 +143,7 @@ func scriptedRun(m *Manager, seed int64) managerRun {
 	if err := m.Group(vs[2], vs[3]); err != nil {
 		panic(err)
 	}
-	fs := []Node{m.VarNode(vs[0]), m.NVarNode(vs[1])}
+	fs := []Node{m.VarNode(vs[0]), m.Not(m.VarNode(vs[1]))}
 	for step := 0; step < 120; step++ {
 		f, g, h := fs[r.Intn(len(fs))], fs[r.Intn(len(fs))], fs[r.Intn(len(fs))]
 		var res Node
@@ -151,7 +151,7 @@ func scriptedRun(m *Manager, seed int64) managerRun {
 		case 0:
 			res = m.And(f, m.VarNode(vs[r.Intn(len(vs))]))
 		case 1:
-			res = m.Or(f, m.NVarNode(vs[r.Intn(len(vs))]))
+			res = m.Or(f, m.Not(m.VarNode(vs[r.Intn(len(vs))])))
 		case 2:
 			res = m.Xor(f, g)
 		case 3:

@@ -127,24 +127,6 @@ func (r *Reactive) dropNonChiRoots() {
 	r.ActFuncs = nil
 }
 
-// EvalChi evaluates the characteristic function on explicit test
-// outcomes and action flags; used by tests and the equivalence
-// checker.
-func (r *Reactive) EvalChi(testVals []int, actVals []bool) bool {
-	assign := make(map[*mvar.MV]int, len(testVals)+len(actVals))
-	for i, v := range testVals {
-		assign[r.TestVars[i]] = v
-	}
-	for j, b := range actVals {
-		bit := 0
-		if b {
-			bit = 1
-		}
-		assign[r.ActVars[j]] = bit
-	}
-	return r.Space.EvalAssign(r.Chi, assign)
-}
-
 // ActionSetFor computes the unique action flags satisfying chi for the
 // given test outcomes. The characteristic function of a deterministic
 // complete CFSM determines them uniquely.
@@ -174,14 +156,4 @@ func (r *Reactive) ActionSetFor(testVals []int) ([]bool, error) {
 		}
 	}
 	return out, nil
-}
-
-// SnapshotTestVals evaluates all tests of the CFSM under a snapshot,
-// producing the test-outcome vector the reactive function consumes.
-func (r *Reactive) SnapshotTestVals(snap Snapshot) []int {
-	out := make([]int, len(r.C.Tests))
-	for i, t := range r.C.Tests {
-		out[i] = snap.EvalTest(t)
-	}
-	return out
 }

@@ -219,7 +219,7 @@ func TestCrossImplementations(t *testing.T) {
 		}
 
 		for si := 0; si < 40; si++ {
-			snap := gen.RandomSnapshot()
+			snap := randomSnapshot(gen)
 			want := reactionKey(m, m.React(snap))
 			for _, im := range impls {
 				got := reactionKey(m, im.run(snap))
@@ -280,4 +280,24 @@ func checkPct(t *testing.T, prof string, mi int, what string, est, act int64, to
 		t.Errorf("%s machine %d: %s estimate %d vs measured %d (%.1f%%)",
 			prof, mi, what, est, act, err)
 	}
+}
+
+// randomSnapshot draws a snapshot over the machine's inputs and state.
+func randomSnapshot(m *randcfsm.Machine) cfsm.Snapshot {
+	r := m.Rng
+	snap := m.C.NewSnapshot()
+	for _, in := range m.Inputs {
+		snap.Present[in] = r.Intn(2) == 1
+		if !in.Pure {
+			snap.Values[in] = r.Int63n(m.Range)
+		}
+	}
+	for _, sv := range m.C.States {
+		if sv.Domain > 0 {
+			snap.State[sv] = int64(r.Intn(sv.Domain))
+		} else {
+			snap.State[sv] = r.Int63n(m.Range)
+		}
+	}
+	return snap
 }

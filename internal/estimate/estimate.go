@@ -27,11 +27,6 @@ type Result struct {
 	ExpectedCycles int64
 }
 
-// Micros converts cycles to microseconds under the target clock.
-func (r Result) Micros(p *Params, cycles int64) float64 {
-	return float64(cycles) * 1000.0 / float64(p.ClockKHz)
-}
-
 // Options tunes the estimator.
 type Options struct {
 	// Codegen mirrors the code-generation options the estimate

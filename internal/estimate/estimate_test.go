@@ -232,15 +232,6 @@ func TestExprDepth(t *testing.T) {
 	}
 }
 
-func TestMicros(t *testing.T) {
-	p := mustCalibrate(t, vm.HC11())
-	r := Result{MaxCycles: 2000}
-	us := r.Micros(p, r.MaxCycles)
-	if us != 1000 { // 2000 cycles at 2 MHz = 1 ms
-		t.Errorf("2000 cycles at 2MHz = %f us, want 1000", us)
-	}
-}
-
 func TestParamsFormat(t *testing.T) {
 	p := mustCalibrate(t, vm.HC11())
 	out := p.Format()

@@ -84,9 +84,6 @@ func (s *Space) NewMV(name string, size int, kind Kind) *MV {
 	return v
 }
 
-// Owner returns the multi-valued variable owning the given BDD bit.
-func (s *Space) Owner(b bdd.Var) *MV { return s.byBit[b] }
-
 // Group returns the reordering-group id of v.
 func (s *Space) Group(v *MV) int32 { return v.group }
 
@@ -108,25 +105,6 @@ func (s *Space) CofactorValue(f bdd.Node, v *MV, val int) bdd.Node {
 		f = s.M.Cofactor(f, v.Bits[i], val&(1<<(b-1-i)) != 0)
 	}
 	return f
-}
-
-// Exists smooths all bits of the given variables out of f.
-func (s *Space) Exists(f bdd.Node, vars ...*MV) bdd.Node {
-	var bits []bdd.Var
-	for _, v := range vars {
-		bits = append(bits, v.Bits...)
-	}
-	return s.M.Exists(f, bits...)
-}
-
-// DependsOn reports whether f depends on any bit of v.
-func (s *Space) DependsOn(f bdd.Node, v *MV) bool {
-	for _, b := range v.Bits {
-		if s.M.DependsOn(f, b) {
-			return true
-		}
-	}
-	return false
 }
 
 // Support returns the multi-valued variables f depends on, in Space

@@ -526,10 +526,3 @@ func (c *Cache) Put(key string, a *Artifact) {
 		os.Remove(tmp.Name()) // best-effort publish, never an error
 	}
 }
-
-// Len returns the number of in-memory entries (for tests and stats).
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.mem)
-}

@@ -141,7 +141,7 @@ func TestFailFast(t *testing.T) {
 	}
 	// Only the broken module ran its reactive stage (and failed there);
 	// the trailing ten modules were skipped by fail-fast.
-	if got := col.StageTotal(StageCodegen); got != 0 {
+	if got := col.stageTotal[StageCodegen]; got != 0 {
 		t.Errorf("codegen stage ran for %v despite fail-fast", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestCollectorReport(t *testing.T) {
 		if s == StageSpecialize {
 			continue // profile-gated; no profile in this run
 		}
-		if col.StageTotal(s) <= 0 {
+		if col.stageTotal[s] <= 0 {
 			t.Errorf("stage %s recorded no time", s)
 		}
 	}
@@ -191,7 +191,7 @@ func TestContextCancelledBeforeRun(t *testing.T) {
 	if arts != nil {
 		t.Errorf("cancelled run returned %d artifacts", len(arts))
 	}
-	if got := col.StageTotal(StageReactive); got != 0 {
+	if got := col.stageTotal[StageReactive]; got != 0 {
 		t.Errorf("reactive stage ran for %v despite pre-cancelled context", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestContextCancelMidRun(t *testing.T) {
 	}
 	// Cancellation lands right after the first module's reactive stage,
 	// so no module ever reaches codegen.
-	if got := col.StageTotal(StageCodegen); got != 0 {
+	if got := col.stageTotal[StageCodegen]; got != 0 {
 		t.Errorf("codegen ran for %v despite mid-run cancellation", got)
 	}
 }

@@ -78,7 +78,7 @@ func TestPipelineSpecialize(t *testing.T) {
 		t.Errorf("expected cycles %d exceed the worst case %d",
 			art.Estimate.ExpectedCycles, art.Estimate.MaxCycles)
 	}
-	if col.StageTotal(StageSpecialize) <= 0 {
+	if col.stageTotal[StageSpecialize] <= 0 {
 		t.Error("specialize stage recorded no time")
 	}
 	if rep := col.Report(); !strings.Contains(rep, "specialize:") {

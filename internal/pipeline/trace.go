@@ -302,16 +302,6 @@ func (c *Collector) Modules() int {
 	return c.modules
 }
 
-// StageTotal returns the accumulated wall time of one stage.
-func (c *Collector) StageTotal(s Stage) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s < 0 || s >= numStages {
-		return 0
-	}
-	return c.stageTotal[s]
-}
-
 // BDDStageStats summarises the BDD kernel's footprint in one pipeline
 // stage, aggregated across every module the Collector observed: the
 // worst per-module live and peak physical node counts at stage end,

@@ -322,7 +322,7 @@ func TestServerSingleflight(t *testing.T) {
 		t.Errorf("%d module results, want %d", served, N*modules)
 	}
 	// The process-lifetime collector agrees: one miss per module.
-	if colMisses := s.Collector().Outcomes()[pipeline.OutcomeMiss]; colMisses != modules {
+	if colMisses := s.col.Outcomes()[pipeline.OutcomeMiss]; colMisses != modules {
 		t.Errorf("collector saw %d misses, want %d", colMisses, modules)
 	}
 }

@@ -190,9 +190,6 @@ func New(cfg Config) (*Server, error) {
 // Cache exposes the warm cache (for tests and stats).
 func (s *Server) Cache() *pipeline.Cache { return s.cache }
 
-// Collector exposes the process-lifetime trace collector.
-func (s *Server) Collector() *pipeline.Collector { return s.col }
-
 // synthesizeModule serves one module under its fingerprint key
 // through the cache's flight: warm hits and flight joiners return
 // without a worker slot, and only the flight leader takes one before

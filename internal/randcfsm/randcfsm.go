@@ -477,23 +477,3 @@ func (m *Machine) randExpr(data []*cfsm.StateVar, depth int) expr.Expr {
 	op := ops[r.Intn(len(ops))]
 	return op(m.randExpr(data, depth-1), m.randExpr(data, depth-1))
 }
-
-// RandomSnapshot draws a snapshot over the machine's inputs and state.
-func (m *Machine) RandomSnapshot() cfsm.Snapshot {
-	r := m.Rng
-	snap := m.C.NewSnapshot()
-	for _, in := range m.Inputs {
-		snap.Present[in] = r.Intn(2) == 1
-		if !in.Pure {
-			snap.Values[in] = r.Int63n(m.Range)
-		}
-	}
-	for _, sv := range m.C.States {
-		if sv.Domain > 0 {
-			snap.State[sv] = int64(r.Intn(sv.Domain))
-		} else {
-			snap.State[sv] = r.Int63n(m.Range)
-		}
-	}
-	return snap
-}

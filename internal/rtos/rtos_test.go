@@ -108,7 +108,7 @@ func TestFreezeSemantics(t *testing.T) {
 	if err := sys.Advance(50000); err != nil {
 		t.Fatal(err)
 	}
-	task := sys.TaskFor(m)
+	task := sys.Tasks[0]
 	if task.Executions != 2 {
 		t.Fatalf("executions = %d, want 2 (second event preserved)", task.Executions)
 	}
@@ -140,7 +140,7 @@ func TestOnePlaceBufferLoss(t *testing.T) {
 	sys.EmitEnv(x, 0)
 	sys.EmitEnv(x, 0)
 	_ = sys.Advance(100000)
-	task := sys.TaskFor(m)
+	task := sys.Tasks[0]
 	if task.Lost != 2 {
 		t.Errorf("lost = %d, want 2", task.Lost)
 	}

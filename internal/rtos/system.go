@@ -292,9 +292,6 @@ func (s *System) buildRoutes() {
 	s.pollValue = make([]int64, len(s.pollSigs))
 }
 
-// TaskFor returns the runtime task of a software machine.
-func (s *System) TaskFor(m *cfsm.CFSM) *Task { return s.taskOf[m] }
-
 // EmitEnv injects an environment event at the current time. Events
 // bound for software pass through the configured delivery mechanism
 // (interrupt or polling), exactly like emissions from the hardware
@@ -304,12 +301,6 @@ func (s *System) EmitEnv(sig *cfsm.Signal, val int64) error {
 	s.record(sig, val, "env")
 	return s.routeFromHardware(sig, val, true)
 }
-
-// ResetTrace discards the recorded trace, keeping its capacity, so a
-// long-running or benchmarked system does not grow (or re-allocate)
-// the trace buffer without bound. Refilling it up to that capacity
-// allocates nothing; past it, the trace doubles (see record).
-func (s *System) ResetTrace() { s.Trace = s.Trace[:0] }
 
 // ReserveTrace grows the trace's capacity to at least n events with
 // one copy of the events recorded so far; a trace that already holds

@@ -51,7 +51,7 @@ func steadyStateAllocs(t *testing.T, sys *rtos.System, in *cfsm.Signal) float64 
 		if err := sys.Advance(tnow); err != nil {
 			t.Fatal(err)
 		}
-		sys.ResetTrace()
+		sys.Trace = sys.Trace[:0]
 	}
 	for i := 0; i < 50; i++ { // warm trace, stack and queue capacity
 		round()

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"polis/internal/cfsm"
-	"polis/internal/pipeline"
 )
 
 // BehavioralCosts synthesizes and estimates every machine of n once,
@@ -12,9 +11,6 @@ import (
 // with, and returns the per-reaction cost that run charges each of
 // them.
 func BehavioralCosts(n *cfsm.Network, opt Options) (map[*cfsm.CFSM]int64, error) {
-	if opt.Profile == nil {
-		opt.Profile = pipeline.DefaultTarget()
-	}
 	costs := make(map[*cfsm.CFSM]int64, len(n.Machines))
 	for _, m := range n.Machines {
 		est, err := estimateTask(context.Background(), m, opt)

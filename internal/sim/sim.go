@@ -86,18 +86,21 @@ type CheckOptions struct {
 	// count lies within the object-code analyzer's [Min, Max] path
 	// bounds (a sound bracket, since generated routines are acyclic)
 	// and does not exceed the estimator's worst case by more than
-	// EstimateSlack.
+	// estimateSlack.
 	CycleBounds bool
-	// EstimateSlack is the tolerated fractional overshoot of the
-	// estimator's MaxCycles; the calibration contract is ±20%, so the
-	// default (used when 0) is 0.25.
-	EstimateSlack float64
 }
+
+// estimateSlack is the tolerated fractional overshoot of the
+// estimator's MaxCycles under CheckOptions.CycleBounds: the
+// calibration contract is ±20%, so 0.25 leaves margin above it.
+const estimateSlack = 0.25
 
 // Options configures a simulation run.
 type Options struct {
-	Cfg      rtos.Config
-	Mode     Mode
+	Cfg  rtos.Config
+	Mode Mode
+	// Profile is the target every task is synthesized, run and timed
+	// on; nil means pipeline.DefaultTarget().
 	Profile  *vm.Profile
 	Ordering sgraph.Ordering
 	Codegen  codegen.Options
@@ -283,15 +286,20 @@ func (t *vmTask) checkCycles(cycles int64) error {
 		return fmt.Errorf("cycle bound violation: exact %d outside analyzer bounds [%d, %d]",
 			cycles, t.bounds.Min, t.bounds.Max)
 	}
-	slack := t.check.EstimateSlack
-	if slack == 0 {
-		slack = 0.25
-	}
-	if limit := int64(float64(t.estMax) * (1 + slack)); cycles > limit {
+	if limit := int64(float64(t.estMax) * (1 + estimateSlack)); cycles > limit {
 		return fmt.Errorf("cycle bound violation: exact %d exceeds estimator worst case %d by more than %.0f%%",
-			cycles, t.estMax, slack*100)
+			cycles, t.estMax, estimateSlack*100)
 	}
 	return nil
+}
+
+// target is the profile every task is synthesized, run and timed on:
+// Profile, or the pipeline's default target when Profile is nil.
+func (o Options) target() *vm.Profile {
+	if o.Profile == nil {
+		return pipeline.DefaultTarget()
+	}
+	return o.Profile
 }
 
 // synthesis maps the simulation options onto the pipeline options
@@ -299,7 +307,7 @@ func (t *vmTask) checkCycles(cycles int64) error {
 func (o Options) synthesis() pipeline.Options {
 	return pipeline.Options{
 		Ordering: o.Ordering,
-		Target:   o.Profile,
+		Target:   o.target(),
 		Codegen:  o.Codegen,
 		Reduce:   o.Reduce,
 		Profile:  o.Specialize,
@@ -348,10 +356,11 @@ func buildVMTask(ctx context.Context, m *cfsm.CFSM, opt Options) (*rtos.Task, in
 	for i, sv := range lay.States {
 		vt.stateAddr[i] = prog.Symbols["st_"+sv.Name]
 	}
-	vt.machine = vm.NewMachine(opt.Profile, prog.Words, vt)
+	target := opt.target()
+	vt.machine = vm.NewMachine(target, prog.Words, vt)
 	codegen.InitStateMemory(a.SGraph, prog, vt.machine)
 	task := rtos.NewDenseTask(m, lay, vt.react, func() int64 { return vt.cycles })
-	return task, int64(a.CodeSize), int64(opt.Profile.DataSize(prog)), nil
+	return task, int64(a.CodeSize), int64(target.DataSize(prog)), nil
 }
 
 // estimateTask synthesizes a machine's s-graph and estimates it: the
@@ -362,7 +371,7 @@ func estimateTask(ctx context.Context, m *cfsm.CFSM, opt Options) (estimate.Resu
 	if err != nil {
 		return estimate.Result{}, err
 	}
-	params, err := estimate.CalibrateCached(opt.Profile)
+	params, err := estimate.CalibrateCached(opt.target())
 	if err != nil {
 		return estimate.Result{}, err
 	}
@@ -381,9 +390,6 @@ func Run(n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result
 // stimuli and periodically inside the RTOS event loop, so a runaway or
 // long simulation stops promptly with the context's error.
 func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
-	if opt.Profile == nil {
-		opt.Profile = pipeline.DefaultTarget()
-	}
 	if opt.Partition {
 		return runPartitioned(ctx, n, stimuli, until, opt)
 	}

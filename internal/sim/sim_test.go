@@ -242,6 +242,28 @@ func TestVMModeReportsFootprint(t *testing.T) {
 	}
 }
 
+// TestBuildVMTaskDefaultProfile: BuildVMTask resolves a nil Profile
+// to the pipeline's default target, as Run does.
+func TestBuildVMTaskDefaultProfile(t *testing.T) {
+	hc11, err := vm.Target("hc11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range designs.NewDashboard().Net.Machines {
+		_, code, data, err := BuildVMTask(m, Options{Mode: VMExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantCode, wantData, err := BuildVMTask(m, Options{Mode: VMExact, Profile: hc11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != wantCode || data != wantData {
+			t.Errorf("%s: nil profile gives %d/%d B, hc11 %d/%d B", m.Name, code, data, wantCode, wantData)
+		}
+	}
+}
+
 func TestUtilizationGrowsWithLoad(t *testing.T) {
 	n, sample, _ := scalerNet()
 	slow, err := Run(n, PeriodicStimuli(sample, 1000, 50000, 400000, nil), 500000, defaultOpts(VMExact))

@@ -3,9 +3,7 @@
 // theoretical and practical results concerning their manipulation
 // (minimization, encoding, formal verification of properties)"):
 // explicit-state reachability analysis of one CFSM under an enumerated
-// input space, invariant checking with counterexample traces, and
-// determinism auditing over the reachable states only (tighter than
-// the syntactic cfsm.CheckDeterministic).
+// input space, and invariant checking with counterexample traces.
 package verify
 
 import (
@@ -187,69 +185,6 @@ func Reachable(m *cfsm.CFSM, sp *InputSpace, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// CheckDeterministicReachable verifies that over the reachable states
-// and enumerated stimuli, at most one transition of m matches each
-// snapshot — a semantic refinement of the syntactic check.
-func CheckDeterministicReachable(m *cfsm.CFSM, sp *InputSpace, opt Options) error {
-	res, err := Reachable(m, sp, Options{MaxStates: opt.MaxStates})
-	if err != nil {
-		return err
-	}
-	stimuli := sp.enumerate()
-	for _, st := range res.States {
-		for _, stim := range stimuli {
-			snap := cfsm.Snapshot{Present: stim.present, Values: stim.values, State: st}
-			matches := 0
-			var first, second int
-			for ti, tr := range m.Trans {
-				ok := true
-				for _, cond := range tr.Guard {
-					if snap.EvalTest(cond.Test) != cond.Val {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					matches++
-					if matches == 1 {
-						first = ti
-					} else if matches == 2 {
-						second = ti
-					}
-				}
-			}
-			if matches > 1 && !sameActionSets(m.Trans[first], m.Trans[second]) {
-				return fmt.Errorf(
-					"verify: %s: transitions %d and %d both match in state %s",
-					m.Name, first, second, key(m, st))
-			}
-		}
-	}
-	return nil
-}
-
-func sameActionSets(a, b *cfsm.Transition) bool {
-	if len(a.Actions) != len(b.Actions) {
-		return false
-	}
-	for i := range a.Actions {
-		if a.Actions[i] != b.Actions[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// StateNames renders the reachable set compactly for reports.
-func (r *Result) StateNames() []string {
-	out := make([]string, 0, len(r.States))
-	for k := range r.States {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FormatTrace renders a counterexample trace.
 func FormatTrace(trace []Step) string {
 	var b strings.Builder
@@ -287,32 +222,4 @@ func FormatTrace(trace []Step) string {
 		b.WriteString("}\n")
 	}
 	return b.String()
-}
-
-// TerminalStates returns the reachable states from which no stimulus
-// in the space can ever fire a transition again — the "halt" states a
-// designer may or may not intend (the esterel frontend generates one
-// for non-looping modules; an unintended one is a deadlock).
-func TerminalStates(m *cfsm.CFSM, sp *InputSpace, opt Options) ([]State, error) {
-	res, err := Reachable(m, sp, Options{MaxStates: opt.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	stimuli := sp.enumerate()
-	var out []State
-	for _, st := range res.States {
-		live := false
-		for _, stim := range stimuli {
-			snap := cfsm.Snapshot{Present: stim.present, Values: stim.values, State: st}
-			if m.React(snap).Fired {
-				live = true
-				break
-			}
-		}
-		if !live {
-			out = append(out, st)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return key(m, out[i]) < key(m, out[j]) })
-	return out, nil
 }

@@ -148,32 +148,21 @@ func TestBeltAlarmProperty(t *testing.T) {
 	}
 }
 
-func TestCheckDeterministicReachable(t *testing.T) {
+// TestSymbolicBeltSkeleton: the belt controller's pure control
+// skeleton reaches exactly its 3 control states under the enumerated
+// environment.
+func TestSymbolicBeltSkeleton(t *testing.T) {
 	d := designs.NewDashboard()
-	vals := map[*cfsm.Signal][]int64{d.WheelPulse: {45, 120}}
-	for _, m := range []*cfsm.CFSM{d.Belt, d.Timer, d.Odometer} {
-		sp, err := DefaultSpace(m, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := CheckDeterministicReachable(m, sp, Options{MaxStates: 2000}); err != nil {
-			t.Errorf("%s: %v", m.Name, err)
-		}
-	}
-	// A genuinely nondeterministic machine must be caught.
-	c := cfsm.New("nd")
-	x := c.AddInput("x", true)
-	o1 := c.AddOutput("o1", true)
-	o2 := c.AddOutput("o2", true)
-	p := c.Present(x)
-	c.AddTransition([]cfsm.Cond{cfsm.On(p, 1)}, c.Emit(o1))
-	c.AddTransition([]cfsm.Cond{cfsm.On(p, 1)}, c.Emit(o2))
-	sp, err := DefaultSpace(c, nil)
+	sp, err := DefaultSpace(d.Belt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckDeterministicReachable(c, sp, Options{}); err == nil {
-		t.Error("nondeterminism must be detected")
+	res, err := Reachable(d.Belt, sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.States) != 3 {
+		t.Errorf("belt has 3 control states, got %d", len(res.States))
 	}
 }
 
@@ -195,7 +184,7 @@ func TestValuedSpace(t *testing.T) {
 	}
 	// max takes values {0,1,3,5}: 4 states.
 	if len(res.States) != 4 {
-		t.Errorf("states %d, want 4: %v", len(res.States), res.StateNames())
+		t.Errorf("states %d, want 4", len(res.States))
 	}
 	// Missing values for a valued input is an error.
 	if _, err := DefaultSpace(c, nil); err == nil {
@@ -258,10 +247,9 @@ func TestNetworkProductVerification(t *testing.T) {
 		len(res.States), res.Explored)
 }
 
-// TestSymbolicMatchesExplicit compares the BDD-based traversal with
-// the explicit-state exploration on control skeletons.
-func TestSymbolicMatchesExplicit(t *testing.T) {
-	// Modulo-4 counter with a reset: 4 states reachable.
+// TestReachableCounterWithReset: a modulo-4 counter with a reset over
+// a 5-valued state variable reaches exactly 4 states (value 4 never).
+func TestReachableCounterWithReset(t *testing.T) {
 	c := cfsm.New("ctr4")
 	tick := c.AddInput("tick", true)
 	rst := c.AddInput("rst", true)
@@ -275,101 +263,15 @@ func TestSymbolicMatchesExplicit(t *testing.T) {
 		c.AddTransition([]cfsm.Cond{cfsm.On(pr, 0), cfsm.On(p, 1), cfsm.On(sel, k)},
 			c.Assign(st, expr.C(int64((k+1)%4))))
 	}
-	sym, err := SymbolicReachable(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sp, err := DefaultSpace(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := Reachable(c, sp, Options{})
+	res, err := Reachable(c, sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sym.States != len(exp.States) {
-		t.Errorf("symbolic %d states vs explicit %d", sym.States, len(exp.States))
-	}
-	if sym.States != 4 {
-		t.Errorf("reachable states %d, want 4 (value 4 unreachable)", sym.States)
-	}
-	if sym.Iterations < 2 {
-		t.Errorf("iterations %d implausible", sym.Iterations)
-	}
-}
-
-// TestSymbolicBeltSkeleton runs the symbolic traversal on the belt
-// controller (pure control skeleton) and cross-checks the explicit
-// count.
-func TestSymbolicBeltSkeleton(t *testing.T) {
-	d := designs.NewDashboard()
-	sym, err := SymbolicReachable(d.Belt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := DefaultSpace(d.Belt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := Reachable(d.Belt, sp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sym.States != len(exp.States) {
-		t.Errorf("symbolic %d vs explicit %d", sym.States, len(exp.States))
-	}
-	if sym.States != 3 {
-		t.Errorf("belt has 3 control states, got %d", sym.States)
-	}
-}
-
-// TestSymbolicRejectsDataVars: machines with data variables are out of
-// scope for the control traversal.
-func TestSymbolicRejectsDataVars(t *testing.T) {
-	d := designs.NewDashboard()
-	if _, err := SymbolicReachable(d.Timer); err == nil {
-		t.Error("timer has a data counter; must be rejected")
-	}
-}
-
-func TestTerminalStates(t *testing.T) {
-	// A one-shot machine halts after firing once.
-	c := cfsm.New("oneshot")
-	go_ := c.AddInput("go", true)
-	st := c.AddState("done", 2, 0)
-	p := c.Present(go_)
-	sel := c.Sel(st)
-	c.AddTransition([]cfsm.Cond{cfsm.On(p, 1), cfsm.On(sel, 0)},
-		c.Assign(st, expr.C(1)))
-	sp, err := DefaultSpace(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term, err := TerminalStates(c, sp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(term) != 1 || term[0][st] != 1 {
-		t.Errorf("terminal states: %v", term)
-	}
-
-	// A free-running counter never halts.
-	d := cfsm.New("free")
-	tick := d.AddInput("t", true)
-	q := d.AddState("q", 2, 0)
-	pt := d.Present(tick)
-	sq := d.Sel(q)
-	d.AddTransition([]cfsm.Cond{cfsm.On(pt, 1), cfsm.On(sq, 0)}, d.Assign(q, expr.C(1)))
-	d.AddTransition([]cfsm.Cond{cfsm.On(pt, 1), cfsm.On(sq, 1)}, d.Assign(q, expr.C(0)))
-	sp2, err := DefaultSpace(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term2, err := TerminalStates(d, sp2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(term2) != 0 {
-		t.Errorf("free-running machine must have no terminal states: %v", term2)
+	if len(res.States) != 4 {
+		t.Errorf("reachable states %d, want 4 (value 4 unreachable)", len(res.States))
 	}
 }
