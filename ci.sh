@@ -162,7 +162,8 @@ rm -rf "$tmp"
 
 # cfsmsim smoke: each design in each timing mode exits 0 and prints its
 # task statistics, one row per module (9 dashboard, 6 shock); a
-# captured dashboard profile feeds a specialized rerun.
+# captured dashboard profile feeds a rerun that must report it
+# specialized.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/cfsmsim" ./cmd/cfsmsim
@@ -174,7 +175,8 @@ for design in dashboard:9 shock:6; do
     done
 done
 "$tmp/cfsmsim" -design dashboard -profile-out "$tmp/prof.json" >/dev/null
-"$tmp/cfsmsim" -design dashboard -profile "$tmp/prof.json" -specialize >/dev/null
+"$tmp/cfsmsim" -design dashboard -profile "$tmp/prof.json" >"$tmp/out"
+grep -q '^specialize: TEST outcomes reordered' "$tmp/out"
 trap - EXIT
 rm -rf "$tmp"
 

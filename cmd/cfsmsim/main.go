@@ -8,16 +8,16 @@
 //	cfsmsim [-design dashboard|shock] [-target hc11|r3k]
 //	        [-until cycles] [-mode vm|behavioral] [-policy rr|prio]
 //	        [-parallel] [-workers n] [-trace]
-//	        [-profile-out prof.json] [-profile prof.json -specialize]
+//	        [-profile-out prof.json] [-profile prof.json]
 //
 // An unknown -target, -mode or -policy name exits 1 with an error
 // listing the accepted names.
 //
 // -profile-out captures an execution profile (per-module TEST outcome
 // frequencies) during the run and writes it as JSON; feeding it back
-// with -profile -specialize (or to polisc -profile -specialize)
-// reorders each module's TEST outcome edges so the observed hot path
-// becomes the fall-through path, equivalence-gated per module.
+// with -profile (here or to polisc) reorders each module's TEST
+// outcome edges so the observed hot path becomes the fall-through
+// path, equivalence-gated per module.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"polis/internal/designs"
 	"polis/internal/profile"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
@@ -47,13 +46,11 @@ func main() {
 	csvPath := flag.String("csv", "", "write the event trace as CSV to this file")
 	dot := flag.Bool("dot", false, "print the network topology in Graphviz format and exit")
 	profOut := flag.String("profile-out", "", "capture an execution profile and write it as JSON")
-	profIn := flag.String("profile", "", "execution profile JSON (from a -profile-out run)")
-	specialize := flag.Bool("specialize", false, "reorder TEST outcomes hot-path-first using -profile")
+	profIn := flag.String("profile", "", "reorder TEST outcomes hot-path-first using this execution profile JSON (from a -profile-out run)")
 	flag.Parse()
 
 	opts := sim.Options{
 		Cfg:       rtos.DefaultConfig(),
-		Ordering:  sgraph.OrderSiftAfterSupport,
 		Partition: *parallel,
 		Workers:   *workers,
 	}
@@ -67,10 +64,7 @@ func main() {
 	if opts.Cfg.Policy, err = rtos.ParsePolicy(*policy); err != nil {
 		fatal(err)
 	}
-	if *specialize != (*profIn != "") {
-		fatal(fmt.Errorf("-specialize and -profile must be used together"))
-	}
-	if *specialize {
+	if *profIn != "" {
 		p, err := profile.Load(*profIn)
 		if err != nil {
 			fatal(err)

@@ -7,18 +7,16 @@
 //
 //	polisc [-target hc11|r3k] [-order default|naive|inputs-first]
 //	       [-j N] [-cache dir] [-stats] [-reduce]
-//	       [-shards N] [-shard-strategy hash|size]
-//	       [-profile prof.json -specialize]
+//	       [-shards N] [-profile prof.json]
 //	       [-c] [-asm] [-dot] [-optimize-copies] [-o dir] [file.strl]
 //	polisc fuzz [-seed N] [-runs N] [-config "k=v,..."]
 //	polisc shard-worker   (internal: exec'd by -shards)
 //
-// -order also accepts sift for default. An unknown -target, -order or
-// -shard-strategy name exits 1 with an error listing the accepted
-// names.
+// -order also accepts sift for default. An unknown -target or -order
+// name exits 1 with an error listing the accepted names.
 //
 // -profile loads an execution profile captured by cfsmsim
-// -profile-out; with -specialize the synthesis reorders each covered
+// -profile-out and specializes synthesis: it reorders each covered
 // module's TEST outcome edges so the observed hot path becomes the
 // fall-through path (equivalence-gated), and the report gains the
 // profile-weighted expected cycles next to the worst-case bound.
@@ -42,7 +40,7 @@
 //
 // -shards N routes synthesis through the map-reduce driver
 // (internal/shard): modules are partitioned into N deterministic
-// shards (-shard-strategy hash|size), each shard runs as a separate
+// shards by a hash of their names, each shard runs as a separate
 // `polisc shard-worker` process, and the -cache directory becomes the
 // shuffle layer the workers publish into (a temporary directory is
 // used when -cache is not given); the reducer fetches every artifact
@@ -118,10 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "synthesize up to N modules concurrently (0 = all CPUs)")
 	cacheDir := fs.String("cache", "", "artifact cache directory (empty = in-memory only)")
 	stats := fs.Bool("stats", false, "print the pipeline statistics report")
-	profPath := fs.String("profile", "", "execution profile JSON (from cfsmsim -profile-out)")
-	specialize := fs.Bool("specialize", false, "reorder TEST outcomes hot-path-first using -profile")
+	profPath := fs.String("profile", "", "reorder TEST outcomes hot-path-first using this execution profile JSON (from cfsmsim -profile-out)")
 	shards := fs.Int("shards", 0, "run N shard-worker processes sharing the -cache directory (0 = off; in-process parallelism is -j)")
-	shardStrat := fs.String("shard-strategy", "hash", "shard partitioner: hash or size")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -145,10 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opt.Codegen.OptimizeCopies = *optCopies
 	opt.Reduce = *reduce
-	if *specialize != (*profPath != "") {
-		return fail(stderr, fmt.Errorf("-specialize and -profile must be used together"))
-	}
-	if *specialize {
+	if *profPath != "" {
 		p, err := profile.Load(*profPath)
 		if err != nil {
 			return fail(stderr, err)
@@ -174,13 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var arts []*pipeline.Artifact
 	var shardRep *shard.Report
 	if *shards != 0 {
-		strat, err := shard.ParseStrategy(*shardStrat)
-		if err != nil {
-			return fail(stderr, err)
-		}
 		sopt := shard.Options{
 			Shards:   *shards,
-			Strategy: strat,
 			Pipeline: opt,
 			CacheDir: *cacheDir,
 		}

@@ -185,14 +185,13 @@ func keys(m map[string]string) []string {
 }
 
 // TestShardDeterminism: sharded runs — one, two and eight worker
-// processes, both strategies — all produce output and generated
-// sources byte-identical to the plain pipeline.
+// processes — all produce output and generated sources byte-identical
+// to the plain pipeline.
 func TestShardDeterminism(t *testing.T) {
 	base, baseFiles := runPolisc(t, "-j", "2")
 	for _, extra := range [][]string{
 		{"-shards", "1"},
 		{"-shards", "8"},
-		{"-shards", "8", "-shard-strategy", "size"},
 		{"-shards", "2"},
 	} {
 		out, files := runPolisc(t, extra...)

@@ -11,7 +11,6 @@ import (
 	"polis/internal/designs"
 	"polis/internal/experiments"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
@@ -58,10 +57,9 @@ func main() {
 		func(i int) int64 { return 40 - 2*int64(i) })...)
 
 	res, err := sim.Run(d.Net, stim, until, sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.VMExact,
-		Profile:  prof,
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.VMExact,
+		Profile: prof,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,7 @@ func main() {
 			Name: m.Name, WCET: art.Estimate.MaxCycles, Period: periods[m.Name],
 		})
 	}
-	sched := rtos.Schedulability(specs, rtos.DefaultConfig().ScheduleOverhead)
+	sched := rtos.Schedulability(specs, rtos.ScheduleOverhead)
 	fmt.Printf("utilisation %.3f (Liu-Layland bound %.3f), by-bound=%v, schedulable=%v\n",
 		sched.Utilization, sched.LLBound, sched.ByBound, sched.Schedulable)
 	for i, r := range sched.ResponseTimes {

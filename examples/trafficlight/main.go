@@ -13,7 +13,6 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/esterel"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/verify"
 	"polis/internal/vm"
@@ -105,10 +104,9 @@ func main() {
 		stim = append(stim, sim.Stimulus{Time: t, Signal: request})
 	}
 	res, err := sim.Run(net, stim, until, sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.VMExact,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.VMExact,
+		Profile: vm.HC11(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -60,10 +60,9 @@ func TestBeltScenario(t *testing.T) {
 	d := NewDashboard()
 	cfg := rtos.DefaultConfig()
 	opts := sim.Options{
-		Cfg:      cfg,
-		Mode:     sim.VMExact,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     cfg,
+		Mode:    sim.VMExact,
+		Profile: vm.HC11(),
 	}
 	// Key on at 1000; ticks every 10k cycles (100 ms at calibration
 	// scale); no belt: alarm must sound after 50 ticks and stop after
@@ -101,10 +100,9 @@ func TestBeltScenario(t *testing.T) {
 func TestBeltFastenedSilencesAlarm(t *testing.T) {
 	d := NewDashboard()
 	opts := sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.Behavioral,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.Behavioral,
+		Profile: vm.HC11(),
 	}
 	stim := []sim.Stimulus{
 		{Time: 1000, Signal: d.KeyOn},
@@ -123,10 +121,9 @@ func TestBeltFastenedSilencesAlarm(t *testing.T) {
 func TestSpeedChain(t *testing.T) {
 	d := NewDashboard()
 	opts := sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.VMExact,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.VMExact,
+		Profile: vm.HC11(),
 	}
 	// Wheel period 65 ms -> raw speed ~ 99 km/h; steady state of the
 	// smoothing filter converges to ~99; duty ~ 99*255/220 ~ 114.
@@ -165,10 +162,9 @@ func TestShockAbsorberValid(t *testing.T) {
 func TestShockAbsorberChainAndLatency(t *testing.T) {
 	s := NewShockAbsorber()
 	opts := sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.VMExact,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.VMExact,
+		Profile: vm.HC11(),
 	}
 	var stim []sim.Stimulus
 	// Rough road: large acceleration samples every 2 ms (4000 cycles).
@@ -205,10 +201,9 @@ func TestShockAbsorberChainAndLatency(t *testing.T) {
 func TestWatchdogTrips(t *testing.T) {
 	s := NewShockAbsorber()
 	opts := sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.Behavioral,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.Behavioral,
+		Profile: vm.HC11(),
 	}
 	var stim []sim.Stimulus
 	stim = append(stim, sim.Stimulus{Time: 100, Signal: s.ActAck}) // arm

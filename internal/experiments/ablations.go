@@ -96,7 +96,7 @@ func AblationRTOS(prof *vm.Profile) (*RTOSReport, error) {
 		GeneratedRAM:  gen.DataBytes,
 		CommercialROM: com.CodeBytes,
 		CommercialRAM: com.DataBytes,
-		PollPeriod:    cfg.PollPeriod,
+		PollPeriod:    rtos.PollPeriod,
 	}
 	run := func(deliver rtos.Delivery) (int64, error) {
 		c := rtos.DefaultConfig()
@@ -107,7 +107,6 @@ func AblationRTOS(prof *vm.Profile) (*RTOSReport, error) {
 		stim = append(stim, sim.Stimulus{Time: 500, Signal: s.SpeedSample, Value: 90})
 		res, err := sim.Run(s.Net, stim, 400_000, sim.Options{
 			Cfg: c, Mode: sim.VMExact, Profile: prof,
-			Ordering: sgraph.OrderSiftAfterSupport,
 		})
 		if err != nil {
 			return 0, err

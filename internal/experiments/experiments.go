@@ -205,10 +205,9 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 	// --- POLIS: per-CFSM decision-graph code under the RTOS.
 	start := time.Now()
 	opts := sim.Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     sim.VMExact,
-		Profile:  prof,
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    sim.VMExact,
+		Profile: prof,
 	}
 	res, err := sim.Run(net, stimuli, until, opts)
 	if err != nil {

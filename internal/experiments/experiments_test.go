@@ -329,7 +329,7 @@ func TestRTABoundsSimulatedResponses(t *testing.T) {
 	// Charge each execution its scheduler decision and the interrupt
 	// deliveries the analysis abstracts (its own arrival's ISR plus an
 	// amortised share of the others that land in its window).
-	rta := rtos.Schedulability(specs, cfg.ScheduleOverhead+2*cfg.ISROverhead)
+	rta := rtos.Schedulability(specs, rtos.ScheduleOverhead+2*rtos.ISROverhead)
 	if !rta.Schedulable {
 		t.Fatalf("task set should be schedulable: %+v", rta)
 	}
@@ -364,7 +364,7 @@ func TestRTABoundsSimulatedResponses(t *testing.T) {
 	}
 	// Per task: worst observed env->out latency vs RTA bound, with
 	// slack for delivery jitter outside the periodic model.
-	slack := 3 * cfg.ISROverhead
+	slack := int64(3 * rtos.ISROverhead)
 	for i, j := range jobs {
 		var worst int64
 		for k, e := range sys.Trace {

@@ -7,7 +7,6 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/designs"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
@@ -49,7 +48,6 @@ func PartitionSweep(prof *vm.Profile) ([]PartitionRow, error) {
 		stim = append(stim, sim.Stimulus{Time: 500, Signal: s.SpeedSample, Value: 120})
 		res, err := sim.Run(s.Net, stim, 800_000, sim.Options{
 			Cfg: cfg, Mode: sim.VMExact, Profile: prof,
-			Ordering: sgraph.OrderSiftAfterSupport,
 		})
 		if err != nil {
 			return nil, err
@@ -108,7 +106,6 @@ func AblationChaining(prof *vm.Profile) ([]ChainRow, error) {
 		stim = append(stim, sim.Stimulus{Time: 500, Signal: s.SpeedSample, Value: 120})
 		res, err := sim.Run(s.Net, stim, 800_000, sim.Options{
 			Cfg: cfg, Mode: sim.VMExact, Profile: prof,
-			Ordering: sgraph.OrderSiftAfterSupport,
 		})
 		if err != nil {
 			return nil, err

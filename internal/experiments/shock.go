@@ -7,7 +7,6 @@ import (
 	"polis/internal/designs"
 	"polis/internal/pipeline"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
@@ -90,7 +89,6 @@ func ShockAbsorberExperiment(prof *vm.Profile) (*ShockReport, error) {
 	stim = append(stim, sim.PeriodicStimuli(s.ActAck, 3500, 20_000, 900_000, nil)...)
 	res, err := sim.Run(s.Net, stim, 1_000_000, sim.Options{
 		Cfg: cfg, Mode: sim.VMExact, Profile: prof,
-		Ordering: sgraph.OrderSiftAfterSupport,
 	})
 	if err != nil {
 		return nil, err

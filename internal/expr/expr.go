@@ -69,12 +69,6 @@ type Env interface {
 	Lookup(name string) int64
 }
 
-// MapEnv is a map-backed Env. Missing names read as 0.
-type MapEnv map[string]int64
-
-// Lookup implements Env.
-func (e MapEnv) Lookup(name string) int64 { return e[name] }
-
 // Expr is a side-effect-free integer expression.
 type Expr interface {
 	// Eval evaluates the expression in the given environment.

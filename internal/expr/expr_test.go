@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// MapEnv is a map-backed Env. Missing names read as 0.
+type MapEnv map[string]int64
+
+// Lookup implements Env.
+func (e MapEnv) Lookup(name string) int64 { return e[name] }
+
 func TestConstAndRef(t *testing.T) {
 	env := MapEnv{"a": 7}
 	if got := C(42).Eval(env); got != 42 {

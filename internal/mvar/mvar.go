@@ -84,9 +84,6 @@ func (s *Space) NewMV(name string, size int, kind Kind) *MV {
 	return v
 }
 
-// Group returns the reordering-group id of v.
-func (s *Space) Group(v *MV) int32 { return v.group }
-
 // Eq returns the BDD cube asserting v == val.
 func (s *Space) Eq(v *MV, val int) bdd.Node {
 	if val < 0 || val >= v.Size {

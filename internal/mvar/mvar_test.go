@@ -208,7 +208,7 @@ func TestOwnerAndGroup(t *testing.T) {
 	if s.Top(s.M.VarNode(b.Bits[0])) != b {
 		t.Error("owner of b's bit wrong")
 	}
-	if s.Group(a) == s.Group(b) {
+	if a.group == b.group {
 		t.Error("distinct variables must have distinct groups")
 	}
 	if a.NumBits() != 3 || b.NumBits() != 1 {

@@ -9,7 +9,6 @@ import (
 	"polis/internal/randcfsm"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
-	"polis/internal/shard"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
@@ -57,11 +56,6 @@ func TestChoiceTables(t *testing.T) {
 	for name, want := range map[string]sim.Mode{"vm": sim.VMExact, "behavioral": sim.Behavioral} {
 		if got, err := sim.ParseMode(name); err != nil || got != want || got.Name() != name {
 			t.Errorf("mode %q resolves to %d (named %q), %v", name, got, got.Name(), err)
-		}
-	}
-	for name, want := range map[string]shard.Strategy{"hash": shard.ByHash, "size": shard.BySize, "": shard.ByHash} {
-		if got, err := shard.ParseStrategy(name); err != nil || got != want {
-			t.Errorf("strategy %q resolves to %v, %v", name, got, err)
 		}
 	}
 	for _, topo := range []randcfsm.Topology{randcfsm.TopoIndependent, randcfsm.TopoChain, randcfsm.TopoDAG} {

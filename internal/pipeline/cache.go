@@ -87,12 +87,10 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	b = appendBool(b, opt.UseFalsePaths)
 	b = appendBool(b, opt.Reduce)
 	if opt.Reduce {
-		r := opt.ReduceOpt
-		b = binary.AppendVarint(b, int64(r.MaxIter))
-		b = appendBool(b, r.NoShare)
-		b = appendBool(b, r.NoDontCare)
-		b = appendBool(b, r.NoStraighten)
-		b = binary.AppendVarint(b, int64(r.MaxContextNodes))
+		// The bytes of the five reduce options the stream carried
+		// when they could be set, all at their zero value; kept so
+		// every version-2 key stays valid.
+		b = append(b, 0, 0, 0, 0, 0)
 	}
 	// Specialization reshapes the generated code, so the profile
 	// evidence for this module is part of the cache key. Modules the

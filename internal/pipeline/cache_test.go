@@ -61,10 +61,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if base != Fingerprint(m, Options{Target: vm.HC11()}) {
 		t.Error("explicit default target should not change the fingerprint")
 	}
-	if base != Fingerprint(m, Options{ReduceOpt: sgraph.ReduceOptions{NoShare: true}}) {
-		t.Error("reduce options should not change the key while Reduce is off")
-	}
-	reduce := func(ro sgraph.ReduceOptions) Options { return Options{Reduce: true, ReduceOpt: ro} }
 	// Every variant must differ from the base and from every other.
 	keys := map[string]string{base: "base"}
 	distinct := func(name, key string) {
@@ -75,17 +71,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 		keys[key] = name
 	}
 	for name, opt := range map[string]Options{
-		"ordering":        {Ordering: sgraph.OrderNaive},
-		"target":          {Target: vm.R3K()},
-		"copies":          {Codegen: codegen.Options{OptimizeCopies: true}},
-		"ifthreshold":     {Codegen: codegen.Options{IfThreshold: 4}},
-		"falsepaths":      {UseFalsePaths: true},
-		"reduce":          reduce(sgraph.ReduceOptions{}),
-		"maxiter":         reduce(sgraph.ReduceOptions{MaxIter: 3}),
-		"noshare":         reduce(sgraph.ReduceOptions{NoShare: true}),
-		"nodontcare":      reduce(sgraph.ReduceOptions{NoDontCare: true}),
-		"nostraighten":    reduce(sgraph.ReduceOptions{NoStraighten: true}),
-		"maxcontextnodes": reduce(sgraph.ReduceOptions{MaxContextNodes: 100}),
+		"ordering":    {Ordering: sgraph.OrderNaive},
+		"target":      {Target: vm.R3K()},
+		"copies":      {Codegen: codegen.Options{OptimizeCopies: true}},
+		"ifthreshold": {Codegen: codegen.Options{IfThreshold: 4}},
+		"falsepaths":  {UseFalsePaths: true},
+		"reduce":      {Reduce: true},
 	} {
 		distinct(name, Fingerprint(m, opt))
 	}

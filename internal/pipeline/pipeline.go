@@ -57,8 +57,7 @@ type Options struct {
 	// don't-care TEST elimination, ASSIGN straightening) between
 	// s-graph construction and code generation.
 	Reduce bool
-	// ReduceOpt tunes the reduction passes; the zero value runs all
-	// passes with default limits.
+	// ReduceOpt is passed to sgraph.Reduce; it has no fields.
 	ReduceOpt sgraph.ReduceOptions
 	// Profile, when non-nil, enables the profile-guided specialization
 	// stage for every module the profile has evidence for: TEST
@@ -129,10 +128,10 @@ type Artifact struct {
 	Program *vm.Program
 }
 
-// Report renders the one-screen per-module summary (the same layout
-// as polis.Artifacts.Report) from the cached statistics, so it works
-// for disk-restored artifacts too. A zero measured code size reports
-// the estimation error as n/a rather than dividing by zero.
+// Report renders the one-screen per-module summary from the cached
+// statistics, so it works for disk-restored artifacts too. A zero
+// measured code size reports the estimation error as n/a rather than
+// dividing by zero.
 func (a *Artifact) Report(target *vm.Profile) string {
 	errPct := "n/a"
 	if a.CodeSize != 0 {

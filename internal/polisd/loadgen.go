@@ -46,9 +46,6 @@ type LoadConfig struct {
 	// Gen bounds the generated machines; the zero value means
 	// randcfsm.DefaultConfig().
 	Gen randcfsm.Config
-	// Client overrides the HTTP client (nil builds one sized for
-	// Concurrency).
-	Client *http.Client
 }
 
 func (c *LoadConfig) fill() {
@@ -69,14 +66,6 @@ func (c *LoadConfig) fill() {
 	}
 	if c.Gen == (randcfsm.Config{}) {
 		c.Gen = randcfsm.DefaultConfig()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        c.Concurrency,
-				MaxIdleConnsPerHost: c.Concurrency,
-			},
-		}
 	}
 }
 
@@ -198,6 +187,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		}
 		clients[i] = c
 	}
+	client := &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        cfg.Concurrency,
+			MaxIdleConnsPerHost: cfg.Concurrency,
+		},
+	}
 
 	rep := &LoadReport{Status: make(map[int]int)}
 	var (
@@ -244,7 +239,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				}
 				first = false
 				rt0 := time.Now()
-				resp, status, err := c.post(ctx, cfg.Client, cfg.URL)
+				resp, status, err := c.post(ctx, client, cfg.URL)
 				record(status, time.Since(rt0), edited, resp, err)
 			}
 		}(c)

@@ -54,7 +54,7 @@ func (s *Server) newPlan(body []byte) (*plan, int, error) {
 	}
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = min(time.Duration(req.DeadlineMS)*time.Millisecond, s.cfg.MaxDeadline)
+		deadline = min(time.Duration(req.DeadlineMS)*time.Millisecond, 4*s.cfg.DefaultDeadline)
 	}
 	keys := make([]string, len(net.Machines))
 	for i, m := range net.Machines {

@@ -179,7 +179,6 @@ func TestEncodeOptions(t *testing.T) {
 		}
 	}
 	for name, opt := range map[string]pipeline.Options{
-		"tuned reduce":   {Reduce: true, ReduceOpt: sgraph.ReduceOptions{MaxIter: 7}},
 		"profile":        {Profile: &profile.Profile{}},
 		"unknown target": {Target: &vm.Profile{Name: "z80"}},
 		"unknown order":  {Ordering: sgraph.Ordering(9)},

@@ -27,10 +27,8 @@ type Config struct {
 	// MaxBatch bounds the machines of one request; <= 0 means 256.
 	MaxBatch int
 	// DefaultDeadline applies when a request names none; zero means
-	// 30s. MaxDeadline caps request-supplied deadlines; zero means
-	// DefaultDeadline*4.
+	// 30s. Request-supplied deadlines are capped at four times it.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 	// CacheDir, if non-empty, adds the persistent on-disk cache
 	// layer below the in-memory one.
 	CacheDir string
@@ -52,9 +50,6 @@ func (c *Config) fill() {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 4 * c.DefaultDeadline
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -64,8 +59,8 @@ func (c *Config) fill() {
 type SynthRequest struct {
 	Network *WireNetwork `json:"network"`
 	Options WireOptions  `json:"options"`
-	// DeadlineMS bounds the request's wall time (capped by the
-	// server's MaxDeadline); 0 uses the server default.
+	// DeadlineMS bounds the request's wall time (capped at four
+	// times the server's DefaultDeadline); 0 uses the server default.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// IncludeC returns the generated C routine per module.
 	IncludeC bool `json:"include_c,omitempty"`

@@ -133,7 +133,7 @@ func (w WireOptions) Options() (pipeline.Options, error) {
 // ordering by the tables Options resolves them through, so the decoded
 // options fingerprint every machine as o does. Options the wire cannot
 // carry are an error rather than a silent drop: a target that is not
-// built in, non-zero ReduceOpt, or a specialization profile.
+// built in or a specialization profile.
 func EncodeOptions(o pipeline.Options) (WireOptions, error) {
 	w := WireOptions{
 		Ordering:       o.Ordering.Name(),
@@ -146,8 +146,6 @@ func EncodeOptions(o pipeline.Options) (WireOptions, error) {
 	switch {
 	case w.Ordering == "":
 		err = fmt.Errorf("ordering %d has no wire name", o.Ordering)
-	case o.ReduceOpt != (sgraph.ReduceOptions{}):
-		err = fmt.Errorf("tuned reduce options have no wire form")
 	case o.Profile != nil:
 		err = fmt.Errorf("a specialization profile has no wire form")
 	case o.Target != nil:
@@ -173,11 +171,14 @@ var unNames = map[expr.UnOp]string{
 	expr.UnBitNot: "bnot",
 }
 
-var unOps = map[string]expr.UnOp{
-	"neg":  expr.UnNeg,
-	"not":  expr.UnNot,
-	"bnot": expr.UnBitNot,
-}
+// unOps is the inverse of unNames.
+var unOps = func() map[string]expr.UnOp {
+	m := make(map[string]expr.UnOp, len(unNames))
+	for op, name := range unNames {
+		m[name] = op
+	}
+	return m
+}()
 
 func encodeExpr(e expr.Expr) *WireExpr {
 	switch v := e.(type) {

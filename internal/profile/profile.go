@@ -65,41 +65,6 @@ func (m *ModuleProfile) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// merge folds other into m (same module).
-func (m *ModuleProfile) merge(other *ModuleProfile) {
-	if m.Outcomes == nil {
-		m.Outcomes = make(map[string]int64)
-	}
-	// Outcome keys only merge meaningfully when the column order
-	// agrees; a drifted test list (re-synthesised module) resets the
-	// aggregate rather than mixing incompatible encodings.
-	if len(m.TestNames) != len(other.TestNames) || !equalStrings(m.TestNames, other.TestNames) {
-		if m.Reactions == 0 {
-			m.TestNames = append([]string(nil), other.TestNames...)
-		} else {
-			return
-		}
-	}
-	for k, c := range other.Outcomes {
-		m.Outcomes[k] += c
-	}
-	m.Reactions += other.Reactions
-	m.Fired += other.Fired
-	m.Cycles += other.Cycles
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Profile is a campaign-wide execution profile, one aggregate per
 // module name.
 type Profile struct {
@@ -114,24 +79,6 @@ func (p *Profile) Module(name string) *ModuleProfile {
 	return p.Modules[name]
 }
 
-// Merge folds other into p, module by module.
-func (p *Profile) Merge(other *Profile) {
-	if other == nil {
-		return
-	}
-	if p.Modules == nil {
-		p.Modules = make(map[string]*ModuleProfile)
-	}
-	for name, om := range other.Modules {
-		m := p.Modules[name]
-		if m == nil {
-			m = &ModuleProfile{Module: name}
-			p.Modules[name] = m
-		}
-		m.merge(om)
-	}
-}
-
 // WriteJSON serialises the profile.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -141,7 +88,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 
 // ReadJSON deserialises a profile written by WriteJSON. A module
 // entry that is null is an error: WriteJSON never writes one, and
-// Merge and Fingerprint need every entry.
+// Fingerprint needs every entry.
 func ReadJSON(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {

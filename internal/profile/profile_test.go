@@ -81,28 +81,27 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 }
 
-func TestProfileMergeAndJSON(t *testing.T) {
+func TestProfileJSONRoundTrip(t *testing.T) {
 	c := module("m")
 	task := &rtos.Task{M: c}
-	mk := func(present bool, n int) *profile.Profile {
+	// mk captures fired reactions, then unfired ones.
+	mk := func(fired, unfired int) *profile.Profile {
 		col := profile.NewCollector()
-		for i := 0; i < n; i++ {
+		for i := 0; i < fired+unfired; i++ {
+			present := i < fired
 			col.TaskBegan(task, snap(c, present, 1, 1), 0)
 			col.TaskFinished(task, cfsm.Reaction{Fired: present}, 5, 0)
 		}
 		return col.Profile()
 	}
-	a, b := mk(true, 3), mk(false, 2)
-	var merged profile.Profile
-	merged.Merge(a)
-	merged.Merge(b)
-	mp := merged.Module("m")
+	p := mk(3, 2)
+	mp := p.Module("m")
 	if mp == nil || mp.Reactions != 5 || mp.Fired != 3 {
-		t.Fatalf("merge: %+v", mp)
+		t.Fatalf("capture: %+v", mp)
 	}
 
 	var buf bytes.Buffer
-	if err := merged.WriteJSON(&buf); err != nil {
+	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := profile.ReadJSON(&buf)
@@ -117,9 +116,7 @@ func TestProfileMergeAndJSON(t *testing.T) {
 		t.Fatal("fingerprint must survive the JSON roundtrip")
 	}
 	// Evidence change must change the fingerprint.
-	more := mk(true, 1)
-	merged.Merge(more)
-	if merged.Module("m").Fingerprint() == bp.Fingerprint() {
+	if mk(4, 2).Module("m").Fingerprint() == bp.Fingerprint() {
 		t.Fatal("fingerprint must track outcome counts")
 	}
 }

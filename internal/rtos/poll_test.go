@@ -39,7 +39,6 @@ func TestPollPortOverwriteAccounting(t *testing.T) {
 	n, in, sv1, sv2 := pollFanNet()
 	cfg := DefaultConfig()
 	cfg.Deliver[in] = Polling
-	cfg.PollPeriod = 100
 	sys, err := NewSystem(n, cfg, mkBehavioral(10))
 	if err != nil {
 		t.Fatal(err)
@@ -110,18 +109,17 @@ func TestPollTicksWithoutReaders(t *testing.T) {
 	_ = in
 	cfg := DefaultConfig()
 	cfg.Deliver[orphan] = Polling // no machine reads it
-	cfg.PollPeriod = 1000
 	sys, err := NewSystem(n, cfg, mkBehavioral(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Advance(10_000); err != nil {
+	if err := sys.Advance(10 * PollPeriod); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Polls != 10 {
 		t.Errorf("Polls = %d, want 10", sys.Polls)
 	}
-	if want := 10 * cfg.PollOverhead; sys.BusyCycles != want {
+	if want := int64(10 * PollOverhead); sys.BusyCycles != want {
 		t.Errorf("BusyCycles = %d, want %d", sys.BusyCycles, want)
 	}
 }

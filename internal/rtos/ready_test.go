@@ -163,11 +163,11 @@ func scenarioTasks(t *testing.T, opt sim.Options) func(m *cfsm.CFSM) (*rtos.Task
 		if err != nil {
 			return nil, err
 		}
-		g, err := sgraph.Build(r, opt.Ordering)
+		g, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
 		if err != nil {
 			return nil, err
 		}
-		est := estimate.EstimateSGraph(g, params, estimate.Options{Codegen: opt.Codegen})
+		est := estimate.EstimateSGraph(g, params, estimate.Options{})
 		return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil
 	}
 }

@@ -75,13 +75,9 @@ type Config struct {
 	// HW marks machines implemented in hardware: they react with a
 	// fixed short delay outside the CPU.
 	HW map[*cfsm.CFSM]bool
-	// HWDelay is the reaction delay of hardware machines in cycles.
-	HWDelay int64
 	// Deliver selects polling or interrupts per environment/hardware
 	// signal; the default is Interrupt, as in the paper.
 	Deliver map[*cfsm.Signal]Delivery
-	// PollPeriod is the polling routine's period in cycles.
-	PollPeriod int64
 	// InISR marks events whose sensitive software CFSMs execute
 	// inside the interrupt service routine itself, giving the most
 	// critical tasks immediate attention.
@@ -94,13 +90,6 @@ type Config struct {
 	// removing the scheduling overhead between them. A machine may
 	// appear in at most one chain.
 	Chains [][]*cfsm.CFSM
-
-	// Overheads in cycles, normally taken from SizeTiming for the
-	// target profile.
-	ScheduleOverhead int64 // one scheduler decision
-	EmitOverhead     int64 // one event emission (flag fan-out)
-	ISROverhead      int64 // interrupt entry/exit
-	PollOverhead     int64 // one poll routine execution
 
 	// Mutant injects an intentionally wrong event-buffer semantics
 	// into every task. It exists solely so the netfuzz harness can
@@ -132,22 +121,26 @@ const (
 	MutantConsumeUnfired
 )
 
+// The RTOS's fixed timing, in cycles of the target CPU.
+const (
+	HWDelay          = 2    // reaction delay of a hardware machine
+	PollPeriod       = 2000 // period of the polling routine
+	ScheduleOverhead = 18   // one scheduler decision
+	EmitOverhead     = 9    // one event emission (flag fan-out)
+	ISROverhead      = 24   // interrupt entry/exit
+	PollOverhead     = 14   // one poll routine execution
+)
+
 // DefaultConfig returns a round-robin non-preemptive configuration
 // with interrupt delivery — the setup of the paper's shock-absorber
 // redesign.
 func DefaultConfig() Config {
 	return Config{
-		Policy:           RoundRobin,
-		Priority:         map[*cfsm.CFSM]int{},
-		HW:               map[*cfsm.CFSM]bool{},
-		HWDelay:          2,
-		Deliver:          map[*cfsm.Signal]Delivery{},
-		PollPeriod:       2000,
-		InISR:            map[*cfsm.Signal]bool{},
-		ScheduleOverhead: 18,
-		EmitOverhead:     9,
-		ISROverhead:      24,
-		PollOverhead:     14,
+		Policy:   RoundRobin,
+		Priority: map[*cfsm.CFSM]int{},
+		HW:       map[*cfsm.CFSM]bool{},
+		Deliver:  map[*cfsm.Signal]Delivery{},
+		InISR:    map[*cfsm.Signal]bool{},
 	}
 }
 

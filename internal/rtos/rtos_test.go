@@ -69,7 +69,7 @@ func TestChainDelivery(t *testing.T) {
 		t.Fatalf("out never emitted; trace: %+v", sys.Trace)
 	}
 	// Latency: ISR + schedule + A(100) + schedule + B(100).
-	want := cfg.ISROverhead + 2*cfg.ScheduleOverhead + 200
+	want := int64(ISROverhead + 2*ScheduleOverhead + 200)
 	if e.Time != want {
 		t.Errorf("out at %d cycles, want %d", e.Time, want)
 	}
@@ -256,7 +256,6 @@ func TestPollingVersusInterruptLatency(t *testing.T) {
 	n, in, out, _, _ := chainNet()
 	runWith := func(d Delivery) int64 {
 		cfg := DefaultConfig()
-		cfg.PollPeriod = 5000
 		cfg.Deliver = map[*cfsm.Signal]Delivery{in: d}
 		sys, err := NewSystem(n, cfg, mkBehavioral(100))
 		if err != nil {
@@ -277,8 +276,8 @@ func TestPollingVersusInterruptLatency(t *testing.T) {
 		t.Errorf("polling latency (%d) must exceed interrupt latency (%d)", polLat, intLat)
 	}
 	// Polling adds up to one period; with the event at t=100 and the
-	// first poll at 5000, the delivery delay is ~4900.
-	if polLat < 4000 {
+	// first poll at PollPeriod, the delivery delay is ~PollPeriod-100.
+	if polLat < PollPeriod-200 {
 		t.Errorf("polling latency %d implausibly low", polLat)
 	}
 }
@@ -308,7 +307,6 @@ func TestHardwarePartition(t *testing.T) {
 	n, in, out, a, _ := chainNet()
 	cfg := DefaultConfig()
 	cfg.HW = map[*cfsm.CFSM]bool{a: true}
-	cfg.HWDelay = 3
 	sys, err := NewSystem(n, cfg, mkBehavioral(100))
 	if err != nil {
 		t.Fatal(err)
@@ -321,9 +319,9 @@ func TestHardwarePartition(t *testing.T) {
 	if !ok {
 		t.Fatal("no output")
 	}
-	// A reacts in hardware after 3 cycles; its emission interrupts
-	// the CPU for B.
-	want := cfg.HWDelay + cfg.ISROverhead + cfg.ScheduleOverhead + 100
+	// A reacts in hardware after HWDelay cycles; its emission
+	// interrupts the CPU for B.
+	want := int64(HWDelay + ISROverhead + ScheduleOverhead + 100)
 	if e.Time != want {
 		t.Errorf("latency %d, want %d", e.Time, want)
 	}
@@ -515,10 +513,9 @@ func TestTaskChaining(t *testing.T) {
 		t.Errorf("chaining must cut latency: %d vs %d", latChain, latPlain)
 	}
 	// Exactly one scheduling overhead removed.
-	cfg := DefaultConfig()
-	if latPlain-latChain != cfg.ScheduleOverhead {
+	if latPlain-latChain != ScheduleOverhead {
 		t.Errorf("latency gain %d, want one scheduling overhead %d",
-			latPlain-latChain, cfg.ScheduleOverhead)
+			latPlain-latChain, ScheduleOverhead)
 	}
 }
 

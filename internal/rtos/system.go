@@ -173,7 +173,7 @@ func NewSystem(n *cfsm.Network, cfg Config,
 	}
 	for _, m := range n.Machines {
 		if cfg.HW[m] {
-			t := NewBehavioralTask(m, func() int64 { return cfg.HWDelay })
+			t := NewBehavioralTask(m, func() int64 { return HWDelay })
 			t.mutant = cfg.Mutant
 			t.rank = -1
 			s.hwOf[m] = t
@@ -205,7 +205,7 @@ func NewSystem(n *cfsm.Network, cfg Config,
 	}
 	s.buildRoutes()
 	s.rankTasks()
-	s.nextPoll = cfg.PollPeriod
+	s.nextPoll = PollPeriod
 	return s, nil
 }
 
@@ -360,7 +360,7 @@ func (s *System) routeFromHardware(sig *cfsm.Signal, val int64, env bool) error 
 				// One interrupt services all sensitive tasks.
 				interrupted = true
 				s.Interrupts++
-				s.stealCPU(s.Cfg.ISROverhead)
+				s.stealCPU(ISROverhead)
 			}
 			if err := s.postToTask(e.t, e.slot, sig, val, rt.inISR, env); err != nil {
 				return err
@@ -379,7 +379,7 @@ func (s *System) emitFromSW(from *Task, sig *cfsm.Signal, val int64) error {
 	}
 	extra := len(rt.entries) - 1
 	if extra > 0 {
-		s.stealCPU(int64(extra) * s.Cfg.EmitOverhead)
+		s.stealCPU(int64(extra) * EmitOverhead)
 	}
 	for _, e := range rt.entries {
 		if e.hw {
@@ -535,7 +535,7 @@ func (s *System) startHW() error {
 			if _, err := s.beginTask(hw); err != nil {
 				return err
 			}
-			s.hwRuns = append(s.hwRuns, hwRun{task: hw, end: s.Now + s.Cfg.HWDelay})
+			s.hwRuns = append(s.hwRuns, hwRun{task: hw, end: s.Now + HWDelay})
 		}
 	}
 	return nil
@@ -605,8 +605,8 @@ func (s *System) Advance(to int64) error {
 				if err != nil {
 					return err
 				}
-				s.BusyCycles += s.Cfg.ScheduleOverhead + d
-				s.current = running{task: cand, end: s.Now + s.Cfg.ScheduleOverhead + d, cost: d}
+				s.BusyCycles += ScheduleOverhead + d
+				s.current = running{task: cand, end: s.Now + ScheduleOverhead + d, cost: d}
 			}
 		}
 
@@ -676,7 +676,7 @@ func (s *System) Advance(to int64) error {
 				}
 			}
 			for _, h := range done {
-				s.finishTask(h.task, s.Cfg.HWDelay)
+				s.finishTask(h.task, HWDelay)
 				s.pushEmissions(h.task, true)
 				if err := s.drainQueue(); err != nil {
 					return err
@@ -689,8 +689,8 @@ func (s *System) Advance(to int64) error {
 			}
 		case 3:
 			s.Polls++
-			s.nextPoll += s.Cfg.PollPeriod
-			s.stealCPU(s.Cfg.PollOverhead)
+			s.nextPoll += PollPeriod
+			s.stealCPU(PollOverhead)
 			// Drain the port in network signal order, so merges (and
 			// thus traces) are identical between runs.
 			for i, sig := range s.pollSigs {

@@ -47,20 +47,18 @@ import (
 // harness cross-checks reduced object code against the reference
 // interpreter on every simulated reaction.
 
-// ReduceOptions tunes the reduction engine. The zero value runs all
-// passes with default limits.
-type ReduceOptions struct {
-	// MaxIter caps the fixed-point iterations; <= 0 means 8.
-	MaxIter int
-	// Pass toggles, for ablation.
-	NoShare      bool
-	NoDontCare   bool
-	NoStraighten bool
-	// MaxContextNodes aborts the don't-care pass (leaving the graph
+// ReduceOptions is the reduction engine's configuration. It has no
+// fields: every pass always runs, within the fixed limits below.
+type ReduceOptions struct{}
+
+const (
+	// maxReduceIter caps the fixed-point iterations.
+	maxReduceIter = 8
+	// maxContextNodes aborts the don't-care pass (leaving the graph
 	// untouched) if the context BDD manager grows past this many
-	// nodes; <= 0 means 1<<18.
-	MaxContextNodes int
-}
+	// nodes.
+	maxContextNodes = 1 << 18
+)
 
 // ReduceStats reports what Reduce did.
 type ReduceStats struct {
@@ -91,29 +89,18 @@ func (s ReduceStats) String() string {
 // Reduce runs the reduction passes to a fixed point and compacts
 // g.Vertices to the reachable set. The graph must be well-formed; it
 // stays well-formed.
-func (g *SGraph) Reduce(opt ReduceOptions) ReduceStats {
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 8
-	}
+func (g *SGraph) Reduce(ReduceOptions) ReduceStats {
 	before := g.ComputeStats()
 	st := ReduceStats{
 		VerticesBefore: before.Vertices,
 		TestsBefore:    before.Tests,
 		AssignsBefore:  before.Assigns,
 	}
-	for st.Iterations < maxIter {
+	for st.Iterations < maxReduceIter {
 		st.Iterations++
-		changed := 0
-		if !opt.NoStraighten {
-			changed += g.straightenAssigns(&st)
-		}
-		if !opt.NoDontCare {
-			changed += g.eliminateDontCares(opt, &st)
-		}
-		if !opt.NoShare {
-			changed += g.shareSubgraphs(&st)
-		}
+		changed := g.straightenAssigns(&st)
+		changed += g.eliminateDontCares(maxContextNodes, &st)
+		changed += g.shareSubgraphs(&st)
 		if changed == 0 {
 			break
 		}
@@ -283,12 +270,9 @@ func (g *SGraph) straightenAssigns(st *ReduceStats) int {
 // redirected edge only removes paths whose constraint conjunction was
 // already False, and a bypassed TEST contributes the outcome its
 // context implied. Second-order opportunities are caught by the next
-// fixed-point iteration.
-func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
-	maxNodes := opt.MaxContextNodes
-	if maxNodes <= 0 {
-		maxNodes = 1 << 18
-	}
+// fixed-point iteration. The pass gives up, rewriting nothing, once
+// the context manager holds more than maxNodes nodes.
+func (g *SGraph) eliminateDontCares(maxNodes int, st *ReduceStats) int {
 	tests := g.C.Tests
 	if len(tests) == 0 {
 		return 0

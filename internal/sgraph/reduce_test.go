@@ -334,39 +334,26 @@ func TestReduceDeadAssignDropped(t *testing.T) {
 	}
 }
 
-// TestReducePassToggles checks the ablation switches actually disable
-// their passes.
-func TestReducePassToggles(t *testing.T) {
-	build := func() *SGraph {
-		c := cfsm.New("toggle")
-		a := c.AddInput("a", true)
-		y := c.AddOutput("y", true)
-		pa := c.Present(a)
-		emit := c.Emit(y)
-		g := &SGraph{C: c}
-		g.Begin = g.newVertex(Begin)
-		root := g.newVertex(Test)
-		g.End = g.newVertex(End)
-		mk := func() *Vertex {
-			v := g.newVertex(Assign)
-			v.Action = emit
-			v.Next = g.End
-			return v
-		}
-		root.Tests = []*cfsm.Test{pa}
-		root.Children = []*Vertex{mk(), mk()}
-		g.Begin.Next = root
-		return g
+// TestDontCareBudgetAbort: when the context manager outgrows its node
+// budget, the don't-care pass gives up before any rewrite, leaving the
+// graph and the statistics as they were.
+func TestDontCareBudgetAbort(t *testing.T) {
+	g := buildGraph(t, timerLike(), OrderSiftAfterSupport)
+	before := g.Dot()
+	var st ReduceStats
+	if n := g.eliminateDontCares(1, &st); n != 0 {
+		t.Errorf("aborted pass reported %d change(s)", n)
 	}
-	g := build()
-	st := g.Reduce(ReduceOptions{NoShare: true, NoDontCare: true, NoStraighten: true})
-	if st.Changed() {
-		t.Errorf("all passes disabled but graph changed: %s", st)
+	if st != (ReduceStats{}) {
+		t.Errorf("aborted pass touched the stats: %s", st)
 	}
-	g = build()
-	st = g.Reduce(ReduceOptions{NoDontCare: true})
-	if st.Shares < 1 || st.TestsEliminated != 0 {
-		t.Errorf("share-only reduction: got %s", st)
+	if g.Dot() != before {
+		t.Error("aborted pass rewrote the graph")
+	}
+	// The same graph under the engine's budget does change, so the
+	// abort above is what kept it untouched.
+	if g.eliminateDontCares(maxContextNodes, &st) == 0 {
+		t.Fatal("the don't-care pass has nothing to remove on timerlike")
 	}
 }
 

@@ -131,7 +131,7 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 	if shards < 1 {
 		shards = 1
 	}
-	parts := Partition(machines, shards, opt.Strategy)
+	parts := Partition(machines, shards)
 
 	master := pipeline.NewCollector()
 	master.Event(pipeline.Event{Kind: pipeline.EvRunStart, Modules: len(machines), Workers: shards})

@@ -10,6 +10,7 @@ import (
 
 	"polis/internal/codegen"
 	"polis/internal/pipeline"
+	"polis/internal/profile"
 	"polis/internal/sgraph"
 	"polis/internal/shard"
 	"polis/internal/vm"
@@ -167,8 +168,7 @@ func TestRunProcsRequiresCacheDir(t *testing.T) {
 func TestRunProcsRejectsUnwirableOptions(t *testing.T) {
 	net := testNetwork(t, 5, 2)
 	opt := shard.Options{Shards: 1, CacheDir: t.TempDir()}
-	opt.Pipeline.Reduce = true
-	opt.Pipeline.ReduceOpt.MaxIter = 7
+	opt.Pipeline.Profile = &profile.Profile{}
 	_, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t, workerOK))
 	if err == nil || !strings.Contains(err.Error(), "not supported in process mode") {
 		t.Fatalf("want an unsupported-options error, got %v", err)

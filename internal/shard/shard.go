@@ -18,96 +18,30 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"time"
 
 	"polis/internal/cfsm"
-	"polis/internal/names"
 	"polis/internal/pipeline"
 )
 
-// Strategy selects how modules are partitioned into shards. Both
-// strategies are deterministic: the same network and shard count
-// always yield the same partition.
-type Strategy int
-
-const (
-	// ByHash assigns each module by an FNV-1a hash of its name modulo
-	// the shard count: stable under module insertion elsewhere in the
-	// network, at the cost of unbalanced shards on skewed names.
-	ByHash Strategy = iota
-	// BySize balances shards by a structural weight (transitions plus
-	// tests plus actions, a proxy for synthesis cost): modules are
-	// placed heaviest-first onto the lightest shard, ties resolved by
-	// lowest shard index, so the partition is deterministic.
-	BySize
-)
-
-// strategyNames is the name table of the strategies, indexed by
-// Strategy.
-var strategyNames = []string{ByHash: "hash", BySize: "size"}
-
-func (s Strategy) String() string { return names.Name(strategyNames, s) }
-
-// ParseStrategy resolves a strategy by name: "hash" (also "") or
-// "size".
-func ParseStrategy(name string) (Strategy, error) {
-	if name == "" {
-		return ByHash, nil
-	}
-	return names.Parse[Strategy]("strategy", strategyNames, name)
-}
-
-// weight is the structural proxy for a module's synthesis cost.
-func weight(m *cfsm.CFSM) int {
-	return len(m.Trans) + len(m.Tests) + len(m.Actions)
-}
-
 // Partition splits the machine list into deterministic module-index
-// groups, one per shard. Every index in [0, len(machines)) appears in
-// exactly one group; groups may be empty under ByHash.
-func Partition(machines []*cfsm.CFSM, shards int, strat Strategy) [][]int {
+// groups, one per shard: each module goes to the shard given by an
+// FNV-1a hash of its name modulo the shard count, so a module keeps
+// its shard when others are inserted elsewhere in the network. Every
+// index in [0, len(machines)) appears in exactly one group; groups may
+// be empty. The partition only balances work: every artifact is
+// addressed by its fingerprint, so output does not depend on it.
+func Partition(machines []*cfsm.CFSM, shards int) [][]int {
 	if shards < 1 {
 		shards = 1
 	}
 	out := make([][]int, shards)
-	switch strat {
-	case BySize:
-		idx := make([]int, len(machines))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			wa, wb := weight(machines[idx[a]]), weight(machines[idx[b]])
-			if wa != wb {
-				return wa > wb
-			}
-			return idx[a] < idx[b]
-		})
-		load := make([]int, shards)
-		for _, mi := range idx {
-			best := 0
-			for s := 1; s < shards; s++ {
-				if load[s] < load[best] {
-					best = s
-				}
-			}
-			out[best] = append(out[best], mi)
-			load[best] += weight(machines[mi])
-		}
-		// Keep each shard's internal order the network order so a
-		// worker's progression is predictable.
-		for s := range out {
-			sort.Ints(out[s])
-		}
-	default: // ByHash
-		for i, m := range machines {
-			h := fnv.New32a()
-			h.Write([]byte(m.Name))
-			s := int(h.Sum32() % uint32(shards))
-			out[s] = append(out[s], i)
-		}
+	for i, m := range machines {
+		h := fnv.New32a()
+		h.Write([]byte(m.Name))
+		s := int(h.Sum32() % uint32(shards))
+		out[s] = append(out[s], i)
 	}
 	return out
 }
@@ -117,8 +51,6 @@ type Options struct {
 	// Shards is the number of shards; <= 0 means GOMAXPROCS. The
 	// effective count never exceeds the module count.
 	Shards int
-	// Strategy selects the partitioner; the zero value is ByHash.
-	Strategy Strategy
 	// Pipeline is the per-module synthesis configuration shared by all
 	// shards (it is part of every module's cache fingerprint).
 	Pipeline pipeline.Options

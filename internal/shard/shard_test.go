@@ -56,40 +56,37 @@ func badNetwork(t *testing.T) *cfsm.Network {
 	return net
 }
 
-// TestPartition: both strategies cover every module exactly once,
-// deterministically, and BySize keeps the weight spread within one
-// module of balanced.
+// TestPartition: the partition covers every module exactly once,
+// deterministically.
 func TestPartition(t *testing.T) {
 	net := testNetwork(t, 3, 17)
-	for _, strat := range []shard.Strategy{shard.ByHash, shard.BySize} {
-		for _, shards := range []int{1, 2, 5, 17, 40} {
-			parts := shard.Partition(net.Machines, shards, strat)
-			if len(parts) != max(shards, 1) {
-				t.Fatalf("%v/%d: %d groups", strat, shards, len(parts))
+	for _, shards := range []int{1, 2, 5, 17, 40} {
+		parts := shard.Partition(net.Machines, shards)
+		if len(parts) != max(shards, 1) {
+			t.Fatalf("%d: %d groups", shards, len(parts))
+		}
+		seen := make(map[int]int)
+		for _, part := range parts {
+			for _, mi := range part {
+				seen[mi]++
 			}
-			seen := make(map[int]int)
-			for _, part := range parts {
-				for _, mi := range part {
-					seen[mi]++
-				}
+		}
+		if len(seen) != len(net.Machines) {
+			t.Errorf("%d: %d of %d modules assigned", shards, len(seen), len(net.Machines))
+		}
+		for mi, nt := range seen {
+			if nt != 1 {
+				t.Errorf("%d: module %d assigned %d times", shards, mi, nt)
 			}
-			if len(seen) != len(net.Machines) {
-				t.Errorf("%v/%d: %d of %d modules assigned", strat, shards, len(seen), len(net.Machines))
+		}
+		again := shard.Partition(net.Machines, shards)
+		for s := range parts {
+			if len(parts[s]) != len(again[s]) {
+				t.Fatalf("%d: partition not deterministic", shards)
 			}
-			for mi, nt := range seen {
-				if nt != 1 {
-					t.Errorf("%v/%d: module %d assigned %d times", strat, shards, mi, nt)
-				}
-			}
-			again := shard.Partition(net.Machines, shards, strat)
-			for s := range parts {
-				if len(parts[s]) != len(again[s]) {
-					t.Fatalf("%v/%d: partition not deterministic", strat, shards)
-				}
-				for i := range parts[s] {
-					if parts[s][i] != again[s][i] {
-						t.Fatalf("%v/%d: partition not deterministic", strat, shards)
-					}
+			for i := range parts[s] {
+				if parts[s][i] != again[s][i] {
+					t.Fatalf("%d: partition not deterministic", shards)
 				}
 			}
 		}
@@ -128,9 +125,8 @@ func cacheLine(t *testing.T, c *pipeline.Collector) string {
 }
 
 // TestRunDeterministicAcrossShardCounts: the same network through the
-// plain pipeline and through one and eight worker processes, under
-// both strategies, produces byte-identical artifacts in the same
-// order, with identical merged attribution and the unsharded run's
+// plain pipeline and through one and eight worker processes produces
+// byte-identical artifacts in the same order, with identical merged attribution and the unsharded run's
 // cache counters.
 func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 	net := testNetwork(t, 7, 12)
@@ -146,26 +142,24 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 
 	var totals []shard.ShardStat
 	for _, shards := range []int{1, 8} {
-		for _, strat := range []shard.Strategy{shard.ByHash, shard.BySize} {
-			label := fmt.Sprintf("shards=%d strat=%v", shards, strat)
-			rep, err := shard.RunProcs(context.Background(), net, shard.Options{
-				Shards: shards, Strategy: strat, CacheDir: t.TempDir(),
-			}, workerCmd(t, workerOK))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			sameArtifacts(t, label, rep.Artifacts, base)
-			if rep.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeMiss: len(base)} {
-				t.Errorf("%s: cold attribution %s, want all misses", label, rep.Total.Attribution())
-			}
-			if got := rep.Collector.Modules(); got != len(base) {
-				t.Errorf("%s: merged collector saw %d modules, want %d", label, got, len(base))
-			}
-			if got, want := cacheLine(t, rep.Collector), cacheLine(t, baseCol); got != want {
-				t.Errorf("%s: merged collector counted %q, unsharded run %q", label, got, want)
-			}
-			totals = append(totals, rep.Total)
+		label := fmt.Sprintf("shards=%d", shards)
+		rep, err := shard.RunProcs(context.Background(), net, shard.Options{
+			Shards: shards, CacheDir: t.TempDir(),
+		}, workerCmd(t, workerOK))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
+		sameArtifacts(t, label, rep.Artifacts, base)
+		if rep.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeMiss: len(base)} {
+			t.Errorf("%s: cold attribution %s, want all misses", label, rep.Total.Attribution())
+		}
+		if got := rep.Collector.Modules(); got != len(base) {
+			t.Errorf("%s: merged collector saw %d modules, want %d", label, got, len(base))
+		}
+		if got, want := cacheLine(t, rep.Collector), cacheLine(t, baseCol); got != want {
+			t.Errorf("%s: merged collector counted %q, unsharded run %q", label, got, want)
+		}
+		totals = append(totals, rep.Total)
 	}
 	for _, tot := range totals[1:] {
 		if tot != totals[0] {

@@ -136,14 +136,13 @@ func TestRunContextMidRunCancellation(t *testing.T) {
 	in, _ := relayPair(n, "c")
 	cfg := rtos.DefaultConfig()
 	cfg.Deliver[in] = rtos.Polling
-	cfg.PollPeriod = 5
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := sim.RunContext(ctx, n, nil, 1<<40, sim.Options{Cfg: cfg})
+	_, err := sim.RunContext(ctx, n, nil, 1<<50, sim.Options{Cfg: cfg})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

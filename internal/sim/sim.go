@@ -40,7 +40,6 @@ import (
 	"polis/internal/pipeline"
 	"polis/internal/profile"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
@@ -100,10 +99,9 @@ type Options struct {
 	Cfg  rtos.Config
 	Mode Mode
 	// Profile is the target every task is synthesized, run and timed
-	// on; nil means pipeline.DefaultTarget().
-	Profile  *vm.Profile
-	Ordering sgraph.Ordering
-	Codegen  codegen.Options
+	// on; nil means pipeline.DefaultTarget(). Tasks are synthesized
+	// with the default ordering and code-generation options.
+	Profile *vm.Profile
 	// Reduce runs the fixed-point s-graph reduction engine on every
 	// synthesized task graph before code generation; the differential
 	// checks then exercise reduced object code against the reference
@@ -306,11 +304,9 @@ func (o Options) target() *vm.Profile {
 // every task is synthesized under.
 func (o Options) synthesis() pipeline.Options {
 	return pipeline.Options{
-		Ordering: o.Ordering,
-		Target:   o.target(),
-		Codegen:  o.Codegen,
-		Reduce:   o.Reduce,
-		Profile:  o.Specialize,
+		Target:  o.target(),
+		Reduce:  o.Reduce,
+		Profile: o.Specialize,
 	}
 }
 
@@ -375,7 +371,7 @@ func estimateTask(ctx context.Context, m *cfsm.CFSM, opt Options) (estimate.Resu
 	if err != nil {
 		return estimate.Result{}, err
 	}
-	return estimate.EstimateSGraph(sg.SGraph, params, estimate.Options{Codegen: opt.Codegen}), nil
+	return estimate.EstimateSGraph(sg.SGraph, params, estimate.Options{}), nil
 }
 
 // Run simulates the network until the given cycle, injecting the

@@ -7,13 +7,11 @@ import (
 	"testing"
 
 	"polis/internal/cfsm"
-	"polis/internal/codegen"
 	"polis/internal/designs"
 	"polis/internal/expr"
 	"polis/internal/pipeline"
 	"polis/internal/profile"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
@@ -53,10 +51,9 @@ func scalerNet() (*cfsm.Network, *cfsm.Signal, *cfsm.Signal) {
 
 func defaultOpts(mode Mode) Options {
 	return Options{
-		Cfg:      rtos.DefaultConfig(),
-		Mode:     mode,
-		Profile:  vm.HC11(),
-		Ordering: sgraph.OrderSiftAfterSupport,
+		Cfg:     rtos.DefaultConfig(),
+		Mode:    mode,
+		Profile: vm.HC11(),
 	}
 }
 
@@ -149,13 +146,14 @@ func TestOverloadLosesEvents(t *testing.T) {
 }
 
 // TestVMModeReportsFootprint pins the simulator to the synthesis
-// pipeline under every option that shapes a task: for each ordering,
-// reduction, copy optimisation and a specialization profile captured
-// by a behavioural run of the dashboard, a VMExact run's footprint is
-// the sum of the pipeline artifacts' code and data bytes, a Behavioral
+// pipeline under every option that shapes a task: for the default
+// flow, reduction and a specialization profile captured by a
+// behavioural run of the dashboard, a VMExact run's footprint is the
+// sum of the pipeline artifacts' code and data bytes, a Behavioral
 // run's is the sum of their estimates, and a Behavioral run charges
-// each machine its artifact's worst-case estimate. Every option must change the footprint or a charge, so a
-// simulator that dropped one would be caught.
+// each machine its artifact's worst-case estimate. Every option must
+// change the footprint or a charge, so a simulator that dropped one
+// would be caught.
 func TestVMModeReportsFootprint(t *testing.T) {
 	d := designs.NewDashboard()
 	n := d.Net
@@ -183,11 +181,8 @@ func TestVMModeReportsFootprint(t *testing.T) {
 		name string
 		opt  pipeline.Options
 	}{
-		{"sift-support", pipeline.Options{Ordering: sgraph.OrderSiftAfterSupport}},
-		{"sift-inputs-first", pipeline.Options{Ordering: sgraph.OrderSiftInputsFirst}},
-		{"naive", pipeline.Options{Ordering: sgraph.OrderNaive}},
+		{"default", pipeline.Options{}},
 		{"reduce", pipeline.Options{Reduce: true}},
-		{"copies", pipeline.Options{Codegen: codegen.Options{OptimizeCopies: true}}},
 		{"specialize", pipeline.Options{Profile: captured}},
 	} {
 		arts, err := pipeline.Run(n, c.opt, pipeline.Config{Jobs: 1})
@@ -196,7 +191,6 @@ func TestVMModeReportsFootprint(t *testing.T) {
 		}
 		opt := Options{
 			Cfg: rtos.DefaultConfig(), Mode: VMExact,
-			Ordering: c.opt.Ordering, Codegen: c.opt.Codegen,
 			Reduce: c.opt.Reduce, Specialize: c.opt.Profile,
 		}
 		res, err := Run(n, stim[:1], 1000, opt)

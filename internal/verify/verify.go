@@ -111,24 +111,22 @@ type Result struct {
 	Violation []Step
 }
 
-// Options bounds the exploration.
+// maxStates caps the reachable set.
+const maxStates = 100000
+
+// Options configures the exploration.
 type Options struct {
-	// MaxStates caps the reachable set (default 100000).
-	MaxStates int
 	// Invariant, if non-nil, is checked on every reachable state.
 	Invariant func(State) bool
 }
 
 // Reachable explores the machine's state space breadth-first under the
 // input space, checking the invariant if one is given. The search is
-// exhaustive up to MaxStates, so an empty Violation with Truncated ==
-// false is a proof over the enumerated environment.
+// exhaustive up to maxStates states, so an empty Violation with
+// Truncated == false is a proof over the enumerated environment.
 func Reachable(m *cfsm.CFSM, sp *InputSpace, opt Options) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 100000
 	}
 	stimuli := sp.enumerate()
 
@@ -175,7 +173,7 @@ func Reachable(m *cfsm.CFSM, sp *InputSpace, opt Options) (*Result, error) {
 				res.Violation = trace
 				return res, nil
 			}
-			if len(res.States) >= opt.MaxStates {
+			if len(res.States) >= maxStates {
 				res.Truncated = true
 				return res, nil
 			}

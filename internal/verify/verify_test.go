@@ -54,7 +54,6 @@ func TestInvariantHoldsOnTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Reachable(m, sp, Options{
-		MaxStates: 2000,
 		Invariant: func(st State) bool { return st[cnt] >= 0 && st[cnt] <= 150 },
 	})
 	if err != nil {
@@ -219,7 +218,6 @@ func TestNetworkProductVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Reachable(prod, sp, Options{
-		MaxStates: 20000,
 		// Safety: the buzzer latch is set only while the belt
 		// controller is alarming or has just left the state in the
 		// same tick; the invariant checked is the weaker stable

@@ -22,32 +22,21 @@ package polis
 
 import (
 	"context"
-	"fmt"
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/esterel"
-	"polis/internal/estimate"
 	"polis/internal/pipeline"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
 // Options selects the synthesis configuration; see pipeline.Options.
 type Options = pipeline.Options
 
-// Artifacts bundles everything synthesis produces for one CFSM.
-type Artifacts struct {
-	CFSM     *cfsm.CFSM
-	SGraph   *sgraph.SGraph
-	C        string      // generated C routine
-	Program  *vm.Program // object code for the virtual target
-	Listing  string      // assembly listing
-	Estimate estimate.Result
-	Measured vm.PathCycles // exact min/max cycles from the object code
-	CodeSize int           // measured bytes
-}
+// Artifacts bundles everything synthesis produces for one CFSM; see
+// pipeline.Artifact.
+type Artifacts = pipeline.Artifact
 
 // Synthesize runs the complete per-CFSM flow of Section III: reactive
 // function extraction, BDD sifting, s-graph construction (Theorem 1),
@@ -55,20 +44,7 @@ type Artifacts struct {
 // the single-module, untraced form of SynthesizeNetwork; both share
 // the staged implementation in internal/pipeline.
 func Synthesize(m *cfsm.CFSM, opt Options) (*Artifacts, error) {
-	a, err := pipeline.SynthesizeModule(m, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifacts{
-		CFSM:     m,
-		SGraph:   a.SGraph,
-		C:        a.C,
-		Program:  a.Program,
-		Listing:  a.Listing,
-		Estimate: a.Estimate,
-		Measured: a.Measured,
-		CodeSize: a.CodeSize,
-	}, nil
+	return pipeline.SynthesizeModule(m, opt, nil)
 }
 
 // SynthesizeNetwork synthesizes every machine of the network through
@@ -119,29 +95,4 @@ func GenerateRTOS(n *cfsm.Network, cfg rtos.Config, target *vm.Profile) (string,
 	}
 	src := codegen.RTOSHeader() + "\n" + rtos.GenerateC(n, cfg, sigID)
 	return src, rtos.SizeEstimate(target, n, cfg), nil
-}
-
-// Report renders a one-screen summary of synthesis artifacts. A zero
-// measured code size reports the estimation error as n/a rather than
-// dividing by zero.
-func (a *Artifacts) Report(target *vm.Profile) string {
-	if target == nil {
-		target = pipeline.DefaultTarget()
-	}
-	st := a.SGraph.ComputeStats()
-	errPct := "n/a"
-	if a.CodeSize != 0 {
-		errPct = fmt.Sprintf("%.1f%%",
-			100*float64(a.Estimate.CodeBytes-int64(a.CodeSize))/float64(a.CodeSize))
-	}
-	return fmt.Sprintf(
-		`CFSM %s: %d tests, %d actions, %d transitions
-s-graph: %d vertices (%d TEST, %d ASSIGN), depth %d, %d paths
-code: %d bytes measured (%d estimated, %s error)
-cycles per transition: measured [%d, %d], estimated [%d, %d]
-`,
-		a.CFSM.Name, len(a.CFSM.Tests), len(a.CFSM.Actions), len(a.CFSM.Trans),
-		st.Vertices, st.Tests, st.Assigns, st.Depth, st.Paths,
-		a.CodeSize, a.Estimate.CodeBytes, errPct,
-		a.Measured.Min, a.Measured.Max, a.Estimate.MinCycles, a.Estimate.MaxCycles)
 }
