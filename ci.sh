@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: vet (also of the pipeline package for windows, so the
-# os-based disk-cache read that non-unix builds compile stays
-# checked), build, the full test suite, the race detector (the
+# CI gate: formatting (gofmt lists no file, in the module or, as a
+# subdirectory, in perfbench/), vet (also of the pipeline package
+# for windows, so the os-based disk-cache read that non-unix builds
+# compile stays checked), build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
 # ownership and use-after-Release checks enabled under the bdddebug
 # build tag (over the kernel, the two packages that release managers
@@ -35,6 +36,11 @@
 # single-iteration benchmark smoke so the harness can't bit-rot.
 set -eux
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists unformatted files: $unformatted" >&2
+    exit 1
+fi
 go vet ./...
 GOOS=windows go vet ./internal/pipeline/
 go build ./...

@@ -209,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var sources []namedSource
 	var totalCode int64
 	for _, a := range arts {
-		fmt.Fprint(stdout, a.Report(opt.Target))
+		fmt.Fprint(stdout, a.Report())
 		totalCode += int64(a.CodeSize)
 		sources = append(sources, namedSource{a.Module + ".c", a.C})
 		if *emitC {

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"polis"
+	"polis/internal/codegen"
 	"polis/internal/vm"
 )
 
@@ -35,7 +36,7 @@ func main() {
 	}
 
 	fmt.Println("== synthesis report ==")
-	fmt.Print(art.Report(nil))
+	fmt.Print(art.Report())
 
 	fmt.Println("\n== s-graph (Fig. 1) ==")
 	fmt.Print(art.SGraph.Dot())
@@ -53,7 +54,7 @@ func main() {
 	m := vm.NewMachine(vm.HC11(), art.Program.Words, host)
 	for step := 1; step <= 3; step++ {
 		host.present = true
-		cycles, err := m.Run(art.Program, art.CFSM.Name+"_react")
+		cycles, err := m.Run(art.Program, codegen.EntryLabel(art.CFSM))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"polis"
 	"polis/internal/designs"
@@ -45,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("RTOS size model: ROM %d bytes, RAM %d bytes\n", size.CodeBytes, size.DataBytes)
 	// Print the scheduler loop only.
-	start := indexOf(src, "void polis_scheduler")
+	start := strings.Index(src, "void polis_scheduler")
 	if start >= 0 {
 		fmt.Print(src[start:])
 	}
@@ -77,13 +78,4 @@ func main() {
 	for i, r := range sched.ResponseTimes {
 		fmt.Printf("  task %d worst-case response: %d cycles\n", i, r)
 	}
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }

@@ -95,11 +95,11 @@ func (t *Test) AppendKey(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(t.Kind))
 	switch t.Kind {
 	case TestPresence:
-		return appendString(b, t.Signal.Name)
+		return expr.AppendString(b, t.Signal.Name)
 	case TestPredicate:
 		return expr.AppendKey(b, t.Pred)
 	default:
-		return binary.AppendVarint(appendString(b, t.Sel.Name), int64(t.Sel.Domain))
+		return binary.AppendVarint(expr.AppendString(b, t.Sel.Name), int64(t.Sel.Domain))
 	}
 }
 
@@ -158,9 +158,9 @@ func (a *Action) Name() string {
 func (a *Action) AppendKey(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(a.Kind))
 	if a.Kind == ActEmit {
-		return expr.AppendKey(appendString(b, a.Signal.Name), a.Value)
+		return expr.AppendKey(expr.AppendString(b, a.Signal.Name), a.Value)
 	}
-	return expr.AppendKey(appendString(b, a.Var.Name), a.Expr)
+	return expr.AppendKey(expr.AppendString(b, a.Var.Name), a.Expr)
 }
 
 // Same reports whether a and o are the same action: the same pointer,
@@ -168,10 +168,6 @@ func (a *Action) AppendKey(b []byte) []byte {
 func (a *Action) Same(o *Action) bool {
 	var ab, ob [64]byte
 	return a == o || string(a.AppendKey(ab[:0])) == string(o.AppendKey(ob[:0]))
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Cond requires a test to have a particular outcome: 0/1 for Boolean

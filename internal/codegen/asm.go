@@ -105,7 +105,7 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 	a.buf = instrBufs.Get().(*[]vm.Instr)
 	a.p.Instrs = (*a.buf)[:0]
 	for _, sv := range c.States {
-		a.stateAddr[sv] = a.p.Alloc("st_" + sv.Name)
+		a.stateAddr[sv] = a.p.Alloc(stateSymbol(sv))
 	}
 	if err := a.p.Mark(EntryLabel(c)); err != nil {
 		return nil, err
@@ -200,6 +200,10 @@ func ConservativePlan(c *cfsm.CFSM) *CopyPlan {
 
 // EntryLabel returns the label of a CFSM's reaction routine.
 func EntryLabel(c *cfsm.CFSM) string { return c.Name + "_react" }
+
+// stateSymbol is the name of state variable sv's static storage, in
+// the C text and the object code alike.
+func stateSymbol(sv *cfsm.StateVar) string { return "st_" + sv.Name }
 
 // Assemble translates an s-graph into a routine for the virtual CPU;
 // it is NewRoutine(g, opts).Assemble(sigs).
@@ -464,12 +468,16 @@ func (a *Builder) EmitAction(act *cfsm.Action) error {
 	return nil
 }
 
-// InitStateMemory writes the initial values of the CFSM's state
-// variables into a machine's memory.
-func InitStateMemory(g *sgraph.SGraph, p *vm.Program, m *vm.Machine) {
-	for _, sv := range g.C.States {
-		if addr, ok := p.Symbols["st_"+sv.Name]; ok {
+// InitStateMemory writes the initial values of c's state variables
+// into a machine's memory.
+func InitStateMemory(c *cfsm.CFSM, p *vm.Program, m *vm.Machine) {
+	for _, sv := range c.States {
+		if addr, ok := p.Symbols[stateSymbol(sv)]; ok {
 			m.Mem[addr] = sv.Init
 		}
 	}
 }
+
+// StateAddr returns the address of state variable sv's storage in p,
+// or 0 when p allocates none.
+func StateAddr(p *vm.Program, sv *cfsm.StateVar) int { return p.Symbols[stateSymbol(sv)] }

@@ -52,7 +52,7 @@ func (r *Routine) EmitC() string {
 		if r.Plan.Copied(sv, opts.OptimizeCopies) {
 			names[sv.Name] = "cur_" + sv.Name
 		} else {
-			names[sv.Name] = "st_" + sv.Name
+			names[sv.Name] = stateSymbol(sv)
 		}
 	}
 	for _, sig := range g.C.Inputs {

@@ -110,7 +110,7 @@ func runVM(t *testing.T, g *sgraph.SGraph, p *vm.Program, prof *vm.Profile,
 	t.Helper()
 	h := newSnapHost(sigs, snap)
 	m := vm.NewMachine(prof, p.Words, h)
-	InitStateMemory(g, p, m)
+	InitStateMemory(g.C, p, m)
 	for _, sv := range g.C.States {
 		m.Mem[p.Symbols["st_"+sv.Name]] = snap.State[sv]
 	}

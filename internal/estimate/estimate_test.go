@@ -291,3 +291,35 @@ func TestReduceLowersEstimate(t *testing.T) {
 			reduced.MaxCycles, plain.MaxCycles)
 	}
 }
+
+// TestExpectedCyclesDropsUncovered: a vector that stops at a test the
+// profile does not cover, and a malformed key, leave the expected
+// figure alone; a profile with no covered vector gives zero.
+func TestExpectedCyclesDropsUncovered(t *testing.T) {
+	g := buildSG(t, simple())
+	p := mustCalibrate(t, vm.HC11())
+	pres, pred := g.C.Tests[0].Name(), g.C.Tests[1].Name()
+	expected := func(names []string, counts map[string]int64) int64 {
+		return EstimateSGraph(g, p, Options{ScenarioProfile: &sgraph.SpecializeProfile{TestNames: names, Outcomes: counts}}).ExpectedCycles
+	}
+	// Only present_c is profiled: absent (0) runs to END, present (1)
+	// stops at the uncovered predicate.
+	absent := expected([]string{pres}, map[string]int64{"0": 5})
+	if absent <= 0 {
+		t.Fatalf("absent-path expectation %d, want > 0", absent)
+	}
+	for _, tc := range []struct {
+		name   string
+		names  []string
+		counts map[string]int64
+		want   int64
+	}{
+		{"uncovered vector dropped", []string{pres}, map[string]int64{"0": 5, "1": 1000}, absent},
+		{"malformed key skipped", []string{pres, pred}, map[string]int64{"0,1": 5, "banana": 9, "2,0": 4}, absent},
+		{"nothing covered", []string{pres}, map[string]int64{"1": 7}, 0},
+	} {
+		if got := expected(tc.names, tc.counts); got != tc.want {
+			t.Errorf("%s: expected cycles %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

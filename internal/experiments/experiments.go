@@ -303,9 +303,7 @@ func runProductVM(prod *cfsm.CFSM, p *vm.Program, prof *vm.Profile, stimuli []si
 		host.byID[id] = s
 	}
 	m := vm.NewMachine(prof, p.Words, host)
-	for _, sv := range prod.States {
-		m.Mem[p.Symbols["st_"+sv.Name]] = sv.Init
-	}
+	codegen.InitStateMemory(prod, p, m)
 	// Group stimuli into instants.
 	var total int64
 	i := 0

@@ -406,7 +406,7 @@ func AppendKey(b []byte, e Expr) []byte {
 	case Const:
 		return binary.AppendVarint(append(b, keyConst), int64(x))
 	case Ref:
-		return appendString(append(b, keyRef), string(x))
+		return AppendString(append(b, keyRef), string(x))
 	case *Bin:
 		b = binary.AppendUvarint(append(b, keyBin), uint64(x.Op))
 		return AppendKey(AppendKey(b, x.L), x.R)
@@ -414,9 +414,12 @@ func AppendKey(b []byte, e Expr) []byte {
 		b = binary.AppendUvarint(append(b, keyUn), uint64(x.Op))
 		return AppendKey(b, x.X)
 	}
-	return appendString(append(b, keyOther), e.C())
+	return AppendString(append(b, keyOther), e.C())
 }
 
-func appendString(b []byte, s string) []byte {
+// AppendString appends s to b length-prefixed (a uvarint length, then
+// the bytes): the string encoding of every structural key, AppendKey's
+// and those built on it.
+func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

@@ -6,6 +6,7 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/expr"
+	"polis/internal/mvar"
 	"polis/internal/vm"
 )
 
@@ -89,7 +90,7 @@ func emitInput(b *codegen.Builder, g *Gate) error {
 		p.Emit(vm.Instr{Op: vm.NOT, Rd: codegen.RegVal})
 		return nil
 	default:
-		nb := bitsFor(g.Test.Sel.Domain)
+		nb := mvar.BitsFor(g.Test.Sel.Domain)
 		shift := nb - 1 - g.Bit
 		e := expr.NewBin(expr.OpBitAnd,
 			expr.NewBin(expr.OpShr, expr.V(g.Test.Sel.Name), expr.C(int64(shift))),

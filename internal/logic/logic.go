@@ -16,6 +16,7 @@ import (
 
 	"polis/internal/bdd"
 	"polis/internal/cfsm"
+	"polis/internal/mvar"
 )
 
 // GateKind enumerates network node types.
@@ -164,16 +165,8 @@ func inputValue(g *Gate, snap cfsm.Snapshot) bool {
 	if g.Test.Kind != cfsm.TestSelector {
 		return out != 0
 	}
-	nb := bitsFor(g.Test.Sel.Domain)
+	nb := mvar.BitsFor(g.Test.Sel.Domain)
 	return out&(1<<(nb-1-g.Bit)) != 0
-}
-
-func bitsFor(n int) int {
-	b := 1
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // Evaluate executes the network under a snapshot, mirroring the

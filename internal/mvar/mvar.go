@@ -53,8 +53,8 @@ func NewSpace() *Space {
 	return &Space{M: bdd.New(), byBit: make(map[bdd.Var]*MV)}
 }
 
-// bitsFor returns the number of bits needed to encode n values.
-func bitsFor(n int) int {
+// BitsFor returns the number of bits needed to encode n values.
+func BitsFor(n int) int {
 	b := 1
 	for 1<<b < n {
 		b++
@@ -70,7 +70,7 @@ func (s *Space) NewMV(name string, size int, kind Kind) *MV {
 		panic(fmt.Sprintf("mvar: domain of %q must have >= 2 values, got %d", name, size))
 	}
 	v := &MV{Name: name, Size: size, Kind: kind, Index: len(s.Vars)}
-	nb := bitsFor(size)
+	nb := BitsFor(size)
 	for i := 0; i < nb; i++ {
 		b := s.M.NewVar(name + "." + strconv.Itoa(nb-1-i))
 		v.Bits = append(v.Bits, b)

@@ -10,8 +10,8 @@ import (
 func TestBitsFor(t *testing.T) {
 	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 17: 5}
 	for n, want := range cases {
-		if got := bitsFor(n); got != want {
-			t.Errorf("bitsFor(%d) = %d, want %d", n, got, want)
+		if got := BitsFor(n); got != want {
+			t.Errorf("BitsFor(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"polis/internal/cfsm"
+	"polis/internal/expr"
 )
 
 // Fingerprint returns the content-addressed cache key of one module
@@ -44,12 +45,12 @@ func Fingerprint(m *cfsm.CFSM, opt Options) string {
 func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	opt.fill()
 	b = binary.AppendUvarint(b, fingerprintVersion)
-	b = appendString(b, m.Name)
+	b = expr.AppendString(b, m.Name)
 	b = appendSignals(b, m.Inputs)
 	b = appendSignals(b, m.Outputs)
 	b = binary.AppendUvarint(b, uint64(len(m.States)))
 	for _, sv := range m.States {
-		b = appendString(b, sv.Name)
+		b = expr.AppendString(b, sv.Name)
 		b = binary.AppendVarint(b, int64(sv.Domain))
 		b = binary.AppendVarint(b, sv.Init)
 	}
@@ -81,7 +82,7 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 		}
 	}
 	b = binary.AppendVarint(b, int64(opt.Ordering))
-	b = appendString(b, opt.Target.Name)
+	b = expr.AppendString(b, opt.Target.Name)
 	b = appendBool(b, opt.Codegen.OptimizeCopies)
 	b = binary.AppendVarint(b, int64(opt.Codegen.IfThreshold))
 	b = appendBool(b, opt.UseFalsePaths)
@@ -99,7 +100,7 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	specialize := mp != nil && len(mp.Outcomes) > 0
 	b = appendBool(b, specialize)
 	if specialize {
-		b = appendString(b, mp.Fingerprint())
+		b = expr.AppendString(b, mp.Fingerprint())
 	}
 	return b
 }
@@ -112,14 +113,10 @@ const fingerprintVersion = 2
 func appendSignals(b []byte, sigs []*cfsm.Signal) []byte {
 	b = binary.AppendUvarint(b, uint64(len(sigs)))
 	for _, s := range sigs {
-		b = appendString(b, s.Name)
+		b = expr.AppendString(b, s.Name)
 		b = appendBool(b, s.Pure)
 	}
 	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -340,7 +337,7 @@ type entryWriter struct{ b []byte }
 func (w *entryWriter) intField(p *int)       { w.b = binary.AppendVarint(w.b, int64(*p)) }
 func (w *entryWriter) int64Field(p *int64)   { w.b = binary.AppendVarint(w.b, *p) }
 func (w *entryWriter) boolField(p *bool)     { w.b = appendBool(w.b, *p) }
-func (w *entryWriter) stringField(p *string) { w.b = appendString(w.b, *p) }
+func (w *entryWriter) stringField(p *string) { w.b = expr.AppendString(w.b, *p) }
 
 // encodeEntry serialises the payload of a behind diskMagic.
 func encodeEntry(a *Artifact) []byte {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"polis/internal/cfsm"
+	"polis/internal/expr"
 )
 
 // liveHandles are the Artifact fields the disk entry leaves out.
@@ -89,8 +90,8 @@ func TestDiskEntryCorruptAsMiss(t *testing.T) {
 	splice := func(at, drop int, ins ...byte) []byte {
 		return append(append(append([]byte{}, good[:at]...), ins...), good[at+drop:]...)
 	}
-	numTests := len(diskMagic) + len(appendString(nil, a.Module)) // offset of the first varint
-	bools := len(good) - len(appendString(appendString(nil, a.C), a.Listing)) - 2
+	numTests := len(diskMagic) + len(expr.AppendString(nil, a.Module)) // offset of the first varint
+	bools := len(good) - len(expr.AppendString(expr.AppendString(nil, a.C), a.Listing)) - 2
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad magic":        splice(0, 1, 'X'),

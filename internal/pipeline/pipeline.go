@@ -32,6 +32,7 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/estimate"
+	"polis/internal/names"
 	"polis/internal/profile"
 	"polis/internal/sgraph"
 	"polis/internal/vm"
@@ -132,7 +133,7 @@ type Artifact struct {
 // statistics, so it works for disk-restored artifacts too. A zero
 // measured code size reports the estimation error as n/a rather than
 // dividing by zero.
-func (a *Artifact) Report(target *vm.Profile) string {
+func (a *Artifact) Report() string {
 	errPct := "n/a"
 	if a.CodeSize != 0 {
 		errPct = fmt.Sprintf("%.1f%%",
@@ -471,13 +472,15 @@ dispatch:
 	return results, nil
 }
 
-// synthesizeCached wraps SynthesizeModuleContext with the cache lookup
-// and the cache's singleflight layer.
+// synthesizeCached synthesizes one module, through the cache and its
+// singleflight layer (see Serve) when cache is non-nil.
 func synthesizeCached(ctx context.Context, m *cfsm.CFSM, opt Options, cache *Cache, tr Trace) (*Artifact, error) {
 	if cache == nil {
 		return SynthesizeModuleContext(ctx, m, opt, tr)
 	}
-	a, _, err := cache.SynthesizeCached(ctx, m, opt, tr)
+	a, _, err := cache.Serve(ctx, Fingerprint(m, opt), m.Name, tr, func(ctx context.Context) (*Artifact, error) {
+		return SynthesizeModuleContext(ctx, m, opt, tr)
+	})
 	return a, err
 }
 
@@ -501,39 +504,18 @@ const (
 	NumOutcomes
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeMiss:
-		return "miss"
-	case OutcomeDedup:
-		return "dedup"
-	case OutcomeDiskHit:
-		return "disk"
-	case OutcomeMemHit:
-		return "mem"
-	default:
-		return fmt.Sprintf("outcome%d", int(o))
-	}
-}
+// outcomeNames is the name table of the outcomes, indexed by Outcome.
+var outcomeNames = []string{OutcomeMiss: "miss", OutcomeDedup: "dedup", OutcomeDiskHit: "disk", OutcomeMemHit: "mem"}
+
+func (o Outcome) String() string { return names.Name(outcomeNames, o) }
 
 // ParseOutcome reverses Outcome.String; an unknown name is an error.
 func ParseOutcome(s string) (Outcome, error) {
-	for o := Outcome(0); o < NumOutcomes; o++ {
-		if o.String() == s {
-			return o, nil
-		}
+	o, err := names.Parse[Outcome]("cache outcome", outcomeNames, s)
+	if err != nil {
+		return 0, fmt.Errorf("pipeline: %w", err)
 	}
-	return 0, fmt.Errorf("pipeline: unknown cache outcome %q", s)
-}
-
-// SynthesizeCached synthesizes one module through the cache with
-// singleflight dedup (see Serve); the leader runs
-// SynthesizeModuleContext. A nil tr disables tracing.
-func (c *Cache) SynthesizeCached(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*Artifact, Outcome, error) {
-	opt.fill()
-	return c.Serve(ctx, Fingerprint(m, opt), m.Name, tr, func(ctx context.Context) (*Artifact, error) {
-		return SynthesizeModuleContext(ctx, m, opt, tr)
-	})
+	return o, nil
 }
 
 // Serve serves the artifact of key through the cache with singleflight

@@ -405,7 +405,7 @@ func TestArtifactReportZeroCodeSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.CodeSize = 0
-	rep := a.Report(nil)
+	rep := a.Report()
 	if !strings.Contains(rep, "n/a error") {
 		t.Errorf("zero code size should report n/a, got:\n%s", rep)
 	}

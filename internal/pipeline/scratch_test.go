@@ -21,7 +21,7 @@ func (replayHost) Value(sig int) int64 { return int64(sig) }
 func replayCycles(t *testing.T, a *Artifact) []int64 {
 	t.Helper()
 	m := vm.NewMachine(defaultTarget, a.Program.Words, replayHost{})
-	codegen.InitStateMemory(a.SGraph, a.Program, m)
+	codegen.InitStateMemory(a.CFSM, a.Program, m)
 	var cyc []int64
 	for range 4 {
 		c, err := m.Run(a.Program, codegen.EntryLabel(a.CFSM))

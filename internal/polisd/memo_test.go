@@ -347,7 +347,10 @@ func BenchmarkServeRequest(b *testing.B) {
 				}
 			}
 			body := marshalRequest(b, req)
-			if _, _, err := s.Cache().SynthesizeCached(context.Background(), v.C, opt, nil); err != nil {
+			if _, _, err := s.Cache().Serve(context.Background(), pipeline.Fingerprint(v.C, opt), v.C.Name, nil,
+				func(ctx context.Context) (*pipeline.Artifact, error) {
+					return pipeline.SynthesizeModuleContext(ctx, v.C, opt, nil)
+				}); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

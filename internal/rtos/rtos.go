@@ -215,32 +215,32 @@ func (t *Task) Enabled() bool {
 }
 
 // post delivers an event to the task's buffers, honouring the freeze
-// window and counting one-place buffer overwrites. slot is the input
-// slot of the signal in the task's layout.
+// window: while the task runs, the event waits in the pending buffers.
+// slot is the input slot of the signal in the task's layout.
 func (t *Task) post(slot int, v int64) {
 	if t.running {
-		if t.pendFlags[slot] && t.mutant != MutantLostUndercount {
-			t.Lost++
-		}
-		if t.pendFlags[slot] && t.mutant == MutantStaleOverwrite {
-			return // flag already set; stale value kept
-		}
-		t.pendFlags[slot] = true
-		t.pendValues[slot] = v
+		t.deliver(t.pendFlags, t.pendValues, slot, v)
 		return
 	}
-	if t.flags[slot] {
+	t.deliver(t.flags, t.values, slot, v)
+	t.enabled = true
+}
+
+// deliver writes event value v into one-place buffer slot of
+// flags/values, counting the overwrite of an event already there as
+// lost. Every delivery goes through here, so the buffer mutants act on
+// all of them alike.
+func (t *Task) deliver(flags []bool, values []int64, slot int, v int64) {
+	if flags[slot] {
 		if t.mutant != MutantLostUndercount {
 			t.Lost++
 		}
 		if t.mutant == MutantStaleOverwrite {
-			t.enabled = true
 			return // flag already set; stale value kept
 		}
 	}
-	t.flags[slot] = true
-	t.values[slot] = v
-	t.enabled = true
+	flags[slot] = true
+	values[slot] = v
 }
 
 // begin freezes the input snapshot into the task's reused buffer and
@@ -286,16 +286,8 @@ func (t *Task) finish(fired bool, nextState []int64) {
 		if !p {
 			continue
 		}
-		if t.flags[i] && t.mutant != MutantLostUndercount {
-			t.Lost++
-		}
-		if t.flags[i] && t.mutant == MutantStaleOverwrite {
-			t.enabled = true
-		} else {
-			t.flags[i] = true
-			t.values[i] = t.pendValues[i]
-			t.enabled = true
-		}
+		t.deliver(t.flags, t.values, i, t.pendValues[i])
+		t.enabled = true
 		t.pendFlags[i] = false
 	}
 	t.running = false

@@ -340,9 +340,7 @@ func (s *System) routeFromHardware(sig *cfsm.Signal, val int64, env bool) error 
 	interrupted := false
 	for _, e := range rt.entries {
 		if e.hw {
-			s.probePosted(e.t, sig, val, env)
-			e.t.post(e.slot, val)
-			if err := s.startHW(); err != nil {
+			if err := s.postToHW(e, sig, val, env); err != nil {
 				return err
 			}
 			continue
@@ -383,10 +381,7 @@ func (s *System) emitFromSW(from *Task, sig *cfsm.Signal, val int64) error {
 	}
 	for _, e := range rt.entries {
 		if e.hw {
-			// SW -> HW through a memory-mapped port: immediate.
-			s.probePosted(e.t, sig, val, false)
-			e.t.post(e.slot, val)
-			if err := s.startHW(); err != nil {
+			if err := s.postToHW(e, sig, val, false); err != nil {
 				return err
 			}
 			continue
@@ -396,6 +391,14 @@ func (s *System) emitFromSW(from *Task, sig *cfsm.Signal, val int64) error {
 		}
 	}
 	return nil
+}
+
+// postToHW delivers an event to a hardware reader: it arrives at once,
+// from any source, and the hardware partition starts.
+func (s *System) postToHW(e routeEntry, sig *cfsm.Signal, val int64, env bool) error {
+	s.probePosted(e.t, sig, val, env)
+	e.t.post(e.slot, val)
+	return s.startHW()
 }
 
 // pushEmissions copies a completed reaction's emissions into the ring.

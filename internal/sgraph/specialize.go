@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"polis/internal/cfsm"
 )
 
 // SpecializeProfile is the execution-frequency evidence the
@@ -34,6 +36,104 @@ func OutcomeKey(outcome []int) string {
 		parts[i] = strconv.Itoa(k)
 	}
 	return strings.Join(parts, ",")
+}
+
+// ProfileVector is one outcome vector of a SpecializeProfile projected
+// onto a CFSM's tests: Outcome is indexed by cfsm.TestID and holds -1
+// where the profile does not cover the test.
+type ProfileVector struct {
+	Outcome []int
+	Count   int64
+}
+
+// Vectors decodes p's outcome vectors onto tests (a CFSM's Tests), in
+// sorted key order so that anything accumulated from them cannot depend
+// on map order. Keys with a non-positive count are skipped. A key of
+// the wrong arity, or with a covered entry that is not an outcome of
+// its test, is left out and err names the first such key; every
+// well-formed vector is still returned. covers reports whether p has a
+// column for any of tests.
+func (p *SpecializeProfile) Vectors(tests []*cfsm.Test) (vecs []ProfileVector, covers bool, err error) {
+	col := make(map[string]int, len(p.TestNames))
+	for i, n := range p.TestNames {
+		col[n] = i
+	}
+	colOf := make([]int, len(tests))
+	for i, t := range tests {
+		c, ok := col[t.Name()]
+		if !ok {
+			c = -1
+		}
+		colOf[i] = c
+		covers = covers || ok
+	}
+	keys := make([]string, 0, len(p.Outcomes))
+	for k, n := range p.Outcomes {
+		if n > 0 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	vecs = make([]ProfileVector, 0, len(keys))
+	for _, key := range keys {
+		parts := strings.Split(key, ",")
+		if len(parts) != len(p.TestNames) {
+			if err == nil {
+				err = fmt.Errorf("sgraph: specialize: outcome key %q has %d entries, profile declares %d tests",
+					key, len(parts), len(p.TestNames))
+			}
+			continue
+		}
+		out := make([]int, len(tests))
+		for i, c := range colOf {
+			out[i] = -1
+			if c < 0 {
+				continue
+			}
+			v, aerr := strconv.Atoi(parts[c])
+			if aerr != nil || v < 0 || v >= tests[i].Arity() {
+				out = nil
+				break
+			}
+			out[i] = v
+		}
+		if out == nil {
+			if err == nil {
+				err = fmt.Errorf("sgraph: specialize: malformed outcome key %q", key)
+			}
+			continue
+		}
+		vecs = append(vecs, ProfileVector{Outcome: out, Count: p.Outcomes[key]})
+	}
+	return vecs, covers, err
+}
+
+// Replay walks the outcome vector outcome (indexed by cfsm.TestID, -1
+// for a test it does not determine) from BEGIN, calling visit with each
+// vertex and the index of the edge taken from it: 0 from BEGIN and
+// ASSIGN, -1 at END, which ends the walk. It returns false, after
+// visiting the vertices before it, when the walk reaches a TEST whose
+// outcome the vector does not determine, and an error when the walk
+// does not terminate.
+func (g *SGraph) Replay(outcome []int, visit func(v *Vertex, k int)) (bool, error) {
+	v := g.Begin
+	for steps := 0; v.Kind != End; steps++ {
+		if steps > len(g.Vertices) {
+			return false, fmt.Errorf("sgraph: replay: evaluation does not terminate")
+		}
+		k := 0
+		for _, t := range v.Tests {
+			o := outcome[g.C.TestID(t)]
+			if o < 0 {
+				return false, nil
+			}
+			k = k*t.Arity() + o
+		}
+		visit(v, k)
+		v = v.Succ(k)
+	}
+	visit(v, -1)
+	return true, nil
 }
 
 // SpecializeStats summarises what a Specialize pass did.
@@ -66,101 +166,31 @@ func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, error) {
 	if p == nil || len(p.Outcomes) == 0 || len(p.TestNames) == 0 {
 		return st, nil
 	}
-	col := make(map[string]int, len(p.TestNames))
-	for i, n := range p.TestNames {
-		col[n] = i
-	}
-	// Column index per graph test, -1 when the profile never saw it.
-	colOf := make([]int, len(g.C.Tests))
-	matched := false
-	for i, t := range g.C.Tests {
-		if c, ok := col[t.Name()]; ok {
-			colOf[i] = c
-			matched = true
-		} else {
-			colOf[i] = -1
-		}
-	}
-	if !matched {
+	vecs, covers, err := p.Vectors(g.C.Tests)
+	if !covers {
 		return st, nil
 	}
-	idOf := make(map[string]int, len(g.C.Tests))
-	for i, t := range g.C.Tests {
-		idOf[t.Name()] = i
+	if err != nil {
+		return st, err
 	}
-	// Deterministic iteration: replay outcome vectors in sorted key
-	// order so tie-breaks cannot depend on map ordering.
-	keys := make([]string, 0, len(p.Outcomes))
-	for k := range p.Outcomes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	weight := make(map[*Vertex][]int64)
-	vec := make([]int, len(g.C.Tests))
-	for _, key := range keys {
-		count := p.Outcomes[key]
-		if count <= 0 {
-			continue
-		}
-		parts := strings.Split(key, ",")
-		if len(parts) != len(p.TestNames) {
-			return st, fmt.Errorf("sgraph: specialize: outcome key %q has %d entries, profile declares %d tests",
-				key, len(parts), len(p.TestNames))
-		}
-		// Project the profile vector onto this graph's test list;
-		// uncovered tests are marked unknown.
-		for i := range vec {
-			vec[i] = -1
-		}
-		ok := true
-		for i, c := range colOf {
-			if c < 0 {
-				continue
-			}
-			v, err := strconv.Atoi(parts[c])
-			if err != nil || v < 0 || v >= g.C.Tests[i].Arity() {
-				ok = false
-				break
-			}
-			vec[i] = v
-		}
-		if !ok {
-			return st, fmt.Errorf("sgraph: specialize: malformed outcome key %q", key)
-		}
-		st.Samples += count
-		// Replay the vector from BEGIN, crediting each TEST vertex's
-		// taken outcome. A test the profile does not cover ends the
-		// replay: the remainder of the path is undetermined.
-		v := g.Begin
-		steps := 0
-		for v.Kind != End {
-			if steps++; steps > len(g.Vertices)+1 {
-				return st, fmt.Errorf("sgraph: specialize: evaluation does not terminate")
-			}
+	for _, pv := range vecs {
+		st.Samples += pv.Count
+		// Credit each TEST vertex's taken outcome. A test the profile
+		// does not cover ends the replay: the remainder of the path is
+		// undetermined.
+		if _, err := g.Replay(pv.Outcome, func(v *Vertex, k int) {
 			if v.Kind != Test {
-				v = v.Next
-				continue
-			}
-			idx := 0
-			known := true
-			for _, t := range v.Tests {
-				o := vec[idOf[t.Name()]]
-				if o < 0 {
-					known = false
-					break
-				}
-				idx = idx*t.Arity() + o
-			}
-			if !known {
-				break
+				return
 			}
 			w := weight[v]
 			if w == nil {
 				w = make([]int64, v.Arity())
 				weight[v] = w
 			}
-			w[idx] += count
-			v = v.Children[idx]
+			w[k] += pv.Count
+		}); err != nil {
+			return st, err
 		}
 	}
 	for v, w := range weight {

@@ -1,6 +1,7 @@
 package sgraph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,21 +111,95 @@ func TestSpecializeIdentityNormalizes(t *testing.T) {
 	}
 }
 
-// TestSpecializeMalformedProfile: a corrupt outcome key errors out and
-// reverts any partial hot orders.
+// TestSpecializeMalformedProfile drives the shared profile decoder
+// (Vectors) and replay walk (Replay) over malformed and partial
+// profiles of simple (tests present_c, then the predicate; the present
+// test is the root TEST and its absent arm goes straight to END), and
+// checks what Specialize makes of each: a malformed key is an error
+// that leaves no hot order behind, and a vector that stops at an
+// uncovered test still credits the tests before it.
 func TestSpecializeMalformedProfile(t *testing.T) {
+	full := profileFor(buildGraph(t, simple(), OrderSiftAfterSupport), nil).TestNames
+	pres, pred := full[0], full[1]
+	for _, tc := range []struct {
+		name     string
+		names    []string
+		counts   map[string]int64
+		vecs     []ProfileVector // decoded, in key order
+		covered  []bool          // Replay's verdict per decoded vector
+		err      string          // substring of the decode and Specialize error
+		samples  int64
+		weighted int // TEST vertices credited by Specialize
+	}{
+		{name: "wrong arity", names: full, counts: map[string]int64{"1": 50, "0,0": 4},
+			vecs: []ProfileVector{{[]int{0, 0}, 4}}, covered: []bool{true}, err: "has 1 entries"},
+		{name: "non-numeric", names: full, counts: map[string]int64{"x,0": 3, "0,0": 4},
+			vecs: []ProfileVector{{[]int{0, 0}, 4}}, covered: []bool{true}, err: "malformed outcome key"},
+		{name: "out of range", names: full, counts: map[string]int64{"2,0": 3, "0,0": 4},
+			vecs: []ProfileVector{{[]int{0, 0}, 4}}, covered: []bool{true}, err: "malformed outcome key"},
+		{name: "non-positive count", names: full, counts: map[string]int64{"1,0": 0, "1,1": -2, "0,0": 4},
+			vecs: []ProfileVector{{[]int{0, 0}, 4}}, covered: []bool{true}, samples: 4, weighted: 1},
+		{name: "profile test the graph lacks", names: []string{"present_zzz", pres, pred},
+			counts: map[string]int64{"1,1,0": 5, "0,0,0": 2},
+			vecs:   []ProfileVector{{[]int{0, 0}, 2}, {[]int{1, 0}, 5}}, covered: []bool{true, true},
+			samples: 7, weighted: 2},
+		{name: "graph test the profile lacks", names: []string{pres}, counts: map[string]int64{"0": 3, "1": 8},
+			vecs: []ProfileVector{{[]int{0, -1}, 3}, {[]int{1, -1}, 8}}, covered: []bool{true, false},
+			samples: 11, weighted: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := buildGraph(t, simple(), OrderSiftAfterSupport)
+			p := &SpecializeProfile{TestNames: tc.names, Outcomes: tc.counts}
+			vecs, covers, err := p.Vectors(g.C.Tests)
+			if !covers {
+				t.Fatal("profile covers no test")
+			}
+			if (err == nil) != (tc.err == "") || err != nil && !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("decode error %v, want %q", err, tc.err)
+			}
+			if !reflect.DeepEqual(vecs, tc.vecs) {
+				t.Fatalf("vectors %v, want %v", vecs, tc.vecs)
+			}
+			root := g.Begin.Next
+			for i, pv := range vecs {
+				var path []*Vertex
+				covered, err := g.Replay(pv.Outcome, func(v *Vertex, k int) { path = append(path, v) })
+				if err != nil || covered != tc.covered[i] {
+					t.Fatalf("replay %v: covered %v (err %v), want %v", pv.Outcome, covered, err, tc.covered[i])
+				}
+				// Every walk passes BEGIN and the root test; an uncovered
+				// one stops at the predicate test, after them.
+				if len(path) < 2 || path[0] != g.Begin || path[1] != root ||
+					!covered && len(path) != 2 || covered && path[len(path)-1].Kind != End {
+					t.Fatalf("replay %v visited %v", pv.Outcome, path)
+				}
+			}
+			st, err := g.SpecializeChecked(p)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("specialize error %v, want %q", err, tc.err)
+				}
+				if hotVertices(g) != 0 {
+					t.Fatal("failed specialization must leave no hot orders behind")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Samples != tc.samples || st.Tests != tc.weighted {
+				t.Fatalf("stats %+v, want %d samples over %d weighted tests", st, tc.samples, tc.weighted)
+			}
+		})
+	}
+	// The partial path's credit alone makes the root test's present arm
+	// hottest (8 reactions against 3).
 	g := buildGraph(t, simple(), OrderSiftAfterSupport)
-	p := profileFor(g, map[string]int64{"1,0": 50, "banana": 3})
-	if _, err := g.SpecializeChecked(p); err == nil {
-		t.Fatal("malformed outcome key must fail")
+	if _, err := g.Specialize(&SpecializeProfile{TestNames: []string{pres}, Outcomes: map[string]int64{"0": 3, "1": 8}}); err != nil {
+		t.Fatal(err)
 	}
-	if hotVertices(g) != 0 {
-		t.Fatal("failed specialization must leave no hot orders behind")
-	}
-	// Wrong column count likewise.
-	p = profileFor(g, map[string]int64{"1": 50})
-	if _, err := g.SpecializeChecked(p); err == nil {
-		t.Fatal("short outcome key must fail")
+	if hot := g.Begin.Next.Hot; !reflect.DeepEqual(hot, []int{1, 0}) {
+		t.Fatalf("root hot order %v, want [1 0]", hot)
 	}
 }
 

@@ -236,12 +236,6 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 		Wall:      time.Since(start),
 		Collector: master,
 	}
-	for _, st := range stats {
-		for o, n := range st.Outcomes {
-			rep.Total.Outcomes[o] += n
-		}
-		rep.Total.Modules += st.Modules
-	}
 	if len(moduleErrs) > 0 {
 		return nil, fmt.Errorf("shard: %d of %d module(s) failed: %w",
 			len(moduleErrs), len(machines), errors.Join(moduleErrs...))

@@ -76,8 +76,8 @@ func TestRunProcsMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameArtifacts(t, "process mode", procs.Artifacts, inproc)
-	if procs.Total.Outcomes[pipeline.OutcomeMiss] != len(net.Machines) {
-		t.Errorf("cold process run attribution %s, want %d misses", procs.Total.Attribution(), len(net.Machines))
+	if got := procs.Collector.Outcomes(); got[pipeline.OutcomeMiss] != len(net.Machines) {
+		t.Errorf("cold process run attribution %v, want %d misses", got, len(net.Machines))
 	}
 	if !strings.Contains(procs.Summary(), "(process)") {
 		t.Errorf("summary does not name the mode: %q", procs.Summary())
@@ -106,8 +106,8 @@ func TestRunProcsMatchesInProcessOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameArtifacts(t, "process mode, tuned options", procs.Artifacts, inproc)
-	if procs.Total.Outcomes[pipeline.OutcomeMiss] != len(net.Machines) {
-		t.Errorf("cold process run attribution %s, want %d misses", procs.Total.Attribution(), len(net.Machines))
+	if got := procs.Collector.Outcomes(); got[pipeline.OutcomeMiss] != len(net.Machines) {
+		t.Errorf("cold process run attribution %v, want %d misses", got, len(net.Machines))
 	}
 }
 

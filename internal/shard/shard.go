@@ -72,9 +72,9 @@ type ShardStat struct {
 	Outcomes [pipeline.NumOutcomes]int
 }
 
-// Attribution renders the merged miss|mem|disk|dedup counters.
-func (s ShardStat) Attribution() string {
-	o := &s.Outcomes
+// attribution renders cache outcome counts as miss|mem|disk|dedup
+// counters.
+func attribution(o [pipeline.NumOutcomes]int) string {
 	return fmt.Sprintf("miss %d | mem %d | disk %d | dedup %d", o[pipeline.OutcomeMiss],
 		o[pipeline.OutcomeMemHit], o[pipeline.OutcomeDiskHit], o[pipeline.OutcomeDedup])
 }
@@ -88,13 +88,12 @@ type Report struct {
 	Artifacts []*pipeline.Artifact
 	// Shards holds the per-shard statistics, indexed by shard.
 	Shards []ShardStat
-	// Total is the merged cache attribution across shards.
-	Total ShardStat
 	// Wall is the whole run's wall time (map plus reduce).
 	Wall time.Duration
 	// Collector holds the run-level and cache counters of every shard;
 	// its Report() is the same shape an unsharded run prints, with the
-	// per-stage timing left in the worker processes.
+	// per-stage timing left in the worker processes. Its Outcomes() is
+	// the run's cache attribution, merged across shards.
 	Collector *pipeline.Collector
 }
 
@@ -104,10 +103,10 @@ type Report struct {
 func (r *Report) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "shard: %d shard(s) (process), %d module(s), %s\n",
-		len(r.Shards), len(r.Artifacts), r.Total.Attribution())
+		len(r.Shards), len(r.Artifacts), attribution(r.Collector.Outcomes()))
 	for _, st := range r.Shards {
 		fmt.Fprintf(&b, "  shard %d: %d module(s) in %s, %s\n",
-			st.Shard, st.Modules, st.Wall.Round(10*time.Microsecond), st.Attribution())
+			st.Shard, st.Modules, st.Wall.Round(10*time.Microsecond), attribution(st.Outcomes))
 	}
 	return b.String()
 }

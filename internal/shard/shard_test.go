@@ -140,7 +140,7 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var totals []shard.ShardStat
+	var totals [][pipeline.NumOutcomes]int
 	for _, shards := range []int{1, 8} {
 		label := fmt.Sprintf("shards=%d", shards)
 		rep, err := shard.RunProcs(context.Background(), net, shard.Options{
@@ -150,8 +150,8 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		sameArtifacts(t, label, rep.Artifacts, base)
-		if rep.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeMiss: len(base)} {
-			t.Errorf("%s: cold attribution %s, want all misses", label, rep.Total.Attribution())
+		if got := rep.Collector.Outcomes(); got != [pipeline.NumOutcomes]int{pipeline.OutcomeMiss: len(base)} {
+			t.Errorf("%s: cold attribution %v, want all misses", label, got)
 		}
 		if got := rep.Collector.Modules(); got != len(base) {
 			t.Errorf("%s: merged collector saw %d modules, want %d", label, got, len(base))
@@ -159,11 +159,11 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 		if got, want := cacheLine(t, rep.Collector), cacheLine(t, baseCol); got != want {
 			t.Errorf("%s: merged collector counted %q, unsharded run %q", label, got, want)
 		}
-		totals = append(totals, rep.Total)
+		totals = append(totals, rep.Collector.Outcomes())
 	}
 	for _, tot := range totals[1:] {
 		if tot != totals[0] {
-			t.Errorf("attribution totals differ across shard counts: %+v vs %+v", tot, totals[0])
+			t.Errorf("attribution totals differ across shard counts: %v vs %v", tot, totals[0])
 		}
 	}
 }
@@ -178,15 +178,15 @@ func TestRunSharedCacheWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Total.Outcomes[pipeline.OutcomeMiss] != 10 {
-		t.Fatalf("cold attribution %s, want 10 misses", cold.Total.Attribution())
+	if got := cold.Collector.Outcomes(); got[pipeline.OutcomeMiss] != 10 {
+		t.Fatalf("cold attribution %v, want 10 misses", got)
 	}
 	warm, err := shard.RunProcs(context.Background(), net, opt, workerCmd(t, workerOK))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Total.Outcomes != [pipeline.NumOutcomes]int{pipeline.OutcomeDiskHit: 10} {
-		t.Fatalf("warm attribution %s, want 10 disk hits", warm.Total.Attribution())
+	if got := warm.Collector.Outcomes(); got != [pipeline.NumOutcomes]int{pipeline.OutcomeDiskHit: 10} {
+		t.Fatalf("warm attribution %v, want 10 disk hits", got)
 	}
 	sameArtifacts(t, "warm", warm.Artifacts, cold.Artifacts)
 	if !strings.Contains(warm.Summary(), "disk 10") {

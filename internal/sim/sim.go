@@ -165,9 +165,9 @@ type vmTask struct {
 	// sigOf maps a codegen signal id back to its signal (for
 	// emissions); inSlot maps it to the machine's input slot, -1 for
 	// pure outputs. stateAddr maps each state slot to the memory
-	// address of its "st_" symbol; a missing symbol resolves to
-	// address 0, preserving the previous engine's behaviour of
-	// reading/writing Mem[0] for untracked variables.
+	// address of its storage (codegen.StateAddr); a missing symbol
+	// resolves to address 0, preserving the previous engine's
+	// behaviour of reading/writing Mem[0] for untracked variables.
 	sigOf     []*cfsm.Signal
 	inSlot    []int
 	stateAddr []int
@@ -350,11 +350,11 @@ func buildVMTask(ctx context.Context, m *cfsm.CFSM, opt Options) (*rtos.Task, in
 	}
 	vt.stateAddr = make([]int, len(lay.States))
 	for i, sv := range lay.States {
-		vt.stateAddr[i] = prog.Symbols["st_"+sv.Name]
+		vt.stateAddr[i] = codegen.StateAddr(prog, sv)
 	}
 	target := opt.target()
 	vt.machine = vm.NewMachine(target, prog.Words, vt)
-	codegen.InitStateMemory(a.SGraph, prog, vt.machine)
+	codegen.InitStateMemory(m, prog, vt.machine)
 	task := rtos.NewDenseTask(m, lay, vt.react, func() int64 { return vt.cycles })
 	return task, int64(a.CodeSize), int64(target.DataSize(prog)), nil
 }

@@ -41,7 +41,7 @@ func TestSynthesizeSourceFig1(t *testing.T) {
 	if art.Estimate.MaxCycles < art.Estimate.MinCycles {
 		t.Error("estimate bounds inverted")
 	}
-	rep := art.Report(nil)
+	rep := art.Report()
 	if !strings.Contains(rep, "CFSM simple") {
 		t.Errorf("report malformed:\n%s", rep)
 	}
