@@ -24,7 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"polis/internal/cfsm"
 	"polis/internal/designs"
@@ -163,20 +164,13 @@ func main() {
 		fmt.Printf("partitions: %d clock-independent islands, one CPU each\n", len(systems))
 	}
 
-	counts := map[string]int{}
-	for _, e := range res.Trace {
-		if e.From != "env" && e.From != "poll" {
-			counts[e.Signal.Name]++
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	sigs := slices.Clone(net.Signals)
+	slices.SortFunc(sigs, func(a, b *cfsm.Signal) int { return strings.Compare(a.Name, b.Name) })
 	fmt.Println("emissions:")
-	for _, n := range names {
-		fmt.Printf("  %-14s %6d\n", n, counts[n])
+	for _, sig := range sigs {
+		if n := sim.CountEmissions(res.Trace, sig); n > 0 {
+			fmt.Printf("  %-14s %6d\n", sig.Name, n)
+		}
 	}
 	for _, pr := range pairs {
 		lat := sim.MaxLatency(res.Trace, pr[0], pr[1])

@@ -89,14 +89,11 @@ func SingleFSM(n *cfsm.Network) (*cfsm.CFSM, error) {
 	translateExpr := func(m *cfsm.CFSM, e expr.Expr, cb *combo) expr.Expr {
 		sub := make(map[string]expr.Expr)
 		for _, name := range e.Vars(nil) {
-			if len(name) > 0 && name[0] == '?' {
-				sig := findSignal(m.Inputs, name[1:])
-				if sig != nil && internal[sig] {
-					if v, ok := cb.emitVals[sig]; ok {
-						sub[name] = v
-					} else {
-						sub[name] = expr.C(0)
-					}
+			if i, value := m.Resolve(name); value && i >= 0 && internal[m.Inputs[i]] {
+				if v, ok := cb.emitVals[m.Inputs[i]]; ok {
+					sub[name] = v
+				} else {
+					sub[name] = expr.C(0)
 				}
 			}
 		}
@@ -263,15 +260,6 @@ func SingleFSM(n *cfsm.Network) (*cfsm.CFSM, error) {
 		return nil, err
 	}
 	return prod, nil
-}
-
-func findSignal(sigs []*cfsm.Signal, name string) *cfsm.Signal {
-	for _, s := range sigs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 func copySigSet(m map[*cfsm.Signal]bool) map[*cfsm.Signal]bool {

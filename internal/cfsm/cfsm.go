@@ -237,6 +237,31 @@ func (c *CFSM) AddState(name string, domain int, init int64) *StateVar {
 	return v
 }
 
+// Resolve resolves an expression variable name (see expr.SplitRef)
+// against the machine: an input's event value gives the index in
+// Inputs of the first input so named and value true, a state variable
+// the index in States of the first state variable so named and value
+// false. The index is -1 when the machine declares no such name. The
+// reference interpreter (Snapshot.Env) resolves names on its own, so
+// a fault here cannot hide behind it.
+func (c *CFSM) Resolve(name string) (i int, value bool) {
+	base, value := expr.SplitRef(name)
+	if value {
+		for i, s := range c.Inputs {
+			if s.Name == base {
+				return i, true
+			}
+		}
+		return -1, true
+	}
+	for i, v := range c.States {
+		if v.Name == base {
+			return i, false
+		}
+	}
+	return -1, false
+}
+
 // internTest returns the CFSM's test with t's key, adding t if it
 // has none.
 func (c *CFSM) internTest(t *Test) *Test {

@@ -135,26 +135,16 @@ func (d *DenseSnapshot) Env() expr.Env { return d.env }
 type denseEnv struct{ d *DenseSnapshot }
 
 // Lookup resolves state variables by name and input event values as
-// "?name", like the map-based snapEnv. The linear scans mirror the map
-// iterations of the reference implementation; machine interfaces are
-// small, so they beat hashing and stay allocation-free.
+// "?name" through CFSM.Resolve, whose indices are the layout's slots.
 func (e denseEnv) Lookup(name string) int64 {
-	d := e.d
-	if len(name) > 0 && name[0] == '?' {
-		want := name[1:]
-		for i, s := range d.Lay.Ins {
-			if s.Name == want {
-				return d.Values[i]
-			}
-		}
+	i, value := e.d.Lay.C.Resolve(name)
+	switch {
+	case i < 0:
 		return 0
+	case value:
+		return e.d.Values[i]
 	}
-	for i, v := range d.Lay.States {
-		if v.Name == name {
-			return d.State[i]
-		}
-	}
-	return 0
+	return e.d.State[i]
 }
 
 // EvalTest returns the outcome of a test under the dense snapshot,

@@ -32,6 +32,15 @@ func NewSignalMap(c *cfsm.CFSM) SignalMap {
 	return m
 }
 
+// Signals inverts the map: the signal of each id.
+func (m SignalMap) Signals() []*cfsm.Signal {
+	sigs := make([]*cfsm.Signal, len(m))
+	for s, id := range m {
+		sigs[id] = s
+	}
+	return sigs
+}
+
 // Options controls code generation.
 type Options struct {
 	// OptimizeCopies enables the write-before-read data-flow
@@ -154,25 +163,15 @@ func ConservativePlan(c *cfsm.CFSM) *CopyPlan {
 		NeedCopy:  make(map[*cfsm.StateVar]bool),
 		ValueRead: make(map[*cfsm.Signal]bool),
 	}
-	byName := make(map[string]*cfsm.StateVar)
-	for _, sv := range c.States {
-		byName[sv.Name] = sv
-	}
-	sigByName := make(map[string]*cfsm.Signal)
-	for _, s := range c.Inputs {
-		sigByName[s.Name] = s
-	}
 	note := func(names []string) {
 		for _, n := range names {
-			if len(n) > 0 && n[0] == '?' {
-				if sig := sigByName[n[1:]]; sig != nil {
-					plan.ValueRead[sig] = true
-				}
-				continue
-			}
-			if sv := byName[n]; sv != nil {
-				plan.Read[sv] = true
-				plan.NeedCopy[sv] = true
+			switch i, value := c.Resolve(n); {
+			case i < 0:
+			case value:
+				plan.ValueRead[c.Inputs[i]] = true
+			default:
+				plan.Read[c.States[i]] = true
+				plan.NeedCopy[c.States[i]] = true
 			}
 		}
 	}
@@ -245,30 +244,27 @@ func (a *Builder) prologue() {
 		}
 		addr := a.p.Alloc("val_" + sig.Name)
 		a.valAddr[sig] = addr
-		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig])}), "?"+sig.Name)
+		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig])}), string(expr.EventValue(sig.Name)))
 		a.p.Emit(vm.Instr{Op: vm.ST, Addr: addr, Rs: 0})
 	}
 }
 
 // readAddr resolves an expression variable name to a data address.
 func (a *Builder) readAddr(name string) (int, error) {
-	if len(name) > 0 && name[0] == '?' {
-		for _, sig := range a.c.Inputs {
-			if sig.Name == name[1:] {
-				if addr, ok := a.valAddr[sig]; ok {
-					return addr, nil
-				}
-				return 0, fmt.Errorf("codegen: value of %s read but not copied", sig.Name)
-			}
-		}
+	i, value := a.c.Resolve(name)
+	switch {
+	case i < 0 && value:
 		return 0, fmt.Errorf("codegen: unknown input value %q", name)
-	}
-	for _, sv := range a.c.States {
-		if sv.Name == name {
-			return a.StateReadAddr(sv), nil
+	case i < 0:
+		return 0, fmt.Errorf("codegen: unknown variable %q", name)
+	case value:
+		sig := a.c.Inputs[i]
+		if addr, ok := a.valAddr[sig]; ok {
+			return addr, nil
 		}
+		return 0, fmt.Errorf("codegen: value of %s read but not copied", sig.Name)
 	}
-	return 0, fmt.Errorf("codegen: unknown variable %q", name)
+	return a.StateReadAddr(a.c.States[i]), nil
 }
 
 // CompileExpr evaluates e into register RegVal using the simple

@@ -6,6 +6,8 @@
 package codegen
 
 import (
+	"slices"
+
 	"polis/internal/cfsm"
 	"polis/internal/expr"
 	"polis/internal/sgraph"
@@ -57,10 +59,6 @@ func analyzeCopies(g *sgraph.SGraph, topo []*sgraph.Vertex) *CopyPlan {
 		ValueRead: make(map[*cfsm.Signal]bool),
 	}
 	states := g.C.States
-	byName := make(map[string]int, len(states)) // state variable -> bit
-	for i, sv := range states {
-		byName[sv.Name] = i
-	}
 	words := (len(states) + 63) / 64
 	may := make([]uint64, g.IDBound()*words)
 	read := make([]uint64, words)
@@ -77,16 +75,11 @@ func analyzeCopies(g *sgraph.SGraph, topo []*sgraph.Vertex) *CopyPlan {
 	noteReads := func(e expr.Expr, w []uint64) {
 		names = e.Vars(names[:0])
 		for _, n := range names {
-			if len(n) > 0 && n[0] == '?' {
-				for _, sig := range g.C.Inputs {
-					if sig.Name == n[1:] {
-						p.ValueRead[sig] = true
-						break
-					}
-				}
-				continue
-			}
-			if i, ok := byName[n]; ok {
+			switch i, value := g.C.Resolve(n); {
+			case i < 0:
+			case value:
+				p.ValueRead[g.C.Inputs[i]] = true
+			default:
 				noteState(i, w)
 			}
 		}
@@ -109,7 +102,7 @@ func analyzeCopies(g *sgraph.SGraph, topo []*sgraph.Vertex) *CopyPlan {
 				case cfsm.TestPredicate:
 					noteReads(t.Pred, w)
 				case cfsm.TestSelector:
-					if i, ok := byName[t.Sel.Name]; ok {
+					if i := slices.Index(states, t.Sel); i >= 0 {
 						noteState(i, w)
 					}
 				}
@@ -128,7 +121,7 @@ func analyzeCopies(g *sgraph.SGraph, topo []*sgraph.Vertex) *CopyPlan {
 			case cfsm.ActAssign:
 				noteReads(a.Expr, w)
 				out := flow(v.Next, w)
-				if i, ok := byName[a.Var.Name]; ok {
+				if i := slices.Index(states, a.Var); i >= 0 {
 					set(out, i)
 				}
 			}

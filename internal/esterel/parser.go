@@ -468,7 +468,7 @@ func (p *parser) primary() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return expr.V("?" + n), nil
+		return expr.EventValue(n), nil
 	case t.kind == tokSymbol && t.text == "(":
 		e, err := p.expr()
 		if err != nil {

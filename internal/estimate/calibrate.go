@@ -8,27 +8,27 @@ import (
 	"polis/internal/vm"
 )
 
-// calibMemo caches Calibrate results per profile instance. Keyed by
-// pointer identity: a caller that mutates a profile in place must
-// allocate a fresh Profile (as the cache-fingerprint contract already
-// requires) or bypass the memo by calling Calibrate directly.
-var calibMemo sync.Map // *vm.Profile -> *Params
+// calibMemo caches Calibrate results per target name.
+var calibMemo sync.Map // Profile.Name -> *Params
 
-// CalibrateCached is Calibrate memoized per profile instance. The
-// calibration fragments depend only on the profile's cost tables, so
-// recalibrating the same profile for every module of a network (the
-// pipeline synthesizes modules independently) is pure repeated work —
-// on a 16-module batch it was ~25% of the whole run. The returned
-// Params are shared and must be treated as read-only.
+// CalibrateCached is Calibrate memoized per target. The calibration
+// fragments depend only on the profile's cost tables, so recalibrating
+// the same target for every module of a network (the pipeline
+// synthesizes modules independently) is pure repeated work — on a
+// 16-module batch it was ~25% of the whole run. A target is identified
+// by its Name, as the cache fingerprint identifies it: a caller that
+// changes a profile's tables must rename it or call Calibrate
+// directly. The returned Params are shared and must be treated as
+// read-only.
 func CalibrateCached(prof *vm.Profile) (*Params, error) {
-	if p, ok := calibMemo.Load(prof); ok {
+	if p, ok := calibMemo.Load(prof.Name); ok {
 		return p.(*Params), nil
 	}
 	p, err := Calibrate(prof)
 	if err != nil {
 		return nil, err
 	}
-	got, _ := calibMemo.LoadOrStore(prof, p)
+	got, _ := calibMemo.LoadOrStore(prof.Name, p)
 	return got.(*Params), nil
 }
 

@@ -19,7 +19,7 @@ type Result struct {
 	MinCycles int64
 	MaxCycles int64
 	// ExpectedCycles is the profile-weighted mean execution time of a
-	// transition under Options.ScenarioProfile: each observed outcome
+	// transition under Options.Scenario: each observed outcome
 	// vector's path is costed exactly and weighted by its observed
 	// frequency. Zero when no profile is supplied (or none of its
 	// vectors cover this graph's tests); compare against MaxCycles to
@@ -37,11 +37,12 @@ type Options struct {
 	// using the CFSM's mutual-exclusion information ("event
 	// incompatibility relations"), tightening MaxCycles.
 	UseFalsePaths bool
-	// ScenarioProfile, when set, adds the profile-weighted
-	// ExpectedCycles figure to the result. It is the same evidence the
-	// specialization pass consumes, so worst-case and expected-case
-	// can be read off one estimate.
-	ScenarioProfile *sgraph.SpecializeProfile
+	// Scenario, when set, adds the profile-weighted ExpectedCycles
+	// figure to the result. It holds a profile's outcome vectors over
+	// the machine's tests, the same evidence the specialization pass
+	// consumes (sgraph.Specialize returns them), so worst-case and
+	// expected-case can be read off one estimate.
+	Scenario []sgraph.ProfileVector
 }
 
 // vertexCost is the estimated cycles of the vertex body (excluding
@@ -222,8 +223,8 @@ func EstimateRoutine(r *codegen.Routine, p *Params, opts Options) Result {
 			res.MaxCycles = mx
 		}
 	}
-	if opts.ScenarioProfile != nil {
-		res.ExpectedCycles = expectedCycles(r, p, opts.ScenarioProfile, entryCyc)
+	if opts.Scenario != nil {
+		res.ExpectedCycles = expectedCycles(r, p, opts.Scenario, entryCyc)
 	}
 
 	// --- RAM: persistent state + copies + value copies + spill temps ---

@@ -108,6 +108,34 @@ func TestCalibrateSane(t *testing.T) {
 	}
 }
 
+// TestCalibrateCachedPerTarget: the memo is keyed by target, so fresh
+// instances of one built-in profile share one Params and one entry.
+func TestCalibrateCachedPerTarget(t *testing.T) {
+	entries := func() int {
+		n := 0
+		calibMemo.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := entries()
+	first, err := CalibrateCached(vm.HC11())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := entries() - before
+	for i := 0; i < 4; i++ {
+		p, err := CalibrateCached(vm.HC11())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != first {
+			t.Fatalf("call %d calibrated again", i+2)
+		}
+	}
+	if got := entries() - before; got != grown || grown > 1 {
+		t.Fatalf("memo grew by %d entries over five calls, want at most 1", got)
+	}
+}
+
 // checkAccuracy compares the s-graph estimate against exact
 // object-code measurement; the paper's Table I shows close agreement.
 func checkAccuracy(t *testing.T, c *cfsm.CFSM, prof *vm.Profile, tolPct float64) {
@@ -300,7 +328,8 @@ func TestExpectedCyclesDropsUncovered(t *testing.T) {
 	p := mustCalibrate(t, vm.HC11())
 	pres, pred := g.C.Tests[0].Name(), g.C.Tests[1].Name()
 	expected := func(names []string, counts map[string]int64) int64 {
-		return EstimateSGraph(g, p, Options{ScenarioProfile: &sgraph.SpecializeProfile{TestNames: names, Outcomes: counts}}).ExpectedCycles
+		vecs, _, _ := (&sgraph.SpecializeProfile{TestNames: names, Outcomes: counts}).Vectors(g.C.Tests)
+		return EstimateSGraph(g, p, Options{Scenario: vecs}).ExpectedCycles
 	}
 	// Only present_c is profiled: absent (0) runs to END, present (1)
 	// stops at the uncovered predicate.

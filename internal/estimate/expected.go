@@ -6,7 +6,7 @@ import (
 )
 
 // expectedCycles computes the profile-weighted mean transition time:
-// every outcome vector observed by the scenario profile is replayed
+// every outcome vector of the scenario profile (vecs) is replayed
 // through the s-graph and its exact path cost — vertex bodies, edge
 // arms under the current hot orders, gotos where the layout displaces
 // a fall-through child — accumulated with the vector's observed
@@ -15,8 +15,7 @@ import (
 // from the weighting rather than guessed at, and so are malformed
 // keys. The routine is the one the size/bound DP walks, so the goto
 // placement agrees between the figures.
-func expectedCycles(r *codegen.Routine, p *Params, prof *sgraph.SpecializeProfile, entryCyc int64) int64 {
-	vecs, _, _ := prof.Vectors(r.G.C.Tests)
+func expectedCycles(r *codegen.Routine, p *Params, vecs []sgraph.ProfileVector, entryCyc int64) int64 {
 	var weighted, total int64
 	for _, pv := range vecs {
 		var cycles int64

@@ -297,11 +297,7 @@ func beltWorkload(d *designs.Dashboard, until int64) []sim.Stimulus {
 // stimulus stream: one synchronous reaction per instant at which any
 // input event is present (the product consumes the whole snapshot).
 func runProductVM(prod *cfsm.CFSM, p *vm.Program, prof *vm.Profile, stimuli []sim.Stimulus) (int64, error) {
-	host := &productHost{byID: map[int]*cfsm.Signal{}}
-	sigs := codegen.NewSignalMap(prod)
-	for s, id := range sigs {
-		host.byID[id] = s
-	}
+	host := &productHost{byID: codegen.NewSignalMap(prod).Signals()}
 	m := vm.NewMachine(prof, p.Words, host)
 	codegen.InitStateMemory(prod, p, m)
 	// Group stimuli into instants.
@@ -326,7 +322,7 @@ func runProductVM(prod *cfsm.CFSM, p *vm.Program, prof *vm.Profile, stimuli []si
 }
 
 type productHost struct {
-	byID    map[int]*cfsm.Signal
+	byID    []*cfsm.Signal
 	present map[*cfsm.Signal]bool
 	values  map[*cfsm.Signal]int64
 	Emitted []cfsm.Emission

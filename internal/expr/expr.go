@@ -98,9 +98,23 @@ func (c Const) Vars(dst []string) []string { return dst }
 func (c Const) Ops(dst []Op) []Op { return dst }
 
 // Ref references a variable by name. The name space is defined by the
-// enclosing CFSM: state variables, input-event values (?c in Esterel
-// notation becomes c_value), and constants bound by the environment.
+// enclosing CFSM: a bare name reads a state variable, and an input's
+// event value is spelled "?c" as in Esterel (EventValue builds that
+// spelling, SplitRef takes it apart).
 type Ref string
+
+// EventValue returns the reference to input signal sig's event value.
+func EventValue(sig string) Ref { return Ref("?" + sig) }
+
+// SplitRef takes a variable name apart: the signal's name and true for
+// an input's event value, the name itself and false for a state
+// variable.
+func SplitRef(name string) (string, bool) {
+	if len(name) > 0 && name[0] == '?' {
+		return name[1:], true
+	}
+	return name, false
+}
 
 // Eval implements Expr.
 func (r Ref) Eval(env Env) int64 { return env.Lookup(string(r)) }
@@ -326,11 +340,12 @@ func Subst(e Expr, sub map[string]Expr) Expr {
 }
 
 // WriteC writes e in C syntax to b. Each variable reference is written
-// as ref(name), or as its name when ref is nil; the code generator
-// passes a ref that maps state variables and input values into the
-// routine's name space. An Expr outside the four closed shapes writes
-// its C().
-func WriteC(b *strings.Builder, e Expr, ref func(name string) string) {
+// as the prefix and base ref returns for its name, or as its name when
+// ref is nil; the code generator passes a ref that maps state
+// variables and input values into the routine's name space. Returning
+// the two parts lets a mapping add a prefix without building a string.
+// An Expr outside the four closed shapes writes its C().
+func WriteC(b *strings.Builder, e Expr, ref func(name string) (prefix, base string)) {
 	switch x := e.(type) {
 	case Const:
 		var buf [20]byte
@@ -339,7 +354,9 @@ func WriteC(b *strings.Builder, e Expr, ref func(name string) string) {
 		if ref == nil {
 			b.WriteString(string(x))
 		} else {
-			b.WriteString(ref(string(x)))
+			prefix, base := ref(string(x))
+			b.WriteString(prefix)
+			b.WriteString(base)
 		}
 	case *Bin:
 		switch x.Op {

@@ -96,7 +96,7 @@ func TestCRendering(t *testing.T) {
 // references, through the mapping; library-call names stay.
 func TestWriteCRefMapping(t *testing.T) {
 	e := Add(Min(V("MIN"), V("?x")), NewNeg(Div(V("DIV"), C(-2))))
-	ref := func(name string) string { return "m_" + name }
+	ref := func(name string) (string, string) { return "m_", name }
 	var b strings.Builder
 	WriteC(&b, e, ref)
 	if want := "(MIN(m_MIN, m_?x) + (-DIV(m_DIV, -2)))"; b.String() != want {

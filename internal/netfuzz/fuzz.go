@@ -220,7 +220,7 @@ func runGuarded(net *cfsm.Network, stimuli []sim.Stimulus, horizon int64,
 func traceSeqs(trace []rtos.TraceEvent) map[string][]int64 {
 	out := map[string][]int64{}
 	for _, e := range trace {
-		if e.From != "env" && e.From != "poll" {
+		if e.Emitted() {
 			out[e.Signal.Name] = append(out[e.Signal.Name], e.Value)
 		}
 	}
@@ -296,7 +296,7 @@ func RunOne(seed int64, cfg Config) *Report {
 		if res != nil {
 			ms.PollDropped = res.System.PollDropped
 			for _, e := range res.Trace {
-				if e.From != "env" && e.From != "poll" {
+				if e.Emitted() {
 					ms.Emissions++
 				}
 			}

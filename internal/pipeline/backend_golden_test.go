@@ -107,8 +107,7 @@ func collapsedSpecialized(t *testing.T, m *cfsm.CFSM, r *rand.Rand) *Artifact {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
 	sg.SGraph.CollapseTests(0)
-	sg.Spec = randomSpecProfile(r, m)
-	if _, err := sg.SGraph.Specialize(sg.Spec); err != nil {
+	if _, sg.Vectors, err = sg.SGraph.Specialize(randomSpecProfile(r, m)); err != nil {
 		t.Fatalf("%s: %v", m.Name, err)
 	}
 	a, err := backEnd(context.Background(), m, sg, opt, nopTrace{})

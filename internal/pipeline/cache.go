@@ -97,7 +97,7 @@ func appendFingerprint(b []byte, m *cfsm.CFSM, opt Options) []byte {
 	// evidence for this module is part of the cache key. Modules the
 	// profile has nothing on stay on their unspecialized key.
 	mp := opt.Profile.Module(m.Name) // nil-safe
-	specialize := mp != nil && len(mp.Outcomes) > 0
+	specialize := mp.Spec() != nil
 	b = appendBool(b, specialize)
 	if specialize {
 		b = expr.AppendString(b, mp.Fingerprint())

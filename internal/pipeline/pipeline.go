@@ -222,8 +222,8 @@ func backEnd(ctx context.Context, m *cfsm.CFSM, sg *Graph, opt Options, tr Trace
 		return nil, err
 	}
 	est := estimate.EstimateRoutine(r, params, estimate.Options{
-		UseFalsePaths:   opt.UseFalsePaths,
-		ScenarioProfile: sg.Spec,
+		UseFalsePaths: opt.UseFalsePaths,
+		Scenario:      sg.Vectors,
 	})
 	tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageEstimate, Duration: time.Since(t)})
 
@@ -240,7 +240,7 @@ func backEnd(ctx context.Context, m *cfsm.CFSM, sg *Graph, opt Options, tr Trace
 		Stats:       g.ComputeStats(),
 		Reduced:     opt.Reduce,
 		Reduce:      sg.Reduce,
-		Specialized: sg.Spec != nil,
+		Specialized: sg.Vectors != nil,
 		Specialize:  sg.Specialize,
 		CFSM:        m,
 		SGraph:      g,
@@ -256,10 +256,12 @@ type Graph struct {
 	// Reduce holds the reduction statistics (zero when opt.Reduce is
 	// off).
 	Reduce sgraph.ReduceStats
-	// Specialize holds the specialization statistics, and Spec the
-	// profile applied; Spec is nil when the stage did not run.
+	// Specialize holds the specialization statistics, and Vectors the
+	// profile's outcome vectors decoded onto the machine's tests, for
+	// the estimator; Vectors is nil exactly when the stage did not
+	// run.
 	Specialize sgraph.SpecializeStats
-	Spec       *sgraph.SpecializeProfile
+	Vectors    []sgraph.ProfileVector
 }
 
 // SynthesizeGraph runs the flow up to the s-graph boundary: reactive
@@ -348,13 +350,12 @@ func SynthesizeGraph(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (
 	if opt.Profile != nil {
 		if sp := opt.Profile.Module(m.Name).Spec(); sp != nil {
 			t = time.Now()
-			sg.Specialize, err = g.SpecializeChecked(sp)
+			sg.Specialize, sg.Vectors, err = g.SpecializeChecked(sp)
 			tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageSpecialize, Duration: time.Since(t)})
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: specialize: %w", err)
 			}
 			tr.Event(Event{Kind: EvSpecialize, Module: m.Name, Specialize: sg.Specialize})
-			sg.Spec = sp
 		}
 	}
 	return sg, nil
@@ -382,6 +383,17 @@ func RunModules(machines []*cfsm.CFSM, opt Options, cfg Config) ([]*Artifact, er
 	return RunModulesContext(context.Background(), machines, opt, cfg)
 }
 
+// Workers resolves a requested worker count for n jobs: GOMAXPROCS
+// when requested <= 0, then at most n and at least 1. The pipeline's
+// workers, the process shards and the simulator's island workers all
+// follow it.
+func Workers(requested, n int) int {
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(requested, n))
+}
+
 // RunModulesContext is RunModules under a context: when the context is
 // cancelled or its deadline expires, no further modules are scheduled
 // (the same drain path fail-fast uses), in-flight modules stop at
@@ -393,16 +405,7 @@ func RunModulesContext(ctx context.Context, machines []*cfsm.CFSM, opt Options, 
 	if tr == nil {
 		tr = nopTrace{}
 	}
-	workers := cfg.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(machines) {
-		workers = len(machines)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := Workers(cfg.Jobs, len(machines))
 	tr.Event(Event{Kind: EvRunStart, Modules: len(machines), Workers: workers})
 	start := time.Now()
 

@@ -414,12 +414,9 @@ func TestArtifactReportZeroCodeSize(t *testing.T) {
 	}
 }
 
-// TestDefaultTargetCalibratesOnce is the regression for the
-// calibration-memo leak: estimate.CalibrateCached memoizes by profile
-// pointer, so a nil Target that resolved to a fresh vm.HC11() on every
-// call re-ran the calibration and retained one more memo entry per
-// call. A defaulted call must cost no more than one with an explicit,
-// already-calibrated target.
+// TestDefaultTargetCalibratesOnce pins that a nil Target does not
+// recalibrate: a defaulted call must cost no more than one with an
+// explicit, already-calibrated target.
 func TestDefaultTargetCalibratesOnce(t *testing.T) {
 	m := testNetwork(t, 3, 1).Machines[0]
 	var explicit Options

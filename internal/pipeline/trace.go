@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"polis/internal/names"
 	"polis/internal/sgraph"
 )
 
@@ -43,26 +44,13 @@ const (
 	numStages
 )
 
-func (s Stage) String() string {
-	switch s {
-	case StageReactive:
-		return "reactive"
-	case StageSift:
-		return "sift"
-	case StageSGraph:
-		return "s-graph"
-	case StageReduce:
-		return "reduce"
-	case StageSpecialize:
-		return "specialize"
-	case StageCodegen:
-		return "codegen"
-	case StageEstimate:
-		return "estimate"
-	default:
-		return fmt.Sprintf("stage%d", int(s))
-	}
+var stageNames = []string{
+	StageReactive: "reactive", StageSift: "sift", StageSGraph: "s-graph",
+	StageReduce: "reduce", StageSpecialize: "specialize",
+	StageCodegen: "codegen", StageEstimate: "estimate",
 }
+
+func (s Stage) String() string { return names.Name(stageNames, s) }
 
 // EventKind classifies trace events.
 type EventKind int

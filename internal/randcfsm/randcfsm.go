@@ -188,7 +188,7 @@ func generate(r *rand.Rand, cfg Config, c *cfsm.CFSM, prefix string,
 	}
 	for _, in := range m.Inputs {
 		if !in.Pure && r.Intn(2) == 0 {
-			tests = append(tests, c.Pred(expr.Ge(expr.V("?"+in.Name), expr.C(r.Int63n(cfg.ValueRange)))))
+			tests = append(tests, c.Pred(expr.Ge(expr.EventValue(in.Name), expr.C(r.Int63n(cfg.ValueRange)))))
 		}
 	}
 
@@ -467,7 +467,7 @@ func (m *Machine) randExpr(data []*cfsm.StateVar, depth int) expr.Expr {
 		default:
 			for _, in := range m.Inputs {
 				if !in.Pure && r.Intn(2) == 0 {
-					return expr.V("?" + in.Name)
+					return expr.EventValue(in.Name)
 				}
 			}
 			return expr.C(r.Int63n(m.Range))

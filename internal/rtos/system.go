@@ -14,8 +14,22 @@ type TraceEvent struct {
 	Time   int64
 	Signal *cfsm.Signal
 	Value  int64
-	From   string // emitting machine, "env", or "isr"/"poll" for deliveries
+	// From is the emitting machine's name, FromEnv for an environment
+	// stimulus, or "poll" for the poll routine's delivery of a latched
+	// event to one software reader: an echo of an event already
+	// recorded.
+	From string
 }
+
+// Trace sources that are not machines.
+const (
+	FromEnv  = "env"
+	fromPoll = "poll"
+)
+
+// Emitted reports whether the event is a machine's emission, neither
+// an environment stimulus nor a poll delivery's echo.
+func (e TraceEvent) Emitted() bool { return e.From != FromEnv && e.From != fromPoll }
 
 // Probe observes the runtime at its three semantic points: an event
 // delivered to a task's buffers, an execution starting with a frozen
@@ -298,7 +312,7 @@ func (s *System) buildRoutes() {
 // partition. The returned error is a reaction failure of an
 // ISR-context or hardware task (with the task name attached).
 func (s *System) EmitEnv(sig *cfsm.Signal, val int64) error {
-	s.record(sig, val, "env")
+	s.record(sig, val, FromEnv)
 	return s.routeFromHardware(sig, val, true)
 }
 
@@ -707,7 +721,7 @@ func (s *System) Advance(to int64) error {
 					if e.hw {
 						continue
 					}
-					s.record(sig, val, "poll")
+					s.record(sig, val, fromPoll)
 					if err := s.postToTask(e.t, e.slot, sig, val, false, false); err != nil {
 						return err
 					}

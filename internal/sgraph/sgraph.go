@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"polis/internal/cfsm"
+	"polis/internal/names"
 )
 
 // Kind enumerates s-graph vertex types (Definition 1).
@@ -27,18 +28,9 @@ const (
 	Assign
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Begin:
-		return "BEGIN"
-	case End:
-		return "END"
-	case Test:
-		return "TEST"
-	default:
-		return "ASSIGN"
-	}
-}
+var kindNames = []string{Begin: "BEGIN", End: "END", Test: "TEST", Assign: "ASSIGN"}
+
+func (k Kind) String() string { return names.Name(kindNames, k) }
 
 // Vertex is one s-graph node. A TEST vertex carries one or more
 // primitive tests (more than one after TEST-node collapsing) and one

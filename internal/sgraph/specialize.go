@@ -51,8 +51,8 @@ type ProfileVector struct {
 // on map order. Keys with a non-positive count are skipped. A key of
 // the wrong arity, or with a covered entry that is not an outcome of
 // its test, is left out and err names the first such key; every
-// well-formed vector is still returned. covers reports whether p has a
-// column for any of tests.
+// well-formed vector is still returned, and vecs is never nil. covers
+// reports whether p has a column for any of tests.
 func (p *SpecializeProfile) Vectors(tests []*cfsm.Test) (vecs []ProfileVector, covers bool, err error) {
 	col := make(map[string]int, len(p.TestNames))
 	for i, n := range p.TestNames {
@@ -160,18 +160,18 @@ func (s SpecializeStats) String() string {
 // SpecializeChecked additionally discharges that claim through
 // CheckEquivalent. Identity orders are normalised to nil so an
 // unspecialized graph and a graph specialized under a uniform profile
-// generate byte-identical code.
-func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, error) {
+// generate byte-identical code. A profile with no column for any of
+// the machine's tests leaves the graph as it is. Specialize also
+// returns p's vectors (Vectors over g.C.Tests), so a later consumer,
+// the estimator's profile-weighted cycles, need not decode p again.
+func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, []ProfileVector, error) {
 	var st SpecializeStats
-	if p == nil || len(p.Outcomes) == 0 || len(p.TestNames) == 0 {
-		return st, nil
-	}
 	vecs, covers, err := p.Vectors(g.C.Tests)
 	if !covers {
-		return st, nil
+		return st, vecs, nil
 	}
 	if err != nil {
-		return st, err
+		return st, vecs, err
 	}
 	weight := make(map[*Vertex][]int64)
 	for _, pv := range vecs {
@@ -190,7 +190,7 @@ func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, error) {
 			}
 			w[k] += pv.Count
 		}); err != nil {
-			return st, err
+			return st, vecs, err
 		}
 	}
 	for v, w := range weight {
@@ -216,7 +216,7 @@ func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, error) {
 		v.Hot = order
 		st.Reordered++
 	}
-	return st, nil
+	return st, vecs, nil
 }
 
 // SpecializeChecked runs Specialize and equivalence-gates the result:
@@ -228,25 +228,25 @@ func (g *SGraph) Specialize(p *SpecializeProfile) (SpecializeStats, error) {
 // outcome space too large to enumerate exhaustively counts as a pass —
 // the pass only writes advisory layout metadata, and the per-reaction
 // netfuzz differential covers the generated code.
-func (g *SGraph) SpecializeChecked(p *SpecializeProfile) (SpecializeStats, error) {
+func (g *SGraph) SpecializeChecked(p *SpecializeProfile) (SpecializeStats, []ProfileVector, error) {
 	orig := g.Clone()
 	revert := func() {
 		for i, v := range g.Vertices {
 			v.Hot = orig.Vertices[i].Hot
 		}
 	}
-	st, err := g.Specialize(p)
+	st, vecs, err := g.Specialize(p)
 	if err != nil {
 		revert()
-		return st, err
+		return st, vecs, err
 	}
 	if err := g.CheckWellFormed(); err != nil {
 		revert()
-		return st, fmt.Errorf("sgraph: specialize produced ill-formed graph: %w", err)
+		return st, vecs, fmt.Errorf("sgraph: specialize produced ill-formed graph: %w", err)
 	}
 	if err := g.CheckEquivalent(orig); err != nil && !errors.Is(err, ErrOutcomeSpaceTooLarge) {
 		revert()
-		return st, fmt.Errorf("sgraph: specialize equivalence gate: %w", err)
+		return st, vecs, fmt.Errorf("sgraph: specialize equivalence gate: %w", err)
 	}
-	return st, nil
+	return st, vecs, nil
 }

@@ -53,7 +53,7 @@ func TestSpecializeHotPath(t *testing.T) {
 	hotKey := []string{"0", "0"}
 	hotKey[presCol] = "1"
 	counts[strings.Join(hotKey, ",")] = 1000
-	st, err := g.SpecializeChecked(profileFor(g, counts))
+	st, _, err := g.SpecializeChecked(profileFor(g, counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSpecializeIdentityNormalizes(t *testing.T) {
 	// Outcome 0,0 dominating keeps outcome 0 first at the root test;
 	// deeper vertices see monotonically decreasing weights in index
 	// order too, so everything normalises to identity.
-	st, err := g.SpecializeChecked(profileFor(g, counts))
+	st, _, err := g.SpecializeChecked(profileFor(g, counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSpecializeMalformedProfile(t *testing.T) {
 					t.Fatalf("replay %v visited %v", pv.Outcome, path)
 				}
 			}
-			st, err := g.SpecializeChecked(p)
+			st, _, err := g.SpecializeChecked(p)
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
 					t.Fatalf("specialize error %v, want %q", err, tc.err)
@@ -195,7 +195,7 @@ func TestSpecializeMalformedProfile(t *testing.T) {
 	// The partial path's credit alone makes the root test's present arm
 	// hottest (8 reactions against 3).
 	g := buildGraph(t, simple(), OrderSiftAfterSupport)
-	if _, err := g.Specialize(&SpecializeProfile{TestNames: []string{pres}, Outcomes: map[string]int64{"0": 3, "1": 8}}); err != nil {
+	if _, _, err := g.Specialize(&SpecializeProfile{TestNames: []string{pres}, Outcomes: map[string]int64{"0": 3, "1": 8}}); err != nil {
 		t.Fatal(err)
 	}
 	if hot := g.Begin.Next.Hot; !reflect.DeepEqual(hot, []int{1, 0}) {
@@ -208,7 +208,7 @@ func TestSpecializeMalformedProfile(t *testing.T) {
 func TestSpecializeUnknownTestsIgnored(t *testing.T) {
 	g := buildGraph(t, simple(), OrderSiftAfterSupport)
 	p := &SpecializeProfile{TestNames: []string{"present_zzz"}, Outcomes: map[string]int64{"1": 7}}
-	st, err := g.SpecializeChecked(p)
+	st, _, err := g.SpecializeChecked(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSpecializeSelector(t *testing.T) {
 		counts[vec(0, 1, s)] += 2
 		counts[vec(1, 0, s)] = 1
 	}
-	st, err := g.SpecializeChecked(&SpecializeProfile{TestNames: names, Outcomes: counts})
+	st, _, err := g.SpecializeChecked(&SpecializeProfile{TestNames: names, Outcomes: counts})
 	if err != nil {
 		t.Fatal(err)
 	}

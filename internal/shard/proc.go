@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -121,16 +120,7 @@ func RunProcs(ctx context.Context, net *cfsm.Network, opt Options, workerCmd []s
 		return nil, fmt.Errorf("shard: options not supported in process mode: %w", err)
 	}
 	machines := net.Machines
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > len(machines) {
-		shards = len(machines)
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards := pipeline.Workers(opt.Shards, len(machines))
 	parts := Partition(machines, shards)
 
 	master := pipeline.NewCollector()

@@ -3,11 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"polis/internal/cfsm"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 )
 
@@ -144,17 +144,11 @@ func runPartitioned(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, un
 		perIsland[i] = append(perIsland[i], st)
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := pipeline.Workers(opt.Workers, len(parts))
 	if opt.Probe != nil {
 		// A probe sees every island; probe implementations are not
 		// required to be safe for concurrent use.
 		workers = 1
-	}
-	if workers > len(parts) {
-		workers = len(parts)
 	}
 
 	results := make([]*Result, len(parts))

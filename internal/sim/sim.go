@@ -324,7 +324,6 @@ func buildVMTask(ctx context.Context, m *cfsm.CFSM, opt Options) (*rtos.Task, in
 		return nil, 0, 0, err
 	}
 	prog := a.Program
-	sigs := codegen.NewSignalMap(m)
 	lay := cfsm.NewLayout(m)
 	vt := &vmTask{
 		m: m, prog: prog, lay: lay,
@@ -333,19 +332,9 @@ func buildVMTask(ctx context.Context, m *cfsm.CFSM, opt Options) (*rtos.Task, in
 		bounds: a.Measured,
 		estMax: a.Estimate.MaxCycles,
 	}
-	maxID := -1
-	for _, id := range sigs {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	vt.sigOf = make([]*cfsm.Signal, maxID+1)
-	vt.inSlot = make([]int, maxID+1)
-	for i := range vt.inSlot {
-		vt.inSlot[i] = -1
-	}
-	for s, id := range sigs {
-		vt.sigOf[id] = s
+	vt.sigOf = codegen.NewSignalMap(m).Signals()
+	vt.inSlot = make([]int, len(vt.sigOf))
+	for id, s := range vt.sigOf {
 		vt.inSlot[id] = lay.InSlot(s)
 	}
 	vt.stateAddr = make([]int, len(lay.States))
@@ -480,16 +469,17 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 	return res, nil
 }
 
-// Latencies returns, for every environment emission of in, the delay
-// until the first subsequent non-environment emission of out.
+// Latencies returns, for every environment stimulus of in, the delay
+// until the first subsequent machine emission of out
+// (rtos.TraceEvent.Emitted).
 func Latencies(trace []rtos.TraceEvent, in, out *cfsm.Signal) []int64 {
 	var lats []int64
 	for i, e := range trace {
-		if e.Signal != in || e.From != "env" {
+		if e.Signal != in || e.From != rtos.FromEnv {
 			continue
 		}
 		for _, f := range trace[i:] {
-			if f.Signal == out && f.From != "env" && f.From != "poll" && f.Time >= e.Time {
+			if f.Signal == out && f.Emitted() && f.Time >= e.Time {
 				lats = append(lats, f.Time-e.Time)
 				break
 			}
@@ -514,11 +504,12 @@ func MaxLatency(trace []rtos.TraceEvent, in, out *cfsm.Signal) int64 {
 	return max
 }
 
-// CountEmissions tallies non-environment emissions per signal.
+// CountEmissions counts the machine emissions of sig
+// (rtos.TraceEvent.Emitted).
 func CountEmissions(trace []rtos.TraceEvent, sig *cfsm.Signal) int {
 	n := 0
 	for _, e := range trace {
-		if e.Signal == sig && e.From != "env" && e.From != "poll" {
+		if e.Signal == sig && e.Emitted() {
 			n++
 		}
 	}

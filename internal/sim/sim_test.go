@@ -124,6 +124,55 @@ func TestLatencies(t *testing.T) {
 	}
 }
 
+// TestPollEchoNotAnEmission: under Polling delivery, a hardware
+// machine's output that a software task reads is recorded twice, as
+// the machine's emission and as the poll routine's later echo.
+// CountEmissions counts it once, and Latencies pairs each stimulus
+// with the machine's record, never with the echo.
+func TestPollEchoNotAnEmission(t *testing.T) {
+	n, sample, _ := scalerNet()
+	scaler := n.Machines[0]
+	mid := scaler.Outputs[0]
+	opt := defaultOpts(VMExact)
+	opt.Cfg.HW = map[*cfsm.CFSM]bool{scaler: true}
+	opt.Cfg.Deliver = map[*cfsm.Signal]rtos.Delivery{mid: rtos.Polling}
+	stim := PeriodicStimuli(sample, 1000, 20000, 100000, func(i int) int64 { return int64(i) })
+	res, err := Run(n, stim, 200000, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records, echoes []rtos.TraceEvent
+	for _, e := range res.Trace {
+		switch {
+		case e.Signal != mid:
+		case e.Emitted():
+			records = append(records, e)
+		default:
+			echoes = append(echoes, e)
+		}
+	}
+	if len(records) != len(stim) || len(echoes) != len(stim) {
+		t.Fatalf("%d records and %d echoes of mid, want %d each", len(records), len(echoes), len(stim))
+	}
+	for i, r := range records {
+		if echoes[i].Time <= r.Time || echoes[i].Value != r.Value {
+			t.Fatalf("echo %+v does not follow record %+v", echoes[i], r)
+		}
+	}
+	if got := CountEmissions(res.Trace, mid); got != len(stim) {
+		t.Errorf("CountEmissions(mid) = %d, want %d", got, len(stim))
+	}
+	lats := Latencies(res.Trace, sample, mid)
+	if len(lats) != len(stim) {
+		t.Fatalf("%d latencies, want %d", len(lats), len(stim))
+	}
+	for i, l := range lats {
+		if want := records[i].Time - stim[i].Time; l != want {
+			t.Errorf("latency %d = %d, want %d (to the machine's record)", i, l, want)
+		}
+	}
+}
+
 func TestOverloadLosesEvents(t *testing.T) {
 	n, sample, out := scalerNet()
 	// Events far faster than the processing chain can absorb.

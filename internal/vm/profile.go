@@ -136,9 +136,7 @@ func R3K() *Profile {
 	return p
 }
 
-// targets is the name table of the built-in targets: one instance of
-// each for the life of the process, so that estimate.CalibrateCached,
-// which memoizes by profile pointer, calibrates each target once.
+// targets is the name table of the built-in targets.
 var targets = []*Profile{HC11(), R3K()}
 
 // Target returns the shared instance of the built-in target with the
