@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"strconv"
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
@@ -60,8 +61,9 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 	}
 	stateTable := make([]int32, states)
 	if states > 1 {
+		first := p.Labels("state", states)
 		for s := range stateTable {
-			stateTable[s] = p.Label(fmt.Sprintf("state%d", s))
+			stateTable[s] = first + int32(s)
 		}
 		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Label: p.Table(stateTable...)})
 	}
@@ -84,7 +86,7 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 			p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpMul, Rd: codegen.RegAcc, Rs: codegen.RegAux})
 			switch t.Kind {
 			case cfsm.TestPresence:
-				p.Comment(p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(b.SignalID(t.Signal))}), t.Name())
+				p.Annotate(p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(b.SignalID(t.Signal))}), t)
 				p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: codegen.RegAcc, Rs: 0})
 			case cfsm.TestPredicate:
 				if err := b.CompileExpr(t.Pred); err != nil {
@@ -96,8 +98,9 @@ func TwoLevelJump(c *cfsm.CFSM, sigs codegen.SignalMap, opts codegen.Options) (*
 			}
 		}
 		dTable := make([]int32, decisions)
+		first := p.Labels("s"+strconv.Itoa(s)+"d", decisions)
 		for d := range dTable {
-			dTable[d] = p.Label(fmt.Sprintf("s%dd%d", s, d))
+			dTable[d] = first + int32(d)
 		}
 		p.Emit(vm.Instr{Op: vm.JTAB, Rs: codegen.RegAcc, Label: p.Table(dTable...)})
 		for d := 0; d < decisions; d++ {

@@ -16,7 +16,6 @@ package cfsm
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"polis/internal/expr"
 )
@@ -70,17 +69,20 @@ func (t *Test) Arity() int {
 
 // Name returns a diagnostic name for the test.
 func (t *Test) Name() string {
+	var buf [64]byte
+	return string(t.AppendName(buf[:0]))
+}
+
+// AppendName appends the test's Name to b, so a listing can render it
+// straight into its buffer.
+func (t *Test) AppendName(b []byte) []byte {
 	switch t.Kind {
 	case TestPresence:
-		return "present_" + t.Signal.Name
+		return append(append(b, "present_"...), t.Signal.Name...)
 	case TestPredicate:
-		var b strings.Builder
-		b.WriteString("pred{")
-		expr.WriteC(&b, t.Pred, nil)
-		b.WriteByte('}')
-		return b.String()
+		return append(expr.AppendC(append(b, "pred{"...), t.Pred, nil), '}')
 	default:
-		return "sel_" + t.Sel.Name
+		return append(append(b, "sel_"...), t.Sel.Name...)
 	}
 }
 
@@ -133,22 +135,20 @@ type Action struct {
 
 // Name returns a diagnostic name for the action.
 func (a *Action) Name() string {
-	if a.Kind == ActEmit && a.Value == nil {
-		return "emit_" + a.Signal.Name
+	var buf [64]byte
+	return string(a.AppendName(buf[:0]))
+}
+
+// AppendName appends the action's Name to b, as Test.AppendName does.
+func (a *Action) AppendName(b []byte) []byte {
+	if a.Kind == ActAssign {
+		return expr.AppendC(append(append(b, a.Var.Name...), ":="...), a.Expr, nil)
 	}
-	var b strings.Builder
-	if a.Kind == ActEmit {
-		b.WriteString("emit_")
-		b.WriteString(a.Signal.Name)
-		b.WriteByte('(')
-		expr.WriteC(&b, a.Value, nil)
-		b.WriteByte(')')
-	} else {
-		b.WriteString(a.Var.Name)
-		b.WriteString(":=")
-		expr.WriteC(&b, a.Expr, nil)
+	b = append(append(b, "emit_"...), a.Signal.Name...)
+	if a.Value == nil {
+		return b
 	}
-	return b.String()
+	return append(expr.AppendC(append(b, '('), a.Value, nil), ')')
 }
 
 // AppendKey appends the structural key of a to b, as Test.AppendKey
@@ -340,10 +340,25 @@ func (c *CFSM) TestID(t *Test) int { return t.id }
 // ActionID returns the index of a within the CFSM's action list.
 func (c *CFSM) ActionID(a *Action) int { return a.id }
 
-// Validate checks structural sanity: guards reference interned tests,
-// selector values lie in range, and no transition assigns the same
-// state variable twice.
+// Validate checks structural sanity: no two state variables and no
+// two inputs share a name (expressions reference both by name),
+// guards reference interned tests, selector values lie in range, and
+// no transition assigns the same state variable twice.
 func (c *CFSM) Validate() error {
+	for i, v := range c.States {
+		for _, w := range c.States[:i] {
+			if w.Name == v.Name {
+				return fmt.Errorf("%s: two state variables named %s", c.Name, v.Name)
+			}
+		}
+	}
+	for i, s := range c.Inputs {
+		for _, o := range c.Inputs[:i] {
+			if o.Name == s.Name {
+				return fmt.Errorf("%s: two inputs named %s", c.Name, s.Name)
+			}
+		}
+	}
 	for ti, tr := range c.Trans {
 		assigned := make(map[*StateVar]bool)
 		for _, cond := range tr.Guard {

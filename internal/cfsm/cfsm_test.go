@@ -2,6 +2,7 @@ package cfsm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"polis/internal/expr"
@@ -125,6 +126,43 @@ func TestValidateRejectsDoubleAssign(t *testing.T) {
 		c.Assign(a, expr.C(1)))
 	if err := c.Validate(); err == nil {
 		t.Error("double assignment must be rejected")
+	}
+}
+
+// TestValidateRejectsDuplicateNames: a machine that declares two state
+// variables or two inputs with one name is rejected, since expressions
+// reference them by name and could read either. The check allocates
+// nothing, as BuildReactive runs it for every module.
+func TestValidateRejectsDuplicateNames(t *testing.T) {
+	c := New("twox")
+	x1 := c.AddState("x", 0, 1)
+	c.AddState("x", 0, 2)
+	out := c.AddOutput("out", false)
+	c.AddTransition(nil, c.EmitV(out, expr.V("x")), c.Assign(x1, expr.C(3)))
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "two state variables named x") {
+		t.Errorf("two state variables named x: Validate() = %v", err)
+	}
+
+	c = New("twoin")
+	c.AddInput("i", false)
+	c.AddInput("i", true)
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "two inputs named i") {
+		t.Errorf("two inputs named i: Validate() = %v", err)
+	}
+
+	// An input and a state variable may share a name: "?x" and "x"
+	// are apart.
+	c = New("apart")
+	x := c.AddState("x", 0, 0)
+	in := c.AddInput("x", false)
+	c.AddState("y", 0, 0)
+	c.AddInput("z", true)
+	c.AddTransition([]Cond{On(c.Present(in), 1)}, c.Assign(x, expr.V("?x")))
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = c.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times on a valid machine", n)
 	}
 }
 

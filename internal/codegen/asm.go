@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -80,17 +81,23 @@ type Builder struct {
 	opts Options
 	plan *CopyPlan
 
-	stateAddr map[*cfsm.StateVar]int // persistent state words
-	curAddr   map[*cfsm.StateVar]int // entry copies (when needed)
-	valAddr   map[*cfsm.Signal]int   // input value copies
-	vlab      []int32                // vertex ID -> label, set by body
-	tmpDepth  int
-	maxTmp    int
+	// Data words by position in c.States and c.Inputs: the persistent
+	// state words, their entry copies and the input value copies, -1
+	// where the prologue makes no copy.
+	stateAddr, curAddr, valAddr []int32
+	vlab                        int32 // label of vertex ID 0, set by body
+	tmpDepth                    int
+	maxTmp                      int
 }
 
 // instrBufs lends each Builder the instruction buffer it assembles in.
-// Finish copies the finished stream out, so no Program keeps one.
-var instrBufs = sync.Pool{New: func() any { return new([]vm.Instr) }}
+// Finish copies the finished stream out, so no Program keeps one. A
+// fresh buffer starts at a size most routines fit rather than growing
+// from nothing.
+var instrBufs = sync.Pool{New: func() any {
+	b := make([]vm.Instr, 0, 256)
+	return &b
+}}
 
 // NewBuilder prepares a routine for the given CFSM: the entry label is
 // marked, state words are allocated and the copy-on-entry prologue is
@@ -101,20 +108,22 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 	if plan == nil {
 		plan = ConservativePlan(c)
 	}
+	ns := len(c.States)
+	addrs := make([]int32, 2*ns+len(c.Inputs))
 	a := &Builder{
 		c:         c,
 		p:         vm.NewProgram(c.Name),
 		sigs:      sigs,
 		opts:      opts,
 		plan:      plan,
-		stateAddr: make(map[*cfsm.StateVar]int),
-		curAddr:   make(map[*cfsm.StateVar]int),
-		valAddr:   make(map[*cfsm.Signal]int),
+		stateAddr: addrs[:ns:ns],
+		curAddr:   addrs[ns : 2*ns : 2*ns],
+		valAddr:   addrs[2*ns:],
 	}
 	a.buf = instrBufs.Get().(*[]vm.Instr)
 	a.p.Instrs = (*a.buf)[:0]
-	for _, sv := range c.States {
-		a.stateAddr[sv] = a.p.Alloc(stateSymbol(sv))
+	for i, sv := range c.States {
+		a.stateAddr[i] = a.p.Alloc(stateSymbol(sv))
 	}
 	if err := a.p.Mark(EntryLabel(c)); err != nil {
 		return nil, err
@@ -143,12 +152,31 @@ func (a *Builder) Finish() (*vm.Program, error) {
 
 // StateReadAddr returns the data word reads of a state variable use:
 // its entry copy when one exists, else the persistent word, which
-// still holds the pre-reaction value at every read.
-func (a *Builder) StateReadAddr(sv *cfsm.StateVar) int {
-	if cur, ok := a.curAddr[sv]; ok {
+// still holds the pre-reaction value at every read. It is 0 for a
+// variable the machine does not declare.
+func (a *Builder) StateReadAddr(sv *cfsm.StateVar) int32 {
+	i := slices.Index(a.c.States, sv)
+	if i < 0 {
+		return 0
+	}
+	return a.stateRead(i)
+}
+
+// stateRead is StateReadAddr of the state variable at position i.
+func (a *Builder) stateRead(i int) int32 {
+	if cur := a.curAddr[i]; cur >= 0 {
 		return cur
 	}
-	return a.stateAddr[sv]
+	return a.stateAddr[i]
+}
+
+// stateWord returns the persistent word of state variable sv, 0 for a
+// variable the machine does not declare.
+func (a *Builder) stateWord(sv *cfsm.StateVar) int32 {
+	if i := slices.Index(a.c.States, sv); i >= 0 {
+		return a.stateAddr[i]
+	}
+	return 0
 }
 
 // SignalID returns the RTOS id of a signal.
@@ -229,28 +257,41 @@ func (r *Routine) Assemble(sigs SignalMap) (*vm.Program, error) {
 // prologue copies state variables and input values on entry, per the
 // paper's copy-on-entry discipline (optionally trimmed by data flow).
 func (a *Builder) prologue() {
-	for _, sv := range a.c.States {
+	for i, sv := range a.c.States {
+		a.curAddr[i] = -1
 		if !a.plan.Copied(sv, a.opts.OptimizeCopies) {
 			continue
 		}
 		cur := a.p.Alloc("cur_" + sv.Name)
-		a.curAddr[sv] = cur
-		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateAddr[sv]}), "copy "+sv.Name)
+		a.curAddr[i] = cur
+		a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateAddr[i]}), copyNote{sv})
 		a.p.Emit(vm.Instr{Op: vm.ST, Addr: cur, Rs: RegVal})
 	}
-	for _, sig := range a.c.Inputs {
+	for i, sig := range a.c.Inputs {
+		a.valAddr[i] = -1
 		if sig.Pure || !a.plan.ValueRead[sig] {
 			continue
 		}
 		addr := a.p.Alloc("val_" + sig.Name)
-		a.valAddr[sig] = addr
-		a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig])}), string(expr.EventValue(sig.Name)))
+		a.valAddr[i] = addr
+		a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcValue, Imm: int64(a.sigs[sig])}), valueNote{sig})
 		a.p.Emit(vm.Instr{Op: vm.ST, Addr: addr, Rs: 0})
 	}
 }
 
+// copyNote lists the entry copy of a state variable: "copy x".
+type copyNote struct{ sv *cfsm.StateVar }
+
+func (n copyNote) AppendName(b []byte) []byte { return append(append(b, "copy "...), n.sv.Name...) }
+
+// valueNote lists the read of an input's event value by its reference,
+// "?x".
+type valueNote struct{ sig *cfsm.Signal }
+
+func (n valueNote) AppendName(b []byte) []byte { return expr.AppendEventValue(b, n.sig.Name) }
+
 // readAddr resolves an expression variable name to a data address.
-func (a *Builder) readAddr(name string) (int, error) {
+func (a *Builder) readAddr(name string) (int32, error) {
 	i, value := a.c.Resolve(name)
 	switch {
 	case i < 0 && value:
@@ -258,13 +299,12 @@ func (a *Builder) readAddr(name string) (int, error) {
 	case i < 0:
 		return 0, fmt.Errorf("codegen: unknown variable %q", name)
 	case value:
-		sig := a.c.Inputs[i]
-		if addr, ok := a.valAddr[sig]; ok {
+		if addr := a.valAddr[i]; addr >= 0 {
 			return addr, nil
 		}
-		return 0, fmt.Errorf("codegen: value of %s read but not copied", sig.Name)
+		return 0, fmt.Errorf("codegen: value of %s read but not copied", a.c.Inputs[i].Name)
 	}
-	return a.StateReadAddr(a.c.States[i]), nil
+	return a.stateRead(i), nil
 }
 
 // CompileExpr evaluates e into register RegVal using the simple
@@ -322,18 +362,20 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 	return fmt.Errorf("codegen: unknown expression node %T", e)
 }
 
-func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
+// vertexLabels is the prefix of the vertex labels: vertex v's
+// statement is labelled "v" followed by its ID.
+const vertexLabels = "v"
+
+// label returns the label of vertex v's statement.
+func (a *Builder) label(v *sgraph.Vertex) int32 { return a.vlab + int32(v.ID) }
 
 // body emits the routine's vertices in layout order, each ending in
 // the routine's Jump unless a jump table dispatched every outcome.
 func (a *Builder) body(r *Routine) error {
 	a.p.Reserve(len(r.Order))
-	a.vlab = make([]int32, r.G.IDBound())
+	a.vlab = a.p.Labels(vertexLabels, r.G.IDBound())
 	for _, v := range r.Order {
-		a.vlab[v.ID] = a.p.Label(vlabel(v))
-	}
-	for _, v := range r.Order {
-		if err := a.p.Bind(a.vlab[v.ID]); err != nil {
+		if err := a.p.Bind(a.label(v)); err != nil {
 			return err
 		}
 		switch v.Kind {
@@ -353,7 +395,7 @@ func (a *Builder) body(r *Routine) error {
 			}
 		}
 		if w := r.Jump(v); w != nil {
-			a.p.Emit(vm.Instr{Op: vm.JMP, Label: a.vlab[w.ID]})
+			a.p.Emit(vm.Instr{Op: vm.JMP, Label: a.label(w)})
 		}
 	}
 	return nil
@@ -377,16 +419,16 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 		}
 		switch t.Kind {
 		case cfsm.TestPresence:
-			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t.Name())
-			a.p.Emit(vm.Instr{Op: brOp, Rs: 0, Label: a.vlab[brTo.ID]})
+			a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t)
+			a.p.Emit(vm.Instr{Op: brOp, Rs: 0, Label: a.label(brTo)})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
 				return false, err
 			}
-			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.vlab[brTo.ID]})
+			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.label(brTo)})
 		default:
-			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t.Name())
-			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.vlab[brTo.ID]})
+			a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t)
+			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: a.label(brTo)})
 		}
 		return false, nil
 	}
@@ -401,7 +443,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 		}
 		switch t.Kind {
 		case cfsm.TestPresence:
-			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t.Name())
+			a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.SVC, Num: vm.SvcPresent, Imm: int64(a.sigs[t.Signal])}), t)
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: 0})
 		case cfsm.TestPredicate:
 			if err := a.CompileExpr(t.Pred); err != nil {
@@ -412,7 +454,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 			a.p.Emit(vm.Instr{Op: vm.NOT, Rd: RegVal})
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		default:
-			a.p.Comment(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t.Name())
+			a.p.Annotate(a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.StateReadAddr(t.Sel)}), t)
 			a.p.Emit(vm.Instr{Op: vm.ALU, AOp: expr.OpAdd, Rd: RegAcc, Rs: RegVal})
 		}
 	}
@@ -423,13 +465,13 @@ func (a *Builder) emitTest(v *sgraph.Vertex) (bool, error) {
 			idx := v.OutcomeAt(pos)
 			a.p.Emit(vm.Instr{Op: vm.LDI, Rd: RegAux, Imm: int64(idx)})
 			a.p.Emit(vm.Instr{Op: vm.BR, Cond: vm.CondEQ, Rs: RegAcc, Rt: RegAux,
-				Label: a.vlab[v.Children[idx].ID]})
+				Label: a.label(v.Children[idx])})
 		}
 		return false, nil
 	}
 	table := make([]int32, v.Arity())
 	for idx, c := range v.Children {
-		table[idx] = a.vlab[c.ID]
+		table[idx] = a.label(c)
 	}
 	a.p.Emit(vm.Instr{Op: vm.JTAB, Rs: RegAcc, Label: a.p.Table(table...)})
 	return true, nil
@@ -450,7 +492,7 @@ func (a *Builder) EmitAction(act *cfsm.Action) error {
 			in.Num, in.Rs = vm.SvcEmitV, RegVal
 		}
 	case cfsm.ActAssign:
-		in, e = vm.Instr{Op: vm.ST, Addr: a.stateAddr[act.Var], Rs: RegVal}, act.Expr
+		in, e = vm.Instr{Op: vm.ST, Addr: a.stateWord(act.Var), Rs: RegVal}, act.Expr
 	default:
 		return fmt.Errorf("codegen: unknown action kind")
 	}
@@ -460,7 +502,7 @@ func (a *Builder) EmitAction(act *cfsm.Action) error {
 		}
 	}
 	in.Fires = true
-	a.p.Comment(a.p.Emit(in), act.Name())
+	a.p.Annotate(a.p.Emit(in), act)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"polis/internal/cfsm"
@@ -101,9 +102,10 @@ func TestFiresMarks(t *testing.T) {
 			}
 			order := g.Reachable()
 			labelAt := func(v *sgraph.Vertex) int {
-				pc, ok := p.LabelAt(vlabel(v))
+				name := vertexLabels + strconv.Itoa(v.ID)
+				pc, ok := p.LabelAt(name)
 				if !ok {
-					t.Fatalf("%s: vertex %s has no label", c.Name, vlabel(v))
+					t.Fatalf("%s: vertex %s has no label", c.Name, name)
 				}
 				return pc
 			}
@@ -131,8 +133,8 @@ func TestFiresMarks(t *testing.T) {
 					assigns++
 				}
 				if marks != want {
-					t.Errorf("%s (reduce=%v): vertex %s has %d marked instructions, want %d",
-						c.Name, reduce, vlabel(v), marks, want)
+					t.Errorf("%s (reduce=%v): vertex v%d has %d marked instructions, want %d",
+						c.Name, reduce, v.ID, marks, want)
 				}
 			}
 			if assigns == 0 {

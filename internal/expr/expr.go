@@ -9,14 +9,14 @@ package expr
 import (
 	"encoding/binary"
 	"strconv"
-	"strings"
 )
 
 // Op enumerates the operators of the expression language. Each binary
 // operator corresponds to one of the predefined software library
 // functions the cost-estimation package characterises (ADD, OR, EQ,
-// ... in the paper's terminology).
-type Op int
+// ... in the paper's terminology). It is a byte, so an operator packs
+// into an instruction beside the other byte-sized fields.
+type Op uint8
 
 const (
 	OpAdd Op = iota
@@ -105,6 +105,9 @@ type Ref string
 
 // EventValue returns the reference to input signal sig's event value.
 func EventValue(sig string) Ref { return Ref("?" + sig) }
+
+// AppendEventValue appends EventValue(sig) to b.
+func AppendEventValue(b []byte, sig string) []byte { return append(append(b, '?'), sig...) }
 
 // SplitRef takes a variable name apart: the signal's name and true for
 // an input's event value, the name itself and false for a state
@@ -339,63 +342,53 @@ func Subst(e Expr, sub map[string]Expr) Expr {
 	return e
 }
 
-// WriteC writes e in C syntax to b. Each variable reference is written
-// as the prefix and base ref returns for its name, or as its name when
-// ref is nil; the code generator passes a ref that maps state
-// variables and input values into the routine's name space. Returning
-// the two parts lets a mapping add a prefix without building a string.
-// An Expr outside the four closed shapes writes its C().
-func WriteC(b *strings.Builder, e Expr, ref func(name string) (prefix, base string)) {
+// AppendC appends e in C syntax to b and returns the extended slice.
+// Each variable reference is written as the prefix and base ref
+// returns for its name, or as its name when ref is nil; the code
+// generator passes a ref that maps state variables and input values
+// into the routine's name space. Returning the two parts lets a
+// mapping add a prefix without building a string. An Expr outside the
+// four closed shapes appends its C().
+func AppendC(b []byte, e Expr, ref func(name string) (prefix, base string)) []byte {
 	switch x := e.(type) {
 	case Const:
-		var buf [20]byte
-		b.Write(strconv.AppendInt(buf[:0], int64(x), 10))
+		return strconv.AppendInt(b, int64(x), 10)
 	case Ref:
 		if ref == nil {
-			b.WriteString(string(x))
-		} else {
-			prefix, base := ref(string(x))
-			b.WriteString(prefix)
-			b.WriteString(base)
+			return append(b, x...)
 		}
+		prefix, base := ref(string(x))
+		return append(append(b, prefix...), base...)
 	case *Bin:
 		switch x.Op {
 		case OpMin, OpMax, OpDiv, OpMod:
 			// Library calls (the division ones are safe division).
-			b.WriteString(x.Op.Name())
-			b.WriteByte('(')
-			WriteC(b, x.L, ref)
-			b.WriteString(", ")
+			b = append(append(b, x.Op.Name()...), '(')
+			b = append(AppendC(b, x.L, ref), ", "...)
 		default:
-			b.WriteByte('(')
-			WriteC(b, x.L, ref)
-			b.WriteByte(' ')
-			b.WriteString(opSyms[x.Op])
-			b.WriteByte(' ')
+			b = AppendC(append(b, '('), x.L, ref)
+			b = append(append(append(b, ' '), opSyms[x.Op]...), ' ')
 		}
-		WriteC(b, x.R, ref)
-		b.WriteByte(')')
+		return append(AppendC(b, x.R, ref), ')')
 	case *Un:
 		switch x.Op {
 		case UnNeg:
-			b.WriteString("(-")
+			b = append(b, "(-"...)
 		case UnNot:
-			b.WriteString("(!")
+			b = append(b, "(!"...)
 		default:
-			b.WriteString("(~")
+			b = append(b, "(~"...)
 		}
-		WriteC(b, x.X, ref)
-		b.WriteByte(')')
-	default:
-		b.WriteString(e.C())
+		return append(AppendC(b, x.X, ref), ')')
 	}
+	return append(b, e.C()...)
 }
 
-// render is C for the closed shapes: WriteC with every name as written.
+// render is C for the closed shapes: AppendC with every name as
+// written.
 func render(e Expr) string {
-	var b strings.Builder
-	WriteC(&b, e, nil)
-	return b.String()
+	var buf [64]byte
+	return string(AppendC(buf[:0], e, nil))
 }
 
 // Shape tags of AppendKey.

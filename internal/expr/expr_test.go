@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,15 +91,15 @@ func TestCRendering(t *testing.T) {
 	}
 }
 
-// TestWriteCRefMapping: WriteC sends each reference, and only
-// references, through the mapping; library-call names stay.
-func TestWriteCRefMapping(t *testing.T) {
+// TestAppendCRefMapping: AppendC sends each reference, and only
+// references, through the mapping; library-call names stay, and the
+// text goes after what the buffer already holds.
+func TestAppendCRefMapping(t *testing.T) {
 	e := Add(Min(V("MIN"), V("?x")), NewNeg(Div(V("DIV"), C(-2))))
 	ref := func(name string) (string, string) { return "m_", name }
-	var b strings.Builder
-	WriteC(&b, e, ref)
-	if want := "(MIN(m_MIN, m_?x) + (-DIV(m_DIV, -2)))"; b.String() != want {
-		t.Errorf("WriteC = %q, want %q", b.String(), want)
+	got := string(AppendC([]byte("x = "), e, ref))
+	if want := "x = (MIN(m_MIN, m_?x) + (-DIV(m_DIV, -2)))"; got != want {
+		t.Errorf("AppendC = %q, want %q", got, want)
 	}
 }
 

@@ -23,7 +23,7 @@ func Assemble(n *Network, sigs codegen.SignalMap, opts codegen.Options) (*vm.Pro
 	}
 	p := b.Prog()
 
-	gateAddr := make([]int, len(n.Gates))
+	gateAddr := make([]int32, len(n.Gates))
 	for _, g := range n.Gates {
 		gateAddr[g.ID] = p.Alloc(fmt.Sprintf("net%d", g.ID))
 	}
@@ -42,7 +42,7 @@ func Assemble(n *Network, sigs codegen.SignalMap, opts codegen.Options) (*vm.Pro
 			if err := emitInput(b, g); err != nil {
 				return nil, err
 			}
-			p.Comment(p.Emit(vm.Instr{Op: vm.ST, Addr: gateAddr[g.ID], Rs: codegen.RegVal}), g.Test.Name())
+			p.Annotate(p.Emit(vm.Instr{Op: vm.ST, Addr: gateAddr[g.ID], Rs: codegen.RegVal}), g.Test)
 		case GateIte:
 			// r1 = if; r2 = then & if; r1 = (if ^ 1) & else; or.
 			p.Emit(vm.Instr{Op: vm.LD, Rd: 1, Addr: gateAddr[g.If.ID]})
@@ -58,8 +58,9 @@ func Assemble(n *Network, sigs codegen.SignalMap, opts codegen.Options) (*vm.Pro
 	}
 
 	// Phase c: act on the output flags.
+	skips := p.Labels("skip", len(n.Outputs))
 	for j, og := range n.Outputs {
-		skip := p.Label(fmt.Sprintf("skip%d", j))
+		skip := skips + int32(j)
 		p.Emit(vm.Instr{Op: vm.LD, Rd: codegen.RegVal, Addr: gateAddr[og.ID]})
 		p.Emit(vm.Instr{Op: vm.BRZ, Rs: codegen.RegVal, Label: skip})
 		if err := b.EmitAction(n.C.Actions[j]); err != nil {

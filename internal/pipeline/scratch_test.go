@@ -84,3 +84,20 @@ func TestArtifactsKeepNoScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramListingMatchesArtifact requires that an artifact's
+// program, which keeps its label names and notes as references into
+// the machine, renders the same listing the artifact stored when it
+// was synthesized.
+func TestProgramListingMatchesArtifact(t *testing.T) {
+	ms := append(designs.NewDashboard().Modules(), designs.NewShockAbsorber().Modules()...)
+	arts, err := RunModules(ms, Options{Reduce: true}, Config{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arts {
+		if got := a.Program.Listing(); got != a.Listing {
+			t.Errorf("%s: Program.Listing() differs from the artifact's listing:\n%s\nwant:\n%s", a.Module, got, a.Listing)
+		}
+	}
+}

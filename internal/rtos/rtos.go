@@ -343,10 +343,17 @@ func (t *Task) State(sv *cfsm.StateVar) int64 {
 	return t.state[slot]
 }
 
-// Validate checks a configuration against a network.
+// Validate checks a configuration against a network. A machine may
+// not be named after a trace source (FromEnv or the poll routine), or
+// TraceEvent.Emitted would drop its emissions.
 func (c *Config) Validate(n *cfsm.Network) error {
 	if c.Preemptive && c.Policy == RoundRobin {
 		return fmt.Errorf("rtos: preemption requires static priorities")
+	}
+	for _, m := range n.Machines {
+		if m.Name == FromEnv || m.Name == fromPoll {
+			return fmt.Errorf("rtos: machine name %q is reserved for a trace source", m.Name)
+		}
 	}
 	for s := range c.InISR {
 		if d, ok := c.Deliver[s]; ok && d != Interrupt {

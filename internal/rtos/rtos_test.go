@@ -483,6 +483,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateReservedNames rejects a machine named after a
+// trace source, whose emissions TraceEvent.Emitted would drop.
+func TestConfigValidateReservedNames(t *testing.T) {
+	for _, name := range []string{FromEnv, fromPoll} {
+		n, _, _, a, _ := chainNet()
+		a.Name = name
+		if _, err := NewSystem(n, DefaultConfig(), mkBehavioral(100)); err == nil {
+			t.Errorf("a machine named %q must be rejected", name)
+		}
+	}
+	n, _, _, a, _ := chainNet()
+	a.Name = "envelope"
+	if _, err := NewSystem(n, DefaultConfig(), mkBehavioral(100)); err != nil {
+		t.Errorf("a machine named %q: %v", a.Name, err)
+	}
+}
+
 func TestTaskChaining(t *testing.T) {
 	run := func(chain bool) (int64, int64) {
 		n, in, out, a, b := chainNet()

@@ -86,9 +86,9 @@ func visitInstr(c *costs, prog *Program, pc int, visit func(int) (int64, int64, 
 	case HALT:
 		return base, base, nil
 	case JMP:
-		next = int(prog.labels[in.Label].at)
+		next = int(prog.at[in.Label])
 	case BR, BRZ, BRNZ:
-		tMin, tMax, err := visit(int(prog.labels[in.Label].at))
+		tMin, tMax, err := visit(int(prog.at[in.Label]))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -100,7 +100,7 @@ func visitInstr(c *costs, prog *Program, pc int, visit func(int) (int64, int64, 
 		return min(taken+tMin, base+fMin), max(taken+tMax, base+fMax), nil
 	case JTAB:
 		for idx, l := range prog.tables[in.Label] {
-			m1, m2, err := visit(int(prog.labels[l].at))
+			m1, m2, err := visit(int(prog.at[l]))
 			if err != nil {
 				return 0, 0, err
 			}

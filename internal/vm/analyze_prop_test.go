@@ -35,9 +35,9 @@ func randomDAGProgram(r *rand.Rand) *Program {
 			case 0:
 				p.Emit(Instr{Op: LDI, Rd: reg(), Imm: r.Int63n(16)})
 			case 1:
-				p.Emit(Instr{Op: LD, Rd: reg(), Addr: r.Intn(4)})
+				p.Emit(Instr{Op: LD, Rd: reg(), Addr: int32(r.Intn(4))})
 			case 2:
-				p.Emit(Instr{Op: ST, Addr: r.Intn(4), Rs: reg()})
+				p.Emit(Instr{Op: ST, Addr: int32(r.Intn(4)), Rs: reg()})
 			case 3:
 				ops := []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMin}
 				p.Emit(Instr{Op: ALU, AOp: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg()})

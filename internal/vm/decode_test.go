@@ -32,7 +32,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"jump table register", Instr{Op: JTAB, Rs: 10, Label: endTable}},
 		{"emitted value register", Instr{Op: SVC, Num: SvcEmitV, Rs: 8}},
 		{"ALU operator", Instr{Op: ALU, AOp: expr.Op(expr.NumOps()), Rd: 1, Rs: 2}},
-		{"negative ALU operator", Instr{Op: ALU, AOp: -1, Rd: 1, Rs: 2}},
+		{"negative ALU operator", Instr{Op: ALU, AOp: 0xff, Rd: 1, Rs: 2}}, // -1 as a byte
 		{"unknown service", Instr{Op: SVC, Num: SvcEmitV + 1}},
 		{"negative service", Instr{Op: SVC, Num: -1}},
 		{"empty jump table", Instr{Op: JTAB, Rs: 1, Label: emptyTable}},
@@ -164,9 +164,9 @@ func TestFaultKeepsCycles(t *testing.T) {
 	}
 }
 
-// TestInstrSize pins the one instruction representation: a value of at
-// most 40 bytes with no field that points elsewhere, so a routine's
-// code is one flat slice the garbage collector does not scan.
+// TestInstrSize pins the one instruction representation: a value of
+// 24 bytes with no field that points elsewhere, so a routine's code is
+// one flat slice the garbage collector does not scan.
 func TestInstrSize(t *testing.T) {
 	typ := reflect.TypeOf(Instr{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -179,7 +179,7 @@ func TestInstrSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Instr{}); got > 40 {
-		t.Errorf("Instr is %d bytes, want at most 40", got)
+	if got := unsafe.Sizeof(Instr{}); got != 24 {
+		t.Errorf("Instr is %d bytes, want 24", got)
 	}
 }

@@ -13,6 +13,7 @@
 package vm
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -97,10 +98,11 @@ const (
 	SvcEmitV          // emit signal Imm with value in Rs
 )
 
-// Instr is one virtual instruction, a value with no pointer in it that
-// the assembler, machine, cycle analyzer and listing all read. Fields
-// are used according to Op; branch targets and jump tables index side
-// tables of the instruction's Program.
+// Instr is one virtual instruction, a 24-byte value with no pointer in
+// it that the assembler, machine, cycle analyzer and listing all read:
+// the byte-sized fields share one word, Label and Addr the next, Imm
+// the last. Fields are used according to Op; branch targets and jump
+// tables index side tables of the instruction's Program.
 type Instr struct {
 	Op   OpCode
 	Cond Cond
@@ -112,49 +114,67 @@ type Instr struct {
 	Rd    int8
 	Rs    int8
 	Rt    int8
-	Num   int8 // SVC service number
-	// Label is the target of a BR, BRZ, BRNZ or JMP (an index from
-	// Program.Label) or the jump table of a JTAB (from Program.Table).
+	Num   int8    // SVC service number
+	AOp   expr.Op // ALU operator
+	// Label is the target of a BR, BRZ, BRNZ or JMP (a label index,
+	// from Program.Label or Program.Labels) or the jump table of a
+	// JTAB (from Program.Table).
 	Label int32
-	AOp   expr.Op
+	Addr  int32 // data word of a LD or ST
 	Imm   int64
-	Addr  int
 }
 
 // Program is an assembled routine: the instruction stream and the side
 // tables its instructions index. Addresses index the data memory of
 // the machine; Words is the number of data words the routine uses.
+//
+// Labels are indices into a slice of positions. Their names are kept
+// per range, not per label: a named label has one record, and a
+// numbered range (Labels) one record for all its labels, whose names
+// are rendered only into listings. Notes keep a reference that renders
+// its text into the listing, so a program that is never listed holds
+// no annotation text.
 type Program struct {
 	Name    string
 	Instrs  []Instr
 	Words   int            // data memory footprint in words
 	Symbols map[string]int // variable name -> address, for listings
 
-	labels   []label          // by label index
-	byName   map[string]int32 // name -> label index
-	tables   [][]int32        // jump tables of label indices
-	comments []comment        // listing annotations, by instruction
+	at     []int32      // instruction index of each label, -1 until bound
+	names  []labelNames // label names, by first label index
+	tables [][]int32    // jump tables of label indices
+	notes  []note       // listing annotations, in instruction order
 }
 
-// label is a named position in the instruction stream.
-type label struct {
-	name string
-	at   int32 // instruction index, -1 until bound
+// labelNames names the labels from index first up to the next
+// record's first: one label called name or, for a numbered range, the
+// labels name0, name1, and so on.
+type labelNames struct {
+	name     string
+	first    int32
+	numbered bool
 }
 
-// comment annotates instruction at in listings.
-type comment struct {
-	at   int
-	text string
+// Note is a listing annotation that renders its own text, appending
+// it to a listing's buffer.
+type Note interface {
+	AppendName(b []byte) []byte
 }
+
+// note annotates instruction at in listings.
+type note struct {
+	at   int32
+	note Note
+}
+
+// textNote is a Note of fixed text.
+type textNote string
+
+func (t textNote) AppendName(b []byte) []byte { return append(b, t...) }
 
 // NewProgram creates an empty program.
 func NewProgram(name string) *Program {
-	return &Program{
-		Name:    name,
-		Symbols: make(map[string]int),
-		byName:  make(map[string]int32),
-	}
+	return &Program{Name: name, Symbols: make(map[string]int)}
 }
 
 // Emit appends an instruction and returns its index.
@@ -163,44 +183,125 @@ func (p *Program) Emit(i Instr) int {
 	return len(p.Instrs) - 1
 }
 
-// Reserve makes room for labels more labels and as many comments, so
-// an assembler that knows its label count appends without regrowing.
-func (p *Program) Reserve(labels int) {
-	p.labels = slices.Grow(p.labels, labels)
-	p.comments = slices.Grow(p.comments, labels)
+// Reserve makes room for notes more notes, so an assembler that knows
+// how many it annotates appends them without regrowing.
+func (p *Program) Reserve(notes int) {
+	p.notes = slices.Grow(p.notes, notes)
 }
 
 // Alloc reserves a data word for the named variable and returns its
 // address. Repeated calls with one name return the same address.
-func (p *Program) Alloc(name string) int {
+func (p *Program) Alloc(name string) int32 {
 	if a, ok := p.Symbols[name]; ok {
-		return a
+		return int32(a)
 	}
 	a := p.Words
 	p.Symbols[name] = a
 	p.Words++
-	return a
+	return int32(a)
 }
 
 // Label returns the index of the named label, adding it, not yet
 // bound to a position, on first use; a branch may name a label before
-// it is bound.
+// it is bound. A name of a numbered range (Labels) returns that
+// range's label.
 func (p *Program) Label(name string) int32 {
-	if l, ok := p.byName[name]; ok {
+	if l, ok := p.lookup(name); ok {
 		return l
 	}
-	l := int32(len(p.labels))
-	p.labels = append(p.labels, label{name, -1})
-	p.byName[name] = l
+	l := int32(len(p.at))
+	p.names = append(p.names, labelNames{name: name, first: l})
+	p.at = append(p.at, -1)
 	return l
 }
 
+// Labels adds n labels named prefix0 to prefix<n-1>, not yet bound,
+// and returns the index of the first: label first+k is prefix<k>. The
+// range keeps one record for its names. They must differ from the
+// program's other label names.
+func (p *Program) Labels(prefix string, n int) int32 {
+	first := int32(len(p.at))
+	p.names = append(p.names, labelNames{name: prefix, first: first, numbered: true})
+	p.at = slices.Grow(p.at, n)
+	for range n {
+		p.at = append(p.at, -1)
+	}
+	return first
+}
+
+// lookup returns the index of the label called name.
+func (p *Program) lookup(name string) (int32, bool) {
+	for i, r := range p.names {
+		if !r.numbered {
+			if r.name == name {
+				return r.first, true
+			}
+			continue
+		}
+		if k, ok := labelNumber(name, r.name); ok && k < p.end(i)-r.first {
+			return r.first + k, true
+		}
+	}
+	return 0, false
+}
+
+// end returns the index after the last label named by names[i].
+func (p *Program) end(i int) int32 {
+	if i+1 < len(p.names) {
+		return p.names[i+1].first
+	}
+	return int32(len(p.at))
+}
+
+// labelNumber parses name as prefix followed by a number written as
+// strconv writes it (no sign, no leading zero).
+func labelNumber(name, prefix string) (int32, bool) {
+	digits, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	k, err := strconv.ParseUint(digits, 10, 31)
+	var buf [10]byte
+	if err != nil || string(strconv.AppendUint(buf[:0], k, 10)) != digits {
+		return 0, false
+	}
+	return int32(k), true
+}
+
+// appendLabel appends the name of label l to b, nothing for an index
+// that names none.
+func (p *Program) appendLabel(b []byte, l int32) []byte {
+	if l < 0 || int(l) >= len(p.at) {
+		return b
+	}
+	// The last record whose range starts at or before l holds it.
+	lo, hi := 0, len(p.names)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.names[m].first <= l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	r := &p.names[lo-1]
+	b = append(b, r.name...)
+	if r.numbered {
+		b = strconv.AppendInt(b, int64(l-r.first), 10)
+	}
+	return b
+}
+
+// labelName returns the name of label l, "" for an index that names
+// none.
+func (p *Program) labelName(l int32) string { return string(p.appendLabel(nil, l)) }
+
 // Bind places label l at the current position.
 func (p *Program) Bind(l int32) error {
-	if p.labels[l].at >= 0 {
-		return fmt.Errorf("vm: duplicate label %q", p.labels[l].name)
+	if p.at[l] >= 0 {
+		return fmt.Errorf("vm: duplicate label %q", p.labelName(l))
 	}
-	p.labels[l].at = int32(len(p.Instrs))
+	p.at[l] = int32(len(p.Instrs))
 	return nil
 }
 
@@ -209,11 +310,11 @@ func (p *Program) Mark(label string) error { return p.Bind(p.Label(label)) }
 
 // LabelAt returns the instruction index of a bound label.
 func (p *Program) LabelAt(name string) (int, bool) {
-	l, ok := p.byName[name]
-	if !ok || p.labels[l].at < 0 {
+	l, ok := p.lookup(name)
+	if !ok || p.at[l] < 0 {
 		return 0, false
 	}
-	return int(p.labels[l].at), true
+	return int(p.at[l]), true
 }
 
 // Table adds a jump table over the given labels, keeping the slice,
@@ -223,12 +324,17 @@ func (p *Program) Table(labels ...int32) int32 {
 	return int32(len(p.tables) - 1)
 }
 
-// Comment annotates instruction i in listings; an empty text adds
-// nothing. Comments are listed in instruction order, so they must be
-// given in that order.
+// Annotate adds n's text to instruction i in listings. Notes are
+// listed in instruction order, so they must be given in that order.
+func (p *Program) Annotate(i int, n Note) {
+	p.notes = append(p.notes, note{int32(i), n})
+}
+
+// Comment annotates instruction i in listings with fixed text; an
+// empty text adds nothing.
 func (p *Program) Comment(i int, text string) {
 	if text != "" {
-		p.comments = append(p.comments, comment{i, text})
+		p.Annotate(i, textNote(text))
 	}
 }
 
@@ -279,13 +385,13 @@ func (e *DecodeError) Error() string {
 
 // target resolves label l referenced by instruction i.
 func (p *Program) target(i int, l int32) (int, error) {
-	if l < 0 || int(l) >= len(p.labels) {
+	if l < 0 || int(l) >= len(p.at) {
 		return 0, &LabelError{Instr: i}
 	}
-	if p.labels[l].at < 0 {
-		return 0, &LabelError{Instr: i, Label: p.labels[l].name}
+	if p.at[l] < 0 {
+		return 0, &LabelError{Instr: i, Label: p.labelName(l)}
 	}
-	return int(p.labels[l].at), nil
+	return int(p.at[l]), nil
 }
 
 // check validates the fields instruction i uses: a *DecodeError for a
@@ -321,7 +427,7 @@ func (p *Program) check(i int) error {
 	case MOV:
 		err = reg(in.Rd, in.Rs)
 	case ALU:
-		if in.AOp < 0 || in.AOp > expr.OpMax {
+		if in.AOp > expr.OpMax {
 			return bad("ALU operator %d out of range", in.AOp)
 		}
 		err = reg(in.Rd, in.Rs)
@@ -370,48 +476,52 @@ func (p *Program) Resolve() error {
 	return nil
 }
 
-// labelName returns the name of label l, "" for an index that names
-// none.
-func (p *Program) labelName(l int32) string {
-	if l < 0 || int(l) >= len(p.labels) {
-		return ""
-	}
-	return p.labels[l].name
-}
-
 // listingScratch is the working storage of one Listing call: the bound
 // labels in listing order and the text under construction.
 type listingScratch struct {
-	marks []label
+	marks []int32
 	b     []byte
 }
 
 // listingBufs lends Listing its scratch. The listing returned is a
 // copy of exactly the text's length, so no buffer outlives the call.
-var listingBufs = sync.Pool{New: func() any { return new(listingScratch) }}
+// Fresh scratch starts at a size most routines fit rather than growing
+// from nothing.
+var listingBufs = sync.Pool{New: func() any {
+	return &listingScratch{marks: make([]int32, 0, 256), b: make([]byte, 0, 4<<10)}
+}}
 
-// Listing renders a human-readable assembly listing. Every artifact
-// carries one, so it is built with append and strconv rather than fmt,
-// in scratch that the next call reuses.
+// compareLabels orders labels a and b by name.
+func (p *Program) compareLabels(a, b int32) int {
+	var x, y [32]byte
+	return bytes.Compare(p.appendLabel(x[:0], a), p.appendLabel(y[:0], b))
+}
+
+// Listing renders a human-readable assembly listing: the labels bound
+// at each position in name order, each instruction, and its notes.
+// Every artifact carries one, so it is built with append and strconv
+// rather than fmt, in scratch that the next call reuses.
 func (p *Program) Listing() string {
 	s := listingBufs.Get().(*listingScratch)
 	marks := s.marks[:0]
-	for _, l := range p.labels {
-		if l.at >= 0 {
-			marks = append(marks, l)
+	for l, at := range p.at {
+		if at >= 0 {
+			marks = append(marks, int32(l))
 		}
 	}
-	slices.SortFunc(marks, func(a, b label) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), strings.Compare(a.name, b.name))
+	slices.SortFunc(marks, func(a, b int32) int {
+		if c := cmp.Compare(p.at[a], p.at[b]); c != 0 {
+			return c
+		}
+		return p.compareLabels(a, b)
 	})
-	comments := p.comments
+	notes := p.notes
 	b := s.b[:0]
 	next := 0 // the first mark not yet listed
 	labelsAt := func(i int) {
-		for ; next < len(marks) && int(marks[next].at) <= i; next++ {
-			if int(marks[next].at) == i { // a label set out of range is not listed
-				b = append(b, marks[next].name...)
-				b = append(b, ":\n"...)
+		for ; next < len(marks) && int(p.at[marks[next]]) <= i; next++ {
+			if int(p.at[marks[next]]) == i { // a label set out of range is not listed
+				b = append(p.appendLabel(b, marks[next]), ":\n"...)
 			}
 		}
 	}
@@ -469,15 +579,15 @@ func (p *Program) Listing() string {
 			b = append(b, ", "...)
 			reg(in.Rt)
 			b = append(b, ", "...)
-			b = append(b, p.labelName(in.Label)...)
+			b = p.appendLabel(b, in.Label)
 		case BRZ, BRNZ:
 			b = append(b, ' ')
 			reg(in.Rs)
 			b = append(b, ", "...)
-			b = append(b, p.labelName(in.Label)...)
+			b = p.appendLabel(b, in.Label)
 		case JMP:
 			b = append(b, ' ')
-			b = append(b, p.labelName(in.Label)...)
+			b = p.appendLabel(b, in.Label)
 		case JTAB:
 			b = append(b, ' ')
 			reg(in.Rs)
@@ -486,7 +596,7 @@ func (p *Program) Listing() string {
 				if k > 0 {
 					b = append(b, ' ')
 				}
-				b = append(b, p.labelName(l)...)
+				b = p.appendLabel(b, l)
 			}
 			b = append(b, ']')
 		case SVC:
@@ -497,15 +607,13 @@ func (p *Program) Listing() string {
 			b = append(b, ", "...)
 			reg(in.Rs)
 		}
-		for ; len(comments) > 0 && comments[0].at == i; comments = comments[1:] {
-			b = append(b, "  ; "...)
-			b = append(b, comments[0].text...)
+		for ; len(notes) > 0 && int(notes[0].at) == i; notes = notes[1:] {
+			b = notes[0].note.AppendName(append(b, "  ; "...))
 		}
 		b = append(b, '\n')
 	}
 	labelsAt(len(p.Instrs))
 	text := string(b)
-	clear(marks) // drop the label names
 	s.marks, s.b = marks[:0], b[:0]
 	listingBufs.Put(s)
 	return text

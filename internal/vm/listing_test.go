@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -93,5 +94,78 @@ func TestListingGolden(t *testing.T) {
 	}, "\n") + "\n"
 	if got := listingProgram().Listing(); got != want {
 		t.Errorf("listing changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestNumberedLabels covers the labels of a numbered range: they list
+// as the prefix and their number; labels bound at one position list in
+// name order, whatever range they come from and whatever order they
+// were bound in; LabelAt and Label find one by its name; and an
+// unbound one is named in a *LabelError and a duplicate bind.
+func TestNumberedLabels(t *testing.T) {
+	p := NewProgram("m")
+	if err := p.Mark("m_react"); err != nil {
+		t.Fatal(err)
+	}
+	v := p.Labels("v", 12)
+	for _, k := range []int32{9, 10, 0} {
+		if err := p.Bind(v + k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Emit(Instr{Op: BRZ, Rs: 0, Label: v + 3})
+	p.Emit(Instr{Op: JMP, Label: v + 11})
+	if err := p.Bind(v + 3); err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(Instr{Op: HALT})
+	var le *LabelError
+	if err := p.Resolve(); !errors.As(err, &le) || le.Instr != 1 || le.Label != "v11" {
+		t.Errorf("Resolve with v11 unbound: %v, want a LabelError for v11 at instr 1", err)
+	}
+	if err := p.Bind(v + 11); err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(Instr{Op: HALT})
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind(v + 3); err == nil || !strings.Contains(err.Error(), `"v3"`) {
+		t.Errorf("second bind of v3: %v, want a duplicate-label error naming v3", err)
+	}
+
+	want := strings.Join([]string{
+		"; routine m (0 words of data)",
+		"m_react:",
+		"v0:",
+		"v10:",
+		"v9:",
+		"  brz   r0, v3",
+		"  jmp   v11",
+		"v3:",
+		"  halt ",
+		"v11:",
+		"  halt ",
+		"",
+	}, "\n")
+	if got := p.Listing(); got != want {
+		t.Errorf("listing:\n%s\nwant:\n%s", got, want)
+	}
+
+	for name, at := range map[string]int{"m_react": 0, "v0": 0, "v9": 0, "v3": 2, "v11": 3} {
+		if got, ok := p.LabelAt(name); !ok || got != at {
+			t.Errorf("LabelAt(%q) = %d, %v; want %d, true", name, got, ok, at)
+		}
+	}
+	for _, name := range []string{"v5", "v12", "v03", "v", "v-1", "v+1", "w3"} {
+		if at, ok := p.LabelAt(name); ok {
+			t.Errorf("LabelAt(%q) = %d, true; want none", name, at)
+		}
+	}
+	if got := p.Label("v3"); got != v+3 {
+		t.Errorf(`Label("v3") = %d, want the range's label %d`, got, v+3)
+	}
+	if got, err := NewMachine(HC11(), 0, nil).Run(p, "m_react"); err != nil || got == 0 {
+		t.Errorf("run from m_react: %d cycles, %v", got, err)
 	}
 }

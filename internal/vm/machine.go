@@ -129,7 +129,7 @@ func (m *Machine) Run(prog *Program, label string) (int64, error) {
 		m.entry, m.entryPC = label, pc
 	}
 	m.Fired = false
-	code, labels, tables, mem, regs, c := prog.Instrs, prog.labels, prog.tables, m.Mem, &m.Regs, &m.cost
+	code, at, tables, mem, regs, c := prog.Instrs, prog.at, prog.tables, m.Mem, &m.Regs, &m.cost
 	pc, cyc, maxSteps := m.entryPC, int64(0), m.MaxSteps
 	for steps := 1; ; steps++ {
 		if steps > maxSteps {
@@ -145,12 +145,12 @@ func (m *Machine) Run(prog *Program, label string) (int64, error) {
 		case LDI:
 			regs[in.Rd] = in.Imm
 		case LD:
-			if in.Addr < 0 || in.Addr >= len(mem) {
+			if in.Addr < 0 || int(in.Addr) >= len(mem) {
 				return m.fault(cyc, fmt.Errorf("vm: load address %d out of range", in.Addr))
 			}
 			regs[in.Rd] = mem[in.Addr]
 		case ST:
-			if in.Addr < 0 || in.Addr >= len(mem) {
+			if in.Addr < 0 || int(in.Addr) >= len(mem) {
 				return m.fault(cyc, fmt.Errorf("vm: store address %d out of range", in.Addr))
 			}
 			mem[in.Addr] = regs[in.Rs]
@@ -173,27 +173,27 @@ func (m *Machine) Run(prog *Program, label string) (int64, error) {
 		case BR:
 			if in.Cond.Holds(regs[in.Rs], regs[in.Rt]) {
 				cyc += c.taken
-				pc = int(labels[in.Label].at)
+				pc = int(at[in.Label])
 			}
 		case BRZ:
 			if regs[in.Rs] == 0 {
 				cyc += c.taken
-				pc = int(labels[in.Label].at)
+				pc = int(at[in.Label])
 			}
 		case BRNZ:
 			if regs[in.Rs] != 0 {
 				cyc += c.taken
-				pc = int(labels[in.Label].at)
+				pc = int(at[in.Label])
 			}
 		case JMP:
-			pc = int(labels[in.Label].at)
+			pc = int(at[in.Label])
 		case JTAB:
 			tab, idx := tables[in.Label], regs[in.Rs]
 			if idx < 0 || idx >= int64(len(tab)) {
 				return m.fault(cyc, fmt.Errorf("vm: jump table index %d out of range (%d entries)", idx, len(tab)))
 			}
 			cyc += c.perEntry * idx
-			pc = int(labels[tab[idx]].at)
+			pc = int(at[tab[idx]])
 		case SVC:
 			switch in.Num {
 			case SvcPresent:
